@@ -16,8 +16,8 @@ from hopfcheck.dga import (
 )
 
 d = build_twisted_double(taft(2))
-blocks = split_blocks(d)
 gens = taft_double_generators(d)
+blocks = split_blocks(d, gens)
 
 blk = blocks[1]  # the odd block: sigma - 1 restricts to x'x here
 z = blk.project(d.sigma) - blk.algebra.unit_element()

@@ -12,6 +12,7 @@ from hopfcheck.doubles import (
     check_generator_presentation,
     split_blocks,
     taft_double_generators,
+    taft_eigencomponents,
     verify_sigma_graded_action,
 )
 
@@ -30,9 +31,12 @@ print(f"  generated dim: {rep.witnesses['generated_dim']}")
 ggp = rep.witnesses["gg'"]
 print(f"  g g' central, p-th power 1: {ggp}")
 
-print(f"\nblock split along g g': {check_block_split(d).status}")
-for s, blk in enumerate(split_blocks(d)):
+blocks = split_blocks(d, gens)
+print(f"\nblock split along g g': {check_block_split(d, blocks).status}")
+for s, blk in enumerate(blocks):
     print(f"  block s={s}: eigenvalue {blk.eigenvalue.pretty()}, dim {blk.algebra.dim},"
           f" center dim {blk.algebra.center().dim}")
 
-print(f"\nsigma graded action formula: {verify_sigma_graded_action(d).status}")
+components = taft_eigencomponents(d, gens)
+rep = verify_sigma_graded_action(d, gens, components)
+print(f"\nsigma graded action formula: {rep.status}")

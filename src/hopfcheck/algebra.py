@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .cyclotomic import Cyclotomic, phi_degree, reduction_expansion_bound
+from .cyclotomic import ONE, ZERO, Cyclotomic, phi_degree, reduction_expansion_bound
 from .linalg import EchelonBasis, Matrix, Subspace, eigensplit, vec_is_zero
 from .report import CheckReport
 
@@ -110,7 +110,7 @@ class StructureAlgebra:
             left = self.mul_coords(self.unit, self._basis_coords(j))
             right = self.mul_coords(self._basis_coords(j), self.unit)
             for k in range(n):
-                want = Cyclotomic.one() if k == j else Cyclotomic.zero()
+                want = ONE if k == j else ZERO
                 if left[k] != want or right[k] != want:
                     raise UnitLawError(
                         f"unit law fails on basis element {j} of {self.name}"
@@ -169,11 +169,10 @@ class StructureAlgebra:
         return None
 
     def _assoc_modular(self):
-        try:
-            import numpy as np
-            from scipy import sparse
-        except ImportError:  # fall back to the slow exact path
-            return self._assoc_pure()
+        # loaded on first use, so that importing hopfcheck does not load them
+        import numpy as np
+        from scipy import sparse
+
         n = self.dim
         order = self.order
         deg = phi_degree(order)
@@ -251,9 +250,9 @@ class StructureAlgebra:
     # -- element plumbing ------------------------------------------------
 
     def _basis_coords(self, i: int):
-        return tuple(
-            Cyclotomic.one() if k == i else Cyclotomic.zero() for k in range(self.dim)
-        )
+        coords = [ZERO] * self.dim
+        coords[i] = ONE
+        return tuple(coords)
 
     def element(self, coords) -> "AlgebraElement":
         coords = tuple(Cyclotomic.coerce(v) for v in coords)
@@ -262,7 +261,7 @@ class StructureAlgebra:
         return AlgebraElement(self, coords)
 
     def from_dict(self, d: dict) -> "AlgebraElement":
-        coords = [Cyclotomic.zero()] * self.dim
+        coords = [ZERO] * self.dim
         for k, v in d.items():
             coords[k] = Cyclotomic.coerce(v)
         return AlgebraElement(self, tuple(coords))
@@ -280,7 +279,7 @@ class StructureAlgebra:
         return [self.basis_element(i) for i in range(self.dim)]
 
     def mul_coords(self, a, b):
-        zero = Cyclotomic.zero()
+        zero = ZERO
         acc = [zero] * self.dim
         bidx = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
@@ -300,7 +299,7 @@ class StructureAlgebra:
     def left_mult_matrix(self, coords) -> Matrix:
         """Matrix of v -> a*v in the basis (columns are a * e_j)."""
         n = self.dim
-        zero = Cyclotomic.zero()
+        zero = ZERO
         cols = []
         for j in range(n):
             col = [zero] * n
@@ -314,7 +313,7 @@ class StructureAlgebra:
     def right_mult_matrix(self, coords) -> Matrix:
         """Matrix of v -> v*a in the basis (columns are e_j * a)."""
         n = self.dim
-        zero = Cyclotomic.zero()
+        zero = ZERO
         cols = []
         for j in range(n):
             col = [zero] * n
@@ -328,16 +327,6 @@ class StructureAlgebra:
 
     def structure_entry(self, i: int, j: int, k: int) -> Cyclotomic:
         return self.rows[i][j].get(k, self._zero)
-
-    def dense_tensor(self):
-        z = self._zero
-        return [
-            [
-                [self.rows[i][j].get(k, z) for k in range(self.dim)]
-                for j in range(self.dim)
-            ]
-            for i in range(self.dim)
-        ]
 
     def same_structure(self, other: "StructureAlgebra") -> bool:
         if self.dim != other.dim:
@@ -383,7 +372,7 @@ class StructureAlgebra:
         n = self.dim
         if n == 0:
             return Subspace.zero(0)
-        zero = Cyclotomic.zero()
+        zero = ZERO
         tr = [zero] * n
         for k in range(n):
             t = zero
@@ -491,7 +480,7 @@ class StructureAlgebra:
         b = Matrix.from_columns(cols)
         binv = _invert_matrix(b)
         proj = Matrix(binv.data[:q], ncols=n)
-        zero = Cyclotomic.zero()
+        zero = ZERO
 
         def project(vec):
             out = [zero] * q
@@ -608,7 +597,7 @@ class StructureAlgebra:
 
     def _verify_reassembly(self, blocks):
         n = self.dim
-        zero = Cyclotomic.zero()
+        zero = ZERO
         offsets = []
         off = 0
         for blk in blocks:
@@ -715,7 +704,7 @@ class CentralBlock:
         return self.algebra.element(coords)
 
     def embed(self, element: "AlgebraElement"):
-        vec = [Cyclotomic.zero()] * self.parent.dim
+        vec = [ZERO] * self.parent.dim
         for c, row in zip(element.coords, self.space.basis):
             if c:
                 vec = [x + c * y for x, y in zip(vec, row)]
@@ -955,10 +944,6 @@ def _as_expr(x) -> FreeExpr:
 
 def gen(name: str) -> FreeGen:
     return FreeGen(name)
-
-
-def free_const(value) -> FreeExpr:
-    return _as_expr(value)
 
 
 # -- modular helpers ------------------------------------------------

@@ -350,6 +350,12 @@ class Cyclotomic:
         return {"order": self.order, "coeffs": coeffs}
 
 
+# Shared order-1 constants.  Cyclotomic values are immutable, so these two
+# instances stand for every zero and one that needs no particular order.
+ZERO = Cyclotomic.zero()
+ONE = Cyclotomic.one()
+
+
 def _frac_divmod(a: list[Fraction], b: list[Fraction]):
     a = list(a)
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)

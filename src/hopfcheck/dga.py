@@ -20,7 +20,7 @@ kernel is.
 
 from dataclasses import dataclass
 
-from .cyclotomic import Cyclotomic, root_of_unity
+from .cyclotomic import ONE, ZERO, Cyclotomic, root_of_unity
 from .linalg import (
     Matrix,
     Subspace,
@@ -126,17 +126,17 @@ def _candidate_eigenvalues(dga: TwoTermDga, order_limit: int = 64) -> list[Cyclo
     order and by 0 and +-2 as a safety net.
     """
     orders = [max(dga.ring.order, 1)]
-    rz1 = dga.differential().add_scalar_diag(Cyclotomic.one())
+    rz1 = dga.differential().add_scalar_diag(ONE)
     m = matrix_order(rz1, order_limit)
     if m is not None:
         orders.append(m)
     pool: list[Cyclotomic] = []
     for order in orders:
         for a in range(order):
-            v = root_of_unity(order, a) - Cyclotomic.one()
+            v = root_of_unity(order, a) - ONE
             if all(v != w for w in pool):
                 pool.append(v)
-    for extra in (Cyclotomic.zero(), Cyclotomic.from_int(2), Cyclotomic.from_int(-2)):
+    for extra in (ZERO, Cyclotomic.from_int(2), Cyclotomic.from_int(-2)):
         if all(extra != w for w in pool):
             pool.append(extra)
     return pool

@@ -23,10 +23,17 @@ consequences of the construction rather than inputs to it.
 
 from dataclasses import dataclass
 
-from .cyclotomic import Cyclotomic, q_factorial
-from .linalg import Matrix, kernel, vec_is_zero
-from .algebra import AlgebraElement, AlgebraError, CentralBlock, StructureAlgebra, gen
-from .hopf import HopfData, check_algebra_map, check_pivotal, taft_dual_transport
+from .cyclotomic import ONE, ZERO, Cyclotomic, q_factorial
+from .linalg import InvariantError, Matrix, Subspace, kernel, vec_is_zero
+from .algebra import AlgebraElement, CentralBlock, StructureAlgebra, gen
+from .hopf import (
+    HopfData,
+    _acc,
+    _sparse_eq,
+    check_algebra_map,
+    check_pivotal,
+    taft_dual_transport,
+)
 from .report import FAIL, PASS, PRECONDITION_FAILED, CheckReport
 
 
@@ -65,7 +72,7 @@ class TwistedDouble:
         n = self.base.dim
         if matrix.nrows != n or matrix.ncols != n:
             raise ValueError("matrix shape does not match the base")
-        coords = [Cyclotomic.zero()] * (n * n)
+        coords = [ZERO] * (n * n)
         for a in range(n):
             for b in range(n):
                 coords[self.flat(a, b)] = matrix[a, b]
@@ -75,7 +82,7 @@ class TwistedDouble:
         """h -> eps(-)h, the algebra embedding of the base."""
         n = self.base.dim
         eps = self.base.counit
-        out = [Cyclotomic.zero()] * (n * n)
+        out = [ZERO] * (n * n)
         for a, ca in enumerate(coords):
             if ca:
                 for b in range(n):
@@ -87,7 +94,7 @@ class TwistedDouble:
         """chi -> chi(-)1, the convolution-algebra embedding of the dual."""
         n = self.base.dim
         unit = self.base.algebra.unit
-        out = [Cyclotomic.zero()] * (n * n)
+        out = [ZERO] * (n * n)
         for b, cb in enumerate(coeffs):
             if cb:
                 for a in range(n):
@@ -128,8 +135,8 @@ def build_twisted_double(h: HopfData, *, check: str = "auto") -> TwistedDouble:
             for k, m, cf in by_first[b]:
                 for a1, a2, a3, t in triples:
                     w = cf * t
-                    v = _sparse_mul(alg, h.antipode_col(a3), {m: Cyclotomic.one()})
-                    v = _sparse_mul(alg, v, {a1: Cyclotomic.one()})
+                    v = _sparse_mul(alg, h.antipode_col(a3), {m: ONE})
+                    v = _sparse_mul(alg, v, {a1: ONE})
                     for d, vd in v.items():
                         wd = w * vd
                         for c in range(n):
@@ -146,7 +153,7 @@ def build_twisted_double(h: HopfData, *, check: str = "auto") -> TwistedDouble:
                                 elif key in cell:
                                     del cell[key]
 
-    zero = Cyclotomic.zero()
+    zero = ZERO
     unit_coords = [zero] * nn
     hunit = alg.unit
     eps = h.counit
@@ -161,7 +168,7 @@ def build_twisted_double(h: HopfData, *, check: str = "auto") -> TwistedDouble:
     )
     sigma_coords = [zero] * nn
     for a in range(n):
-        sigma_coords[flat(a, a)] = Cyclotomic.one()
+        sigma_coords[flat(a, a)] = ONE
     double = TwistedDouble(
         h, dalg, dalg.element(sigma_coords), dalg.unit_element()
     )
@@ -185,11 +192,8 @@ def check_double_unital_associative(
     unit = alg.unit
     unit_ok = True
     for i in range(nn):
-        e = [Cyclotomic.zero()] * nn
-        e[i] = Cyclotomic.one()
-        left = alg.mul_coords(tuple(unit), tuple(e))
-        right = alg.mul_coords(tuple(e), tuple(unit))
-        if list(left) != e or list(right) != e:
+        e = alg._basis_coords(i)
+        if alg.mul_coords(unit, e) != e or alg.mul_coords(e, unit) != e:
             unit_ok = False
             break
     if nn <= 24:
@@ -264,14 +268,14 @@ def check_cross_relation(
         hk = double.embed_hopf(alg._basis_coords(k))
         triples = h.delta2_triples(k)
         for d in range(n):
-            dual_coeffs = [Cyclotomic.zero()] * n
-            dual_coeffs[d] = Cyclotomic.one()
+            dual_coeffs = [ZERO] * n
+            dual_coeffs[d] = ONE
             lhs = hk * double.embed_dual(dual_coeffs)
-            rhs_coords = [Cyclotomic.zero()] * (n * n)
+            rhs_coords = [ZERO] * (n * n)
             for k1, k2, k3, t in triples:
                 for v in range(n):
-                    w = _sparse_mul(alg, h.antipode_col(k3), {v: Cyclotomic.one()})
-                    w = _sparse_mul(alg, w, {k1: Cyclotomic.one()})
+                    w = _sparse_mul(alg, h.antipode_col(k3), {v: ONE})
+                    w = _sparse_mul(alg, w, {k1: ONE})
                     cd = w.get(d)
                     if cd:
                         pos = double.flat(k2, v)
@@ -304,7 +308,7 @@ class ClassicalDouble:
     def embed_hopf(self, coords) -> AlgebraElement:
         n = self.base.dim
         eps = self.base.counit
-        out = [Cyclotomic.zero()] * (n * n)
+        out = [ZERO] * (n * n)
         for a, ca in enumerate(coords):
             if ca:
                 for b in range(n):
@@ -315,7 +319,7 @@ class ClassicalDouble:
     def embed_dual(self, coeffs) -> AlgebraElement:
         n = self.base.dim
         unit = self.base.algebra.unit
-        out = [Cyclotomic.zero()] * (n * n)
+        out = [ZERO] * (n * n)
         for b, cb in enumerate(coeffs):
             if cb:
                 for a in range(n):
@@ -359,7 +363,7 @@ def build_classical_double(
             straightened = []
             for c1, c2, c3, t in triples:
                 for v in range(n):
-                    w = _sparse_mul(alg, {c3: Cyclotomic.one()}, {v: Cyclotomic.one()})
+                    w = _sparse_mul(alg, {c3: ONE}, {v: ONE})
                     w = _sparse_mul(alg, w, anti_col(c1))
                     cb = w.get(b)
                     if cb:
@@ -387,7 +391,7 @@ def build_classical_double(
                                 elif key in cell:
                                     del cell[key]
 
-    zero = Cyclotomic.zero()
+    zero = ZERO
     unit_coords = [zero] * nn
     hunit = alg.unit
     eps = h.counit
@@ -403,7 +407,7 @@ def build_classical_double(
     if flavor == "anti":
         coords = [zero] * nn
         for i in range(n):
-            coords[flat(i, i)] = Cyclotomic.one()
+            coords[flat(i, i)] = ONE
         sigma = dalg.element(coords)
         assert dalg.is_central(sigma), "sigma must be central in the anti flavor"
     return ClassicalDouble(h, flavor, dalg, sigma)
@@ -425,15 +429,15 @@ def check_straightening(
     for b in range(n):
         if bad is not None:
             break
-        dual_coeffs = [Cyclotomic.zero()] * n
-        dual_coeffs[b] = Cyclotomic.one()
+        dual_coeffs = [ZERO] * n
+        dual_coeffs[b] = ONE
         chi = double.embed_dual(dual_coeffs)
         for c in range(n):
             lhs = chi * double.embed_hopf(alg._basis_coords(c))
-            rhs_coords = [Cyclotomic.zero()] * (n * n)
+            rhs_coords = [ZERO] * (n * n)
             for c1, c2, c3, t in h.delta2_triples(c):
                 for v in range(n):
-                    w = _sparse_mul(alg, {c3: Cyclotomic.one()}, {v: Cyclotomic.one()})
+                    w = _sparse_mul(alg, {c3: ONE}, {v: ONE})
                     w = _sparse_mul(alg, w, anti_col(c1))
                     cb = w.get(b)
                     if cb:
@@ -461,7 +465,7 @@ def uhu_map(
     n = h.dim
     ru = h.algebra.right_mult_matrix(u.coords)
     nn = n * n
-    zero = Cyclotomic.zero()
+    zero = ZERO
     cols = []
     for a in range(n):
         for b in range(n):
@@ -507,16 +511,15 @@ def taft_double_generators(double: TwistedDouble) -> dict[str, AlgebraElement]:
     if meta.get("family") != "taft":
         raise ValueError("generators are defined for Taft-algebra doubles")
     p = meta["p"]
-    xi = meta["xi"]
-    transport = taft_dual_transport(p, xi)
+    transport = taft_dual_transport(double.base)
 
     def idx(i: int, j: int) -> int:
         return i * p + j
 
-    x_coords = [Cyclotomic.zero()] * (p * p)
-    x_coords[idx(0, 1)] = Cyclotomic.one()
-    g_coords = [Cyclotomic.zero()] * (p * p)
-    g_coords[idx(1, 0)] = Cyclotomic.one()
+    x_coords = [ZERO] * (p * p)
+    x_coords[idx(0, 1)] = ONE
+    g_coords = [ZERO] * (p * p)
+    g_coords[idx(1, 0)] = ONE
     return {
         "x": double.embed_hopf(x_coords),
         "x'": double.embed_dual(transport.apply(x_coords)),
@@ -571,29 +574,49 @@ def check_generator_presentation(
     return CheckReport(check_id, status, witnesses)
 
 
-def split_blocks(double: TwistedDouble) -> list[CentralBlock]:
+def split_blocks(
+    double: TwistedDouble, gens: dict[str, AlgebraElement]
+) -> list[CentralBlock]:
     """Block decomposition of the Taft double along the central element
-    g g', whose eigenvalues are the p-th roots of unity; block s belongs
-    to eigenvalue xi^s and has dimension p^3."""
+    g g' (gens as from taft_double_generators), whose eigenvalues are the
+    p-th roots of unity; block s belongs to eigenvalue xi^s and has
+    dimension p^3."""
     meta = double.base.meta or {}
     p = meta["p"]
     xi = meta["xi"]
-    gens = taft_double_generators(double)
     z = gens["g"] * gens["g'"]
     candidates = [xi ** s for s in range(p)]
     return double.algebra.central_eigensplit(z, candidates)
 
 
-def check_block_split(
-    double: TwistedDouble, check_id: str = "double-block-split"
-) -> CheckReport:
-    """The g g' eigensplit is complete with p blocks of dimension p^3."""
+def taft_eigencomponents(
+    double: TwistedDouble, gens: dict[str, AlgebraElement]
+) -> dict[tuple[int, int], Subspace]:
+    """The joint eigencomponents V_ij of left multiplication by g' and g
+    (eigenvalues xi^i and xi^j) in the Taft double, keyed (i, j) in
+    row-major order; gens as from taft_double_generators."""
     meta = double.base.meta or {}
     p = meta["p"]
-    try:
-        blocks = split_blocks(double)
-    except AlgebraError as exc:
-        return CheckReport(check_id, FAIL, {"error": str(exc)})
+    xi = meta["xi"]
+    alg = double.algebra
+    lgp = alg.left_mult_matrix(gens["g'"].coords)
+    lg = alg.left_mult_matrix(gens["g"].coords)
+    out = {}
+    for i in range(p):
+        mi = lgp.add_scalar_diag(-(xi ** i))
+        for j in range(p):
+            mj = lg.add_scalar_diag(-(xi ** j))
+            out[(i, j)] = kernel(Matrix.vstack([mi, mj]))
+    return out
+
+
+def check_block_split(
+    double: TwistedDouble, blocks: list[CentralBlock], check_id: str = "double-block-split"
+) -> CheckReport:
+    """The g g' eigensplit (blocks as from split_blocks) is complete with
+    p blocks of dimension p^3."""
+    meta = double.base.meta or {}
+    p = meta["p"]
     dims = [blk.algebra.dim for blk in blocks]
     ok = len(blocks) == p and all(d == p ** 3 for d in dims)
     witnesses = {
@@ -607,51 +630,48 @@ def check_block_split(
 
 
 def verify_sigma_graded_action(
-    double: TwistedDouble, check_id: str = "sigma-graded-action"
+    double: TwistedDouble,
+    gens: dict[str, AlgebraElement],
+    components: dict[tuple[int, int], Subspace],
+    check_id: str = "sigma-graded-action",
 ) -> CheckReport:
     """On each joint eigencomponent V_ij of left multiplication by g' and g
     (eigenvalues xi^i and xi^j), the identity map sigma acts as
 
         sum_l  xi^{(i-l)(j+l)} / (l)_{xi^{-1}}!  x'^l x^l.
 
-    Verified on a basis of every V_ij in the regular representation; the
-    components must jointly exhaust the double.
+    Verified on a basis of every V_ij (components as from
+    taft_eigencomponents) in the regular representation; the components
+    must jointly exhaust the double.
     """
     meta = double.base.meta or {}
     p = meta["p"]
     xi = meta["xi"]
     xi_inv = xi.inverse()
-    gens = taft_double_generators(double)
     alg = double.algebra
     nn = alg.dim
-    lgp = alg.left_mult_matrix(gens["g'"].coords)
-    lg = alg.left_mult_matrix(gens["g"].coords)
     # x'^l x^l built as x'^l * x^l, not (x' x)^l; the factors do not commute
     xp_pows = [double.one]
     x_pows = [double.one]
     for _ in range(p - 1):
         xp_pows.append(xp_pows[-1] * gens["x'"])
         x_pows.append(x_pows[-1] * gens["x"])
-    components = []
+    witness_components = []
     total = 0
     all_hold = True
-    for i in range(p):
-        mi = lgp.add_scalar_diag(-(xi ** i))
-        for j in range(p):
-            mj = lg.add_scalar_diag(-(xi ** j))
-            space = kernel(Matrix.vstack([mi, mj]))
-            total += space.dim
-            op = alg.zero_element()
-            for l in range(p):
-                scale = (xi ** ((i - l) * (j + l))) * q_factorial(l, xi_inv).inverse()
-                op = op + (xp_pows[l] * x_pows[l]) * scale
-            diff = alg.left_mult_matrix((double.sigma - op).coords)
-            holds = all(vec_is_zero(diff.apply(list(v))) for v in space.basis)
-            all_hold = all_hold and holds
-            components.append({"i": i, "j": j, "dim": space.dim, "holds": holds})
+    for (i, j), space in components.items():
+        total += space.dim
+        op = alg.zero_element()
+        for l in range(p):
+            scale = (xi ** ((i - l) * (j + l))) * q_factorial(l, xi_inv).inverse()
+            op = op + (xp_pows[l] * x_pows[l]) * scale
+        diff = alg.left_mult_matrix((double.sigma - op).coords)
+        holds = all(vec_is_zero(diff.apply(list(v))) for v in space.basis)
+        all_hold = all_hold and holds
+        witness_components.append({"i": i, "j": j, "dim": space.dim, "holds": holds})
     complete = total == nn
     witnesses = {
-        "components": components,
+        "components": witness_components,
         "total-dim": total,
         "complete": complete,
     }
@@ -660,26 +680,19 @@ def verify_sigma_graded_action(
 
 
 def check_generator_grading(
-    double: TwistedDouble, check_id: str = "generator-grading"
+    double: TwistedDouble,
+    gens: dict[str, AlgebraElement],
+    components: dict[tuple[int, int], Subspace],
+    check_id: str = "generator-grading",
 ) -> CheckReport:
     """The joint eigencomponents V_ij of left multiplication by g' and g
-    (eigenvalues xi^i, xi^j) grade the double, and the generators shift
-    degrees by x: (-1, +1), x': (+1, -1), g and g': (0, 0)."""
+    (eigenvalues xi^i, xi^j; as from taft_eigencomponents) grade the
+    double, and the generators shift degrees by x: (-1, +1),
+    x': (+1, -1), g and g': (0, 0)."""
     meta = double.base.meta or {}
     p = meta["p"]
-    xi = meta["xi"]
-    gens = taft_double_generators(double)
     alg = double.algebra
-    lgp = alg.left_mult_matrix(gens["g'"].coords)
-    lg = alg.left_mult_matrix(gens["g"].coords)
-    spaces = {}
-    total = 0
-    for i in range(p):
-        mi = lgp.add_scalar_diag(-(xi ** i))
-        for j in range(p):
-            mj = lg.add_scalar_diag(-(xi ** j))
-            spaces[(i, j)] = kernel(Matrix.vstack([mi, mj]))
-            total += spaces[(i, j)].dim
+    total = sum(space.dim for space in components.values())
     complete = total == alg.dim
     shifts = {"x": (-1, 1), "x'": (1, -1), "g": (0, 0), "g'": (0, 0)}
     witnesses: dict = {"complete": complete, "total-dim": total}
@@ -687,8 +700,8 @@ def check_generator_grading(
     for name, (di, dj) in shifts.items():
         lmat = alg.left_mult_matrix(gens[name].coords)
         holds = True
-        for (i, j), space in spaces.items():
-            target = spaces[((i + di) % p, (j + dj) % p)]
+        for (i, j), space in components.items():
+            target = components[((i + di) % p, (j + dj) % p)]
             for v in space.basis:
                 if not target.contains(lmat.apply(list(v))):
                     holds = False
@@ -701,20 +714,20 @@ def check_generator_grading(
 
 
 def check_sigma_block_forms_p2(
-    double: TwistedDouble, check_id: str = "sigma-block-forms"
+    double: TwistedDouble,
+    gens: dict[str, AlgebraElement],
+    components: dict[tuple[int, int], Subspace],
+    check_id: str = "sigma-block-forms",
 ) -> CheckReport:
-    """For the p = 2 double: sigma restricted to the four components equals
-    1 - x'x on V_00, -1 + x'x on V_11, and 1 + x'x on V_01 and V_10."""
+    """For the p = 2 double: sigma restricted to the four components (as
+    from taft_eigencomponents) equals 1 - x'x on V_00, -1 + x'x on V_11,
+    and 1 + x'x on V_01 and V_10."""
     meta = double.base.meta or {}
     if meta.get("p") != 2:
         return CheckReport(
             check_id, PRECONDITION_FAILED, {"precondition": "requires p = 2"}
         )
-    xi = meta["xi"]
-    gens = taft_double_generators(double)
     alg = double.algebra
-    lgp = alg.left_mult_matrix(gens["g'"].coords)
-    lg = alg.left_mult_matrix(gens["g"].coords)
     xpx = gens["x'"] * gens["x"]
     one = double.one
     forms = {
@@ -726,9 +739,7 @@ def check_sigma_block_forms_p2(
     witnesses = {}
     ok = True
     for (i, j), form in forms.items():
-        mi = lgp.add_scalar_diag(-(xi ** i))
-        mj = lg.add_scalar_diag(-(xi ** j))
-        space = kernel(Matrix.vstack([mi, mj]))
+        space = components[(i, j)]
         diff = alg.left_mult_matrix((double.sigma - form).coords)
         holds = all(vec_is_zero(diff.apply(list(v))) for v in space.basis)
         ok = ok and holds
@@ -737,9 +748,14 @@ def check_sigma_block_forms_p2(
 
 
 def uqsl2_check(
-    double: TwistedDouble, s: int, check_id: str = "uqsl2"
+    double: TwistedDouble,
+    gens: dict[str, AlgebraElement],
+    blocks: list[CentralBlock],
+    s: int,
+    check_id: str = "uqsl2",
 ) -> CheckReport:
-    """Inside block s of the Taft double (odd p): with q the p-th root of
+    """Inside block s of the Taft double (odd p; gens and blocks as from
+    taft_double_generators and split_blocks): with q the p-th root of
     unity satisfying q^2 = xi^{-1},
 
         E = q^{s+1}/(q - q^{-1}) x',   F = x g',   K = q^{s+1} g
@@ -756,12 +772,11 @@ def uqsl2_check(
     q = None
     for t in range(1, p):
         cand = xi ** t
-        if cand * cand * xi == Cyclotomic.one():
+        if cand * cand * xi == ONE:
             q = cand
             break
-    assert q is not None, "no square root of xi^{-1} among p-th roots"
-    gens = taft_double_generators(double)
-    blocks = split_blocks(double)
+    if q is None:
+        raise InvariantError("no square root of xi^{-1} among the p-th roots of unity")
     blk = blocks[s]
     q_inv = q.inverse()
     coeff = ((q ** (s + 1))) * (q - q_inv).inverse()
@@ -792,33 +807,51 @@ def uqsl2_check(
 # -- module checks ------------------------------------------------------
 
 
+def _sparse_rows(matrix: Matrix) -> list[list[tuple]]:
+    """The nonzero entries of each row, as (column, value) pairs."""
+    return [[(v, a) for v, a in enumerate(row) if a] for row in matrix.data]
+
+
 def check_module_action(
     algebra: StructureAlgebra,
     action: list[Matrix],
     check_id: str = "module-action",
 ) -> CheckReport:
     """The matrices (one per basis element, acting on a module space)
-    assemble to a unital algebra map."""
+    assemble to a unital algebra map: rho(1) = id, and for every basis pair
+    rho(e_i) rho(e_j) = sum_k c_ij^k rho(e_k).  Both sides are summed over
+    nonzero entries only; first_failure is the first failing pair (i, j)
+    in row-major order."""
     nn = algebra.dim
     if len(action) != nn:
         raise ValueError("one action matrix per basis element required")
     m = action[0].nrows if action else 0
-    ident = Matrix.identity(m)
-    zero = Matrix.zeros(m, m)
-    rho_unit = zero
-    for a, ca in enumerate(algebra.unit):
-        if ca:
-            rho_unit = rho_unit + action[a].scale(ca)
-    unit_ok = rho_unit == ident
+    if any(a.nrows != m or a.ncols != m for a in action):
+        raise ValueError("action matrices must be square of one size")
+    rows = [_sparse_rows(a) for a in action]
+
+    def combination(coeffs) -> dict:
+        out: dict = {}
+        for k, ck in coeffs:
+            for u, row in enumerate(rows[k]):
+                for v, a in row:
+                    _acc(out, (u, v), ck * a)
+        return out
+
+    rho_unit = combination((a, ca) for a, ca in enumerate(algebra.unit) if ca)
+    unit_ok = _sparse_eq(rho_unit, {(u, u): ONE for u in range(m)})
     bad = None
     for i in range(nn):
         if bad is not None:
             break
         for j in range(nn):
-            want = zero
-            for k, ck in algebra.rows[i][j].items():
-                want = want + action[k].scale(ck)
-            if action[i] @ action[j] != want:
+            got: dict = {}
+            rj = rows[j]
+            for u, row in enumerate(rows[i]):
+                for v, a in row:
+                    for w, b in rj[v]:
+                        _acc(got, (u, w), a * b)
+            if not _sparse_eq(got, combination(algebra.rows[i][j].items())):
                 bad = (i, j)
                 break
     witnesses = {"unit": {"holds": unit_ok}, "multiplicative": {"holds": bad is None}}
@@ -837,6 +870,14 @@ def _rho(algebra: StructureAlgebra, action: list[Matrix], coords) -> Matrix:
     return out
 
 
+def acts_as_identity(
+    algebra: StructureAlgebra, element: AlgebraElement, action: list[Matrix]
+) -> bool:
+    """rho(element) is the identity of the module space."""
+    m = action[0].nrows
+    return _rho(algebra, action, element.coords) == Matrix.identity(m)
+
+
 def check_stable_module(
     algebra: StructureAlgebra,
     sigma: AlgebraElement,
@@ -847,8 +888,7 @@ def check_stable_module(
     identity."""
     base = check_module_action(algebra, action, check_id)
     witnesses = dict(base.witnesses)
-    m = action[0].nrows
-    stable = _rho(algebra, action, sigma.coords) == Matrix.identity(m)
+    stable = acts_as_identity(algebra, sigma, action)
     witnesses["sigma-acts-as-identity"] = {"holds": stable}
     ok = base.passed and stable
     return CheckReport(check_id, PASS if ok else FAIL, witnesses)
@@ -909,7 +949,7 @@ def regular_mixed_module(double: TwistedDouble):
     """
     alg = double.algebra
     nn = alg.dim
-    zero = Cyclotomic.zero()
+    zero = ZERO
     action = []
     for a in range(nn):
         la = alg.left_mult_matrix(alg._basis_coords(a))
@@ -931,7 +971,7 @@ def regular_mixed_module(double: TwistedDouble):
                 ddata[nn + u][v] = c
     differential = Matrix(ddata, ncols=2 * nn)
     hdata = [[zero] * (2 * nn) for _ in range(2 * nn)]
-    one = Cyclotomic.one()
+    one = ONE
     for u in range(nn):
         hdata[u][nn + u] = one
     homotopy = Matrix(hdata, ncols=2 * nn)

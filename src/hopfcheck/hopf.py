@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, StructureAlgebra
-from .cyclotomic import Cyclotomic, q_factorial, root_of_unity
+from .cyclotomic import ONE, ZERO, Cyclotomic, q_factorial, root_of_unity
 from .linalg import Matrix, invert_matrix, rank, vec_eq
 from .report import FAIL, PASS, PRECONDITION_FAILED, CheckReport
 
@@ -151,7 +151,7 @@ class HopfData:
 
     def comult_matrix(self) -> Matrix:
         n = self.dim
-        zero = Cyclotomic.zero()
+        zero = ZERO
         data = [[zero] * n for _ in range(n * n)]
         for j, col in enumerate(self._comult_cols):
             for f, v in col.items():
@@ -183,7 +183,7 @@ class HopfData:
         return triples
 
     def counit_of(self, coords) -> Cyclotomic:
-        total = Cyclotomic.zero()
+        total = ZERO
         for j, cj in enumerate(coords):
             if cj and self.counit[j]:
                 total = total + cj * self.counit[j]
@@ -278,7 +278,7 @@ def check_hopf_axioms(h: HopfData, check_id: str = "hopf-axioms") -> CheckReport
                 _acc(lhs, b, cval * h.counit[a])
             if h.counit[b]:
                 _acc(rhs, a, cval * h.counit[b])
-        want = {j: Cyclotomic.one()}
+        want = {j: ONE}
         if not (_sparse_eq(lhs, want) and _sparse_eq(rhs, want)):
             bad = j
             break
@@ -305,14 +305,14 @@ def check_hopf_axioms(h: HopfData, check_id: str = "hopf-axioms") -> CheckReport
     witnesses["comult-algebra-map"] = _axiom_witness(bad)
 
     bad = None
-    if h.counit_of(alg.unit) != Cyclotomic.one():
+    if h.counit_of(alg.unit) != ONE:
         bad = "unit"
     else:
         for i in range(n):
             if bad is not None:
                 break
             for j in range(n):
-                total = Cyclotomic.zero()
+                total = ZERO
                 for t, c in alg.rows[i][j].items():
                     if h.counit[t]:
                         total = total + c * h.counit[t]
@@ -382,11 +382,11 @@ def taft(p: int, xi: Cyclotomic | None = None) -> HopfData:
                 twist = xi_pow[(-j * k) % p]
                 for l in range(p - j):
                     rows[idx(i, j)][idx(k, l)] = {idx((i + k) % p, j + l): twist}
-    unit = [Cyclotomic.zero()] * n
-    unit[idx(0, 0)] = Cyclotomic.one()
+    unit = [ZERO] * n
+    unit[idx(0, 0)] = ONE
     alg = StructureAlgebra(n, rows, unit, name=f"taft({p})")
 
-    one = Cyclotomic.one()
+    one = ONE
     dg = {idx(1, 0) * n + idx(1, 0): one}
     dx = {idx(0, 1) * n + idx(0, 0): one, idx(1, 0) * n + idx(0, 1): one}
     cols: list[dict | None] = [None] * n
@@ -400,7 +400,7 @@ def taft(p: int, xi: Cyclotomic | None = None) -> HopfData:
             else:
                 cols[idx(i, j)] = tensor_mult(alg, cols[idx(i, j - 1)], dx)
 
-    counit = [one if j == 0 else Cyclotomic.zero() for i in range(p) for j in range(p)]
+    counit = [one if j == 0 else ZERO for i in range(p) for j in range(p)]
 
     sg = alg.basis_element(idx((p - 1) % p, 0))
     sx = -alg.basis_element(idx(p - 1, 1))
@@ -428,8 +428,8 @@ def group_algebra(n: int) -> HopfData:
     """k[Z/n]: basis indexed by exponents, Delta(g^i) = g^i (x) g^i."""
     if n < 1:
         raise ValueError("n must be positive")
-    one = Cyclotomic.one()
-    zero = Cyclotomic.zero()
+    one = ONE
+    zero = ZERO
     rows = [[{(i + j) % n: one} for j in range(n)] for i in range(n)]
     unit = [one if i == 0 else zero for i in range(n)]
     alg = StructureAlgebra(n, rows, unit, name=f"kZ/{n}")
@@ -494,7 +494,7 @@ def check_algebra_map(
     cols = [tuple(matrix.column(j)) for j in range(src.dim)]
     unit_ok = vec_eq(matrix.apply(list(src.unit)), list(dst.unit))
     witnesses["unit"] = {"holds": unit_ok}
-    zero = Cyclotomic.zero()
+    zero = ZERO
     bad = None
     for i in range(src.dim):
         if bad is not None:
@@ -511,8 +511,9 @@ def check_algebra_map(
     witnesses["multiplicative"] = _axiom_witness(bad)
     ok = unit_ok and bad is None
     if require_bijective:
-        bij = matrix.nrows == matrix.ncols and rank(matrix) == matrix.ncols
-        witnesses["bijective"] = {"holds": bij, "rank": rank(matrix)}
+        r = rank(matrix)
+        bij = matrix.nrows == matrix.ncols and r == matrix.ncols
+        witnesses["bijective"] = {"holds": bij, "rank": r}
         ok = ok and bij
     return CheckReport(check_id, PASS if ok else FAIL, witnesses)
 
@@ -605,7 +606,7 @@ def taft_self_duality(
     xi = h.meta["xi"]
     dual = dual_hopf(h)
     n = h.dim
-    zero = Cyclotomic.zero()
+    zero = ZERO
 
     def idx(i: int, j: int) -> int:
         return i * p + j
@@ -639,8 +640,8 @@ def taft_self_duality(
     return SelfDuality(h, dual, forward, inverse, CheckReport(check_id, status, witnesses))
 
 
-def taft_dual_transport(p: int, xi: Cyclotomic | None = None) -> Matrix:
-    """The linear map taft(p, xi) -> taft(p, xi)* used to transport the
+def taft_dual_transport(h: HopfData) -> Matrix:
+    """For h = taft(p, xi), the linear map h -> h* used to transport the
     generators x and g into the dual leg of the double:
 
         g^i x^j -> (j)_{xi^{-1}}! * sum_l xi^{i(j+l)} (g^l x^j)^*.
@@ -652,11 +653,14 @@ def taft_dual_transport(p: int, xi: Cyclotomic | None = None) -> Matrix:
     G = sum_l xi^l (g^l)^*, the pair whose images in the double satisfy
     the mixed commutation relation with the embedded x and g.
     """
-    h = taft(p, xi)
-    xi = h.meta["xi"]
+    meta = h.meta or {}
+    if meta.get("family") != "taft":
+        raise ValueError("the dual transport is defined for Taft algebras")
+    p = meta["p"]
+    xi = meta["xi"]
     xi_inv = xi.inverse()
     n = h.dim
-    zero = Cyclotomic.zero()
+    zero = ZERO
 
     def idx(i: int, j: int) -> int:
         return i * p + j
@@ -680,7 +684,7 @@ def is_group_like(h: HopfData, element: AlgebraElement) -> bool:
     v = sparse_of(element.coords)
     return _sparse_eq(
         h.comult_of(element.coords), tensor_outer(h.dim, v, v)
-    ) and h.counit_of(element.coords) == Cyclotomic.one()
+    ) and h.counit_of(element.coords) == ONE
 
 
 def check_pivotal(

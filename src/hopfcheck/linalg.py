@@ -2,21 +2,26 @@
 
 Vectors are lists/tuples of Cyclotomic scalars; a Matrix is a thin wrapper
 around a list of rows.  Pivoting always selects the first nonzero entry, so
-every reduced form is deterministic.  kernel() asserts rank-nullity on every
-call and minimal_polynomial() asserts that the returned polynomial
-annihilates its matrix; both are cheap relative to the elimination itself.
+every reduced form is deterministic.  kernel() checks rank-nullity on every
+call and minimal_polynomial() checks that the returned polynomial
+annihilates its matrix; both are cheap relative to the elimination itself,
+and both raise InvariantError rather than assert, so they survive python -O.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import ONE, ZERO, Cyclotomic
 
 Vector = list  # list[Cyclotomic]
 
 
+class InvariantError(RuntimeError):
+    """A load-bearing internal invariant failed: the exact result at hand
+    cannot be trusted, so the computation stops instead of reporting it."""
+
+
 def vec_zero(n: int) -> list[Cyclotomic]:
-    z = Cyclotomic.zero()
-    return [z] * n
+    return [ZERO] * n
 
 
 def vec_eq(a, b) -> bool:
@@ -44,14 +49,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        one = Cyclotomic.one()
-        zero = Cyclotomic.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> Matrix:
-        zero = Cyclotomic.zero()
-        return cls([[zero] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls([[ZERO] * ncols for _ in range(nrows)], ncols=ncols)
 
     @classmethod
     def from_columns(cls, cols: list[list[Cyclotomic]]) -> Matrix:
@@ -104,7 +106,7 @@ class Matrix:
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        zero = Cyclotomic.zero()
+        zero = ZERO
         out = [[zero] * other.ncols for _ in range(self.nrows)]
         for i, arow in enumerate(self.data):
             orow = out[i]
@@ -119,7 +121,7 @@ class Matrix:
     def apply(self, vec) -> list[Cyclotomic]:
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch in matrix-vector product")
-        zero = Cyclotomic.zero()
+        zero = ZERO
         out = [zero] * self.nrows
         for j, vj in enumerate(vec):
             if vj:
@@ -254,14 +256,20 @@ def rank(matrix: Matrix) -> int:
 
 
 class Subspace:
-    """A subspace of a coordinate space, held as a reduced echelon basis."""
+    """A subspace of a coordinate space, held as a reduced echelon basis.
 
-    __slots__ = ("ambient", "basis", "pivots")
+    Membership and coordinate queries run against an EchelonBasis view that
+    shares the basis rows and is built once, on the first query.  Building
+    it is idempotent, so concurrent first queries at worst build it twice.
+    """
+
+    __slots__ = ("ambient", "basis", "pivots", "_echelon")
 
     def __init__(self, ambient: int, basis: list[list[Cyclotomic]], pivots: list[int]):
         self.ambient = ambient
         self.basis = [list(r) for r in basis]
         self.pivots = list(pivots)
+        self._echelon = None
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors) -> Subspace:
@@ -289,10 +297,15 @@ class Subspace:
         return all(self.contains(v) for v in other.basis)
 
     def _eb(self) -> EchelonBasis:
-        eb = EchelonBasis(self.ambient)
-        eb.rows = [list(r) for r in self.basis]
-        eb.pivots = list(self.pivots)
-        eb._supports = [[i for i, x in enumerate(r) if x] for r in eb.rows]
+        # the view is only ever queried (reduce/coordinates), never added to,
+        # so it may share the basis rows
+        eb = self._echelon
+        if eb is None:
+            eb = EchelonBasis(self.ambient)
+            eb.rows = self.basis
+            eb.pivots = self.pivots
+            eb._supports = [[i for i, x in enumerate(r) if x] for r in self.basis]
+            self._echelon = eb
         return eb
 
     def coordinates(self, vec):
@@ -337,13 +350,13 @@ class Subspace:
 
 
 def kernel(matrix: Matrix) -> Subspace:
-    """Null space {v : M v = 0}, canonical basis; asserts rank-nullity."""
+    """Null space {v : M v = 0}, canonical basis; checks rank-nullity."""
     rows, pivots = rref(matrix)
     n = matrix.ncols
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
-    zero = Cyclotomic.zero()
-    one = Cyclotomic.one()
+    zero = ZERO
+    one = ONE
     vecs = []
     for f in free:
         v = [zero] * n
@@ -353,7 +366,10 @@ def kernel(matrix: Matrix) -> Subspace:
                 v[p] = -row[f]
         vecs.append(v)
     out = Subspace.from_vectors(n, vecs)
-    assert out.dim + len(pivots) == n, "rank-nullity violated"
+    if out.dim + len(pivots) != n:
+        raise InvariantError(
+            f"rank-nullity violated: kernel dim {out.dim} + rank {len(pivots)} != {n}"
+        )
     return out
 
 
@@ -366,7 +382,7 @@ def solve(matrix: Matrix, rhs) -> list[Cyclotomic] | None:
     n = matrix.ncols
     if n in pivots:
         return None
-    zero = Cyclotomic.zero()
+    zero = ZERO
     x = [zero] * n
     for row, p in zip(rows, pivots):
         x[p] = row[n]
@@ -408,19 +424,19 @@ def minimal_polynomial(matrix: Matrix) -> list[Cyclotomic]:
     """Monic minimal polynomial (ascending coefficients) of a square matrix.
 
     Found as the first linear dependence among I, M, M^2, ...; the result is
-    evaluated back at M and asserted to vanish.
+    evaluated back at M and must vanish there (InvariantError otherwise).
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("square matrix required")
     n = matrix.nrows
-    one = Cyclotomic.one()
+    one = ONE
     if n == 0:
         return [one]
     eb = EchelonBasis(n * n)
     combos: list[list[Cyclotomic]] = []  # expansion of each stored row over powers
     power = Matrix.identity(n)
     k = 0
-    zero = Cyclotomic.zero()
+    zero = ZERO
     while True:
         flat = [x for row in power.data for x in row]
         comb = [zero] * k + [one]
@@ -461,7 +477,8 @@ def minimal_polynomial(matrix: Matrix) -> list[Cyclotomic]:
         combos.insert(pos, comb)
         power = power @ matrix
         k += 1
-    assert poly_eval_matrix(poly, matrix).is_zero(), "minimal polynomial must annihilate"
+    if not poly_eval_matrix(poly, matrix).is_zero():
+        raise InvariantError("minimal polynomial does not annihilate its matrix")
     return poly
 
 
@@ -491,7 +508,7 @@ def poly_divmod(a: list[Cyclotomic], b: list[Cyclotomic]):
     b = poly_normalize(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    zero = Cyclotomic.zero()
+    zero = ZERO
     q = [zero] * max(0, len(a) - len(b) + 1)
     inv = b[-1].inverse()
     while len(a) >= len(b):

@@ -14,7 +14,7 @@ broken one by name.
 
 import json
 
-from .cyclotomic import Cyclotomic, cyc_from_json
+from .cyclotomic import ZERO, Cyclotomic, cyc_from_json
 from .linalg import Matrix, matrix_from_json
 from .algebra import AlgebraError, StructureAlgebra
 from .hopf import HopfAxiomError, HopfData
@@ -26,7 +26,7 @@ class IngestError(ValueError):
 
 def algebra_to_json(alg: StructureAlgebra) -> dict:
     n = alg.dim
-    zero = Cyclotomic.zero()
+    zero = ZERO
     structure = []
     for i in range(n):
         plane = []
@@ -58,26 +58,33 @@ def _scalar(obj, where: str) -> Cyclotomic:
         raise IngestError(f"bad scalar in {where}: {exc}") from exc
 
 
+def _require_list(value, n: int, where: str) -> None:
+    if not isinstance(value, list):
+        raise IngestError(f"{where} must be a list, got {type(value).__name__}")
+    if len(value) != n:
+        raise IngestError(f"{where} must have length dim")
+
+
 def algebra_from_json(obj: dict, *, name: str = "ingested") -> StructureAlgebra:
     try:
-        n = int(obj["dim"])
+        n = obj["dim"]
         unit_json = obj["unit"]
         structure = obj["structure"]
     except (KeyError, TypeError) as exc:
         raise IngestError(f"missing algebra field: {exc}") from exc
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise IngestError(f"dim must be an integer, got {n!r}")
     if n < 0:
         raise IngestError("dim must be nonnegative")
-    if len(unit_json) != n or len(structure) != n:
-        raise IngestError("unit and structure must have length dim")
+    _require_list(unit_json, n, "unit")
+    _require_list(structure, n, "structure")
     unit = [_scalar(v, "unit") for v in unit_json]
     rows = []
     for i, plane in enumerate(structure):
-        if len(plane) != n:
-            raise IngestError(f"structure[{i}] must have length dim")
+        _require_list(plane, n, f"structure[{i}]")
         row = []
         for j, vec in enumerate(plane):
-            if len(vec) != n:
-                raise IngestError(f"structure[{i}][{j}] must have length dim")
+            _require_list(vec, n, f"structure[{i}][{j}]")
             cell = {}
             for k, v in enumerate(vec):
                 c = _scalar(v, f"structure[{i}][{j}][{k}]")

@@ -59,8 +59,8 @@ def test_criterion_1_separation_witness():
     # on its stable quotient; center dims 3 and 1; all inside 5 seconds
     start = time.perf_counter()
     d = build_twisted_double(taft(2))
-    blk = split_blocks(d)[1]
     gens = taft_double_generators(d)
+    blk = split_blocks(d, gens)[1]
     dga = TwoTermDga(blk.algebra, blk.project(d.sigma) - blk.algebra.unit_element())
     assert dga.z == blk.project(gens["x'"]) * blk.project(gens["x"])
 
@@ -91,7 +91,7 @@ def test_criterion_2_relations_and_split():
         assert len(rep.witnesses["relations"]) == 10
         assert rep.witnesses["generated_dim"] == p**4
         assert rep.witnesses["gg'"] == {"central": True, "pth-power-is-one": True}
-        split = check_block_split(d)
+        split = check_block_split(d, split_blocks(d, taft_double_generators(d)))
         assert split.passed, split.witnesses
         assert len(split.witnesses["blocks"]) == p
         elapsed = time.perf_counter() - start
@@ -101,12 +101,20 @@ def test_criterion_2_relations_and_split():
 
 def test_criterion_3_sigma_action_formula(shared_ctx):
     for p in (2, 3):
-        rep = verify_sigma_graded_action(shared_ctx.twisted_taft(p))
+        rep = verify_sigma_graded_action(
+            shared_ctx.twisted_taft(p),
+            shared_ctx.taft_generators(p),
+            shared_ctx.taft_components(p),
+        )
         assert rep.passed, rep.witnesses
         assert rep.witnesses["complete"]
         assert len(rep.witnesses["components"]) == p * p
     # p = 2 reproduces the four closed-form restrictions
-    rep = check_sigma_block_forms_p2(shared_ctx.twisted_taft(2))
+    rep = check_sigma_block_forms_p2(
+        shared_ctx.twisted_taft(2),
+        shared_ctx.taft_generators(2),
+        shared_ctx.taft_components(2),
+    )
     assert rep.passed, rep.witnesses
     assert sorted(rep.witnesses) == ["V00", "V01", "V10", "V11"]
 
@@ -126,8 +134,10 @@ def test_criterion_4_self_duality():
 
 def test_criterion_5_quantum_sl2_blocks(shared_ctx):
     d = shared_ctx.twisted_taft(3)
+    gens = shared_ctx.taft_generators(3)
+    blocks = shared_ctx.taft_blocks(3)
     for s in range(3):
-        rep = uqsl2_check(d, s)
+        rep = uqsl2_check(d, gens, blocks, s)
         assert rep.passed, (s, rep.witnesses)
         assert rep.witnesses["generated_dim"] == 27
         assert all(r["holds"] for r in rep.witnesses["relations"])

@@ -88,6 +88,29 @@ def test_context_caches_fixtures():
     assert ctx.classical_taft(2, "anti") is ctx.classical_taft(2, "anti")
 
 
+def test_taft_double_fixtures_are_computed_once_per_p(monkeypatch):
+    # the block split, the generators and the (g', g) eigencomponents are
+    # Context fixtures shared by every check that needs them
+    from hopfcheck import catalogue, doubles
+
+    seen = {"split_blocks": [], "taft_double_generators": [], "taft_eigencomponents": []}
+    for name, calls in seen.items():
+        original = getattr(doubles, name)
+
+        def counted(double, *args, _original=original, _calls=calls):
+            _calls.append(double.base.meta["p"])
+            return _original(double, *args)
+
+        for module in (doubles, catalogue):
+            monkeypatch.setattr(module, name, counted)
+    ids = ["E3.15-split", "S3.2-uqsl2", "C3.2-grading", "C3.2-sigma-action",
+           "E3.24-sigma-blocks"]
+    reports = run_checks(ids, Context(RunConfig(ps=(2, 3))))
+    assert all(r.passed for r in reports)
+    for name, calls in seen.items():
+        assert sorted(calls) == [2, 3], (name, calls)
+
+
 def test_uqsl2_without_odd_p_reports_precondition():
     ctx = Context(RunConfig(ps=(2,)))
     (report,) = run_checks(["S3.2-uqsl2"], ctx)

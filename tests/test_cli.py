@@ -112,6 +112,21 @@ def test_ingest_corrupted_antipode(tmp_path, capsys):
     assert "antipode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": "abc", "unit": [], "structure": []}',
+        '{"dim": 1, "unit": [{"order": 1, "coeffs": [["1", "1"]]}], "structure": [5]}',
+    ],
+    ids=["dim-not-int", "plane-not-list"],
+)
+def test_ingest_mistyped_document_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "mistyped.json"
+    path.write_text(text)
+    assert cli.main(["ingest", str(path)]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_ingest_missing_file(capsys):
     assert cli.main(["ingest", "/nonexistent/path.json"]) == 2
 
@@ -123,6 +138,15 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_checks", boom)
     assert cli.main(["run", "--id", "S3-taft-axioms"]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_failed_invariant_is_internal_error(monkeypatch, capsys):
+    # a minimal polynomial that does not annihilate its matrix crashes E3.23
+    from hopfcheck import linalg
+
+    monkeypatch.setattr(linalg, "poly_eval_matrix", lambda poly, m: linalg.Matrix.identity(1))
+    assert cli.main(["run", "--id", "E3.23-minpoly", "--p", "2"]) == 3
+    assert "InvariantError" in capsys.readouterr().err
 
 
 def test_usage_errors_from_argparse():

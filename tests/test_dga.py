@@ -29,8 +29,8 @@ c = Cyclotomic.coerce
 @pytest.fixture(scope="module")
 def p2_blocks():
     d = build_twisted_double(taft(2))
-    blocks = split_blocks(d)
     gens = taft_double_generators(d)
+    blocks = split_blocks(d, gens)
     dgas = [
         TwoTermDga(blk.algebra, blk.project(d.sigma) - blk.algebra.unit_element())
         for blk in blocks

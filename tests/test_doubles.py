@@ -1,11 +1,13 @@
 """Double constructions: twisted double internals, generator relations,
 block structure, classical doubles and the pivot comparison, module checks."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from hopfcheck.cyclotomic import Cyclotomic
 from hopfcheck.hopf import check_algebra_map, dual_hopf, group_algebra, taft
-from hopfcheck.linalg import Matrix, minimal_polynomial
+from hopfcheck.linalg import InvariantError, Matrix, minimal_polynomial
 from hopfcheck.doubles import (
     build_classical_double,
     build_twisted_double,
@@ -22,6 +24,7 @@ from hopfcheck.doubles import (
     regular_mixed_module,
     split_blocks,
     taft_double_generators,
+    taft_eigencomponents,
     uhu_map,
     uqsl2_check,
     verify_sigma_graded_action,
@@ -38,6 +41,12 @@ def d2():
 @pytest.fixture(scope="module")
 def d3():
     return build_twisted_double(taft(3))
+
+
+def taft_parts(d):
+    """Generators, block split and (g', g) eigencomponents of a Taft double."""
+    gens = taft_double_generators(d)
+    return gens, split_blocks(d, gens), taft_eigencomponents(d, gens)
 
 
 def tidx(p, i, j):
@@ -119,31 +128,35 @@ def test_generators_require_taft_base():
 
 def test_block_split(d2, d3):
     for d, p in ((d2, 2), (d3, 3)):
-        rep = check_block_split(d)
+        blocks = split_blocks(d, taft_double_generators(d))
+        rep = check_block_split(d, blocks)
         assert rep.passed, rep.witnesses
-        blocks = split_blocks(d)
         assert len(blocks) == p
         assert all(blk.algebra.dim == p**3 for blk in blocks)
 
 
 def test_sigma_graded_action(d2, d3):
     for d in (d2, d3):
-        rep = verify_sigma_graded_action(d)
+        gens, _, components = taft_parts(d)
+        rep = verify_sigma_graded_action(d, gens, components)
         assert rep.passed, rep.witnesses
         assert rep.witnesses["complete"]
 
 
 def test_sigma_block_forms_p2(d2, d3):
-    rep = check_sigma_block_forms_p2(d2)
+    gens, _, components = taft_parts(d2)
+    rep = check_sigma_block_forms_p2(d2, gens, components)
     assert rep.passed, rep.witnesses
     assert all(part["dim"] == 4 for part in rep.witnesses.values())
-    assert check_sigma_block_forms_p2(d3).status == "precondition-failed"
+    gens3 = taft_double_generators(d3)
+    rep3 = check_sigma_block_forms_p2(d3, gens3, taft_eigencomponents(d3, gens3))
+    assert rep3.status == "precondition-failed"
 
 
 def test_block_anticommutator_p2(d2):
     # in block s: x x' + x' x = (1 + (-1)^s) 1
     gens = taft_double_generators(d2)
-    for s, blk in enumerate(split_blocks(d2)):
+    for s, blk in enumerate(split_blocks(d2, gens)):
         x = blk.project(gens["x"])
         xp = blk.project(gens["x'"])
         scalar = c(1 + (-1) ** s)
@@ -153,7 +166,7 @@ def test_block_anticommutator_p2(d2):
 def test_block_minimal_polynomials_p2(d2):
     # minimal polynomial of x'x per block: t^2 - 2t at s = 0, t^2 at s = 1
     gens = taft_double_generators(d2)
-    blocks = split_blocks(d2)
+    blocks = split_blocks(d2, gens)
     expected = [[c(0), c(-2), c(1)], [c(0), c(0), c(1)]]
     for s, blk in enumerate(blocks):
         w = blk.project(gens["x'"]) * blk.project(gens["x"])
@@ -162,14 +175,24 @@ def test_block_minimal_polynomials_p2(d2):
 
 
 def test_uqsl2_blocks(d3):
+    gens, blocks, _ = taft_parts(d3)
     for s in range(3):
-        rep = uqsl2_check(d3, s)
+        rep = uqsl2_check(d3, gens, blocks, s)
         assert rep.passed, (s, rep.witnesses)
         assert rep.witnesses["generated_dim"] == 27
 
 
+def test_uqsl2_without_square_root_raises():
+    # xi = -1 has order 2, so no cube root of unity squares to xi^{-1}
+    meta = {"family": "taft", "p": 3, "xi": c(-1)}
+    fake = SimpleNamespace(base=SimpleNamespace(meta=meta))
+    with pytest.raises(InvariantError, match="square root"):
+        uqsl2_check(fake, {}, [], 0)
+
+
 def test_uqsl2_requires_odd_p(d2):
-    assert uqsl2_check(d2, 0).status == "precondition-failed"
+    gens, blocks, _ = taft_parts(d2)
+    assert uqsl2_check(d2, gens, blocks, 0).status == "precondition-failed"
 
 
 # -- classical doubles ---------------------------------------------------
@@ -276,6 +299,35 @@ def test_corrupted_action_fails_with_witness(d2):
     rep = check_module_action(d2.algebra, bad)
     assert not rep.passed
     assert "first_failure" in rep.witnesses["multiplicative"]
+
+
+def brute_force_first_failure(alg, action):
+    """First basis pair (i, j) with rho(e_i) rho(e_j) != sum_k c_ij^k rho(e_k),
+    compared as dense matrices over every k."""
+    m = action[0].nrows
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            want = Matrix.zeros(m, m)
+            for k in range(alg.dim):
+                want = want + action[k].scale(alg.structure_entry(i, j, k))
+            if action[i] @ action[j] != want:
+                return (i, j)
+    return None
+
+
+@pytest.mark.parametrize("target, u, v", [(3, None, None), (11, 5, 7), (15, 15, 0)])
+def test_corrupted_action_first_failure_matches_dense(d2, target, u, v):
+    bad = regular_action(d2)
+    if u is None:
+        bad[target] = bad[target].scale(c(2))
+    else:
+        data = [list(r) for r in bad[target].data]
+        data[u][v] = data[u][v] + c(1)
+        bad[target] = Matrix(data)
+    rep = check_module_action(d2.algebra, bad)
+    want = brute_force_first_failure(d2.algebra, bad)
+    assert want is not None
+    assert rep.witnesses["multiplicative"]["first_failure"] == want
 
 
 def test_stable_pullback_module(d2):

@@ -274,9 +274,12 @@ def test_taft_dual_transport_is_algebra_but_not_coalgebra_map():
     for p in (2, 3):
         h = taft(p)
         dual = dual_hopf(h)
-        t = taft_dual_transport(p)
+        t = taft_dual_transport(h)
         rep = check_algebra_map(h.algebra, dual.algebra, t, require_bijective=True)
         assert rep.passed, (p, rep.witnesses)
-    rep3 = check_hopf_map(taft(3), dual_hopf(taft(3)), taft_dual_transport(3))
+    h3 = taft(3)
+    rep3 = check_hopf_map(h3, dual_hopf(h3), taft_dual_transport(h3))
     assert rep3.status == "fail"
     assert not rep3.witnesses["comultiplicative"]["holds"]
+    with pytest.raises(ValueError):
+        taft_dual_transport(group_algebra(2))

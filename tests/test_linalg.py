@@ -7,6 +7,7 @@ import pytest
 from hopfcheck.cyclotomic import Cyclotomic, root_of_unity
 from hopfcheck.linalg import (
     EchelonBasis,
+    InvariantError,
     Matrix,
     Subspace,
     eigensplit,
@@ -193,3 +194,79 @@ def test_matmul_and_transpose_consistency():
     b = rand_matrix(rng, 4, 2, order=3, span=2)
     prod = a @ b
     assert prod.transpose() == b.transpose() @ a.transpose()
+
+
+def test_subspace_queries_match_a_fresh_echelon_basis():
+    # repeated queries answer from the cached echelon view; they must agree
+    # with an EchelonBasis built afresh and must leave the basis untouched
+    rng = random.Random(11)
+    n = 6
+    gens = rand_matrix(rng, 3, n, order=3).data
+    space = Subspace.from_vectors(n, gens)
+    before = [list(r) for r in space.basis]
+    probes = [list(r) for r in rand_matrix(rng, 4, n, order=3).data]
+    for coeffs in rand_matrix(rng, 4, 3, order=3).data:
+        combo = [c(0)] * n
+        for f, g in zip(coeffs, gens):
+            combo = [x + f * y for x, y in zip(combo, g)]
+        probes.append(combo)
+    for _ in range(2):
+        for v in probes:
+            fresh = EchelonBasis(n)
+            for g in gens:
+                fresh.add(g)
+            assert space.contains(v) == fresh.contains(v)
+            assert space.coordinates(v) == fresh.coordinates(v)
+    assert sum(space.contains(v) for v in probes) == 4
+    assert all(vec_eq(a, b) for a, b in zip(space.basis, before))
+
+
+def test_subspace_first_queries_from_many_threads_agree():
+    # the echelon view is built by whichever thread queries first; threads
+    # racing on that first query must all see a complete view
+    import sys
+    import threading
+
+    rng = random.Random(5)
+    n = 8
+    gens = rand_matrix(rng, 4, n, order=3).data
+    probes = [list(r) for r in rand_matrix(rng, 3, n, order=3).data] + [list(gens[0])]
+    want = [Subspace.from_vectors(n, gens).coordinates(v) for v in probes]
+    spaces = [Subspace.from_vectors(n, gens) for _ in range(50)]
+    got = []
+    start = threading.Barrier(6)
+
+    def worker():
+        for space in spaces:
+            start.wait(timeout=60)  # all threads race on each first query
+            got.append([space.coordinates(v) for v in probes])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 6 * len(spaces)
+    assert all(answers == want for answers in got)
+
+
+def test_kernel_rank_nullity_failure_raises(monkeypatch):
+    monkeypatch.setattr(
+        Subspace, "from_vectors", classmethod(lambda cls, ambient, vecs: cls.zero(ambient))
+    )
+    with pytest.raises(InvariantError, match="rank-nullity"):
+        kernel(cm([[1, 1], [2, 2]]))
+
+
+def test_minimal_polynomial_annihilation_failure_raises(monkeypatch):
+    from hopfcheck import linalg
+
+    monkeypatch.setattr(linalg, "poly_eval_matrix", lambda poly, m: Matrix.identity(m.nrows))
+    with pytest.raises(InvariantError, match="annihilate"):
+        minimal_polynomial(cm([[0, 1], [0, 0]]))

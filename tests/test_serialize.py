@@ -70,6 +70,22 @@ def test_ingest_rejects_shape_errors():
         algebra_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dim": "abc", "unit": [], "structure": []},
+        {"dim": 1, "unit": [Cyclotomic.one().to_json()], "structure": [5]},
+        {"dim": 1, "unit": 7, "structure": [[[Cyclotomic.one().to_json()]]]},
+        {"dim": 1, "unit": [Cyclotomic.one().to_json()], "structure": [[5]]},
+        {"dim": True, "unit": [Cyclotomic.one().to_json()], "structure": [[[]]]},
+    ],
+    ids=["dim-not-int", "plane-not-list", "unit-not-list", "vector-not-list", "dim-bool"],
+)
+def test_ingest_rejects_mistyped_fields(doc):
+    with pytest.raises(IngestError):
+        algebra_from_json(doc)
+
+
 def test_ingest_rejects_nonassociative():
     # set x.x = g inside the taft(2) table; then (xx)x = gx but x(xx) = -gx
     doc = algebra_to_json(taft(2).algebra)
