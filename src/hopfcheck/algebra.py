@@ -3,7 +3,8 @@
 A StructureAlgebra holds a rank-3 tensor c[i][j][k] (stored as sparse rows:
 for each basis pair (i, j) a dict mapping k to a nonzero scalar) plus the
 coordinates of the unit.  Construction verifies the unit laws exactly and
-associativity according to a size policy:
+associativity according to a size policy (the defaults give three regimes:
+exact up to dim 24, modular certificate up to dim 230, sampled above):
 
   dim <= pure_limit        exact triple loop over all (i, j, k)
   dim <= exhaustive_limit  modular certificate, still covering all triples:
@@ -16,7 +17,13 @@ associativity according to a size policy:
                            explicit height bound on the difference tensor
                            makes the congruences a proof of exact equality;
                            any mismatch is re-checked exactly for a witness.
-  above                    seeded random sample of triples, checked exactly
+                           Its int64 sums are exact only up to MODULAR_LIMIT
+                           (230); above it the certificate refuses to run.
+                           The products are formed for a block of first
+                           indices at a time, so their memory is bounded.
+  above                    seeded random sample of triples, checked exactly.
+                           This is evidence, not a proof: a sample can miss
+                           the few triples that break.
 
 All higher operations (center, radical, quotients, central splitting) reduce
 to exact linear algebra over the scalars.
@@ -32,14 +39,31 @@ from .cyclotomic import ONE, ZERO, Cyclotomic, phi_degree, reduction_expansion_b
 from .linalg import EchelonBasis, Matrix, Subspace, eigensplit, vec_is_zero
 from .report import CheckReport
 
+# The modular certificate works with primes P < PRIME_CEILING and sums up to
+# n products, each below P^2, in int64; MODULAR_LIMIT is the largest n for
+# which such a sum cannot overflow (230).
+PRIME_CEILING = 200_000_000
+MODULAR_LIMIT = (2**63 - 1) // PRIME_CEILING**2
+
+# The certificate compares the two sides of associativity on one block of
+# first indices i at a time, each block's products bounded by about this many
+# nonzeros (or a single i, at most dim^3 of them); this bounds its memory by
+# that of a block instead of the dim^4 of a dense algebra's whole products.
+CERT_BLOCK_ENTRIES = 1 << 20
+
 DEFAULT_PURE_LIMIT = 24
-DEFAULT_EXHAUSTIVE_LIMIT = 100
+DEFAULT_EXHAUSTIVE_LIMIT = MODULAR_LIMIT
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 20240801
 
 
 class AlgebraError(ValueError):
     pass
+
+
+class ModularOverflowError(RuntimeError):
+    """The modular certificate was asked to run where its int64 sums could
+    overflow (dim above MODULAR_LIMIT); it refuses rather than wrap."""
 
 
 class AssociativityError(AlgebraError):
@@ -174,6 +198,11 @@ class StructureAlgebra:
         from scipy import sparse
 
         n = self.dim
+        if n > MODULAR_LIMIT:
+            raise ModularOverflowError(
+                f"{self.name}: the modular certificate is exact only up to dim "
+                f"{MODULAR_LIMIT}, got {n}"
+            )
         order = self.order
         deg = phi_degree(order)
         den_all = 1
@@ -194,24 +223,30 @@ class StructureAlgebra:
         bound = 2 * n * rho * height * height
         primes = _primes_for(order, bound)
         factors = [f for f in range(1, order + 1) if gcd(f, order) == 1][:deg]
+        ivec = np.array([e[0] for e in entries], dtype=np.int64)
+        jvec = np.array([e[1] for e in entries], dtype=np.int64)
+        kvec = np.array([e[2] for e in entries], dtype=np.int64)
+        # The two sides are compared on the rows (i, j) of one block of i at a
+        # time.  cost[i] bounds the nonzeros that i adds to the two products:
+        # row (i, j) of t1 has at most sum_m nnz(c2 row m) over c[i][j][m] != 0,
+        # and column block i of t2 at most sum_m nnz(c1 column m) over
+        # c[i][m][l] != 0.
+        first = np.bincount(ivec, minlength=n)
+        third = np.bincount(kvec, minlength=n)
+        cost = np.bincount(ivec, weights=first[kvec] + third[jvec], minlength=n)
+        blocks = _blocks(cost, CERT_BLOCK_ENTRIES)
         for p in primes:
             w = _root_mod(order, p)
             for e in factors:
                 we = pow(w, e, p)
                 wp = [pow(we, t, p) for t in range(deg)]
                 data = np.empty(len(entries), dtype=np.int64)
-                ivec = np.empty(len(entries), dtype=np.int64)
-                jvec = np.empty(len(entries), dtype=np.int64)
-                kvec = np.empty(len(entries), dtype=np.int64)
                 for t, (i, j, k, vec) in enumerate(entries):
                     val = 0
                     for s, cc in enumerate(vec):
                         if cc:
                             val += cc * wp[s]
                     data[t] = val % p
-                    ivec[t] = i
-                    jvec[t] = j
-                    kvec[t] = k
                 # c1[(i,j), m] = c[i][j][m]; c2[m, (k,l)] = c[m][k][l];
                 # e2[m, (i,l)] = c[i][m][l]  (all built from the one entry list)
                 c1 = sparse.csr_matrix(
@@ -220,31 +255,36 @@ class StructureAlgebra:
                 c2 = sparse.csr_matrix(
                     (data, (ivec, jvec * n + kvec)), shape=(n, n * n), dtype=np.int64
                 )
-                e2 = sparse.csr_matrix(
+                e2 = sparse.csc_matrix(
                     (data, (jvec, ivec * n + kvec)), shape=(n, n * n), dtype=np.int64
                 )
-                t1 = c1 @ c2  # [(i,j), (k,l)] = sum_m c[i,j,m] c[m,k,l]
-                t2 = (c1 @ e2).tocoo()  # [(j,k), (i,l)] = sum_m c[j,k,m] c[i,m,l]
-                i2 = t2.col // n
-                l2 = t2.col % n
-                j2 = t2.row // n
-                k2 = t2.row % n
-                t2a = sparse.csr_matrix(
-                    (t2.data, (i2 * n + j2, k2 * n + l2)), shape=(n * n, n * n), dtype=np.int64
-                )
-                diff = t1 - t2a
-                if diff.nnz:
-                    diff.data %= p
-                    diff.eliminate_zeros()
-                if diff.nnz:
-                    dc = diff.tocoo()
-                    pos = int(np.lexsort((dc.col, dc.row))[0])
-                    i0, j0 = divmod(int(dc.row[pos]), n)
-                    k0 = int(dc.col[pos]) // n
-                    if not self._assoc_triple_exact(i0, j0, k0):
-                        return (i0, j0, k0)
-                    # congruence noise cannot happen: a mod-p mismatch is exact
-                    raise AssertionError("modular mismatch without exact witness")
+                for i0, i1 in blocks:
+                    # [(i,j), (k,l)] = sum_m c[i,j,m] c[m,k,l], i in the block
+                    t1 = c1[i0 * n : i1 * n] @ c2
+                    # [(j,k), (i,l)] = sum_m c[j,k,m] c[i,m,l], i in the block
+                    t2 = (c1 @ e2[:, i0 * n : i1 * n]).tocoo()
+                    i2 = t2.col // n
+                    l2 = t2.col % n
+                    j2 = t2.row // n
+                    k2 = t2.row % n
+                    t2a = sparse.csr_matrix(
+                        (t2.data, (i2 * n + j2, k2 * n + l2)),
+                        shape=((i1 - i0) * n, n * n),
+                        dtype=np.int64,
+                    )
+                    diff = t1 - t2a
+                    if diff.nnz:
+                        diff.data %= p
+                        diff.eliminate_zeros()
+                    if diff.nnz:
+                        dc = diff.tocoo()
+                        pos = int(np.lexsort((dc.col, dc.row))[0])
+                        i0r, j0 = divmod(int(dc.row[pos]), n)
+                        k0 = int(dc.col[pos]) // n
+                        if not self._assoc_triple_exact(i0 + i0r, j0, k0):
+                            return (i0 + i0r, j0, k0)
+                        # congruence noise cannot happen: a mod-p mismatch is exact
+                        raise AssertionError("modular mismatch without exact witness")
         return None
 
     # -- element plumbing ------------------------------------------------
@@ -973,10 +1013,22 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
+def _blocks(cost, budget: int) -> list[tuple[int, int]]:
+    """Consecutive ranges [i0, i1) covering range(len(cost)), each with total
+    cost at most budget unless it is a single index."""
+    out, start, acc = [], 0, 0
+    for i, c in enumerate(cost):
+        if acc and acc + c > budget:
+            out.append((start, i))
+            start, acc = i, 0
+        acc += c
+    out.append((start, len(cost)))
+    return out
+
+
 def _primes_for(order: int, bound: int) -> list[int]:
-    """Primes P = 1 mod order whose product exceeds 2*bound, each < 2e8."""
-    top = 200_000_000
-    start = (top // order) * order + 1
+    """Primes P = 1 mod order whose product exceeds 2*bound, each < PRIME_CEILING."""
+    start = ((PRIME_CEILING - 2) // order) * order + 1
     primes = []
     prod = 1
     p = start

@@ -13,6 +13,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+# The largest order cyc_from_json accepts.  A document names its own order,
+# and the cyclotomic polynomial and power tables take time superlinear in it
+# (about 0.5 s at order 2520, effectively unbounded for huge orders).  The
+# cap lies far above any order the catalogue builds.
+MAX_ORDER = 1000
+
+# The most spellings one cyc_from_json memo keeps.  A dense document repeats
+# a few spellings (the 101-dim benchmark documents: 1,287 of 1,030,402); one
+# whose spellings are mostly distinct gains nothing from a memo, and the cap
+# keeps it from holding a key and a value for each of them.
+MEMO_LIMIT = 1 << 16
+
 _CYCLO: dict[int, list[int]] = {}
 _REDUCE: dict[int, list[tuple[int, ...]]] = {}
 _POWERS: dict[int, list[tuple[int, ...]]] = {}
@@ -396,17 +408,85 @@ def root_of_unity(order: int, exponent: int = 1) -> Cyclotomic:
     return Cyclotomic(order, powers[exponent % order], 1)
 
 
-def cyc_from_json(obj: dict) -> Cyclotomic:
-    order = int(obj["order"])
-    deg = phi_degree(order)
+def _spelling(obj) -> tuple:
+    """(order, num_0, den_0, num_1, den_1, ...) as spelled in a JSON scalar.
+
+    Two spellings give equal tuples exactly when they are the same JSON: the
+    order must be an exact int (so true and 3.0 never stand in for 1 and 3)
+    and every coefficient part a string.  Raises KeyError or TypeError for
+    anything not shaped like a scalar.
+    """
+    order = obj["order"]
     coeffs = obj["coeffs"]
-    if len(coeffs) != deg:
-        raise ValueError(f"order {order} needs {deg} coefficients, got {len(coeffs)}")
-    fracs = [Fraction(int(n), int(d)) for n, d in coeffs]
-    den = 1
-    for f in fracs:
-        den = lcm(den, f.denominator)
-    return Cyclotomic(order, tuple(int(f * den) for f in fracs), den)
+    if type(order) is not int:
+        raise TypeError(f"order must be an integer, got {order!r}")
+    if type(coeffs) is not list:
+        raise TypeError(f"coeffs must be a list, got {coeffs!r}")
+    key = [order]
+    for pair in coeffs:
+        if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not str \
+                or type(pair[1]) is not str:
+            raise TypeError(f"a coefficient must be a pair of integer strings, got {pair!r}")
+        key += pair
+    return tuple(key)
+
+
+def _from_spelling(key: tuple) -> Cyclotomic:
+    order = key[0]
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must lie in 1..{MAX_ORDER}, got {order}")
+    deg = phi_degree(order)
+    if len(key) != 2 * deg + 1:
+        raise ValueError(f"order {order} needs a list of {deg} coefficients")
+    nums = [int(s) for s in key[1::2]]
+    dens = [int(s) for s in key[2::2]]
+    if not all(dens):
+        raise ValueError("zero denominator")
+    den = lcm(*dens)  # positive; Cyclotomic() gcd-normalizes what is left
+    return Cyclotomic(order, tuple(n * (den // d) for n, d in zip(nums, dens)), den)
+
+
+class ScalarMemo(dict):
+    """What cyc_from_json has read of one document: a dict from the first
+    MEMO_LIMIT distinct spellings that parsed to their values, and `order`,
+    the lcm of the orders of every scalar read.  Arithmetic lifts mixed
+    orders to their lcm, so the cap on orders applies to that lcm."""
+
+    def __init__(self):
+        super().__init__()
+        self.order = 1
+
+
+def cyc_from_json(obj: dict, memo: ScalarMemo | None = None) -> Cyclotomic:
+    """Parse the JSON form written by `Cyclotomic.to_json`.
+
+    `order` must be an integer in 1..MAX_ORDER and `coeffs` a list of
+    phi(order) [numerator, denominator] pairs of integer strings with nonzero
+    denominators (unreduced or negative ones are fine).  Anything else raises
+    KeyError, TypeError or ValueError.
+
+    With a `memo` kept for the scalars of one document, a spelling the
+    document repeats is parsed once and its (immutable) value shared, and a
+    scalar that takes the lcm of the document's orders above MAX_ORDER raises
+    ValueError.  A spelling that fails is never stored, so it fails again
+    wherever it recurs.
+    """
+    key = _spelling(obj)
+    if memo is None:
+        return _from_spelling(key)
+    value = memo.get(key)
+    if value is None:
+        value = _from_spelling(key)
+        order = lcm(memo.order, value.order)
+        if order > MAX_ORDER:
+            raise ValueError(
+                f"order {value.order} takes the lcm {order} of the document's "
+                f"orders above {MAX_ORDER}"
+            )
+        memo.order = order
+        if len(memo) < MEMO_LIMIT:
+            memo[key] = value
+    return value
 
 
 def q_int(n: int, omega: Cyclotomic) -> Cyclotomic:

@@ -10,7 +10,7 @@ and both raise InvariantError rather than assert, so they survive python -O.
 
 from __future__ import annotations
 
-from .cyclotomic import ONE, ZERO, Cyclotomic
+from .cyclotomic import ONE, ZERO, Cyclotomic, cyc_from_json
 
 Vector = list  # list[Cyclotomic]
 
@@ -171,13 +171,21 @@ class Matrix:
 
 
 def matrix_from_json(obj: dict) -> Matrix:
-    from .cyclotomic import cyc_from_json
+    """Inverse of Matrix.to_json."""
+    return shaped_matrix(obj, [[cyc_from_json(a) for a in r] for r in obj["entries"]])
 
-    entries = [[cyc_from_json(a) for a in r] for r in obj["entries"]]
-    m = Matrix(entries, ncols=int(obj["cols"]))
-    if m.nrows != int(obj["rows"]):
+
+def shaped_matrix(obj: dict, entries) -> Matrix:
+    """The Matrix of the parsed `entries` of a Matrix.to_json form `obj`,
+    checked against the integer "rows" and "cols" that obj declares."""
+    nrows, ncols = obj["rows"], obj["cols"]
+    for v in (nrows, ncols):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise TypeError(f"matrix rows and cols must be integers, got {v!r}")
+    m = Matrix(entries, ncols=ncols)
+    if m.nrows != nrows:
         raise ValueError("row count mismatch in matrix JSON")
-    if m.nrows and m.ncols != int(obj["cols"]):
+    if m.nrows and m.ncols != ncols:
         raise ValueError("column count mismatch in matrix JSON")
     return m
 

@@ -9,13 +9,20 @@ Schemas (scalars are { "order": N, "coeffs": [["num","den"], ...] }):
            "counit" ([scalar...]) and "antipode" (an n x n matrix).
 
 Ingest validates the defining axioms on construction and reports the first
-broken one by name.
+broken one by name.  Reading a document parses each distinct scalar
+spelling once and shares the resulting immutable Cyclotomic.  The readers
+consume their document: they empty it once its fields are read, so that
+ingest_algebra frees the decoded tree before the associativity certificate
+runs.  ingest_algebra also pauses the cyclic garbage collector while it
+decodes and builds.
 """
 
+import gc
 import json
+from contextlib import contextmanager
 
-from .cyclotomic import ZERO, Cyclotomic, cyc_from_json
-from .linalg import Matrix, matrix_from_json
+from .cyclotomic import ZERO, ScalarMemo, cyc_from_json
+from .linalg import Matrix, shaped_matrix
 from .algebra import AlgebraError, StructureAlgebra
 from .hopf import HopfAxiomError, HopfData
 
@@ -51,11 +58,16 @@ def hopf_to_json(h: HopfData) -> dict:
     return out
 
 
-def _scalar(obj, where: str) -> Cyclotomic:
-    try:
-        return cyc_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IngestError(f"bad scalar in {where}: {exc}") from exc
+def _scalars(values, memo: ScalarMemo, where: str) -> list:
+    """The scalars of a JSON list, read through the document's memo; the
+    location of a bad entry is spelled out only when one is found."""
+    out = []
+    for k, obj in enumerate(values):
+        try:
+            out.append(cyc_from_json(obj, memo))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IngestError(f"bad scalar in {where}[{k}]: {exc}") from exc
+    return out
 
 
 def _require_list(value, n: int, where: str) -> None:
@@ -65,7 +77,8 @@ def _require_list(value, n: int, where: str) -> None:
         raise IngestError(f"{where} must have length dim")
 
 
-def algebra_from_json(obj: dict, *, name: str = "ingested") -> StructureAlgebra:
+def _read_algebra(obj: dict, memo: ScalarMemo):
+    """Validated (dim, sparse rows, unit) of an algebra document."""
     try:
         n = obj["dim"]
         unit_json = obj["unit"]
@@ -78,34 +91,58 @@ def algebra_from_json(obj: dict, *, name: str = "ingested") -> StructureAlgebra:
         raise IngestError("dim must be nonnegative")
     _require_list(unit_json, n, "unit")
     _require_list(structure, n, "structure")
-    unit = [_scalar(v, "unit") for v in unit_json]
+    unit = _scalars(unit_json, memo, "unit")
     rows = []
     for i, plane in enumerate(structure):
         _require_list(plane, n, f"structure[{i}]")
         row = []
         for j, vec in enumerate(plane):
-            _require_list(vec, n, f"structure[{i}][{j}]")
-            cell = {}
-            for k, v in enumerate(vec):
-                c = _scalar(v, f"structure[{i}][{j}][{k}]")
-                if c:
-                    cell[k] = c
-            row.append(cell)
+            where = f"structure[{i}][{j}]"
+            _require_list(vec, n, where)
+            row.append({k: c for k, c in enumerate(_scalars(vec, memo, where)) if c})
         rows.append(row)
+    return n, rows, unit
+
+
+def _read_matrix(obj: dict, memo: ScalarMemo, where: str) -> Matrix:
+    entries = [_scalars(r, memo, f"{where}[{i}]") for i, r in enumerate(obj["entries"])]
+    return shaped_matrix(obj, entries)
+
+
+def _read_hopf(obj: dict, memo: ScalarMemo):
+    """(dim, rows, unit, comult, counit, antipode) of a Hopf document."""
+    n, rows, unit = _read_algebra(obj, memo)
+    try:
+        comult = _read_matrix(obj["comult"], memo, "comult")
+        counit = _scalars(obj["counit"], memo, "counit")
+        antipode = _read_matrix(obj["antipode"], memo, "antipode")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IngestError(f"bad hopf field: {exc}") from exc
+    return n, rows, unit, comult, counit, antipode
+
+
+def _build_algebra(n: int, rows, unit, name: str) -> StructureAlgebra:
     try:
         return StructureAlgebra(n, rows, unit, name=name, check="auto")
     except (AlgebraError, ValueError) as exc:
         raise IngestError(f"algebra axioms fail: {exc}") from exc
 
 
+def algebra_from_json(obj: dict, *, name: str = "ingested") -> StructureAlgebra:
+    """Validate and build an algebra document.  This consumes obj: it is
+    emptied once its fields are read, so that a caller holding the only
+    other reference frees the decoded tree before the axioms are checked."""
+    n, rows, unit = _read_algebra(obj, ScalarMemo())
+    obj.clear()
+    return _build_algebra(n, rows, unit, name)
+
+
 def hopf_from_json(obj: dict, *, name: str = "ingested") -> HopfData:
-    alg = algebra_from_json(obj, name=name)
-    try:
-        comult = matrix_from_json(obj["comult"])
-        counit = [_scalar(v, "counit") for v in obj["counit"]]
-        antipode = matrix_from_json(obj["antipode"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IngestError(f"bad hopf field: {exc}") from exc
+    """Validate and build a Hopf document, consuming obj as algebra_from_json
+    does.  Every field is read before any axiom is checked."""
+    n, rows, unit, comult, counit, antipode = _read_hopf(obj, ScalarMemo())
+    obj.clear()
+    alg = _build_algebra(n, rows, unit, name)
     try:
         return HopfData(alg, comult, counit, antipode, name=name)
     except HopfAxiomError as exc:
@@ -114,18 +151,36 @@ def hopf_from_json(obj: dict, *, name: str = "ingested") -> HopfData:
         raise IngestError(str(exc)) from exc
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring the caller's setting.
+
+    Decoding a dense document allocates millions of containers, and each
+    collector pass would traverse all of the still-growing tree.  A decoded
+    JSON tree holds no reference cycles, so reference counting alone frees it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def ingest_algebra(path: str):
     """Load a JSON file holding either schema; returns HopfData when the
     coalgebra fields are present, else StructureAlgebra."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise IngestError("top-level JSON value must be an object")
-    if "comult" in obj or "counit" in obj or "antipode" in obj:
-        return hopf_from_json(obj)
-    return algebra_from_json(obj)
+    with _gc_paused():
+        try:
+            with open(path) as fh:
+                obj = json.load(fh)
+        except OSError as exc:
+            raise IngestError(f"cannot read {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"not valid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise IngestError("top-level JSON value must be an object")
+        if "comult" in obj or "counit" in obj or "antipode" in obj:
+            return hopf_from_json(obj)
+        return algebra_from_json(obj)

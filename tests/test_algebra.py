@@ -5,12 +5,18 @@ import random
 
 import pytest
 
+from hopfcheck import algebra as algebra_module
 from hopfcheck.algebra import (
+    DEFAULT_EXHAUSTIVE_LIMIT,
+    MODULAR_LIMIT,
+    PRIME_CEILING,
     AlgebraError,
     AssociativityError,
+    ModularOverflowError,
     NotInvertibleError,
     StructureAlgebra,
     UnitLawError,
+    _blocks,
     gen,
 )
 from hopfcheck.cyclotomic import Cyclotomic, root_of_unity
@@ -286,3 +292,64 @@ def test_zero_dim_algebra_is_legal():
     assert z.dim == 0
     assert z.center().dim == 0
     assert z.radical().dim == 0
+
+
+def test_limits_keep_the_modular_certificate_in_int64():
+    assert DEFAULT_EXHAUSTIVE_LIMIT == MODULAR_LIMIT == 230
+    assert MODULAR_LIMIT * (PRIME_CEILING - 1) ** 2 <= 2**63 - 1
+    assert (MODULAR_LIMIT + 1) * (PRIME_CEILING - 1) ** 2 > 2**63 - 1
+
+
+def test_corrupted_101_dim_algebra_is_rejected():
+    # only a few triples break, so a sample can miss them; at dim 101 the
+    # modular certificate covers all
+    n, rows, unit = _corrupted_matrix_algebra(10)
+    with pytest.raises(AssociativityError) as err:
+        StructureAlgebra(n, rows, unit)
+    assert err.value.triple == (1, 10, 2)
+    alg = StructureAlgebra(n, rows, unit, check="none")
+    assert not alg._assoc_triple_exact(1, 10, 2)
+
+
+def test_forced_modular_check_refuses_overflow():
+    n = MODULAR_LIMIT + 1
+    rows = [[{i: c(1)} if i == j else {} for j in range(n)] for i in range(n)]
+    unit = [c(1)] * n
+    with pytest.raises(ModularOverflowError):
+        StructureAlgebra(n, rows, unit, check="modular")
+    with pytest.raises(ModularOverflowError):
+        StructureAlgebra(n, rows, unit, exhaustive_limit=n)
+    StructureAlgebra(n, rows, unit, samples=100)  # auto samples above the limit
+
+
+def _corrupted_matrix_algebra(m: int):
+    """M_m + Q with E_01 E_12 changed to 2 E_02 (unit laws still hold)."""
+    n = m * m + 1
+    rows = [[{} for _ in range(n)] for _ in range(n)]
+    for a in range(m):
+        for b in range(m):
+            for d in range(m):
+                rows[a * m + b][b * m + d] = {a * m + d: c(1)}
+    rows[n - 1][n - 1] = {n - 1: c(1)}
+    rows[1][m + 2] = {2: c(2)}
+    unit = [c(1 if (i < m * m and i // m == i % m) or i == n - 1 else 0) for i in range(n)]
+    return n, rows, unit
+
+
+@pytest.mark.parametrize("budget", [1, 100, algebra_module.CERT_BLOCK_ENTRIES])
+def test_certificate_blocks_report_the_first_failing_triple(monkeypatch, budget):
+    # one block per i, a few blocks, one block: the witness is always the
+    # lexicographically first failing triple, as the exact triple loop finds
+    n, rows, unit = _corrupted_matrix_algebra(4)
+    with pytest.raises(AssociativityError) as pure:
+        StructureAlgebra(n, rows, unit, check="pure")
+    monkeypatch.setattr(algebra_module, "CERT_BLOCK_ENTRIES", budget)
+    with pytest.raises(AssociativityError) as modular:
+        StructureAlgebra(n, rows, unit, check="modular")
+    assert modular.value.triple == pure.value.triple == (1, 4, 2)
+
+
+def test_certificate_blocks_cover_every_index():
+    assert _blocks([5, 5, 5, 5], 10) == [(0, 2), (2, 4)]
+    assert _blocks([50, 1, 1, 50], 10) == [(0, 1), (1, 3), (3, 4)]
+    assert _blocks([0, 0], 1) == [(0, 2)]

@@ -6,6 +6,7 @@ import pytest
 
 from hopfcheck import catalogue, cli
 from hopfcheck.catalogue import CheckCrashed, catalogue_ids
+from hopfcheck.cyclotomic import MAX_ORDER, phi_degree
 from hopfcheck.hopf import taft
 from hopfcheck.serialize import hopf_to_json
 
@@ -153,3 +154,39 @@ def test_usage_errors_from_argparse():
     # argparse handles unknown subcommands/flags with its own exit code 2
     assert cli.main(["frobnicate"]) == 2
     assert cli.main([]) == 2
+
+
+def _bad_scalar_docs():
+    zero_den = {"order": 1, "coeffs": [["1", "0"]]}
+    docs = {}
+    for field in ("unit", "counit", "comult", "antipode"):
+        doc = hopf_to_json(taft(2))
+        if field in ("comult", "antipode"):
+            doc[field]["entries"][1][1] = zero_den
+        else:
+            doc[field][0] = zero_den
+        docs[f"zero-den-{field}"] = doc
+    # taft(3) is written at order 3; int(3.7) would read its entry unchanged
+    doc = hopf_to_json(taft(3))
+    doc["structure"][1][1][2]["order"] = 3.7
+    docs["order-non-integer"] = doc
+    for label, order in (("over-cap", MAX_ORDER + 1), ("huge", 10**18)):
+        doc = hopf_to_json(taft(2))
+        deg = phi_degree(order) if order == MAX_ORDER + 1 else 1
+        doc["structure"][0][0][0] = {"order": order, "coeffs": [["0", "1"]] * deg}
+        docs[f"order-{label}"] = doc
+    # zeros of orders 997 and 991: each order is within the cap, their lcm is not
+    doc = hopf_to_json(taft(2))
+    for k, order in ((2, 997), (3, 991)):
+        doc["unit"][k] = {"order": order, "coeffs": [["0", "1"]] * phi_degree(order)}
+    docs["order-lcm-over-cap"] = doc
+    return docs
+
+
+@pytest.mark.parametrize("name", sorted(_bad_scalar_docs()))
+def test_ingest_malformed_scalar_is_usage_error(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_bad_scalar_docs()[name]))
+    assert cli.main(["ingest", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad scalar" in err and "internal error" not in err

@@ -2,11 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopfcheck import cyclotomic
 from hopfcheck.cyclotomic import (
+    MAX_ORDER,
     Cyclotomic,
+    ScalarMemo,
     cyc_from_json,
     cyclotomic_polynomial,
     phi_degree,
@@ -163,3 +169,93 @@ def test_lift_preserves_value():
     assert lifted.order == 12
     assert lifted == z3
     assert lifted**3 == 1
+
+
+# -- cyc_from_json against a Fraction reference ---------------------------------
+
+_ints = st.integers(min_value=-(10**30), max_value=10**30)
+_dens = _ints.filter(bool)
+
+
+@st.composite
+def _spellings(draw):
+    """(order, coefficient pairs): unreduced, negative-denominator, huge."""
+    order = draw(st.sampled_from([1, 3, 4, 5, 8, 12]))
+    pairs = []
+    for _ in range(phi_degree(order)):
+        scale = draw(st.sampled_from([1, 1, -1, 6, -35, 10**12]))
+        pairs.append((draw(_ints) * scale, draw(_dens) * scale))
+    return order, pairs
+
+
+@given(_spellings())
+@settings(max_examples=300, deadline=None)
+def test_cyc_from_json_matches_fraction_reference(spelling):
+    order, pairs = spelling
+    obj = {"order": order, "coeffs": [[str(n), str(d)] for n, d in pairs]}
+    fracs = [Fraction(n, d) for n, d in pairs]
+    den = lcm(*(f.denominator for f in fracs))
+    got = cyc_from_json(obj)
+    assert got.order == order
+    assert got.den == den
+    assert got.num == tuple(int(f * den) for f in fracs)
+    reduced = [[str(f.numerator), str(f.denominator)] for f in fracs]
+    assert got.to_json() == {"order": order, "coeffs": reduced}
+    back = cyc_from_json(got.to_json())
+    assert (back.order, back.num, back.den) == (got.order, got.num, got.den)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"order": 1, "coeffs": [["1", "0"]]},
+        {"order": 3, "coeffs": [["1", "2"], ["5", "-0"]]},
+        {"order": 3.7, "coeffs": [["1", "1"], ["0", "1"]]},
+        {"order": "3", "coeffs": [["1", "1"], ["0", "1"]]},
+        {"order": True, "coeffs": [["1", "1"]]},
+        {"order": 0, "coeffs": []},
+        {"order": MAX_ORDER + 1, "coeffs": []},
+        {"order": 1, "coeffs": [["1", "1", "1"]]},
+        {"order": 1, "coeffs": [[1, 1]]},
+        {"order": 1, "coeffs": [["1.5", "1"]]},
+        {"order": 1, "coeffs": "11"},
+    ],
+)
+def test_cyc_from_json_rejects_malformed(obj):
+    with pytest.raises((TypeError, ValueError)):
+        cyc_from_json(obj)
+
+
+def test_cyc_from_json_memo_shares_values_and_forgets_failures():
+    memo = ScalarMemo()
+    a = cyc_from_json({"order": 3, "coeffs": [["2", "4"], ["0", "1"]]}, memo)
+    b = cyc_from_json({"order": 3, "coeffs": [["2", "4"], ["0", "1"]]}, memo)
+    c = cyc_from_json({"order": 3, "coeffs": [["1", "2"], ["0", "1"]]}, memo)
+    assert a is b and a == c and a is not c
+    assert len(memo) == 2
+    bad = {"order": 1, "coeffs": [["1", "0"]]}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="zero denominator"):
+            cyc_from_json(bad, memo)
+    assert len(memo) == 2
+    # an exact int order only: true never stands in for 1
+    assert cyc_from_json({"order": 1, "coeffs": [["1", "1"]]}, memo) == 1
+    with pytest.raises(TypeError):
+        cyc_from_json({"order": True, "coeffs": [["1", "1"]]}, memo)
+
+
+def test_cyc_from_json_memo_is_capped_but_still_tracks_orders(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "MEMO_LIMIT", 3)
+    memo = ScalarMemo()
+    for d in range(1, 6):
+        assert cyc_from_json({"order": 1, "coeffs": [["0", str(d)]]}, memo) == 0
+    assert len(memo) == 3
+    fifth = {"order": 5, "coeffs": [["0", "1"]] * 4}
+    seventh = {"order": 7, "coeffs": [["0", "1"]] * 6}
+    cyc_from_json(fifth, memo)
+    assert (len(memo), memo.order) == (3, 5)
+    cyc_from_json(fifth, memo)  # a miss again, with the order already counted
+    monkeypatch.setattr(cyclotomic, "MAX_ORDER", 34)
+    with pytest.raises(ValueError, match="lcm 35 "):
+        cyc_from_json(seventh, memo)
+    assert memo.order == 5

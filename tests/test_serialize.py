@@ -1,10 +1,12 @@
 """JSON round-trips and ingest validation."""
 
+import gc
 import json
 
 import pytest
 
-from hopfcheck.cyclotomic import Cyclotomic, root_of_unity
+from hopfcheck import serialize
+from hopfcheck.cyclotomic import Cyclotomic, phi_degree, root_of_unity
 from hopfcheck.hopf import dual_hopf, group_algebra, taft
 from hopfcheck.serialize import (
     IngestError,
@@ -111,3 +113,120 @@ def test_scalar_fractions_survive():
     from hopfcheck.cyclotomic import cyc_from_json
 
     assert cyc_from_json(v.to_json()) == v
+
+
+def _scalar_json(num: str, den: str, order=1) -> dict:
+    return {"order": order, "coeffs": [[num, den]]}
+
+
+def test_equal_values_spelled_differently_parse_alike():
+    # k x k with unit 2 e_0 + 2 e_1, so e_i e_i = (1/2) e_i, spelled two ways
+    half_a, half_b, zero = _scalar_json("2", "4"), _scalar_json("1", "2"), _scalar_json("0", "1")
+    doc = {
+        "dim": 2,
+        "unit": [_scalar_json("2", "1")] * 2,
+        "structure": [[[half_a, zero], [zero, zero]], [[zero, zero], [zero, half_b]]],
+    }
+    alg = algebra_from_json(doc)
+    for i in range(2):
+        got = alg.rows[i][i][i]
+        assert (got.order, got.num, got.den) == (1, (1,), 2)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"order": True, "coeffs": [["0", "1"]]},
+        {"order": 1.0, "coeffs": [["0", "1"]]},
+        {"order": 1, "coeffs": ["01"]},
+        {"order": 1, "coeffs": [[0, 1]]},
+        {"order": 1, "coeffs": {"01": 0}},
+        {"order": 1, "coeffs": [["0", "0"]]},
+        {"order": 1, "coeffs": [[["0"], "1"]]},
+    ],
+    ids=["order-bool", "order-float", "pair-string", "pair-ints", "coeffs-dict",
+         "zero-den", "unhashable"],
+)
+def test_bad_scalar_after_valid_one_is_located(bad):
+    # a 2-dim algebra k x k whose zero entries are first spelled validly as
+    # ["0", "1"]; the last zero entry is replaced by a near-spelling
+    zero, one = _scalar_json("0", "1"), _scalar_json("1", "1")
+    structure = [[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]]
+    structure[1][1] = [bad, one]
+    doc = {"dim": 2, "unit": [one, one], "structure": structure}
+    with pytest.raises(IngestError, match=r"bad scalar in structure\[1\]\[1\]\[0\]"):
+        algebra_from_json(doc)
+
+
+def test_ingest_caps_the_lcm_of_scalar_orders():
+    # each order is within MAX_ORDER, but arithmetic would lift both to their
+    # lcm and build its field tables
+    def zero(order):
+        return {"order": order, "coeffs": [["0", "1"]] * phi_degree(order)}
+
+    doc = {"dim": 2, "unit": [zero(997), zero(991)],
+           "structure": [[[zero(1)] * 2] * 2] * 2}
+    with pytest.raises(IngestError, match=r"unit\[1\]: order 991 takes the lcm 988027 "):
+        algebra_from_json(doc)
+    hopf = hopf_to_json(taft(2))  # order 2, so 499 alone keeps the lcm at 998
+    hopf["counit"][1] = zero(499)
+    hopf["antipode"]["entries"][0][1] = zero(991)
+    with pytest.raises(IngestError, match=r"antipode\[0\]\[1\]: order 991 takes the lcm 989018 "):
+        hopf_from_json(hopf)
+
+
+@pytest.mark.parametrize("field,value", [("cols", 4.9), ("rows", "4"), ("cols", True)])
+def test_ingest_rejects_mistyped_matrix_shape(field, value):
+    doc = hopf_to_json(taft(2))
+    doc["antipode"][field] = value
+    with pytest.raises(IngestError, match="must be integers"):
+        hopf_from_json(doc)
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+def test_ingest_restores_gc_state(tmp_path, caller_enabled):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(algebra_to_json(taft(2).algebra)))
+    bad = tmp_path / "bad.json"
+    one, zero_den = _scalar_json("1", "1"), _scalar_json("1", "0")
+    bad.write_text(json.dumps({"dim": 1, "unit": [one], "structure": [[[zero_den]]]}))
+    was = gc.isenabled()
+    try:
+        if caller_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        ingest_algebra(str(good))
+        assert gc.isenabled() is caller_enabled
+        with pytest.raises(IngestError):
+            ingest_algebra(str(bad))
+        assert gc.isenabled() is caller_enabled
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def test_ingest_releases_the_decoded_document(tmp_path, monkeypatch):
+    # the decoded tree is emptied before the algebra is built and certified
+    path = tmp_path / "t3.json"
+    path.write_text(json.dumps(hopf_to_json(taft(3))))
+    seen = []
+    real_load = serialize.json.load
+
+    def load(fh):
+        seen.append(real_load(fh))
+        return seen[-1]
+
+    monkeypatch.setattr(serialize.json, "load", load)
+    left = []
+    real_algebra = serialize.StructureAlgebra
+
+    def certify(*args, **kwargs):
+        left.append(dict(seen[0]))
+        return real_algebra(*args, **kwargs)
+
+    monkeypatch.setattr(serialize, "StructureAlgebra", certify)
+    assert ingest_algebra(str(path)).dim == 9
+    assert left == [{}]
