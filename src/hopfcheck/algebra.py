@@ -25,8 +25,11 @@ exact up to dim 24, modular certificate up to dim 230, sampled above):
                            This is evidence, not a proof: a sample can miss
                            the few triples that break.
 
-All higher operations (center, radical, quotients, central splitting) reduce
-to exact linear algebra over the scalars.
+Every product in the algebra goes through one sparse kernel,
+StructureAlgebra.mul_sparse, which multiplies coordinate dicts {index: nonzero
+scalar} and visits only the structure-constant cells their supports select;
+mul_coords is its dense wrapper.  All higher operations (center, radical,
+quotients, central splitting) reduce to exact linear algebra over the scalars.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, phi_degree, reduction_expansion_bound
-from .linalg import EchelonBasis, Matrix, Subspace, eigensplit, vec_is_zero
+from .linalg import EchelonBasis, InvariantError, Matrix, Subspace, eigensplit
 from .report import CheckReport
 
 # The modular certificate works with primes P < PRIME_CEILING and sums up to
@@ -103,14 +106,10 @@ class StructureAlgebra:
             ]
             for i in range(dim)
         ]
-        order = 1
-        for i in range(dim):
-            for j in range(dim):
-                for v in rows[i][j].values():
-                    order = lcm(order, v.order)
-        for v in unit:
-            order = lcm(order, v.order)
-        if order > 1:
+        orders = {v.order for row in rows for cell in row for v in cell.values()}
+        orders.update(v.order for v in unit)
+        order = lcm(*orders) if orders else 1
+        if len(orders) > 1:  # lift every scalar to the lcm of the orders
             rows = [
                 [{k: v.lift(order) for k, v in rows[i][j].items()} for j in range(dim)]
                 for i in range(dim)
@@ -122,6 +121,7 @@ class StructureAlgebra:
         if len(self.unit) != dim:
             raise ValueError("unit vector length must equal dim")
         self._zero = Cyclotomic.zero(order)
+        self._one = Cyclotomic.one(order)
         if dim:
             self._check_unit()
             self._check_associativity(check, pure_limit, exhaustive_limit, samples, seed)
@@ -129,16 +129,11 @@ class StructureAlgebra:
     # -- construction checks ------------------------------------------------
 
     def _check_unit(self):
-        n = self.dim
-        for j in range(n):
-            left = self.mul_coords(self.unit, self._basis_coords(j))
-            right = self.mul_coords(self._basis_coords(j), self.unit)
-            for k in range(n):
-                want = ONE if k == j else ZERO
-                if left[k] != want or right[k] != want:
-                    raise UnitLawError(
-                        f"unit law fails on basis element {j} of {self.name}"
-                    )
+        unit = sparse_of(self.unit)
+        for j in range(self.dim):
+            e = self.basis_sparse(j)
+            if self.mul_sparse(unit, e) != e or self.mul_sparse(e, unit) != e:
+                raise UnitLawError(f"unit law fails on basis element {j} of {self.name}")
 
     def _check_associativity(self, mode, pure_limit, exhaustive_limit, samples, seed):
         if mode == "none":
@@ -294,6 +289,16 @@ class StructureAlgebra:
         coords[i] = ONE
         return tuple(coords)
 
+    def basis_sparse(self, i: int) -> dict:
+        """Sparse coordinates of basis element i, its one at the algebra's order."""
+        return {i: self._one}
+
+    def _dense(self, d: dict) -> tuple:
+        coords = [ZERO] * self.dim
+        for k, v in d.items():
+            coords[k] = v
+        return tuple(coords)
+
     def element(self, coords) -> "AlgebraElement":
         coords = tuple(Cyclotomic.coerce(v) for v in coords)
         if len(coords) != self.dim:
@@ -318,18 +323,29 @@ class StructureAlgebra:
     def basis_elements(self):
         return [self.basis_element(i) for i in range(self.dim)]
 
+    def mul_sparse(self, u: dict, v: dict) -> dict:
+        """The product of two sparse coordinate dicts {index: scalar}.
+
+        Only the cells c[i][j] with i in u and j in v are visited, and empty
+        ones are skipped; the result holds no zero-valued keys.
+        """
+        rows = self.rows
+        out: dict = {}
+        for i, ci in u.items():
+            rowi = rows[i]
+            for j, cj in v.items():
+                cell = rowi[j]
+                if not cell:
+                    continue
+                f = ci * cj
+                for k, ck in cell.items():
+                    w = out.get(k)
+                    out[k] = f * ck if w is None else w + f * ck
+        return {k: w for k, w in out.items() if w}
+
     def mul_coords(self, a, b):
-        zero = ZERO
-        acc = [zero] * self.dim
-        bidx = [(j, bj) for j, bj in enumerate(b) if bj]
-        for i, ai in enumerate(a):
-            if ai:
-                rowi = self.rows[i]
-                for j, bj in bidx:
-                    f = ai * bj
-                    for k, ck in rowi[j].items():
-                        acc[k] = acc[k] + f * ck
-        return tuple(acc)
+        """Dense form of mul_sparse: coordinate sequences in, a tuple out."""
+        return self._dense(self.mul_sparse(sparse_of(a), sparse_of(b)))
 
     def multiply(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
         if a.algebra is not self or b.algebra is not self:
@@ -338,32 +354,17 @@ class StructureAlgebra:
 
     def left_mult_matrix(self, coords) -> Matrix:
         """Matrix of v -> a*v in the basis (columns are a * e_j)."""
-        n = self.dim
-        zero = ZERO
-        cols = []
-        for j in range(n):
-            col = [zero] * n
-            for i, ai in enumerate(coords):
-                if ai:
-                    for k, ck in self.rows[i][j].items():
-                        col[k] = col[k] + ai * ck
-            cols.append(col)
-        return Matrix.from_columns(cols)
+        a = sparse_of(coords)
+        return Matrix.from_columns(
+            [self._dense(self.mul_sparse(a, self.basis_sparse(j))) for j in range(self.dim)]
+        )
 
     def right_mult_matrix(self, coords) -> Matrix:
         """Matrix of v -> v*a in the basis (columns are e_j * a)."""
-        n = self.dim
-        zero = ZERO
-        cols = []
-        for j in range(n):
-            col = [zero] * n
-            rowj = self.rows[j]
-            for m, am in enumerate(coords):
-                if am:
-                    for k, ck in rowj[m].items():
-                        col[k] = col[k] + am * ck
-            cols.append(col)
-        return Matrix.from_columns(cols)
+        a = sparse_of(coords)
+        return Matrix.from_columns(
+            [self._dense(self.mul_sparse(self.basis_sparse(j), a)) for j in range(self.dim)]
+        )
 
     def structure_entry(self, i: int, j: int, k: int) -> Cyclotomic:
         return self.rows[i][j].get(k, self._zero)
@@ -548,18 +549,15 @@ class StructureAlgebra:
             q, rows, tuple(unit_q), name=f"{self.name}/ideal", check="auto"
         )
         if n <= 32:
-            # assert the algebra-map property on every basis pair outright
-            pcols = [project(list(self._basis_coords(j))) for j in range(n)]
+            # check the algebra-map property on every basis pair outright
+            pcols = [sparse_of(project(self._basis_coords(j))) for j in range(n)]
             for i in range(n):
                 for j in range(n):
-                    lhs = [zero] * n
-                    for k, c in self.rows[i][j].items():
-                        lhs[k] = c
-                    want = project(lhs)
-                    got = algebra.mul_coords(tuple(pcols[i]), tuple(pcols[j]))
-                    assert all(x == y for x, y in zip(want, got)), (
-                        f"quotient projection is not an algebra map at ({i}, {j})"
-                    )
+                    want = sparse_of(project(self._dense(self.rows[i][j])))
+                    if algebra.mul_sparse(pcols[i], pcols[j]) != want:
+                        raise InvariantError(
+                            f"quotient projection is not an algebra map at ({i}, {j})"
+                        )
         return QuotientResult(algebra, proj, tuple(chosen), ideal)
 
     def inverse_element(self, a: "AlgebraElement"):
@@ -576,9 +574,10 @@ class StructureAlgebra:
         return AlgebraElement(self, tuple(x))
 
     def is_central(self, a: "AlgebraElement") -> bool:
+        u = sparse_of(a.coords)
         for i in range(self.dim):
-            e = self._basis_coords(i)
-            if self.mul_coords(a.coords, e) != self.mul_coords(e, a.coords):
+            e = self.basis_sparse(i)
+            if self.mul_sparse(u, e) != self.mul_sparse(e, u):
                 return False
         return True
 
@@ -612,16 +611,19 @@ class StructureAlgebra:
                     shifted[t] = (shifted[t] - mu * idem[t]) * factor
                 idem = tuple(shifted)
             unit_coords = space.coordinates(list(idem))
-            assert unit_coords is not None, "idempotent escapes its eigenspace"
+            if unit_coords is None:
+                raise InvariantError("idempotent escapes its eigenspace")
             d = space.dim
+            supports = [sparse_of(v) for v in space.basis]
             rows = []
             for a in range(d):
                 arow = []
                 for b in range(d):
-                    w = self.mul_coords(tuple(space.basis[a]), tuple(space.basis[b]))
-                    coords = space.coordinates(list(w))
-                    assert coords is not None, "block product escapes the block"
-                    arow.append({k: v for k, v in enumerate(coords) if v})
+                    w = self.mul_sparse(supports[a], supports[b])
+                    coords = space.coordinates(self._dense(w))
+                    if coords is None:
+                        raise InvariantError("block product escapes the block")
+                    arow.append(sparse_of(coords))
                 rows.append(arow)
             algebra = StructureAlgebra(
                 d,
@@ -637,37 +639,37 @@ class StructureAlgebra:
 
     def _verify_reassembly(self, blocks):
         n = self.dim
-        zero = ZERO
         offsets = []
         off = 0
         for blk in blocks:
             offsets.append(off)
             off += blk.algebra.dim
-        assert off == n
+        if off != n:
+            raise InvariantError("block dimensions do not add up to the algebra's")
         combined = EchelonBasis(n)
-        all_rows = []
+        supports = []
         for blk in blocks:
             for row in blk.space.basis:
-                all_rows.append(list(row))
+                supports.append(sparse_of(row))
                 combined.add(list(row))
-        assert combined.dim == n, "block bases do not span"
-        for ai, arow in enumerate(all_rows):
-            for bi, brow in enumerate(all_rows):
-                w = self.mul_coords(tuple(arow), tuple(brow))
+        if combined.dim != n:
+            raise InvariantError("block bases do not span")
+        for ai, arow in enumerate(supports):
+            for bi, brow in enumerate(supports):
+                w = self.mul_sparse(arow, brow)
                 blk_a = _block_index(offsets, ai)
                 blk_b = _block_index(offsets, bi)
                 if blk_a != blk_b:
-                    assert vec_is_zero(w), "cross-block product must vanish"
+                    if w:
+                        raise InvariantError("cross-block product must vanish")
                 else:
                     blk = blocks[blk_a]
-                    coords = blk.space.coordinates(list(w))
-                    assert coords is not None
+                    coords = blk.space.coordinates(self._dense(w))
+                    if coords is None:
+                        raise InvariantError("block product escapes the block")
                     la, lb = ai - offsets[blk_a], bi - offsets[blk_b]
-                    want = blk.algebra.rows[la][lb]
-                    got = {k: v for k, v in enumerate(coords) if v}
-                    assert set(want) == set(got) and all(
-                        want[k] == got[k] for k in want
-                    ), "direct sum does not reassemble the algebra"
+                    if blk.algebra.rows[la][lb] != sparse_of(coords):
+                        raise InvariantError("direct sum does not reassemble the algebra")
 
     def check_presentation(self, assignment: dict, relations, check_id="presentation") -> CheckReport:
         """Evaluate free-algebra relations at the assignment; report results.
@@ -700,6 +702,11 @@ class StructureAlgebra:
         witnesses["generated_dim"] = span.dim
         ok = all(h for _, h, _ in results) and span.dim == self.dim
         return CheckReport(check_id, "pass" if ok else "fail", witnesses)
+
+
+def sparse_of(coords) -> dict:
+    """The nonzero entries of a coordinate sequence, keyed by index."""
+    return {i: v for i, v in enumerate(coords) if v}
 
 
 def _block_index(offsets, i):
@@ -740,7 +747,8 @@ class CentralBlock:
     def project(self, element: "AlgebraElement") -> "AlgebraElement":
         comp = self.parent.mul_coords(self.idempotent, element.coords)
         coords = self.space.coordinates(list(comp))
-        assert coords is not None, "projected component escapes the block"
+        if coords is None:
+            raise InvariantError("projected component escapes the block")
         return self.algebra.element(coords)
 
     def embed(self, element: "AlgebraElement"):

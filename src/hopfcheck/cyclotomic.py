@@ -192,7 +192,13 @@ class Cyclotomic:
     def __bool__(self) -> bool:
         return any(self.num)
 
+    # Same-order Cyclotomic operands take a fast path past coerce and _common,
+    # and an integral result (den 1) is built by _trusted: with den 1 the gcd
+    # pass of __init__ would leave it unchanged.
+
     def __eq__(self, other) -> bool:
+        if type(other) is Cyclotomic and other.order == self.order:
+            return self.num == other.num and self.den == other.den
         try:
             other = Cyclotomic.coerce(other)
         except TypeError:
@@ -201,16 +207,20 @@ class Cyclotomic:
         return a.num == b.num and a.den == b.den
 
     def __neg__(self) -> Cyclotomic:
-        return Cyclotomic(self.order, tuple(-c for c in self.num), self.den)
+        # negation keeps num and den coprime
+        return _trusted(self.order, tuple(-c for c in self.num), self.den)
 
     def __add__(self, other) -> Cyclotomic:
-        try:
-            other = Cyclotomic.coerce(other)
-        except TypeError:
-            return NotImplemented
-        a, b = self._common(other)
+        if type(other) is Cyclotomic and other.order == self.order:
+            a, b = self, other
+        else:
+            try:
+                other = Cyclotomic.coerce(other)
+            except TypeError:
+                return NotImplemented
+            a, b = self._common(other)
         if a.den == 1 and b.den == 1:
-            return Cyclotomic(a.order, tuple(x + y for x, y in zip(a.num, b.num)), 1)
+            return _trusted(a.order, tuple(x + y for x, y in zip(a.num, b.num)))
         return Cyclotomic(
             a.order,
             tuple(x * b.den + y * a.den for x, y in zip(a.num, b.num)),
@@ -230,30 +240,36 @@ class Cyclotomic:
         return Cyclotomic.coerce(other) + (-self)
 
     def __mul__(self, other) -> Cyclotomic:
-        try:
-            other = Cyclotomic.coerce(other)
-        except TypeError:
-            return NotImplemented
-        a, b = self._common(other)
+        if type(other) is Cyclotomic and other.order == self.order:
+            a, b = self, other
+        else:
+            try:
+                other = Cyclotomic.coerce(other)
+            except TypeError:
+                return NotImplemented
+            a, b = self._common(other)
         deg = len(a.num)
         if deg == 1:
-            return Cyclotomic(a.order, (a.num[0] * b.num[0],), a.den * b.den)
-        conv = [0] * (2 * deg - 1)
-        for i, ai in enumerate(a.num):
-            if ai:
-                for j, bj in enumerate(b.num):
-                    if bj:
-                        conv[i + j] += ai * bj
-        reduce_rows, _ = _tables(a.order)
-        out = conv[:deg]
-        for k in range(deg, 2 * deg - 1):
-            c = conv[k]
-            if c:
-                row = reduce_rows[k - deg]
-                for t in range(deg):
-                    if row[t]:
-                        out[t] += c * row[t]
-        return Cyclotomic(a.order, tuple(out), a.den * b.den)
+            out = (a.num[0] * b.num[0],)
+        else:
+            conv = [0] * (2 * deg - 1)
+            for i, ai in enumerate(a.num):
+                if ai:
+                    for j, bj in enumerate(b.num):
+                        if bj:
+                            conv[i + j] += ai * bj
+            reduce_rows, _ = _tables(a.order)
+            out = conv[:deg]
+            for k in range(deg, 2 * deg - 1):
+                c = conv[k]
+                if c:
+                    row = reduce_rows[k - deg]
+                    for t in range(deg):
+                        if row[t]:
+                            out[t] += c * row[t]
+            out = tuple(out)
+        den = a.den * b.den
+        return _trusted(a.order, out) if den == 1 else Cyclotomic(a.order, out, den)
 
     __rmul__ = __mul__
 
@@ -360,6 +376,16 @@ class Cyclotomic:
             q = Fraction(c, self.den)
             coeffs.append([str(q.numerator), str(q.denominator)])
         return {"order": self.order, "coeffs": coeffs}
+
+
+def _trusted(order: int, num: tuple[int, ...], den: int = 1) -> Cyclotomic:
+    """A Cyclotomic built without __init__'s checks: num must already have
+    phi(order) entries and be coprime with den > 0 (true for any den == 1)."""
+    c = object.__new__(Cyclotomic)
+    c.order = order
+    c.num = num
+    c.den = den
+    return c
 
 
 # Shared order-1 constants.  Cyclotomic values are immutable, so these two

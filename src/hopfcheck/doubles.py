@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, q_factorial
 from .linalg import InvariantError, Matrix, Subspace, kernel, vec_is_zero
-from .algebra import AlgebraElement, CentralBlock, StructureAlgebra, gen
+from .algebra import AlgebraElement, CentralBlock, StructureAlgebra, gen, sparse_of
 from .hopf import (
     HopfData,
     _acc,
@@ -35,23 +35,6 @@ from .hopf import (
     taft_dual_transport,
 )
 from .report import FAIL, PASS, PRECONDITION_FAILED, CheckReport
-
-
-def _sparse_mul(alg: StructureAlgebra, u: dict, v: dict) -> dict:
-    """Product of two sparse coordinate dicts in alg."""
-    out: dict = {}
-    for i, ci in u.items():
-        rowi = alg.rows[i]
-        for j, cj in v.items():
-            f = ci * cj
-            for k, ck in rowi[j].items():
-                w = out.get(k)
-                w = f * ck if w is None else w + f * ck
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-    return out
 
 
 @dataclass
@@ -135,8 +118,8 @@ def build_twisted_double(h: HopfData, *, check: str = "auto") -> TwistedDouble:
             for k, m, cf in by_first[b]:
                 for a1, a2, a3, t in triples:
                     w = cf * t
-                    v = _sparse_mul(alg, h.antipode_col(a3), {m: ONE})
-                    v = _sparse_mul(alg, v, {a1: ONE})
+                    v = alg.mul_sparse(h.antipode_col(a3), alg.basis_sparse(m))
+                    v = alg.mul_sparse(v, alg.basis_sparse(a1))
                     for d, vd in v.items():
                         wd = w * vd
                         for c in range(n):
@@ -172,10 +155,11 @@ def build_twisted_double(h: HopfData, *, check: str = "auto") -> TwistedDouble:
     double = TwistedDouble(
         h, dalg, dalg.element(sigma_coords), dalg.unit_element()
     )
-    assert dalg.is_central(double.sigma), "identity map must be central"
+    if not dalg.is_central(double.sigma):
+        raise InvariantError("identity map must be central")
     sinv = double.endo_element(h.antipode_inverse)
-    assert double.sigma * sinv == double.one, "sigma inverse must be S^{-1}"
-    assert sinv * double.sigma == double.one, "sigma inverse must be S^{-1}"
+    if double.sigma * sinv != double.one or sinv * double.sigma != double.one:
+        raise InvariantError("sigma inverse must be S^{-1}")
     return double
 
 
@@ -189,11 +173,11 @@ def check_double_unital_associative(
     """
     alg = double.algebra
     nn = alg.dim
-    unit = alg.unit
+    unit = sparse_of(alg.unit)
     unit_ok = True
     for i in range(nn):
-        e = alg._basis_coords(i)
-        if alg.mul_coords(unit, e) != e or alg.mul_coords(e, unit) != e:
+        e = alg.basis_sparse(i)
+        if alg.mul_sparse(unit, e) != e or alg.mul_sparse(e, unit) != e:
             unit_ok = False
             break
     if nn <= 24:
@@ -210,11 +194,11 @@ def check_double_unital_associative(
         ]
     bad = None
     for i, j, k in triples:
-        ei = alg._basis_coords(i)
-        ej = alg._basis_coords(j)
-        ek = alg._basis_coords(k)
-        lhs = alg.mul_coords(alg.mul_coords(ei, ej), ek)
-        rhs = alg.mul_coords(ei, alg.mul_coords(ej, ek))
+        ei = alg.basis_sparse(i)
+        ej = alg.basis_sparse(j)
+        ek = alg.basis_sparse(k)
+        lhs = alg.mul_sparse(alg.mul_sparse(ei, ej), ek)
+        rhs = alg.mul_sparse(ei, alg.mul_sparse(ej, ek))
         if lhs != rhs:
             bad = (i, j, k)
             break
@@ -274,8 +258,8 @@ def check_cross_relation(
             rhs_coords = [ZERO] * (n * n)
             for k1, k2, k3, t in triples:
                 for v in range(n):
-                    w = _sparse_mul(alg, h.antipode_col(k3), {v: ONE})
-                    w = _sparse_mul(alg, w, {k1: ONE})
+                    w = alg.mul_sparse(h.antipode_col(k3), alg.basis_sparse(v))
+                    w = alg.mul_sparse(w, alg.basis_sparse(k1))
                     cd = w.get(d)
                     if cd:
                         pos = double.flat(k2, v)
@@ -356,18 +340,17 @@ def build_classical_double(
 
     rows: list[list[dict]] = [[{} for _ in range(nn)] for _ in range(nn)]
     for c in range(n):
+        # the products e_c3 e_v A(e_c1) for every Sweedler triple of e_c and
+        # every v, read by every b below
+        legs = []
+        for c1, c2, c3, t in h.delta2_triples(c):
+            for v in range(n):
+                w = alg.mul_sparse(alg.basis_sparse(c3), alg.basis_sparse(v))
+                legs.append((c2, v, t, alg.mul_sparse(w, anti_col(c1))))
         # straighten e^b . e_c once per (b, c); reuse across a and d
-        triples = h.delta2_triples(c)
         for b in range(n):
             # list of (c2, v, weight) with e^b e_c = sum weight e_{c2} (x) e^v
-            straightened = []
-            for c1, c2, c3, t in triples:
-                for v in range(n):
-                    w = _sparse_mul(alg, {c3: ONE}, {v: ONE})
-                    w = _sparse_mul(alg, w, anti_col(c1))
-                    cb = w.get(b)
-                    if cb:
-                        straightened.append((c2, v, t * cb))
+            straightened = [(c2, v, t * w[b]) for c2, v, t, w in legs if b in w]
             for a in range(n):
                 arow = alg.rows[a]
                 for c2, v, weight in straightened:
@@ -409,7 +392,8 @@ def build_classical_double(
         for i in range(n):
             coords[flat(i, i)] = ONE
         sigma = dalg.element(coords)
-        assert dalg.is_central(sigma), "sigma must be central in the anti flavor"
+        if not dalg.is_central(sigma):
+            raise InvariantError("sigma must be central in the anti flavor")
     return ClassicalDouble(h, flavor, dalg, sigma)
 
 
@@ -437,8 +421,8 @@ def check_straightening(
             rhs_coords = [ZERO] * (n * n)
             for c1, c2, c3, t in h.delta2_triples(c):
                 for v in range(n):
-                    w = _sparse_mul(alg, {c3: ONE}, {v: ONE})
-                    w = _sparse_mul(alg, w, anti_col(c1))
+                    w = alg.mul_sparse(alg.basis_sparse(c3), alg.basis_sparse(v))
+                    w = alg.mul_sparse(w, anti_col(c1))
                     cb = w.get(b)
                     if cb:
                         pos = double.flat(c2, v)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, StructureAlgebra
+from .algebra import AlgebraElement, StructureAlgebra, sparse_of
 from .cyclotomic import ONE, ZERO, Cyclotomic, q_factorial, root_of_unity
 from .linalg import Matrix, invert_matrix, rank, vec_eq
 from .report import FAIL, PASS, PRECONDITION_FAILED, CheckReport
@@ -47,10 +47,6 @@ def _sparse_eq(a: dict, b: dict) -> bool:
         if w is None or w != v:
             return False
     return all(k in a for k in b)
-
-
-def sparse_of(coords) -> dict:
-    return {i: v for i, v in enumerate(coords) if v}
 
 
 def tensor_mult(algebra: StructureAlgebra, u: dict, v: dict) -> dict:
@@ -487,25 +483,25 @@ def check_algebra_map(
     check_id: str = "algebra-map",
     require_bijective: bool = False,
 ) -> CheckReport:
-    """Verify that the matrix is a unital algebra map on all basis pairs."""
+    """Verify that the matrix is a unital algebra map on all basis pairs:
+    for each pair (i, j) in row-major order, sum_t c_ij^t M[:, t] is compared
+    with the product of the sparse columns M[:, i] M[:, j] in dst."""
     if matrix.ncols != src.dim or matrix.nrows != dst.dim:
         raise ValueError("matrix shape does not match the algebras")
     witnesses: dict = {}
-    cols = [tuple(matrix.column(j)) for j in range(src.dim)]
+    cols = [sparse_of(matrix.column(j)) for j in range(src.dim)]
     unit_ok = vec_eq(matrix.apply(list(src.unit)), list(dst.unit))
     witnesses["unit"] = {"holds": unit_ok}
-    zero = ZERO
     bad = None
     for i in range(src.dim):
         if bad is not None:
             break
         for j in range(src.dim):
-            prod = [zero] * src.dim
+            want: dict = {}
             for t, c in src.rows[i][j].items():
-                prod[t] = c
-            want = matrix.apply(prod)
-            got = dst.mul_coords(cols[i], cols[j])
-            if not vec_eq(want, list(got)):
+                for k, m in cols[t].items():
+                    _acc(want, k, c * m)
+            if dst.mul_sparse(cols[i], cols[j]) != want:
                 bad = (i, j)
                 break
     witnesses["multiplicative"] = _axiom_witness(bad)

@@ -115,7 +115,8 @@ class Matrix:
                     brow = other.data[k]
                     for j, bkj in enumerate(brow):
                         if bkj:
-                            orow[j] = orow[j] + aik * bkj
+                            prev = orow[j]
+                            orow[j] = aik * bkj if prev is zero else prev + aik * bkj
         return Matrix(out, ncols=other.ncols)
 
     def apply(self, vec) -> list[Cyclotomic]:
@@ -128,7 +129,8 @@ class Matrix:
                 for i in range(self.nrows):
                     aij = self.data[i][j]
                     if aij:
-                        out[i] = out[i] + aij * vj
+                        prev = out[i]
+                        out[i] = aij * vj if prev is zero else prev + aij * vj
         return out
 
     def transpose(self) -> Matrix:

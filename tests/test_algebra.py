@@ -20,6 +20,7 @@ from hopfcheck.algebra import (
     gen,
 )
 from hopfcheck.cyclotomic import Cyclotomic, root_of_unity
+from hopfcheck.linalg import InvariantError, Subspace
 
 
 def c(v):
@@ -247,6 +248,17 @@ def test_central_eigensplit_requires_complete_candidates():
     g = a.basis_element(1)
     with pytest.raises(AlgebraError):
         a.central_eigensplit(g, [c(1)])
+
+
+def test_eigensplit_invariants_raise_instead_of_asserting(monkeypatch):
+    a = group_algebra_plain(2)
+    g = a.basis_element(1)
+    blocks = a.central_eigensplit(g, [c(1), c(-1)])
+    monkeypatch.setattr(Subspace, "coordinates", lambda self, vec: None)
+    with pytest.raises(InvariantError, match="idempotent escapes its eigenspace"):
+        a.central_eigensplit(g, [c(1), c(-1)])
+    with pytest.raises(InvariantError, match="projected component escapes the block"):
+        blocks[0].project(g)
 
 
 def test_check_presentation_cyclic_group():

@@ -1,8 +1,13 @@
 """CLI contract: exit codes, determinism of JSON reports, ingest."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import hopfcheck
 
 from hopfcheck import catalogue, cli
 from hopfcheck.catalogue import CheckCrashed, catalogue_ids
@@ -88,6 +93,22 @@ def test_json_reports_are_deterministic(tmp_path, capsys):
     assert [c["id"] for c in doc["checks"]] == sorted(
         ["L3.1-self-duality", "S3-S-squared"]
     )
+
+
+def test_json_report_is_the_same_under_optimize(tmp_path, capsys):
+    """Invariants that survive python -O must not change any verdict."""
+    plain = tmp_path / "plain.json"
+    optimized = tmp_path / "optimized.json"
+    ids = ["--id", "D2.2-sigma-central-invertible", "--id", "E3.15-split", "--p", "2"]
+    assert cli.main(["run", "--json", str(plain)] + ids) == 0
+    src = os.path.dirname(os.path.dirname(hopfcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "hopfcheck", "run", "--json", str(optimized)] + ids,
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert _stripped(optimized) == _stripped(plain)
 
 
 def test_list_shows_all_ids(capsys):

@@ -259,3 +259,82 @@ def test_cyc_from_json_memo_is_capped_but_still_tracks_orders(monkeypatch):
     with pytest.raises(ValueError, match="lcm 35 "):
         cyc_from_json(seventh, memo)
     assert memo.order == 5
+
+
+# -- field axioms across mixed orders, and the same-order fast path ------------
+
+_ORDERS = (1, 3, 4, 5, 8, 12)
+
+
+@st.composite
+def _scalars(draw):
+    """A scalar of one of _ORDERS, with a small denominator so products of
+    integral values also exercise the den == 1 constructor."""
+    order = draw(st.sampled_from(_ORDERS))
+    deg = phi_degree(order)
+    num = draw(st.lists(st.integers(-30, 30), min_size=deg, max_size=deg))
+    den = draw(st.sampled_from([1, 1, 1, 2, 3, 12]))
+    return Cyclotomic(order, tuple(num), den)
+
+
+def _triple(x):
+    return (x.order, x.num, x.den)
+
+
+def _reference_mul(a, b):
+    """a * b by Fraction polynomial product and long division by Phi_L."""
+    order = lcm(a.order, b.order)
+    a, b = a.lift(order), b.lift(order)
+    prod = [Fraction(0)] * (2 * len(a.num) - 1)
+    for i, x in enumerate(a.num):
+        for j, y in enumerate(b.num):
+            prod[i + j] += Fraction(x * y, a.den * b.den)
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    for top in range(len(prod) - 1, deg - 1, -1):
+        c = prod[top]
+        for t in range(deg + 1):
+            prod[top - deg + t] -= c * phi[t]
+    coeffs = prod[:deg]
+    den = lcm(*(f.denominator for f in coeffs))
+    return Cyclotomic(order, tuple(int(f * den) for f in coeffs), den)
+
+
+@given(_scalars(), _scalars(), _scalars())
+@settings(max_examples=200, deadline=None)
+def test_ring_axioms_across_mixed_orders(a, b, c):
+    zero, one = Cyclotomic.zero(), Cyclotomic.one()
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a
+    assert a + (-a) == 0 and a - a == 0
+    assert a * zero == 0
+    if a:
+        assert a * a.inverse() == 1
+    assert (a == b) == (not (a - b))
+
+
+@given(_scalars(), _scalars())
+@settings(max_examples=300, deadline=None)
+def test_same_order_fast_path_matches_general_path(a, b):
+    """Operands of different orders go through coerce and _common; the same
+    values lifted to one order take the fast path.  Both give one (order,
+    num, den), which is the gcd-normalized form __init__ builds."""
+    order = lcm(a.order, b.order)
+    la, lb = a.lift(order), b.lift(order)
+    assert _triple(la * lb) == _triple(a * b) == _triple(_reference_mul(a, b))
+    assert _triple(la + lb) == _triple(a + b)
+    assert _triple(la - lb) == _triple(a - b)
+    assert _triple(-la) == _triple(a.lift(order) * -1)
+    assert (la == lb) == (a == b)
+    for r in (a * b, a + b, a - b, -a, la * lb, la + lb):
+        assert _triple(r) == _triple(Cyclotomic(r.order, r.num, r.den))
+    # ints and Fractions are coerced (general path) to the same values
+    k = b.num[0]
+    assert _triple(a * k) == _triple(a * Cyclotomic.from_int(k, a.order))
+    f = Fraction(k, 7)
+    assert _triple(a + f) == _triple(a + Cyclotomic.from_fraction(f, a.order))
+    assert (a == k) == (a == Cyclotomic.from_int(k, a.order))

@@ -1,10 +1,15 @@
 """Double constructions: twisted double internals, generator relations,
 block structure, classical doubles and the pivot comparison, module checks."""
 
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
 
+import hopfcheck
+from hopfcheck.algebra import StructureAlgebra
 from hopfcheck.cyclotomic import Cyclotomic
 from hopfcheck.hopf import check_algebra_map, dual_hopf, group_algebra, taft
 from hopfcheck.linalg import InvariantError, Matrix, minimal_polynomial
@@ -70,6 +75,38 @@ def test_twisted_double_group_algebra_is_commutative():
         assert d.algebra.dim == n * n
         assert d.algebra.is_commutative()
         assert check_double_unital_associative(d).passed
+
+
+_SIGMA_NOT_CENTRAL = """
+import sys
+from hopfcheck.algebra import StructureAlgebra
+from hopfcheck.doubles import build_twisted_double
+from hopfcheck.hopf import group_algebra
+from hopfcheck.linalg import InvariantError
+
+StructureAlgebra.is_central = lambda self, a: False
+try:
+    build_twisted_double(group_algebra(2))
+except InvariantError as exc:
+    print(sys.flags.optimize, exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_build_invariants_survive_optimize(monkeypatch):
+    monkeypatch.setattr(StructureAlgebra, "is_central", lambda self, a: False)
+    with pytest.raises(InvariantError, match="identity map must be central"):
+        build_twisted_double(group_algebra(2))
+    with pytest.raises(InvariantError, match="sigma must be central in the anti flavor"):
+        build_classical_double(group_algebra(2), "anti")
+    src = os.path.dirname(os.path.dirname(hopfcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _SIGMA_NOT_CENTRAL], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "1 identity map must be central"
 
 
 def test_twisted_double_internals(d2, d3):
