@@ -2,12 +2,12 @@
 
 A StructureAlgebra holds a rank-3 tensor c[i][j][k] (stored as sparse rows:
 for each basis pair (i, j) a dict mapping k to a nonzero scalar) plus the
-coordinates of the unit.  Construction verifies the unit laws exactly and
-associativity according to a size policy (the defaults give three regimes:
-exact up to dim 24, modular certificate up to dim 230, sampled above):
+coordinates of the unit.  Construction verifies the unit laws exactly
+(unit_failure) and associativity in one of three regimes, by size:
 
-  dim <= pure_limit        exact triple loop over all (i, j, k)
-  dim <= exhaustive_limit  modular certificate, still covering all triples:
+  dim <= DEFAULT_PURE_LIMIT (24)  associativity_failure on every basis triple
+  dim <= DEFAULT_EXHAUSTIVE_LIMIT (MODULAR_LIMIT, 230)
+                           modular certificate, still covering all triples:
                            denominators are cleared (associativity is
                            homogeneous under scaling, so truth is preserved
                            both ways), the integer tensors are evaluated at
@@ -17,13 +17,17 @@ exact up to dim 24, modular certificate up to dim 230, sampled above):
                            explicit height bound on the difference tensor
                            makes the congruences a proof of exact equality;
                            any mismatch is re-checked exactly for a witness.
-                           Its int64 sums are exact only up to MODULAR_LIMIT
-                           (230); above it the certificate refuses to run.
+                           Its int64 sums are exact only up to MODULAR_LIMIT;
+                           above it the certificate refuses to run.
                            The products are formed for a block of first
                            indices at a time, so their memory is bounded.
-  above                    seeded random sample of triples, checked exactly.
+  above                    associativity_failure on the DEFAULT_SAMPLES triples
+                           of sampled_triples(dim, DEFAULT_SAMPLES, DEFAULT_SEED).
                            This is evidence, not a proof: a sample can miss
                            the few triples that break.
+
+check= forces a regime ("pure", "modular", "sample") or skips it ("none").
+The D2.2 re-check of the twisted doubles uses the same two methods.
 
 Every product in the algebra goes through one sparse kernel,
 StructureAlgebra.mul_sparse, which multiplies coordinate dicts {index: nonzero
@@ -34,6 +38,7 @@ quotients, central splitting) reduce to exact linear algebra over the scalars.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import gcd, lcm
@@ -82,76 +87,72 @@ class UnitLawError(AlgebraError):
 class StructureAlgebra:
     """Associative unital algebra over Q(zeta_N) with exact structure constants."""
 
-    def __init__(
-        self,
-        dim: int,
-        rows,
-        unit,
-        *,
-        name: str = "",
-        check: str = "auto",
-        pure_limit: int = DEFAULT_PURE_LIMIT,
-        exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-        samples: int = DEFAULT_SAMPLES,
-        seed: int = DEFAULT_SEED,
-    ):
+    def __init__(self, dim: int, rows, unit, *, name: str = "", check: str = "auto"):
         if dim < 0:
             raise ValueError("dim must be nonnegative")
         self.dim = dim
         self.name = name or f"algebra(dim {dim})"
-        rows = [
+        orders = {
+            v.order for i in range(dim) for j in range(dim) for v in rows[i][j].values() if v
+        }
+        orders.update(v.order for v in unit)
+        order = lcm(*orders) if orders else 1
+        self.order = order
+        # one copy of the constants: zeros dropped, off-order scalars lifted
+        self.rows = [
             [
-                {k: v for k, v in rows[i][j].items() if v}
+                {k: v if v.order == order else v.lift(order) for k, v in rows[i][j].items() if v}
                 for j in range(dim)
             ]
             for i in range(dim)
         ]
-        orders = {v.order for row in rows for cell in row for v in cell.values()}
-        orders.update(v.order for v in unit)
-        order = lcm(*orders) if orders else 1
-        if len(orders) > 1:  # lift every scalar to the lcm of the orders
-            rows = [
-                [{k: v.lift(order) for k, v in rows[i][j].items()} for j in range(dim)]
-                for i in range(dim)
-            ]
-            unit = [v.lift(order) for v in unit]
-        self.order = order
-        self.rows = rows
-        self.unit = tuple(Cyclotomic.coerce(v) for v in unit)
+        self.unit = tuple(v if v.order == order else v.lift(order) for v in unit)
         if len(self.unit) != dim:
             raise ValueError("unit vector length must equal dim")
         self._zero = Cyclotomic.zero(order)
         self._one = Cyclotomic.one(order)
         if dim:
-            self._check_unit()
-            self._check_associativity(check, pure_limit, exhaustive_limit, samples, seed)
+            j = self.unit_failure()
+            if j is not None:
+                raise UnitLawError(f"unit law fails on basis element {j} of {self.name}")
+            self._check_associativity(check)
 
     # -- construction checks ------------------------------------------------
 
-    def _check_unit(self):
+    def unit_failure(self):
+        """The first basis index j with 1 e_j != e_j or e_j 1 != e_j, or None."""
         unit = sparse_of(self.unit)
         for j in range(self.dim):
             e = self.basis_sparse(j)
             if self.mul_sparse(unit, e) != e or self.mul_sparse(e, unit) != e:
-                raise UnitLawError(f"unit law fails on basis element {j} of {self.name}")
+                return j
+        return None
 
-    def _check_associativity(self, mode, pure_limit, exhaustive_limit, samples, seed):
+    def associativity_failure(self, triples):
+        """The first basis triple (i, j, k) of triples, in their order, with
+        (e_i e_j) e_k != e_i (e_j e_k), or None; each triple is checked exactly."""
+        for i, j, k in triples:
+            if not self._assoc_triple_exact(i, j, k):
+                return (i, j, k)
+        return None
+
+    def _check_associativity(self, mode):
         if mode == "none":
             return
         n = self.dim
         if mode == "auto":
-            if n <= pure_limit:
+            if n <= DEFAULT_PURE_LIMIT:
                 mode = "pure"
-            elif n <= exhaustive_limit:
+            elif n <= DEFAULT_EXHAUSTIVE_LIMIT:
                 mode = "modular"
             else:
                 mode = "sample"
         if mode == "pure":
-            bad = self._assoc_pure()
+            bad = self.associativity_failure(itertools.product(range(n), repeat=3))
         elif mode == "modular":
             bad = self._assoc_modular()
         elif mode == "sample":
-            bad = self._assoc_sample(samples, seed)
+            bad = self.associativity_failure(sampled_triples(n, DEFAULT_SAMPLES, DEFAULT_SEED))
         else:
             raise ValueError(f"unknown associativity check mode {mode!r}")
         if bad is not None:
@@ -168,24 +169,6 @@ class StructureAlgebra:
                 prev = lhs.get(t)
                 lhs[t] = -(c * d) if prev is None else prev - c * d
         return all(not v for v in lhs.values())
-
-    def _assoc_pure(self):
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if not self._assoc_triple_exact(i, j, k):
-                        return (i, j, k)
-        return None
-
-    def _assoc_sample(self, samples, seed):
-        rng = random.Random(seed)
-        n = self.dim
-        for _ in range(samples):
-            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if not self._assoc_triple_exact(i, j, k):
-                return (i, j, k)
-        return None
 
     def _assoc_modular(self):
         # loaded on first use, so that importing hopfcheck does not load them
@@ -370,24 +353,12 @@ class StructureAlgebra:
         return self.rows[i][j].get(k, self._zero)
 
     def same_structure(self, other: "StructureAlgebra") -> bool:
-        if self.dim != other.dim:
-            return False
-        if any(a != b for a, b in zip(self.unit, other.unit)):
-            return False
-        for i in range(self.dim):
-            for j in range(self.dim):
-                a, b = self.rows[i][j], other.rows[i][j]
-                if set(a) != set(b) or any(a[k] != b[k] for k in a):
-                    return False
-        return True
+        return self.unit == other.unit and self.rows == other.rows
 
     def is_commutative(self) -> bool:
-        for i in range(self.dim):
-            for j in range(i):
-                a, b = self.rows[i][j], self.rows[j][i]
-                if set(a) != set(b) or any(a[k] != b[k] for k in a):
-                    return False
-        return True
+        return all(
+            self.rows[i][j] == self.rows[j][i] for i in range(self.dim) for j in range(i)
+        )
 
     def __repr__(self) -> str:
         return f"StructureAlgebra({self.name}, dim {self.dim})"
@@ -702,6 +673,12 @@ class StructureAlgebra:
         witnesses["generated_dim"] = span.dim
         ok = all(h for _, h, _ in results) and span.dim == self.dim
         return CheckReport(check_id, "pass" if ok else "fail", witnesses)
+
+
+def sampled_triples(n: int, samples: int, seed: int) -> list[tuple[int, int, int]]:
+    """samples basis triples (i, j, k) of range(n), drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    return [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
 
 
 def sparse_of(coords) -> dict:

@@ -1,13 +1,10 @@
 """The check catalogue: every externally verifiable statement gets a
 stable id, a one-line functional description, and a runner producing a
 CheckReport.  Runners share expensive constructions through a Context
-cache and are safe to execute from a bounded worker pool; output order is
-fixed by sorting on id, independent of completion order.
+cache and run one after another; output order is fixed by sorting on id.
 """
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .cyclotomic import ZERO, Cyclotomic
@@ -73,9 +70,8 @@ class RunConfig:
     """Effective settings for a catalogue run."""
 
     ps: tuple = (2, 3)
-    samples: int = 2000
-    seed: int = 20240801
-    max_workers: int = 4
+    samples: int = 2000  # basis triples sampled by D2.2 above dim 24
+    seed: int = 20240801  # seeds those samples
 
     def __post_init__(self):
         self.ps = tuple(sorted(set(int(p) for p in self.ps)))
@@ -84,27 +80,25 @@ class RunConfig:
         for p in self.ps:
             if p < 2:
                 raise ValueError("p values must be at least 2")
-        if self.samples < 1 or self.max_workers < 1:
-            raise ValueError("samples and max_workers must be positive")
+        if self.samples < 1:
+            raise ValueError("samples must be positive")
 
 
 class Context:
-    """Memoized fixtures shared across checks (thread-safe)."""
+    """Memoized fixtures shared across checks."""
 
     def __init__(self, config: RunConfig | None = None):
         self.config = config or RunConfig()
         self._cache: dict = {}
-        self._lock = threading.RLock()
 
     @property
     def ps(self) -> tuple:
         return self.config.ps
 
     def _get(self, key, builder):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = builder()
-            return self._cache[key]
+        if key not in self._cache:
+            self._cache[key] = builder()
+        return self._cache[key]
 
     def taft(self, p: int) -> HopfData:
         return self._get(("taft", p), lambda: taft(p))
@@ -813,24 +807,12 @@ def _timed(entry: CatalogueEntry, ctx: Context) -> CheckReport:
     return report
 
 
-def run_checks(
-    ids=None, ctx: Context | None = None, max_workers: int | None = None
-) -> list[CheckReport]:
-    """Run the selected checks (all when ids is None) on a bounded worker
-    pool and return reports sorted by id."""
+def run_checks(ids=None, ctx: Context | None = None) -> list[CheckReport]:
+    """Run the selected checks (all when ids is None) one after another and
+    return reports sorted by id."""
     ctx = ctx or Context()
-    entries = (
-        list(CATALOGUE) if ids is None else [get_entry(i) for i in ids]
-    )
-    workers = max_workers or ctx.config.max_workers
-    workers = max(1, min(workers, len(entries) or 1))
-    if workers == 1:
-        reports = [_timed(entry, ctx) for entry in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_timed, entry, ctx) for entry in entries]
-            reports = [f.result() for f in futures]
-    return sorted(reports, key=lambda r: r.id)
+    entries = list(CATALOGUE) if ids is None else [get_entry(i) for i in ids]
+    return sorted((_timed(entry, ctx) for entry in entries), key=lambda r: r.id)
 
 
 def summarize(reports) -> dict:

@@ -82,6 +82,9 @@ def _effective_config(args) -> tuple:
             if not isinstance(file_values[key], int):
                 raise UsageError(f"config key {key!r} must be an integer")
             kwargs[key] = file_values[key]
+    # checks run serially; max_workers is validated for old config files, then ignored
+    if kwargs.pop("max_workers", 1) < 1:
+        raise UsageError("max_workers must be positive")
     json_path = args.json or file_values.get("json")
     try:
         config = RunConfig(**kwargs)

@@ -41,14 +41,6 @@ def _acc(out: dict, key, value):
             del out[key]
 
 
-def _sparse_eq(a: dict, b: dict) -> bool:
-    for k, v in a.items():
-        w = b.get(k)
-        if w is None or w != v:
-            return False
-    return all(k in a for k in b)
-
-
 def tensor_mult(algebra: StructureAlgebra, u: dict, v: dict) -> dict:
     """Product of sparse flat-indexed tensors in H (x) H (componentwise)."""
     n = algebra.dim
@@ -213,7 +205,7 @@ class HopfData:
             for f, v in col.items():
                 a, b = divmod(f, n)
                 flipped[b * n + a] = v
-            if not _sparse_eq(col, flipped):
+            if col != flipped:
                 return False
         return True
 
@@ -223,10 +215,7 @@ class HopfData:
             return False
         if not self.algebra.same_structure(other.algebra):
             return False
-        if any(
-            not _sparse_eq(self._comult_cols[j], other._comult_cols[j])
-            for j in range(self.dim)
-        ):
+        if any(self._comult_cols[j] != other._comult_cols[j] for j in range(self.dim)):
             return False
         return (
             vec_eq(self.counit, other.counit) and self.antipode == other.antipode
@@ -259,7 +248,7 @@ def check_hopf_axioms(h: HopfData, check_id: str = "hopf-axioms") -> CheckReport
             for f2, d in h.comult_col(b).items():
                 u, v = divmod(f2, n)
                 _acc(right, (a * n + u) * n + v, cval * d)
-        if not _sparse_eq(left, right):
+        if left != right:
             bad = j
             break
     witnesses["coassociativity"] = _axiom_witness(bad)
@@ -275,14 +264,14 @@ def check_hopf_axioms(h: HopfData, check_id: str = "hopf-axioms") -> CheckReport
             if h.counit[b]:
                 _acc(rhs, a, cval * h.counit[b])
         want = {j: ONE}
-        if not (_sparse_eq(lhs, want) and _sparse_eq(rhs, want)):
+        if lhs != want or rhs != want:
             bad = j
             break
     witnesses["counit"] = _axiom_witness(bad)
 
     bad = None
     unit_sparse = sparse_of(alg.unit)
-    if not _sparse_eq(h.comult_of(alg.unit), tensor_outer(n, unit_sparse, unit_sparse)):
+    if h.comult_of(alg.unit) != tensor_outer(n, unit_sparse, unit_sparse):
         bad = "unit"
     else:
         for i in range(n):
@@ -295,7 +284,7 @@ def check_hopf_axioms(h: HopfData, check_id: str = "hopf-axioms") -> CheckReport
                 for t, c in prod.items():
                     for f, v in h.comult_col(t).items():
                         _acc(want, f, c * v)
-                if not _sparse_eq(tensor_mult(alg, di, h.comult_col(j)), want):
+                if tensor_mult(alg, di, h.comult_col(j)) != want:
                     bad = (i, j)
                     break
     witnesses["comult-algebra-map"] = _axiom_witness(bad)
@@ -332,7 +321,7 @@ def check_hopf_axioms(h: HopfData, check_id: str = "hopf-axioms") -> CheckReport
         want = {
             k: h.counit[j] * u for k, u in enumerate(alg.unit) if u and h.counit[j]
         }
-        if not (_sparse_eq(left, want) and _sparse_eq(right, want)):
+        if left != want or right != want:
             bad = j
             break
     witnesses["antipode"] = _axiom_witness(bad)
@@ -543,7 +532,7 @@ def check_hopf_map(
         for k, ck in cols[j].items():
             for f, v in dst.comult_col(k).items():
                 _acc(rhs, f, ck * v)
-        if not _sparse_eq(lhs, rhs):
+        if lhs != rhs:
             bad = j
             break
     witnesses["comultiplicative"] = _axiom_witness(bad)
@@ -678,9 +667,10 @@ def taft_dual_transport(h: HopfData) -> Matrix:
 def is_group_like(h: HopfData, element: AlgebraElement) -> bool:
     """Delta(v) = v (x) v and eps(v) = 1."""
     v = sparse_of(element.coords)
-    return _sparse_eq(
-        h.comult_of(element.coords), tensor_outer(h.dim, v, v)
-    ) and h.counit_of(element.coords) == ONE
+    return (
+        h.comult_of(element.coords) == tensor_outer(h.dim, v, v)
+        and h.counit_of(element.coords) == ONE
+    )
 
 
 def check_pivotal(

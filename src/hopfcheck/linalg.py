@@ -433,60 +433,30 @@ def matrix_order(matrix: Matrix, limit: int) -> int | None:
 def minimal_polynomial(matrix: Matrix) -> list[Cyclotomic]:
     """Monic minimal polynomial (ascending coefficients) of a square matrix.
 
-    Found as the first linear dependence among I, M, M^2, ...; the result is
+    Found as the first linear dependence among I, M, M^2, ...: the rows
+    [flat(M^k) | e_k] enter one EchelonBasis until flat(M^k) reduces to zero,
+    and then the tail of its residual is the polynomial.  The result is
     evaluated back at M and must vanish there (InvariantError otherwise).
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("square matrix required")
     n = matrix.nrows
-    one = ONE
     if n == 0:
-        return [one]
-    eb = EchelonBasis(n * n)
-    combos: list[list[Cyclotomic]] = []  # expansion of each stored row over powers
+        return [ONE]
+    nn = n * n
+    eb = EchelonBasis(nn + n + 1)  # by Cayley-Hamilton the degree is at most n
     power = Matrix.identity(n)
-    k = 0
-    zero = ZERO
-    while True:
-        flat = [x for row in power.data for x in row]
-        comb = [zero] * k + [one]
-        # reduce flat against basis, mirroring the row operations on comb
-        v = list(flat)
-        for row, piv, supp, rcomb in zip(eb.rows, eb.pivots, eb._supports, combos):
-            f = v[piv]
-            if f:
-                for c in supp:
-                    v[c] = v[c] - f * row[c]
-                for t, ct in enumerate(rcomb):
-                    if ct:
-                        comb[t] = comb[t] - f * ct
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            poly = comb
+    for k in range(n + 1):
+        row = [x for r in power.data for x in r] + [ZERO] * (n + 1)
+        row[nn + k] = ONE
+        residual = eb.reduce(row)
+        if vec_is_zero(residual[:nn]):
+            poly = residual[nn : nn + k + 1]
             break
-        inv = v[piv].inverse()
-        v = [x * inv if x else x for x in v]
-        comb = [x * inv for x in comb]
-        supp = [i for i, x in enumerate(v) if x]
-        for row, rsupp, rcomb in zip(eb.rows, eb._supports, combos):
-            f = row[piv]
-            if f:
-                for c in supp:
-                    row[c] = row[c] - f * v[c]
-                rsupp[:] = [i for i, x in enumerate(row) if x]
-                for t, ct in enumerate(comb):
-                    if ct:
-                        if t < len(rcomb):
-                            rcomb[t] = rcomb[t] - f * ct
-                        else:
-                            rcomb.extend([zero] * (t - len(rcomb)) + [-(f * ct)])
-        pos = next((kk for kk, p in enumerate(eb.pivots) if p > piv), len(eb.pivots))
-        eb.rows.insert(pos, v)
-        eb.pivots.insert(pos, piv)
-        eb._supports.insert(pos, supp)
-        combos.insert(pos, comb)
+        eb.add(row)
         power = power @ matrix
-        k += 1
+    else:
+        raise InvariantError("I, M, ..., M^n are independent")
     if not poly_eval_matrix(poly, matrix).is_zero():
         raise InvariantError("minimal polynomial does not annihilate its matrix")
     return poly

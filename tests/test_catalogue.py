@@ -1,5 +1,7 @@
 """Catalogue plumbing: ids, selection, ordering, caching, summaries."""
 
+import time
+
 import pytest
 
 from hopfcheck.catalogue import (
@@ -73,12 +75,22 @@ def test_run_checks_sorts_by_id():
 
 
 def test_serial_and_parallel_agree():
+    # checks run serially; two fresh Contexts give the same reports
     ids = ["S3-taft-axioms", "S3-S-squared", "A-pivotal-taft"]
-    serial = run_checks(ids, Context(RunConfig(ps=(2,))), max_workers=1)
-    parallel = run_checks(ids, Context(RunConfig(ps=(2,))), max_workers=3)
-    assert [(r.id, r.status, r.witnesses) for r in serial] == [
-        (r.id, r.status, r.witnesses) for r in parallel
+    first = run_checks(ids, Context(RunConfig(ps=(2,))))
+    second = run_checks(ids, Context(RunConfig(ps=(2,))))
+    assert [(r.id, r.status, r.witnesses) for r in first] == [
+        (r.id, r.status, r.witnesses) for r in second
     ]
+
+
+def test_elapsed_values_add_up_to_at_most_the_wall_time():
+    # each check's elapsed is its own time: serially they cannot overlap
+    start = time.perf_counter()
+    reports = run_checks(None, Context(RunConfig()))
+    wall = time.perf_counter() - start
+    assert len(reports) == 25
+    assert sum(r.elapsed for r in reports) <= wall
 
 
 def test_context_caches_fixtures():
@@ -133,5 +145,5 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(ps=(1,))
     with pytest.raises(ValueError):
-        RunConfig(max_workers=0)
+        RunConfig(samples=0)
     assert RunConfig(ps=(3, 2, 2)).ps == (2, 3)

@@ -99,7 +99,9 @@ def test_json_report_is_the_same_under_optimize(tmp_path, capsys):
     """Invariants that survive python -O must not change any verdict."""
     plain = tmp_path / "plain.json"
     optimized = tmp_path / "optimized.json"
-    ids = ["--id", "D2.2-sigma-central-invertible", "--id", "E3.15-split", "--p", "2"]
+    checks = ["D2.2-sigma-central-invertible", "E3.15-split", "L2.4-diag-report",
+              "P3.5-hh-separation", "L2.3-stable-quotient"]
+    ids = [arg for check in checks for arg in ("--id", check)] + ["--p", "2"]
     assert cli.main(["run", "--json", str(plain)] + ids) == 0
     src = os.path.dirname(os.path.dirname(hopfcheck.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -109,6 +111,25 @@ def test_json_report_is_the_same_under_optimize(tmp_path, capsys):
     )
     assert run.returncode == 0, run.stderr
     assert _stripped(optimized) == _stripped(plain)
+
+
+def test_max_workers_is_accepted_and_ignored(tmp_path, capsys):
+    # checks run serially whatever max_workers says; it must still be a
+    # positive integer, so that a mistyped config file is reported
+    reports = {}
+    ids = ["--id", "S3-S-squared", "--id", "E3.23-minpoly", "--id", "D2.2-assoc-unital"]
+    for workers in (1, 4):
+        cfg = tmp_path / f"cfg{workers}.json"
+        cfg.write_text(json.dumps({"max_workers": workers, "p": [2]}))
+        out = tmp_path / f"out{workers}.json"
+        assert cli.main(["run", "--config", str(cfg), "--json", str(out)] + ids) == 0
+        reports[workers] = _stripped(out)
+    assert reports[1] == reports[4]
+    for bad in (0, "x"):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"max_workers": bad}))
+        assert cli.main(["run", "--config", str(cfg)] + CHEAP) == 2
+        assert "max_workers" in capsys.readouterr().err
 
 
 def test_list_shows_all_ids(capsys):

@@ -181,3 +181,15 @@ def test_invariants_survive_a_change_of_basis(p2_blocks):
     rep0 = diagonalizability_report(dga)
     rep1 = diagonalizability_report(moved_dga)
     assert rep0.witnesses["diagonalizable"] == rep1.witnesses["diagonalizable"]
+
+
+def test_rank_nullity_failure_raises(p2_blocks, monkeypatch):
+    # the cohomology dimensions are cross-checked by an InvariantError, which
+    # python -O keeps
+    from hopfcheck import dga as dga_module
+    from hopfcheck.linalg import InvariantError
+
+    d, blocks, gens, dgas = p2_blocks
+    monkeypatch.setattr(dga_module, "kernel", lambda m: Subspace.zero(m.ncols))
+    with pytest.raises(InvariantError, match="rank-nullity"):
+        complex_cohomology(dgas[1])

@@ -1,6 +1,7 @@
 """Double constructions: twisted double internals, generator relations,
 block structure, classical doubles and the pivot comparison, module checks."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -9,11 +10,12 @@ from types import SimpleNamespace
 import pytest
 
 import hopfcheck
-from hopfcheck.algebra import StructureAlgebra
+from hopfcheck.algebra import AlgebraError, StructureAlgebra, UnitLawError
 from hopfcheck.cyclotomic import Cyclotomic
 from hopfcheck.hopf import check_algebra_map, dual_hopf, group_algebra, taft
 from hopfcheck.linalg import InvariantError, Matrix, minimal_polynomial
 from hopfcheck.doubles import (
+    TwistedDouble,
     build_classical_double,
     build_twisted_double,
     check_block_split,
@@ -399,3 +401,38 @@ def test_mixed_module_degree_check(d2):
     rep = check_mixed_module(d2.algebra, d2.sigma, action, wrong, diff, hom)
     assert not rep.passed
     assert not rep.witnesses["degrees"]["holds"]
+
+
+# -- the D2.2 re-check against the construction-time checks ----------------
+
+
+def _corrupted_double(d, cell):
+    """A copy of d built with check="none", then structure constant cell
+    (i, j, k) doubled (after construction, whose unit check would refuse it)."""
+    i, j, k = cell
+    alg = StructureAlgebra(d.algebra.dim, d.algebra.rows, d.algebra.unit, check="none")
+    alg.rows[i][j][k] = alg.rows[i][j][k] * 2
+    return TwistedDouble(d.base, alg, alg.element(d.sigma.coords), alg.unit_element())
+
+
+@pytest.mark.parametrize("cell", [(1, 4, 0), (3, 6, 0), (0, 3, 3), (8, 8, 8)])
+def test_double_recheck_matches_construction_checks(d2, cell):
+    i, j, k = cell
+    assert k in d2.algebra.rows[i][j]
+    bad = _corrupted_double(d2, cell)
+    report = check_double_unital_associative(bad)
+    assert not report.passed
+    witnesses = report.witnesses["associativity"]
+    assert witnesses["mode"] == "exhaustive" and witnesses["triples"] == 16**3
+    with pytest.raises(AlgebraError) as err:
+        StructureAlgebra(bad.algebra.dim, bad.algebra.rows, bad.algebra.unit, check="pure")
+    if isinstance(err.value, UnitLawError):
+        # the unit verdict and the index construction names
+        assert report.witnesses["unit"]["holds"] is False
+        assert f"basis element {bad.algebra.unit_failure()} " in str(err.value)
+    else:
+        assert report.witnesses["unit"]["holds"] is True
+        assert witnesses["first_failure"] == err.value.triple
+    # the pure regime checks the same triples in the same order
+    first = bad.algebra.associativity_failure(itertools.product(range(16), repeat=3))
+    assert witnesses.get("first_failure") == first

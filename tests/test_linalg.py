@@ -119,6 +119,38 @@ def test_minimal_polynomial_annihilates_random():
         assert poly_eval_matrix(poly, m).is_zero()
 
 
+def _block_diag(a: Matrix, b: Matrix) -> Matrix:
+    n = a.nrows + b.nrows
+    data = [[c(0)] * n for _ in range(n)]
+    for off, m in ((0, a), (a.nrows, b)):
+        for i in range(m.nrows):
+            for j in range(m.ncols):
+                data[off + i][off + j] = m[i, j]
+    return Matrix(data, ncols=n)
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 12])
+def test_minimal_polynomial_has_no_lower_degree_relation(order):
+    # for degree d, I, M, ..., M^(d-1) have rank d: no lower-degree
+    # polynomial annihilates M.  Block copies A + A and A + 0 (and sparse
+    # entries) give degrees below the size of the matrix.
+    rng = random.Random(order)
+    for size in (1, 2, 3):
+        a = rand_matrix(rng, size, size, order=order, span=2)
+        sparse = Matrix(
+            [[x if rng.random() < 0.4 else c(0) for x in row] for row in a.data], ncols=size
+        )
+        for m in (a, sparse, _block_diag(a, a), _block_diag(sparse, Matrix.zeros(2, 2))):
+            poly = minimal_polynomial(m)
+            d = len(poly) - 1
+            assert poly[-1] == 1 and poly_eval_matrix(poly, m).is_zero()
+            powers, power = [], Matrix.identity(m.nrows)
+            for _ in range(d):
+                powers.append([x for row in power.data for x in row])
+                power = power @ m
+            assert rank(Matrix(powers, ncols=m.nrows**2)) == d
+
+
 def test_eigensplit_diagonal():
     z = root_of_unity(3)
     m = Matrix(
