@@ -32,8 +32,10 @@ The D2.2 re-check of the twisted doubles uses the same two methods.
 Every product in the algebra goes through one sparse kernel,
 StructureAlgebra.mul_sparse, which multiplies coordinate dicts {index: nonzero
 scalar} and visits only the structure-constant cells their supports select;
-mul_coords is its dense wrapper.  All higher operations (center, radical,
-quotients, central splitting) reduce to exact linear algebra over the scalars.
+mul_coords is its dense wrapper for AlgebraElement coordinates.  All higher
+operations (center, radical, subalgebras, ideals, quotients, central
+splitting) hand the same sparse dicts to the exact linear algebra of linalg,
+which keeps its vectors and matrix rows in that form.
 """
 
 from __future__ import annotations
@@ -44,7 +46,18 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, phi_degree, reduction_expansion_bound
-from .linalg import EchelonBasis, InvariantError, Matrix, Subspace, eigensplit
+from .linalg import (
+    EchelonBasis,
+    InvariantError,
+    Matrix,
+    Subspace,
+    _axpy,
+    eigensplit,
+    invert_matrix,
+    kernel,
+    solve,
+    sparse_of,
+)
 from .report import CheckReport
 
 # The modular certificate works with primes P < PRIME_CEILING and sums up to
@@ -276,12 +289,6 @@ class StructureAlgebra:
         """Sparse coordinates of basis element i, its one at the algebra's order."""
         return {i: self._one}
 
-    def _dense(self, d: dict) -> tuple:
-        coords = [ZERO] * self.dim
-        for k, v in d.items():
-            coords[k] = v
-        return tuple(coords)
-
     def element(self, coords) -> "AlgebraElement":
         coords = tuple(Cyclotomic.coerce(v) for v in coords)
         if len(coords) != self.dim:
@@ -328,7 +335,8 @@ class StructureAlgebra:
 
     def mul_coords(self, a, b):
         """Dense form of mul_sparse: coordinate sequences in, a tuple out."""
-        return self._dense(self.mul_sparse(sparse_of(a), sparse_of(b)))
+        prod = self.mul_sparse(sparse_of(a), sparse_of(b))
+        return tuple(prod.get(k, ZERO) for k in range(self.dim))
 
     def multiply(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
         if a.algebra is not self or b.algebra is not self:
@@ -338,16 +346,14 @@ class StructureAlgebra:
     def left_mult_matrix(self, coords) -> Matrix:
         """Matrix of v -> a*v in the basis (columns are a * e_j)."""
         a = sparse_of(coords)
-        return Matrix.from_columns(
-            [self._dense(self.mul_sparse(a, self.basis_sparse(j))) for j in range(self.dim)]
-        )
+        n = self.dim
+        return Matrix.from_columns([self.mul_sparse(a, self.basis_sparse(j)) for j in range(n)], n)
 
     def right_mult_matrix(self, coords) -> Matrix:
         """Matrix of v -> v*a in the basis (columns are e_j * a)."""
         a = sparse_of(coords)
-        return Matrix.from_columns(
-            [self._dense(self.mul_sparse(self.basis_sparse(j), a)) for j in range(self.dim)]
-        )
+        n = self.dim
+        return Matrix.from_columns([self.mul_sparse(self.basis_sparse(j), a) for j in range(n)], n)
 
     def structure_entry(self, i: int, j: int, k: int) -> Cyclotomic:
         return self.rows[i][j].get(k, self._zero)
@@ -374,10 +380,7 @@ class StructureAlgebra:
         for j in range(n):
             cj = self._basis_coords(j)
             blocks.append(self.left_mult_matrix(cj) - self.right_mult_matrix(cj))
-        ker = Matrix.vstack(blocks)
-        from .linalg import kernel
-
-        return kernel(ker)
+        return kernel(Matrix.vstack(blocks))
 
     def radical(self) -> Subspace:
         """Jacobson radical via the trace-form criterion (characteristic zero)."""
@@ -401,27 +404,24 @@ class StructureAlgebra:
                         s = s + c * tr[k]
                 grow.append(s)
             gram.append(grow)
-        from .linalg import kernel
-
         return kernel(Matrix(gram, ncols=n))
 
     def subalgebra_generated(self, gens) -> Subspace:
         """Smallest unital subalgebra containing gens (closure to a fixed point)."""
-        n = self.dim
-        eb = EchelonBasis(n)
-        unit = list(self.unit)
+        eb = EchelonBasis(self.dim)
+        unit = sparse_of(self.unit)
         eb.add(unit)
-        gcoords = [list(g.coords if isinstance(g, AlgebraElement) else g) for g in gens]
+        gvecs = [_sparse_element(g) for g in gens]
         frontier = [unit]
         while frontier:
             new = []
             for v in frontier:
-                for g in gcoords:
-                    w = list(self.mul_coords(v, g))
+                for g in gvecs:
+                    w = self.mul_sparse(v, g)
                     if eb.add(w):
                         new.append(w)
             frontier = new
-        return Subspace(n, eb.rows, eb.pivots)
+        return Subspace(eb)
 
     def ideal_generated(self, gens, multipliers=None) -> Subspace:
         """Two-sided ideal generated by gens.
@@ -433,28 +433,24 @@ class StructureAlgebra:
         """
         n = self.dim
         if multipliers is None:
-            mults = [self._basis_coords(i) for i in range(n)]
+            mults = [self.basis_sparse(i) for i in range(n)]
         else:
-            mults = [
-                tuple(m.coords if isinstance(m, AlgebraElement) else m)
-                for m in multipliers
-            ]
+            mults = [_sparse_element(m) for m in multipliers]
         eb = EchelonBasis(n)
         frontier = []
         for g in gens:
-            v = list(g.coords if isinstance(g, AlgebraElement) else g)
+            v = _sparse_element(g)
             if eb.add(v):
                 frontier.append(v)
         while frontier:
             new = []
             for v in frontier:
                 for m in mults:
-                    for w in (self.mul_coords(m, v), self.mul_coords(v, m)):
-                        w = list(w)
+                    for w in (self.mul_sparse(m, v), self.mul_sparse(v, m)):
                         if eb.add(w):
                             new.append(w)
             frontier = new
-        return Subspace(n, eb.rows, eb.pivots)
+        return Subspace(eb)
 
     def quotient(self, gens, multipliers=None, assume_generating=False) -> "QuotientResult":
         """Quotient by the two-sided ideal generated by gens.
@@ -478,53 +474,37 @@ class StructureAlgebra:
         eb = EchelonBasis(n)
         for row in ideal.basis:
             eb.add(row)
-        chosen = []
-        for i in range(n):
-            if eb.add(list(self._basis_coords(i))):
-                chosen.append(i)
+        chosen = [i for i in range(n) if eb.add({i: ONE})]
         q = len(chosen)
         if q == 0:
             algebra = StructureAlgebra(0, [], (), name=f"{self.name}/ideal", check="none")
             return QuotientResult(algebra, Matrix([], ncols=n), tuple(), ideal)
         # base-change matrix: columns are chosen representatives then ideal basis
-        cols = [list(self._basis_coords(i)) for i in chosen]
-        cols += [list(r) for r in ideal.basis]
-        b = Matrix.from_columns(cols)
-        binv = _invert_matrix(b)
-        proj = Matrix(binv.data[:q], ncols=n)
-        zero = ZERO
+        try:
+            binv = invert_matrix(Matrix.from_columns([{i: ONE} for i in chosen] + ideal.basis, n))
+        except ValueError as exc:
+            raise AlgebraError(str(exc)) from exc
+        proj = Matrix.sparse(binv.data[:q], n)
+        # column j of the projection, as a sparse vector of the quotient
+        pcols = proj.transpose().data
 
-        def project(vec):
-            out = [zero] * q
-            for j, vj in enumerate(vec):
-                if vj:
-                    for t in range(q):
-                        ptj = proj.data[t][j]
-                        if ptj:
-                            out[t] = out[t] + ptj * vj
+        def project(vec: dict) -> dict:
+            out: dict = {}
+            for j, vj in vec.items():
+                _axpy(out, vj, pcols[j])
             return out
 
-        rows = []
-        for a in range(q):
-            arow = []
-            for bidx in range(q):
-                prod = self.rows[chosen[a]][chosen[bidx]]
-                vec = [zero] * n
-                for k, c in prod.items():
-                    vec[k] = c
-                coords = project(vec)
-                arow.append({k: v for k, v in enumerate(coords) if v})
-            rows.append(arow)
-        unit_q = project(list(self.unit))
+        rows = [[project(self.rows[a][b]) for b in chosen] for a in chosen]
+        unit_q = project(sparse_of(self.unit))
         algebra = StructureAlgebra(
-            q, rows, tuple(unit_q), name=f"{self.name}/ideal", check="auto"
+            q, rows, tuple(unit_q.get(t, ZERO) for t in range(q)),
+            name=f"{self.name}/ideal", check="auto",
         )
         if n <= 32:
             # check the algebra-map property on every basis pair outright
-            pcols = [sparse_of(project(self._basis_coords(j))) for j in range(n)]
             for i in range(n):
                 for j in range(n):
-                    want = sparse_of(project(self._dense(self.rows[i][j])))
+                    want = project(self.rows[i][j])
                     if algebra.mul_sparse(pcols[i], pcols[j]) != want:
                         raise InvariantError(
                             f"quotient projection is not an algebra map at ({i}, {j})"
@@ -533,16 +513,11 @@ class StructureAlgebra:
 
     def inverse_element(self, a: "AlgebraElement"):
         """Two-sided inverse of a, or None.  Verifies both product orders."""
-        lm = self.left_mult_matrix(a.coords)
-        from .linalg import solve
-
-        x = solve(lm, list(self.unit))
-        if x is None:
+        unit = sparse_of(self.unit)
+        x = solve(self.left_mult_matrix(a.coords), unit)
+        if x is None or self.mul_sparse(x, sparse_of(a.coords)) != unit:
             return None
-        back = self.mul_coords(tuple(x), a.coords)
-        if any(u != v for u, v in zip(back, self.unit)):
-            return None
-        return AlgebraElement(self, tuple(x))
+        return self.from_dict(x)
 
     def is_central(self, a: "AlgebraElement") -> bool:
         u = sparse_of(a.coords)
@@ -569,41 +544,41 @@ class StructureAlgebra:
                 f"{self.name}: candidate eigenvalues do not split the algebra"
             )
         eigs = [lam for lam, _ in spaces]
+        zs = sparse_of(z.coords)
         blocks = []
         for lam, space in spaces:
             # Lagrange idempotent for this eigenvalue
-            idem = self.unit
+            idem = sparse_of(self.unit)
             for mu in eigs:
                 if mu == lam:
                     continue
                 factor = (lam - mu).inverse()
-                shifted = list(self.mul_coords(idem, z.coords))
-                for t in range(self.dim):
-                    shifted[t] = (shifted[t] - mu * idem[t]) * factor
-                idem = tuple(shifted)
-            unit_coords = space.coordinates(list(idem))
+                shifted = self.mul_sparse(idem, zs)
+                _axpy(shifted, -mu, idem)
+                idem = {t: w * factor for t, w in shifted.items()}
+            unit_coords = space.coordinates(idem)
             if unit_coords is None:
                 raise InvariantError("idempotent escapes its eigenspace")
             d = space.dim
-            supports = [sparse_of(v) for v in space.basis]
+            basis = space.basis
             rows = []
             for a in range(d):
                 arow = []
                 for b in range(d):
-                    w = self.mul_sparse(supports[a], supports[b])
-                    coords = space.coordinates(self._dense(w))
+                    coords = space.coordinates(self.mul_sparse(basis[a], basis[b]))
                     if coords is None:
                         raise InvariantError("block product escapes the block")
-                    arow.append(sparse_of(coords))
+                    arow.append(coords)
                 rows.append(arow)
             algebra = StructureAlgebra(
                 d,
                 rows,
-                tuple(unit_coords),
+                tuple(unit_coords.get(t, ZERO) for t in range(d)),
                 name=f"{self.name}[z={lam.pretty()}]",
                 check="auto",
             )
-            blocks.append(CentralBlock(lam, algebra, space, self, tuple(idem)))
+            idem = tuple(idem.get(t, ZERO) for t in range(self.dim))
+            blocks.append(CentralBlock(lam, algebra, space, self, idem))
         if self.dim <= 32:
             self._verify_reassembly(blocks)
         return blocks
@@ -617,16 +592,11 @@ class StructureAlgebra:
             off += blk.algebra.dim
         if off != n:
             raise InvariantError("block dimensions do not add up to the algebra's")
-        combined = EchelonBasis(n)
-        supports = []
-        for blk in blocks:
-            for row in blk.space.basis:
-                supports.append(sparse_of(row))
-                combined.add(list(row))
-        if combined.dim != n:
+        vectors = [row for blk in blocks for row in blk.space.basis]
+        if Subspace.from_vectors(n, vectors).dim != n:
             raise InvariantError("block bases do not span")
-        for ai, arow in enumerate(supports):
-            for bi, brow in enumerate(supports):
+        for ai, arow in enumerate(vectors):
+            for bi, brow in enumerate(vectors):
                 w = self.mul_sparse(arow, brow)
                 blk_a = _block_index(offsets, ai)
                 blk_b = _block_index(offsets, bi)
@@ -635,11 +605,11 @@ class StructureAlgebra:
                         raise InvariantError("cross-block product must vanish")
                 else:
                     blk = blocks[blk_a]
-                    coords = blk.space.coordinates(self._dense(w))
+                    coords = blk.space.coordinates(w)
                     if coords is None:
                         raise InvariantError("block product escapes the block")
                     la, lb = ai - offsets[blk_a], bi - offsets[blk_b]
-                    if blk.algebra.rows[la][lb] != sparse_of(coords):
+                    if blk.algebra.rows[la][lb] != coords:
                         raise InvariantError("direct sum does not reassemble the algebra")
 
     def check_presentation(self, assignment: dict, relations, check_id="presentation") -> CheckReport:
@@ -681,9 +651,9 @@ def sampled_triples(n: int, samples: int, seed: int) -> list[tuple[int, int, int
     return [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
 
 
-def sparse_of(coords) -> dict:
-    """The nonzero entries of a coordinate sequence, keyed by index."""
-    return {i: v for i, v in enumerate(coords) if v}
+def _sparse_element(x) -> dict:
+    """Sparse coordinates of an AlgebraElement or a coordinate sequence."""
+    return sparse_of(x.coords if isinstance(x, AlgebraElement) else x)
 
 
 def _block_index(offsets, i):
@@ -691,15 +661,6 @@ def _block_index(offsets, i):
         if i >= offsets[t]:
             return t
     raise IndexError
-
-
-def _invert_matrix(m: Matrix) -> Matrix:
-    from .linalg import invert_matrix
-
-    try:
-        return invert_matrix(m)
-    except ValueError as exc:
-        raise AlgebraError(str(exc)) from exc
 
 
 @dataclass
@@ -722,18 +683,18 @@ class CentralBlock:
     idempotent: tuple  # coordinates in the parent
 
     def project(self, element: "AlgebraElement") -> "AlgebraElement":
-        comp = self.parent.mul_coords(self.idempotent, element.coords)
-        coords = self.space.coordinates(list(comp))
+        comp = self.parent.mul_sparse(sparse_of(self.idempotent), sparse_of(element.coords))
+        coords = self.space.coordinates(comp)
         if coords is None:
             raise InvariantError("projected component escapes the block")
-        return self.algebra.element(coords)
+        return self.algebra.from_dict(coords)
 
     def embed(self, element: "AlgebraElement"):
-        vec = [ZERO] * self.parent.dim
+        vec: dict = {}
         for c, row in zip(element.coords, self.space.basis):
             if c:
-                vec = [x + c * y for x, y in zip(vec, row)]
-        return self.parent.element(vec)
+                _axpy(vec, c, row)
+        return self.parent.from_dict(vec)
 
 
 class AlgebraElement:

@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cyclotomic import ZERO, Cyclotomic
-from .linalg import Matrix, Subspace, matrix_order, minimal_polynomial
+from .linalg import Matrix, Subspace, matrix_order, minimal_polynomial, sparse_of
 from .algebra import AlgebraError, StructureAlgebra
 from .hopf import (
     HopfData,
@@ -218,7 +218,7 @@ def _run_mixed_module(ctx: Context) -> CheckReport:
     reg_stable = reg_valid.passed and acts_as_identity(alg, d.sigma, regular)
     q = alg.quotient([(d.sigma - d.one).coords])
     pullback = [
-        q.algebra.left_mult_matrix(tuple(q.projection.apply(list(alg._basis_coords(a)))))
+        q.algebra.left_mult_matrix(q.projection.column(a))
         for a in range(alg.dim)
     ]
     stable = check_stable_module(alg, d.sigma, pullback, f"{check_id}[stable-pullback]")
@@ -506,7 +506,7 @@ def _run_centers(ctx: Context) -> CheckReport:
     dga1, blk, xxp, xxpg = _p2_hh_data(ctx)
     center = blk.algebra.center()
     members = all(
-        center.contains(list(v.coords))
+        center.contains(sparse_of(v.coords))
         for v in (blk.algebra.unit_element(), xxp, xxpg)
     )
     _, q = stable_dga(dga1)
@@ -531,11 +531,11 @@ def _run_hh_separation(ctx: Context) -> CheckReport:
     dga1, blk, xxp, xxpg = _p2_hh_data(ctx)
     hh = hh_minus_one(dga1)
     claimed = Subspace.from_vectors(
-        blk.algebra.dim, [list(xxp.coords), list(xxpg.coords)]
+        blk.algebra.dim, [sparse_of(xxp.coords), sparse_of(xxpg.coords)]
     )
     sdga, q = stable_dga(dga1)
     shh = hh_minus_one(sdga)
-    unit_line = Subspace.from_vectors(q.algebra.dim, [list(q.algebra.unit)])
+    unit_line = Subspace.from_vectors(q.algebra.dim, [sparse_of(q.algebra.unit)])
     ok = hh.dim == 2 and hh == claimed and shh.dim == 1 and shh == unit_line
     return CheckReport(
         check_id,

@@ -62,6 +62,11 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true and false decode to bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _effective_config(args) -> tuple:
     """Merge defaults, config file and flags; returns (RunConfig, json_path)."""
     file_values: dict = {}
@@ -71,7 +76,7 @@ def _effective_config(args) -> tuple:
     ps = (2, 3)
     if "p" in file_values:
         raw = file_values["p"]
-        if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):
+        if not isinstance(raw, list) or not all(_is_int(v) for v in raw):
             raise UsageError("config key 'p' must be a list of integers")
         ps = tuple(raw)
     if args.p is not None:
@@ -79,13 +84,20 @@ def _effective_config(args) -> tuple:
     kwargs = {"ps": ps}
     for key in ("samples", "seed", "max_workers"):
         if key in file_values:
-            if not isinstance(file_values[key], int):
+            if not _is_int(file_values[key]):
                 raise UsageError(f"config key {key!r} must be an integer")
             kwargs[key] = file_values[key]
     # checks run serially; max_workers is validated for old config files, then ignored
     if kwargs.pop("max_workers", 1) < 1:
         raise UsageError("max_workers must be positive")
+    if not isinstance(file_values.get("json", ""), str):
+        raise UsageError("config key 'json' must be a string")
     json_path = args.json or file_values.get("json")
+    if json_path:
+        try:
+            open(json_path, "a").close()  # fail before the run, not after it
+        except OSError as exc:
+            raise UsageError(f"cannot write report {json_path}: {exc.strerror}")
     try:
         config = RunConfig(**kwargs)
     except ValueError as exc:

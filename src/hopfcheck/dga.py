@@ -96,7 +96,7 @@ def complex_cohomology(dga: TwoTermDga) -> CohomologyProfile:
     rz = dga.differential()
     ker = kernel(rz)
     n = dga.ring.dim
-    image = Subspace.from_vectors(n, [rz.column(j) for j in range(n)])
+    image = Subspace.from_vectors(n, rz.transpose().data)
     profile = CohomologyProfile(
         dim_h_minus1=ker.dim,
         dim_h0=n - image.dim,

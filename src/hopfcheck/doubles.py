@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, q_factorial
-from .linalg import InvariantError, Matrix, Subspace, kernel, vec_is_zero
+from .linalg import InvariantError, Matrix, Subspace, kernel, sparse_of
 from .algebra import (
     DEFAULT_PURE_LIMIT,
     AlgebraElement,
@@ -231,26 +231,26 @@ def check_cross_relation(
     h = double.base
     alg = h.algebra
     n = h.dim
+    chis = [sparse_of(double.embed_dual(alg._basis_coords(d)).coords) for d in range(n)]
     bad = None
     for k in range(n):
         if bad is not None:
             break
-        hk = double.embed_hopf(alg._basis_coords(k))
-        triples = h.delta2_triples(k)
+        hk = sparse_of(double.embed_hopf(alg._basis_coords(k)).coords)
+        # the products S(e_k3) e_v e_k1 for every Sweedler triple of e_k and
+        # every v, read by every d below
+        legs = []
+        for k1, k2, k3, t in h.delta2_triples(k):
+            for v in range(n):
+                w = alg.mul_sparse(h.antipode_col(k3), alg.basis_sparse(v))
+                legs.append((double.flat(k2, v), t, alg.mul_sparse(w, alg.basis_sparse(k1))))
         for d in range(n):
-            dual_coeffs = [ZERO] * n
-            dual_coeffs[d] = ONE
-            lhs = hk * double.embed_dual(dual_coeffs)
-            rhs_coords = [ZERO] * (n * n)
-            for k1, k2, k3, t in triples:
-                for v in range(n):
-                    w = alg.mul_sparse(h.antipode_col(k3), alg.basis_sparse(v))
-                    w = alg.mul_sparse(w, alg.basis_sparse(k1))
-                    cd = w.get(d)
-                    if cd:
-                        pos = double.flat(k2, v)
-                        rhs_coords[pos] = rhs_coords[pos] + t * cd
-            if lhs != double.algebra.element(rhs_coords):
+            rhs: dict = {}
+            for pos, t, w in legs:
+                cd = w.get(d)
+                if cd:
+                    _acc(rhs, pos, t * cd)
+            if double.algebra.mul_sparse(hk, chis[d]) != rhs:
                 bad = (k, d)
                 break
     witnesses = {"pairs": n * n, "holds": bad is None}
@@ -391,25 +391,29 @@ def check_straightening(
     anti_col = (
         h.antipode_inv_col if double.flavor == "drinfeld" else h.antipode_col
     )
+    hs = [sparse_of(double.embed_hopf(alg._basis_coords(c)).coords) for c in range(n)]
+    # the products e_c3 e_v A(e_c1) for every Sweedler triple of e_c and
+    # every v, computed once per c and read by every b below
+    legs = []
+    for c in range(n):
+        legs_c = []
+        for c1, c2, c3, t in h.delta2_triples(c):
+            for v in range(n):
+                w = alg.mul_sparse(alg.basis_sparse(c3), alg.basis_sparse(v))
+                legs_c.append((double.flat(c2, v), t, alg.mul_sparse(w, anti_col(c1))))
+        legs.append(legs_c)
     bad = None
     for b in range(n):
         if bad is not None:
             break
-        dual_coeffs = [ZERO] * n
-        dual_coeffs[b] = ONE
-        chi = double.embed_dual(dual_coeffs)
+        chi = sparse_of(double.embed_dual(alg._basis_coords(b)).coords)
         for c in range(n):
-            lhs = chi * double.embed_hopf(alg._basis_coords(c))
-            rhs_coords = [ZERO] * (n * n)
-            for c1, c2, c3, t in h.delta2_triples(c):
-                for v in range(n):
-                    w = alg.mul_sparse(alg.basis_sparse(c3), alg.basis_sparse(v))
-                    w = alg.mul_sparse(w, anti_col(c1))
-                    cb = w.get(b)
-                    if cb:
-                        pos = double.flat(c2, v)
-                        rhs_coords[pos] = rhs_coords[pos] + t * cb
-            if lhs != double.algebra.element(rhs_coords):
+            rhs: dict = {}
+            for pos, t, w in legs[c]:
+                cb = w.get(b)
+                if cb:
+                    _acc(rhs, pos, t * cb)
+            if double.algebra.mul_sparse(chi, hs[c]) != rhs:
                 bad = (b, c)
                 break
     witnesses = {"flavor": double.flavor, "pairs": n * n, "holds": bad is None}
@@ -430,18 +434,10 @@ def uhu_map(
     """
     n = h.dim
     ru = h.algebra.right_mult_matrix(u.coords)
-    nn = n * n
-    zero = ZERO
-    cols = []
-    for a in range(n):
-        for b in range(n):
-            col = [zero] * nn
-            for v in range(n):
-                cv = ru[b, v]
-                if cv:
-                    col[a * n + v] = cv
-            cols.append(col)
-    matrix = Matrix.from_columns(cols)
+    matrix = Matrix.from_columns(
+        [{a * n + v: cv for v, cv in ru.data[b].items()} for a in range(n) for b in range(n)],
+        n * n,
+    )
     pivotal = check_pivotal(h, u, check_id=f"{check_id}-pivot")
     if not pivotal.passed:
         report = CheckReport(
@@ -631,8 +627,8 @@ def verify_sigma_graded_action(
         for l in range(p):
             scale = (xi ** ((i - l) * (j + l))) * q_factorial(l, xi_inv).inverse()
             op = op + (xp_pows[l] * x_pows[l]) * scale
-        diff = alg.left_mult_matrix((double.sigma - op).coords)
-        holds = all(vec_is_zero(diff.apply(list(v))) for v in space.basis)
+        diff = sparse_of((double.sigma - op).coords)
+        holds = not any(alg.mul_sparse(diff, v) for v in space.basis)
         all_hold = all_hold and holds
         witness_components.append({"i": i, "j": j, "dim": space.dim, "holds": holds})
     complete = total == nn
@@ -664,12 +660,12 @@ def check_generator_grading(
     witnesses: dict = {"complete": complete, "total-dim": total}
     ok = complete
     for name, (di, dj) in shifts.items():
-        lmat = alg.left_mult_matrix(gens[name].coords)
+        g = sparse_of(gens[name].coords)
         holds = True
         for (i, j), space in components.items():
             target = components[((i + di) % p, (j + dj) % p)]
             for v in space.basis:
-                if not target.contains(lmat.apply(list(v))):
+                if not target.contains(alg.mul_sparse(g, v)):
                     holds = False
                     break
             if not holds:
@@ -706,8 +702,8 @@ def check_sigma_block_forms_p2(
     ok = True
     for (i, j), form in forms.items():
         space = components[(i, j)]
-        diff = alg.left_mult_matrix((double.sigma - form).coords)
-        holds = all(vec_is_zero(diff.apply(list(v))) for v in space.basis)
+        diff = sparse_of((double.sigma - form).coords)
+        holds = not any(alg.mul_sparse(diff, v) for v in space.basis)
         ok = ok and holds
         witnesses[f"V{i}{j}"] = {"dim": space.dim, "holds": holds}
     return CheckReport(check_id, PASS if ok else FAIL, witnesses)
@@ -773,11 +769,6 @@ def uqsl2_check(
 # -- module checks ------------------------------------------------------
 
 
-def _sparse_rows(matrix: Matrix) -> list[list[tuple]]:
-    """The nonzero entries of each row, as (column, value) pairs."""
-    return [[(v, a) for v, a in enumerate(row) if a] for row in matrix.data]
-
-
 def check_module_action(
     algebra: StructureAlgebra,
     action: list[Matrix],
@@ -794,13 +785,13 @@ def check_module_action(
     m = action[0].nrows if action else 0
     if any(a.nrows != m or a.ncols != m for a in action):
         raise ValueError("action matrices must be square of one size")
-    rows = [_sparse_rows(a) for a in action]
+    rows = [a.data for a in action]
 
     def combination(coeffs) -> dict:
         out: dict = {}
         for k, ck in coeffs:
             for u, row in enumerate(rows[k]):
-                for v, a in row:
+                for v, a in row.items():
                     _acc(out, (u, v), ck * a)
         return out
 
@@ -814,8 +805,8 @@ def check_module_action(
             got: dict = {}
             rj = rows[j]
             for u, row in enumerate(rows[i]):
-                for v, a in row:
-                    for w, b in rj[v]:
+                for v, a in row.items():
+                    for w, b in rj[v].items():
                         _acc(got, (u, w), a * b)
             if got != combination(algebra.rows[i][j].items()):
                 bad = (i, j)
@@ -915,30 +906,15 @@ def regular_mixed_module(double: TwistedDouble):
     """
     alg = double.algebra
     nn = alg.dim
-    zero = ZERO
     action = []
     for a in range(nn):
-        la = alg.left_mult_matrix(alg._basis_coords(a))
-        data = [[zero] * (2 * nn) for _ in range(2 * nn)]
-        for u in range(nn):
-            for v in range(nn):
-                c = la[u, v]
-                if c:
-                    data[u][v] = c
-                    data[nn + u][nn + v] = c
-        action.append(Matrix(data, ncols=2 * nn))
+        la = alg.left_mult_matrix(alg._basis_coords(a)).data
+        shifted = [{nn + v: c for v, c in row.items()} for row in la]
+        action.append(Matrix.sparse(la + shifted, 2 * nn))
     degrees = [-1] * nn + [0] * nn
     rz = alg.right_mult_matrix((double.sigma - double.one).coords)
-    ddata = [[zero] * (2 * nn) for _ in range(2 * nn)]
-    for u in range(nn):
-        for v in range(nn):
-            c = rz[u, v]
-            if c:
-                ddata[nn + u][v] = c
-    differential = Matrix(ddata, ncols=2 * nn)
-    hdata = [[zero] * (2 * nn) for _ in range(2 * nn)]
-    one = ONE
-    for u in range(nn):
-        hdata[u][nn + u] = one
-    homotopy = Matrix(hdata, ncols=2 * nn)
+    differential = Matrix.sparse([{} for _ in range(nn)] + rz.data, 2 * nn)
+    homotopy = Matrix.sparse(
+        [{nn + u: ONE} for u in range(nn)] + [{} for _ in range(nn)], 2 * nn
+    )
     return action, degrees, differential, homotopy

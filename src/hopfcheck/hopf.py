@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, StructureAlgebra, sparse_of
+from .algebra import AlgebraElement, StructureAlgebra
 from .cyclotomic import ONE, ZERO, Cyclotomic, q_factorial, root_of_unity
-from .linalg import Matrix, invert_matrix, rank, vec_eq
+from .linalg import Matrix, invert_matrix, rank, sparse_of
 from .report import FAIL, PASS, PRECONDITION_FAILED, CheckReport
 
 
@@ -88,15 +88,7 @@ class HopfData:
         if isinstance(comult, Matrix):
             if comult.nrows != n * n or comult.ncols != n:
                 raise ValueError("comultiplication matrix must be n^2 x n")
-            cols = []
-            for j in range(n):
-                col = {}
-                for f in range(n * n):
-                    v = comult.data[f][j]
-                    if v:
-                        col[f] = v
-                cols.append(col)
-            self._comult_cols = tuple(cols)
+            self._comult_cols = tuple(comult.transpose().data)
         else:
             cols = [
                 {k: Cyclotomic.coerce(v) for k, v in col.items() if v}
@@ -111,9 +103,7 @@ class HopfData:
         if antipode.nrows != n or antipode.ncols != n:
             raise ValueError("antipode matrix must be n x n")
         self.antipode = antipode
-        self._antipode_cols = tuple(
-            sparse_of(antipode.column(j)) for j in range(n)
-        )
+        self._antipode_cols = tuple(antipode.transpose().data)
         self._delta2: dict[int, tuple] = {}
         self._antipode_inv: Matrix | None = None
         self._antipode_inv_cols = None
@@ -138,13 +128,7 @@ class HopfData:
         return self._comult_cols[j]
 
     def comult_matrix(self) -> Matrix:
-        n = self.dim
-        zero = ZERO
-        data = [[zero] * n for _ in range(n * n)]
-        for j, col in enumerate(self._comult_cols):
-            for f, v in col.items():
-                data[f][j] = v
-        return Matrix(data, ncols=n)
+        return Matrix.from_columns(self._comult_cols, self.dim**2)
 
     def comult_of(self, coords) -> dict:
         out: dict = {}
@@ -191,10 +175,7 @@ class HopfData:
 
     def antipode_inv_col(self, j: int) -> dict:
         if self._antipode_inv_cols is None:
-            inv = self.antipode_inverse
-            self._antipode_inv_cols = tuple(
-                sparse_of(inv.column(k)) for k in range(self.dim)
-            )
+            self._antipode_inv_cols = tuple(self.antipode_inverse.transpose().data)
         return self._antipode_inv_cols[j]
 
     def is_cocommutative(self) -> bool:
@@ -217,9 +198,7 @@ class HopfData:
             return False
         if any(self._comult_cols[j] != other._comult_cols[j] for j in range(self.dim)):
             return False
-        return (
-            vec_eq(self.counit, other.counit) and self.antipode == other.antipode
-        )
+        return self.counit == other.counit and self.antipode == other.antipode
 
     def __repr__(self) -> str:
         return f"HopfData({self.name}, dim {self.dim})"
@@ -395,9 +374,9 @@ def taft(p: int, xi: Cyclotomic | None = None) -> HopfData:
         sg_pows.append(sg_pows[-1] * sg)
         sx_pows.append(sx_pows[-1] * sx)
     scols = [
-        list((sx_pows[j] * sg_pows[i]).coords) for i in range(p) for j in range(p)
+        sparse_of((sx_pows[j] * sg_pows[i]).coords) for i in range(p) for j in range(p)
     ]
-    antipode = Matrix.from_columns(scols)
+    antipode = Matrix.from_columns(scols, n)
 
     return HopfData(
         alg,
@@ -420,9 +399,7 @@ def group_algebra(n: int) -> HopfData:
     alg = StructureAlgebra(n, rows, unit, name=f"kZ/{n}")
     cols = [{i * n + i: one} for i in range(n)]
     counit = [one] * n
-    antipode = Matrix.from_columns(
-        [[one if k == (n - i) % n else zero for k in range(n)] for i in range(n)]
-    )
+    antipode = Matrix.from_columns([{(n - i) % n: one} for i in range(n)], n)
     return HopfData(
         alg, cols, counit, antipode, name=f"kZ/{n}", meta={"family": "group", "n": n}
     )
@@ -478,8 +455,8 @@ def check_algebra_map(
     if matrix.ncols != src.dim or matrix.nrows != dst.dim:
         raise ValueError("matrix shape does not match the algebras")
     witnesses: dict = {}
-    cols = [sparse_of(matrix.column(j)) for j in range(src.dim)]
-    unit_ok = vec_eq(matrix.apply(list(src.unit)), list(dst.unit))
+    cols = matrix.transpose().data
+    unit_ok = matrix.apply(src.unit) == list(dst.unit)
     witnesses["unit"] = {"holds": unit_ok}
     bad = None
     for i in range(src.dim):
@@ -517,7 +494,7 @@ def check_hopf_map(
     witnesses = dict(alg_report.witnesses)
     n = src.dim
     m = dst.dim
-    cols = [sparse_of(matrix.column(j)) for j in range(n)]
+    cols = matrix.transpose().data
 
     bad = None
     for j in range(n):
@@ -546,9 +523,7 @@ def check_hopf_map(
 
     bad = None
     for j in range(n):
-        lhs_v = matrix.apply(src.antipode.column(j))
-        rhs_v = dst.antipode.apply(matrix.column(j))
-        if not vec_eq(lhs_v, rhs_v):
+        if matrix.apply(src.antipode.column(j)) != dst.antipode.apply(matrix.column(j)):
             bad = j
             break
     witnesses["antipode-commutes"] = _axiom_witness(bad)
@@ -591,30 +566,30 @@ def taft_self_duality(
     xi = h.meta["xi"]
     dual = dual_hopf(h)
     n = h.dim
-    zero = ZERO
 
     def idx(i: int, j: int) -> int:
         return i * p + j
 
-    fcols = []
-    for i in range(p):
-        for j in range(p):
-            qf = q_factorial(j, xi)
-            col = [zero] * n
-            for l in range(p):
-                col[idx(l, j)] = qf * xi ** (i * (j + l) + j * l)
-            fcols.append(col)
-    forward = Matrix.from_columns(fcols)
-
-    icols = []
-    for i in range(p):
-        for j in range(p):
-            scale = (Cyclotomic.from_int(p) * q_factorial(j, xi)).inverse()
-            col = [zero] * n
-            for l in range(p):
-                col[idx(l, j)] = scale * xi ** (-l * (i + j) - i * j)
-            icols.append(col)
-    inverse = Matrix.from_columns(icols)
+    forward = Matrix.from_columns(
+        [
+            {idx(l, j): q_factorial(j, xi) * xi ** (i * (j + l) + j * l) for l in range(p)}
+            for i in range(p)
+            for j in range(p)
+        ],
+        n,
+    )
+    inverse = Matrix.from_columns(
+        [
+            {
+                idx(l, j): (Cyclotomic.from_int(p) * q_factorial(j, xi)).inverse()
+                * xi ** (-l * (i + j) - i * j)
+                for l in range(p)
+            }
+            for i in range(p)
+            for j in range(p)
+        ],
+        n,
+    )
 
     ident = Matrix.identity(n)
     inv_ok = (forward @ inverse == ident) and (inverse @ forward == ident)
@@ -645,20 +620,18 @@ def taft_dual_transport(h: HopfData) -> Matrix:
     xi = meta["xi"]
     xi_inv = xi.inverse()
     n = h.dim
-    zero = ZERO
 
     def idx(i: int, j: int) -> int:
         return i * p + j
 
-    cols = []
-    for i in range(p):
-        for j in range(p):
-            qf = q_factorial(j, xi_inv)
-            col = [zero] * n
-            for l in range(p):
-                col[idx(l, j)] = qf * xi ** (i * (j + l))
-            cols.append(col)
-    return Matrix.from_columns(cols)
+    return Matrix.from_columns(
+        [
+            {idx(l, j): q_factorial(j, xi_inv) * xi ** (i * (j + l)) for l in range(p)}
+            for i in range(p)
+            for j in range(p)
+        ],
+        n,
+    )
 
 
 # -- group-likes and pivots -------------------------------------------
@@ -687,7 +660,7 @@ def check_pivotal(
     bad = None
     for i in range(h.dim):
         conj = u * h.algebra.basis_element(i) * u_inv
-        if not vec_eq(s2.column(i), list(conj.coords)):
+        if s2.column(i) != list(conj.coords):
             bad = i
             break
     witnesses["conjugation"] = _axiom_witness(bad)

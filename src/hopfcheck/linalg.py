@@ -1,7 +1,12 @@
-"""Exact dense linear algebra over cyclotomic fields.
+"""Exact sparse linear algebra over cyclotomic fields.
 
-Vectors are lists/tuples of Cyclotomic scalars; a Matrix is a thin wrapper
-around a list of rows.  Pivoting always selects the first nonzero entry, so
+A vector is a dict {index: nonzero Cyclotomic}: no zero value is ever
+stored, so a zero test is a dict's emptiness and elimination touches only
+the entries that are there.  A Matrix holds one such dict per row.  Dense
+lists appear only at the edges: Matrix(dense_rows) converts each row once,
+and Matrix.row, Matrix.column, Matrix.apply and to_json return dense forms.
+
+Pivoting always selects the first nonzero entry, the least key of a row, so
 every reduced form is deterministic.  kernel() checks rank-nullity on every
 call and minimal_polynomial() checks that the returned polynomial
 annihilates its matrix; both are cheap relative to the elimination itself,
@@ -10,9 +15,9 @@ and both raise InvariantError rather than assert, so they survive python -O.
 
 from __future__ import annotations
 
-from .cyclotomic import ONE, ZERO, Cyclotomic, cyc_from_json
+from bisect import bisect
 
-Vector = list  # list[Cyclotomic]
+from .cyclotomic import ONE, ZERO, Cyclotomic, cyc_from_json
 
 
 class InvariantError(RuntimeError):
@@ -20,57 +25,83 @@ class InvariantError(RuntimeError):
     cannot be trusted, so the computation stops instead of reporting it."""
 
 
-def vec_zero(n: int) -> list[Cyclotomic]:
-    return [ZERO] * n
+def sparse_of(coords) -> dict:
+    """The nonzero entries of a coordinate sequence, keyed by index."""
+    return {i: v for i, v in enumerate(coords) if v}
 
 
-def vec_eq(a, b) -> bool:
-    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
-
-
-def vec_is_zero(a) -> bool:
-    return not any(a)
+def _axpy(y: dict, f: Cyclotomic | None, x: dict) -> None:
+    """y += f * x in place, for a nonzero f (None stands for 1); entries
+    that cancel are removed."""
+    for c, xc in x.items():
+        if f is not None:
+            xc = f * xc
+        prev = y.get(c)
+        if prev is None:
+            y[c] = xc
+        else:
+            s = prev + xc
+            if s:
+                y[c] = s
+            else:
+                del y[c]
 
 
 class Matrix:
-    """Dense matrix over Q(zeta_N) with exact entries."""
+    """Matrix over Q(zeta_N) with exact entries, held as sparse rows.
+
+    Matrices never change their rows after construction, so operations may
+    share row dicts between matrices (vstack does).
+    """
 
     __slots__ = ("data", "nrows", "ncols")
 
     def __init__(self, rows: list[list[Cyclotomic]], ncols: int | None = None):
-        self.data = [list(r) for r in rows]
-        self.nrows = len(self.data)
+        self.nrows = len(rows)
         if self.nrows:
-            self.ncols = len(self.data[0])
-            if any(len(r) != self.ncols for r in self.data):
+            self.ncols = len(rows[0])
+            if any(len(r) != self.ncols for r in rows):
                 raise ValueError("ragged rows")
         else:
             self.ncols = 0 if ncols is None else ncols
+        self.data = [sparse_of(r) for r in rows]
+
+    @classmethod
+    def sparse(cls, rows: list[dict], ncols: int) -> Matrix:
+        """The matrix whose rows are these zero-free dicts, adopted as they are."""
+        m = cls.__new__(cls)
+        m.data = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls.sparse([{i: ONE} for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> Matrix:
-        return cls([[ZERO] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls.sparse([{} for _ in range(nrows)], ncols)
 
     @classmethod
-    def from_columns(cls, cols: list[list[Cyclotomic]]) -> Matrix:
-        if not cols:
-            return cls([], ncols=0)
-        n = len(cols[0])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+    def from_columns(cls, cols, nrows: int) -> Matrix:
+        """The nrows x len(cols) matrix with these sparse columns."""
+        rows: list[dict] = [{} for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            for i, v in col.items():
+                rows[i][j] = v
+        return cls.sparse(rows, len(cols))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return self.data[i].get(j, ZERO)
 
     def row(self, i: int) -> list[Cyclotomic]:
-        return list(self.data[i])
+        r = self.data[i]
+        return [r.get(j, ZERO) for j in range(self.ncols)]
 
     def column(self, j: int) -> list[Cyclotomic]:
-        return [r[j] for r in self.data]
+        return [r.get(j, ZERO) for r in self.data]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -78,66 +109,64 @@ class Matrix:
         return (
             self.nrows == other.nrows
             and self.ncols == other.ncols
-            and all(vec_eq(a, b) for a, b in zip(self.data, other.data))
+            and self.data == other.data
         )
 
     def __add__(self, other: Matrix) -> Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix addition")
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            ncols=self.ncols,
-        )
+        rows = []
+        for ra, rb in zip(self.data, other.data):
+            r = dict(ra)
+            _axpy(r, None, rb)
+            rows.append(r)
+        return Matrix.sparse(rows, self.ncols)
 
     def __sub__(self, other: Matrix) -> Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix subtraction")
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            ncols=self.ncols,
-        )
+        return self + -other
 
     def __neg__(self) -> Matrix:
-        return Matrix([[-a for a in r] for r in self.data], ncols=self.ncols)
+        return Matrix.sparse([{j: -a for j, a in r.items()} for r in self.data], self.ncols)
 
     def scale(self, c: Cyclotomic) -> Matrix:
-        return Matrix([[c * a for a in r] for r in self.data], ncols=self.ncols)
+        if not c:
+            return Matrix.zeros(self.nrows, self.ncols)
+        return Matrix.sparse([{j: c * a for j, a in r.items()} for r in self.data], self.ncols)
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        zero = ZERO
-        out = [[zero] * other.ncols for _ in range(self.nrows)]
-        for i, arow in enumerate(self.data):
-            orow = out[i]
-            for k, aik in enumerate(arow):
-                if aik:
-                    brow = other.data[k]
-                    for j, bkj in enumerate(brow):
-                        if bkj:
-                            prev = orow[j]
-                            orow[j] = aik * bkj if prev is zero else prev + aik * bkj
-        return Matrix(out, ncols=other.ncols)
+        brows = other.data
+        rows = []
+        for arow in self.data:
+            out: dict = {}
+            for k, aik in arow.items():
+                _axpy(out, aik, brows[k])
+            rows.append(out)
+        return Matrix.sparse(rows, other.ncols)
 
     def apply(self, vec) -> list[Cyclotomic]:
+        """M v for a dense vector v, as a dense list."""
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch in matrix-vector product")
-        zero = ZERO
-        out = [zero] * self.nrows
-        for j, vj in enumerate(vec):
-            if vj:
-                for i in range(self.nrows):
-                    aij = self.data[i][j]
-                    if aij:
-                        prev = out[i]
-                        out[i] = aij * vj if prev is zero else prev + aij * vj
+        out = []
+        for row in self.data:
+            s = None
+            for j, a in row.items():
+                vj = vec[j]
+                if vj:
+                    s = a * vj if s is None else s + a * vj
+            out.append(ZERO if s is None else s)
         return out
 
     def transpose(self) -> Matrix:
-        return Matrix(
-            [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        rows: list[dict] = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self.data):
+            for j, v in r.items():
+                rows[j][i] = v
+        return Matrix.sparse(rows, self.nrows)
 
     @classmethod
     def vstack(cls, mats: list[Matrix]) -> Matrix:
@@ -147,25 +176,26 @@ class Matrix:
             if m.ncols != ncols:
                 raise ValueError("shape mismatch in vstack")
             rows.extend(m.data)
-        return cls(rows, ncols=ncols)
+        return cls.sparse(rows, ncols)
 
     def is_zero(self) -> bool:
-        return all(not a for r in self.data for a in r)
+        return not any(self.data)
 
     def add_scalar_diag(self, c: Cyclotomic) -> Matrix:
         """self + c * identity (square only)."""
         if self.nrows != self.ncols:
             raise ValueError("square matrix required")
-        out = [list(r) for r in self.data]
-        for i in range(self.nrows):
-            out[i][i] = out[i][i] + c
-        return Matrix(out, ncols=self.ncols)
+        rows = [dict(r) for r in self.data]
+        if c:
+            for i, r in enumerate(rows):
+                _axpy(r, None, {i: c})
+        return Matrix.sparse(rows, self.ncols)
 
     def to_json(self) -> dict:
         return {
             "rows": self.nrows,
             "cols": self.ncols,
-            "entries": [[a.to_json() for a in r] for r in self.data],
+            "entries": [[a.to_json() for a in self.row(i)] for i in range(self.nrows)],
         }
 
     def __repr__(self) -> str:
@@ -193,72 +223,71 @@ def shaped_matrix(obj: dict, entries) -> Matrix:
 
 
 class EchelonBasis:
-    """Incrementally maintained reduced row echelon basis of a subspace."""
+    """Incrementally maintained reduced row echelon basis of a subspace.
+
+    rows[k] is a sparse row whose pivot, pivots[k] = min(rows[k]), holds a
+    one; pivots ascend, and no row has an entry in another row's pivot
+    column.
+    """
 
     def __init__(self, ambient: int):
         self.ambient = ambient
-        self.rows: list[list[Cyclotomic]] = []
+        self.rows: list[dict] = []
         self.pivots: list[int] = []
-        self._supports: list[list[int]] = []  # nonzero column indices per row
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec) -> list[Cyclotomic]:
+    def reduce(self, vec: dict) -> dict:
         """Residual of vec after elimination against the basis (vec unchanged)."""
-        v = list(vec)
-        for row, piv, supp in zip(self.rows, self.pivots, self._supports):
-            f = v[piv]
-            if f:
-                for c in supp:
-                    v[c] = v[c] - f * row[c]
+        v = dict(vec)
+        for row, piv in zip(self.rows, self.pivots):
+            f = v.get(piv)
+            if f is not None:
+                _axpy(v, -f, row)
         return v
 
-    def contains(self, vec) -> bool:
-        return vec_is_zero(self.reduce(vec))
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
 
-    def add(self, vec) -> bool:
+    def add(self, vec: dict) -> bool:
         """Insert vec if independent; returns True when the dimension grew."""
         v = self.reduce(vec)
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
+        if not v:
             return False
+        piv = min(v)
         inv = v[piv].inverse()
-        v = [x * inv if x else x for x in v]
-        supp = [i for i, x in enumerate(v) if x]
+        v = {c: x * inv for c, x in v.items()}
         # eliminate the new pivot from existing rows to stay fully reduced
-        for row, rsupp in zip(self.rows, self._supports):
-            f = row[piv]
-            if f:
-                for c in supp:
-                    row[c] = row[c] - f * v[c]
-                rsupp[:] = [i for i, x in enumerate(row) if x]
-        pos = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
+        for row in self.rows:
+            f = row.get(piv)
+            if f is not None:
+                _axpy(row, -f, v)
+        pos = bisect(self.pivots, piv)
         self.rows.insert(pos, v)
         self.pivots.insert(pos, piv)
-        self._supports.insert(pos, supp)
         return True
 
-    def coordinates(self, vec):
-        """Coordinates of vec in this basis, or None if vec lies outside."""
-        coords = [vec[p] for p in self.pivots]
-        v = list(vec)
-        for row, supp, f in zip(self.rows, self._supports, coords):
-            if f:
-                for c in supp:
-                    v[c] = v[c] - f * row[c]
-        if vec_is_zero(v):
-            return coords
-        return None
+    def coordinates(self, vec: dict):
+        """Coordinates {row index: scalar} of vec in this basis, or None if
+        vec lies outside the span."""
+        coords = {}
+        v = dict(vec)
+        for k, (row, piv) in enumerate(zip(self.rows, self.pivots)):
+            f = v.get(piv)
+            if f is not None:
+                coords[k] = f
+                _axpy(v, -f, row)
+        return None if v else coords
 
 
-def rref(matrix: Matrix) -> tuple[list[list[Cyclotomic]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+def rref(matrix: Matrix) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form; returns (nonzero sparse rows, pivot columns)."""
     basis = EchelonBasis(matrix.ncols)
     for r in matrix.data:
         basis.add(r)
-    return [list(r) for r in basis.rows], list(basis.pivots)
+    return basis.rows, basis.pivots
 
 
 def rank(matrix: Matrix) -> int:
@@ -266,60 +295,50 @@ def rank(matrix: Matrix) -> int:
 
 
 class Subspace:
-    """A subspace of a coordinate space, held as a reduced echelon basis.
+    """A subspace of a coordinate space, held as its reduced echelon basis."""
 
-    Membership and coordinate queries run against an EchelonBasis view that
-    shares the basis rows and is built once, on the first query.  Building
-    it is idempotent, so concurrent first queries at worst build it twice.
-    """
+    __slots__ = ("echelon",)
 
-    __slots__ = ("ambient", "basis", "pivots", "_echelon")
-
-    def __init__(self, ambient: int, basis: list[list[Cyclotomic]], pivots: list[int]):
-        self.ambient = ambient
-        self.basis = [list(r) for r in basis]
-        self.pivots = list(pivots)
-        self._echelon = None
+    def __init__(self, echelon: EchelonBasis):
+        self.echelon = echelon
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors) -> Subspace:
         eb = EchelonBasis(ambient)
         for v in vectors:
-            if len(v) != ambient:
-                raise ValueError("vector length does not match ambient dimension")
+            _check_ambient(ambient, v)
             eb.add(v)
-        return cls(ambient, eb.rows, eb.pivots)
+        return cls(eb)
 
     @classmethod
     def zero(cls, ambient: int) -> Subspace:
-        return cls(ambient, [], [])
+        return cls(EchelonBasis(ambient))
+
+    @property
+    def ambient(self) -> int:
+        return self.echelon.ambient
+
+    @property
+    def basis(self) -> list[dict]:
+        return self.echelon.rows
+
+    @property
+    def pivots(self) -> list[int]:
+        return self.echelon.pivots
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.echelon.dim
 
-    def contains(self, vec) -> bool:
-        if len(vec) != self.ambient:
-            raise ValueError("vector length does not match ambient dimension")
-        return self._eb().contains(vec)
+    def contains(self, vec: dict) -> bool:
+        _check_ambient(self.ambient, vec)
+        return self.echelon.contains(vec)
 
     def contains_subspace(self, other: Subspace) -> bool:
         return all(self.contains(v) for v in other.basis)
 
-    def _eb(self) -> EchelonBasis:
-        # the view is only ever queried (reduce/coordinates), never added to,
-        # so it may share the basis rows
-        eb = self._echelon
-        if eb is None:
-            eb = EchelonBasis(self.ambient)
-            eb.rows = self.basis
-            eb.pivots = self.pivots
-            eb._supports = [[i for i, x in enumerate(r) if x] for r in self.basis]
-            self._echelon = eb
-        return eb
-
-    def coordinates(self, vec):
-        return self._eb().coordinates(vec)
+    def coordinates(self, vec: dict):
+        return self.echelon.coordinates(vec)
 
     def intersection(self, other: Subspace) -> Subspace:
         """Zassenhaus-free intersection via kernel of the stacked basis."""
@@ -327,15 +346,13 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         if not self.basis or not other.basis:
             return Subspace.zero(self.ambient)
-        cols = [list(v) for v in self.basis] + [list(v) for v in other.basis]
-        m = Matrix.from_columns(cols)
-        ker = kernel(m)
+        ker = kernel(Matrix.from_columns(self.basis + other.basis, self.ambient))
         vecs = []
         for kv in ker.basis:
-            vec = vec_zero(self.ambient)
-            for c, bas in zip(kv[: self.dim], self.basis):
-                if c:
-                    vec = [x + c * y for x, y in zip(vec, bas)]
+            vec: dict = {}
+            for t, c in kv.items():
+                if t < self.dim:
+                    _axpy(vec, c, self.basis[t])
             vecs.append(vec)
         return Subspace.from_vectors(self.ambient, vecs)
 
@@ -345,18 +362,16 @@ class Subspace:
         return (
             self.ambient == other.ambient
             and self.pivots == other.pivots
-            and all(vec_eq(a, b) for a, b in zip(self.basis, other.basis))
+            and self.basis == other.basis
         )
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
-    def to_json(self) -> dict:
-        return {
-            "ambient": self.ambient,
-            "dim": self.dim,
-            "basis": [[x.to_json() for x in row] for row in self.basis],
-        }
+
+def _check_ambient(ambient: int, vec: dict) -> None:
+    if any(not 0 <= i < ambient for i in vec):
+        raise ValueError("vector index outside the ambient dimension")
 
 
 def kernel(matrix: Matrix) -> Subspace:
@@ -364,18 +379,13 @@ def kernel(matrix: Matrix) -> Subspace:
     rows, pivots = rref(matrix)
     n = matrix.ncols
     pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    zero = ZERO
-    one = ONE
-    vecs = []
-    for f in free:
-        v = [zero] * n
-        v[f] = one
-        for row, p in zip(rows, pivots):
-            if row[f]:
-                v[p] = -row[f]
-        vecs.append(v)
-    out = Subspace.from_vectors(n, vecs)
+    vecs = {f: {f: ONE} for f in range(n) if f not in pivot_set}
+    # every entry of a reduced row off its pivot lies in a free column
+    for row, p in zip(rows, pivots):
+        for f, x in row.items():
+            if f != p:
+                vecs[f][p] = -x
+    out = Subspace.from_vectors(n, vecs.values())
     if out.dim + len(pivots) != n:
         raise InvariantError(
             f"rank-nullity violated: kernel dim {out.dim} + rank {len(pivots)} != {n}"
@@ -383,20 +393,18 @@ def kernel(matrix: Matrix) -> Subspace:
     return out
 
 
-def solve(matrix: Matrix, rhs) -> list[Cyclotomic] | None:
-    """One solution of M x = rhs (free variables set to 0), or None."""
-    if len(rhs) != matrix.nrows:
-        raise ValueError("right-hand side length does not match row count")
-    aug = Matrix([row + [b] for row, b in zip(matrix.data, rhs)], ncols=matrix.ncols + 1)
-    rows, pivots = rref(aug)
+def solve(matrix: Matrix, rhs: dict) -> dict | None:
+    """One solution x of M x = rhs (free variables set to 0), or None; rhs
+    and x are sparse vectors."""
+    _check_ambient(matrix.nrows, rhs)
     n = matrix.ncols
+    aug = [dict(row) for row in matrix.data]
+    for i, b in rhs.items():
+        aug[i][n] = b
+    rows, pivots = rref(Matrix.sparse(aug, n + 1))
     if n in pivots:
         return None
-    zero = ZERO
-    x = [zero] * n
-    for row, p in zip(rows, pivots):
-        x[p] = row[n]
-    return x
+    return {p: row[n] for row, p in zip(rows, pivots) if n in row}
 
 
 def invert_matrix(matrix: Matrix) -> Matrix:
@@ -404,15 +412,11 @@ def invert_matrix(matrix: Matrix) -> Matrix:
     n = matrix.nrows
     if matrix.ncols != n:
         raise ValueError("square matrix required")
-    ident = Matrix.identity(n)
-    aug = Matrix(
-        [list(row) + list(ident.data[i]) for i, row in enumerate(matrix.data)],
-        ncols=2 * n,
-    )
-    rows, pivots = rref(aug)
+    aug = [{**row, n + i: ONE} for i, row in enumerate(matrix.data)]
+    rows, pivots = rref(Matrix.sparse(aug, 2 * n))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix([r[n:] for r in rows], ncols=n)
+    return Matrix.sparse([{c - n: v for c, v in r.items() if c >= n} for r in rows], n)
 
 
 def matrix_order(matrix: Matrix, limit: int) -> int | None:
@@ -447,11 +451,11 @@ def minimal_polynomial(matrix: Matrix) -> list[Cyclotomic]:
     eb = EchelonBasis(nn + n + 1)  # by Cayley-Hamilton the degree is at most n
     power = Matrix.identity(n)
     for k in range(n + 1):
-        row = [x for r in power.data for x in r] + [ZERO] * (n + 1)
+        row = {i * n + j: x for i, r in enumerate(power.data) for j, x in r.items()}
         row[nn + k] = ONE
         residual = eb.reduce(row)
-        if vec_is_zero(residual[:nn]):
-            poly = residual[nn : nn + k + 1]
+        if min(residual) >= nn:
+            poly = [residual.get(nn + t, ZERO) for t in range(k + 1)]
             break
         eb.add(row)
         power = power @ matrix

@@ -18,6 +18,7 @@ from hopfcheck.linalg import (
     minimal_polynomial,
     poly_eval_matrix,
     rank,
+    sparse_of,
 )
 from hopfcheck.hopf import (
     check_hopf_axioms,
@@ -69,14 +70,14 @@ def test_criterion_1_separation_witness():
     xxpg = blk.project(gens["x"] * gens["x'"] * gens["g"])
     assert hh.dim == 2
     assert hh == Subspace.from_vectors(
-        blk.algebra.dim, [list(xxp.coords), list(xxpg.coords)]
+        blk.algebra.dim, [sparse_of(xxp.coords), sparse_of(xxpg.coords)]
     )
     assert blk.algebra.center().dim == 3
 
     sdga, q = stable_dga(dga)
     shh = hh_minus_one(sdga)
     assert shh.dim == 1
-    assert shh == Subspace.from_vectors(q.algebra.dim, [list(q.algebra.unit)])
+    assert shh == Subspace.from_vectors(q.algebra.dim, [sparse_of(q.algebra.unit)])
     assert q.algebra.center().dim == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"criterion 1 took {elapsed:.2f}s"

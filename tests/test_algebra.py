@@ -20,7 +20,7 @@ from hopfcheck.algebra import (
     gen,
 )
 from hopfcheck.cyclotomic import Cyclotomic, root_of_unity
-from hopfcheck.linalg import InvariantError, Subspace
+from hopfcheck.linalg import InvariantError, Subspace, sparse_of
 
 
 def c(v):
@@ -144,7 +144,7 @@ def test_center_of_matrix_algebra():
     m2 = matrix_algebra_2x2()
     z = m2.center()
     assert z.dim == 1
-    assert z.contains(list(m2.unit))
+    assert z.contains(sparse_of(m2.unit))
 
 
 def test_center_of_commutative_algebra_is_everything():
@@ -163,7 +163,7 @@ def test_radical_of_dual_numbers():
     a = dual_numbers()
     rad = a.radical()
     assert rad.dim == 1
-    assert rad.contains([c(0), c(1)])
+    assert rad.contains({1: c(1)})
     # radical is nilpotent: the product of any two radical elements vanishes here
     t = a.basis_element(1)
     assert (t * t).is_zero()

@@ -232,3 +232,42 @@ def test_ingest_malformed_scalar_is_usage_error(tmp_path, capsys, name):
     assert cli.main(["ingest", str(path)]) == 2
     err = capsys.readouterr().err
     assert "bad scalar" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"samples": True},
+        {"seed": False},
+        {"max_workers": True},
+        {"p": [True]},
+        {"p": [2, False]},
+    ],
+)
+def test_config_booleans_are_not_integers(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(cfg)] + CHEAP) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [7, 1, ["r.json"]])
+def test_config_json_must_be_a_string(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"json": value}))
+    assert cli.main(["run", "--config", str(cfg)] + CHEAP) == 2
+    assert "'json' must be a string" in capsys.readouterr().err
+
+
+def test_unwritable_report_path_is_usage_error_before_the_run(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("checks ran although the report cannot be written")
+
+    monkeypatch.setattr(cli, "run_checks", refuse)
+    path = tmp_path / "nonexistent" / "r.json"
+    assert cli.main(["run", "--json", str(path)] + CHEAP) == 2
+    assert str(path) in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"json": str(tmp_path)}))  # a directory
+    assert cli.main(["run", "--config", str(cfg)] + CHEAP) == 2
+    assert str(tmp_path) in capsys.readouterr().err

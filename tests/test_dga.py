@@ -7,7 +7,7 @@ import pytest
 
 from hopfcheck.cyclotomic import Cyclotomic
 from hopfcheck.hopf import group_algebra, taft
-from hopfcheck.linalg import Matrix, Subspace, invert_matrix, rank
+from hopfcheck.linalg import Matrix, Subspace, invert_matrix, rank, sparse_of
 from hopfcheck.algebra import StructureAlgebra
 from hopfcheck.doubles import (
     build_twisted_double,
@@ -62,14 +62,14 @@ def test_hh_minus_one_separation(p2_blocks):
     xxp = blk.project(gens["x"] * gens["x'"])
     xxpg = blk.project(gens["x"] * gens["x'"] * gens["g"])
     claimed = Subspace.from_vectors(
-        blk.algebra.dim, [list(xxp.coords), list(xxpg.coords)]
+        blk.algebra.dim, [sparse_of(xxp.coords), sparse_of(xxpg.coords)]
     )
     assert hh == claimed
 
     sdga, q = stable_dga(dgas[1])
     shh = hh_minus_one(sdga)
     assert shh.dim == 1
-    assert shh == Subspace.from_vectors(q.algebra.dim, [list(q.algebra.unit)])
+    assert shh == Subspace.from_vectors(q.algebra.dim, [sparse_of(q.algebra.unit)])
 
 
 def test_centers_drop_across_stabilization(p2_blocks):

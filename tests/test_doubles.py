@@ -13,8 +13,9 @@ import hopfcheck
 from hopfcheck.algebra import AlgebraError, StructureAlgebra, UnitLawError
 from hopfcheck.cyclotomic import Cyclotomic
 from hopfcheck.hopf import check_algebra_map, dual_hopf, group_algebra, taft
-from hopfcheck.linalg import InvariantError, Matrix, minimal_polynomial
+from hopfcheck.linalg import InvariantError, Matrix, minimal_polynomial, sparse_of
 from hopfcheck.doubles import (
+    ClassicalDouble,
     TwistedDouble,
     build_classical_double,
     build_twisted_double,
@@ -121,16 +122,16 @@ def test_twisted_double_internals(d2, d3):
 def test_twisted_double_embeddings_are_algebra_maps(d2):
     h = d2.base
     n = h.dim
-    cols = [list(d2.embed_hopf(h.algebra._basis_coords(k)).coords) for k in range(n)]
-    m = Matrix.from_columns(cols)
+    cols = [sparse_of(d2.embed_hopf(h.algebra._basis_coords(k)).coords) for k in range(n)]
+    m = Matrix.from_columns(cols, n * n)
     assert check_algebra_map(h.algebra, d2.algebra, m).passed
     dual = dual_hopf(h)
     dcols = []
     for dpos in range(n):
         coeffs = [c(0)] * n
         coeffs[dpos] = c(1)
-        dcols.append(list(d2.embed_dual(coeffs).coords))
-    md = Matrix.from_columns(dcols)
+        dcols.append(sparse_of(d2.embed_dual(coeffs).coords))
+    md = Matrix.from_columns(dcols, n * n)
     assert check_algebra_map(dual.algebra, d2.algebra, md).passed
 
 
@@ -360,7 +361,7 @@ def test_corrupted_action_first_failure_matches_dense(d2, target, u, v):
     if u is None:
         bad[target] = bad[target].scale(c(2))
     else:
-        data = [list(r) for r in bad[target].data]
+        data = [bad[target].row(r) for r in range(bad[target].nrows)]
         data[u][v] = data[u][v] + c(1)
         bad[target] = Matrix(data)
     rep = check_module_action(d2.algebra, bad)
@@ -436,3 +437,83 @@ def test_double_recheck_matches_construction_checks(d2, cell):
     # the pure regime checks the same triples in the same order
     first = bad.algebra.associativity_failure(itertools.product(range(16), repeat=3))
     assert witnesses.get("first_failure") == first
+
+
+# -- straightening and cross relation on corrupted doubles ----------------
+
+
+def with_corrupted_cell(alg, i, j):
+    """alg rebuilt with check="none" after adding 1 to the e_0 coefficient
+    of the product e_i e_j."""
+    rows = [[dict(cell) for cell in row] for row in alg.rows]
+    rows[i][j][0] = rows[i][j].get(0, c(0)) + 1
+    if not rows[i][j][0]:
+        del rows[i][j][0]
+    return StructureAlgebra(alg.dim, rows, alg.unit, check="none")
+
+
+def straightening_first_failure(double):
+    """First (b, c), b-major, where e^b . e_c differs from the expansion
+    sum e_{c2} (x) e^b(e_{c3} (-) A(e_{c1})), all with element arithmetic."""
+    h = double.base
+    n = h.dim
+    anti = h.antipode_inverse if double.flavor == "drinfeld" else h.antipode
+    basis = h.algebra.basis_element
+    for b in range(n):
+        chi = double.embed_dual(h.algebra._basis_coords(b))
+        for c in range(n):
+            lhs = chi * double.embed_hopf(h.algebra._basis_coords(c))
+            rhs = double.algebra.zero_element()
+            for c1, c2, c3, t in h.delta2_triples(c):
+                for v in range(n):
+                    w = basis(c3) * basis(v) * h.algebra.element(anti.column(c1))
+                    e = double.algebra.basis_element(double.flat(c2, v))
+                    rhs = rhs + e * (t * w.coords[b])
+            if lhs != rhs:
+                return (b, c)
+    return None
+
+
+def cross_relation_first_failure(double):
+    """First (k, d), k-major, where e_k . e^d differs from the expansion
+    sum e^d(S(e_{k3}) (-) e_{k1}) e_{k2}, all with element arithmetic."""
+    h = double.base
+    n = h.dim
+    basis = h.algebra.basis_element
+    for k in range(n):
+        hk = double.embed_hopf(h.algebra._basis_coords(k))
+        for d in range(n):
+            lhs = hk * double.embed_dual(h.algebra._basis_coords(d))
+            rhs = double.algebra.zero_element()
+            for k1, k2, k3, t in h.delta2_triples(k):
+                for v in range(n):
+                    w = h.algebra.element(h.antipode.column(k3)) * basis(v) * basis(k1)
+                    e = double.algebra.basis_element(double.flat(k2, v))
+                    rhs = rhs + e * (t * w.coords[d])
+            if lhs != rhs:
+                return (k, d)
+    return None
+
+
+@pytest.mark.parametrize("flavor", ["drinfeld", "anti"])
+@pytest.mark.parametrize("cell", [(1, 4), (1, 10), (3, 6), (3, 14)])
+def test_corrupted_classical_double_straightening_first_failure(flavor, cell):
+    good = build_classical_double(taft(2), flavor)
+    assert check_straightening(good).passed
+    assert straightening_first_failure(good) is None
+    bad = ClassicalDouble(good.base, flavor, with_corrupted_cell(good.algebra, *cell), None)
+    want = straightening_first_failure(bad)
+    assert want is not None
+    rep = check_straightening(bad)
+    assert rep.status == "fail" and rep.witnesses["first_failure"] == want
+
+
+@pytest.mark.parametrize("cell", [(1, 4), (3, 12), (10, 12), (11, 4)])
+def test_corrupted_twisted_double_cross_relation_first_failure(d2, cell):
+    assert cross_relation_first_failure(d2) is None
+    alg = with_corrupted_cell(d2.algebra, *cell)
+    bad = TwistedDouble(d2.base, alg, alg.element(d2.sigma.coords), alg.unit_element())
+    want = cross_relation_first_failure(bad)
+    assert want is not None
+    rep = check_cross_relation(bad)
+    assert rep.status == "fail" and rep.witnesses["first_failure"] == want

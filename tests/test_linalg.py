@@ -21,7 +21,7 @@ from hopfcheck.linalg import (
     rank,
     rref,
     solve,
-    vec_eq,
+    sparse_of,
 )
 
 
@@ -31,6 +31,10 @@ def c(v) -> Cyclotomic:
 
 def cm(rows) -> Matrix:
     return Matrix([[c(x) for x in r] for r in rows], ncols=len(rows[0]) if rows else 0)
+
+
+def dense(vec: dict, n: int) -> list:
+    return [vec.get(j, c(0)) for j in range(n)]
 
 
 def rand_matrix(rng, nrows, ncols, order=1, span=9):
@@ -52,7 +56,7 @@ def rand_matrix(rng, nrows, ncols, order=1, span=9):
 def test_rref_simple():
     rows, pivots = rref(cm([[2, 4], [1, 2]]))
     assert pivots == [0]
-    assert vec_eq(rows[0], [c(1), c(2)])
+    assert rows[0] == {0: c(1), 1: c(2)}
 
 
 def test_rank_via_product_factorization():
@@ -66,7 +70,7 @@ def test_rank_via_product_factorization():
         ker = kernel(m)
         assert ker.dim >= 2
         for v in ker.basis:
-            assert all(not x for x in m.apply(v))
+            assert all(not x for x in m.apply(dense(v, m.ncols)))
 
 
 def test_kernel_rank_nullity_random():
@@ -90,16 +94,16 @@ def test_solve_consistent_and_inconsistent():
         m = rand_matrix(rng, 4, 4, order=3, span=3)
         x0 = [Cyclotomic(3, (rng.randint(-3, 3), rng.randint(-3, 3))) for _ in range(4)]
         b = m.apply(x0)
-        x = solve(m, b)
+        x = solve(m, sparse_of(b))
         assert x is not None
-        assert vec_eq(m.apply(x), b)
-    bad = solve(cm([[1, 0], [1, 0]]), [c(1), c(2)])
+        assert m.apply(dense(x, 4)) == b
+    bad = solve(cm([[1, 0], [1, 0]]), {0: c(1), 1: c(2)})
     assert bad is None
 
 
 def test_solve_shape_mismatch_raises():
     with pytest.raises(ValueError):
-        solve(cm([[1, 0]]), [c(1), c(2)])
+        solve(cm([[1, 0]]), {0: c(1), 1: c(2)})
 
 
 def test_minimal_polynomial_basic():
@@ -138,7 +142,8 @@ def test_minimal_polynomial_has_no_lower_degree_relation(order):
     for size in (1, 2, 3):
         a = rand_matrix(rng, size, size, order=order, span=2)
         sparse = Matrix(
-            [[x if rng.random() < 0.4 else c(0) for x in row] for row in a.data], ncols=size
+            [[x if rng.random() < 0.4 else c(0) for x in a.row(i)] for i in range(size)],
+            ncols=size,
         )
         for m in (a, sparse, _block_diag(a, a), _block_diag(sparse, Matrix.zeros(2, 2))):
             poly = minimal_polynomial(m)
@@ -146,7 +151,7 @@ def test_minimal_polynomial_has_no_lower_degree_relation(order):
             assert poly[-1] == 1 and poly_eval_matrix(poly, m).is_zero()
             powers, power = [], Matrix.identity(m.nrows)
             for _ in range(d):
-                powers.append([x for row in power.data for x in row])
+                powers.append([x for i in range(m.nrows) for x in power.row(i)])
                 power = power @ m
             assert rank(Matrix(powers, ncols=m.nrows**2)) == d
 
@@ -193,24 +198,24 @@ def test_poly_gcd_and_squarefree():
 
 def test_echelon_basis_incremental():
     eb = EchelonBasis(3)
-    assert eb.add([c(1), c(2), c(0)])
-    assert not eb.add([c(2), c(4), c(0)])
-    assert eb.add([c(0), c(0), c(5)])
+    assert eb.add({0: c(1), 1: c(2)})
+    assert not eb.add({0: c(2), 1: c(4)})
+    assert eb.add({2: c(5)})
     assert eb.dim == 2
-    assert eb.contains([c(3), c(6), c(7)])
-    assert not eb.contains([c(0), c(1), c(0)])
-    coords = eb.coordinates([c(3), c(6), c(7)])
-    assert coords is not None and vec_eq(coords, [c(3), c(7)])
+    assert eb.contains({0: c(3), 1: c(6), 2: c(7)})
+    assert not eb.contains({1: c(1)})
+    coords = eb.coordinates({0: c(3), 1: c(6), 2: c(7)})
+    assert coords == {0: c(3), 1: c(7)}
 
 
 def test_subspace_equality_and_intersection():
-    a = Subspace.from_vectors(3, [[c(1), c(0), c(1)], [c(0), c(1), c(0)]])
-    b = Subspace.from_vectors(3, [[c(2), c(0), c(2)], [c(0), c(3), c(0)]])
+    a = Subspace.from_vectors(3, [{0: c(1), 2: c(1)}, {1: c(1)}])
+    b = Subspace.from_vectors(3, [{0: c(2), 2: c(2)}, {1: c(3)}])
     assert a == b
-    w = Subspace.from_vectors(3, [[c(0), c(0), c(1)]])
+    w = Subspace.from_vectors(3, [{2: c(1)}])
     inter = a.intersection(w)
     assert inter.dim == 0
-    u = Subspace.from_vectors(3, [[c(1), c(0), c(1)]])
+    u = Subspace.from_vectors(3, [{0: c(1), 2: c(1)}])
     assert a.intersection(u) == u
 
 
@@ -229,19 +234,21 @@ def test_matmul_and_transpose_consistency():
 
 
 def test_subspace_queries_match_a_fresh_echelon_basis():
-    # repeated queries answer from the cached echelon view; they must agree
-    # with an EchelonBasis built afresh and must leave the basis untouched
+    # repeated queries run against the subspace's own echelon basis; they
+    # must agree with an EchelonBasis built afresh and leave the basis untouched
     rng = random.Random(11)
     n = 6
-    gens = rand_matrix(rng, 3, n, order=3).data
+    gm = rand_matrix(rng, 3, n, order=3)
+    gens = gm.data
     space = Subspace.from_vectors(n, gens)
-    before = [list(r) for r in space.basis]
-    probes = [list(r) for r in rand_matrix(rng, 4, n, order=3).data]
-    for coeffs in rand_matrix(rng, 4, 3, order=3).data:
+    before = [dict(r) for r in space.basis]
+    probes = [dict(r) for r in rand_matrix(rng, 4, n, order=3).data]
+    cmat = rand_matrix(rng, 4, 3, order=3)
+    for i in range(cmat.nrows):
         combo = [c(0)] * n
-        for f, g in zip(coeffs, gens):
-            combo = [x + f * y for x, y in zip(combo, g)]
-        probes.append(combo)
+        for k, f in enumerate(cmat.row(i)):
+            combo = [x + f * y for x, y in zip(combo, gm.row(k))]
+        probes.append(sparse_of(combo))
     for _ in range(2):
         for v in probes:
             fresh = EchelonBasis(n)
@@ -250,42 +257,7 @@ def test_subspace_queries_match_a_fresh_echelon_basis():
             assert space.contains(v) == fresh.contains(v)
             assert space.coordinates(v) == fresh.coordinates(v)
     assert sum(space.contains(v) for v in probes) == 4
-    assert all(vec_eq(a, b) for a, b in zip(space.basis, before))
-
-
-def test_subspace_first_queries_from_many_threads_agree():
-    # the echelon view is built by whichever thread queries first; threads
-    # racing on that first query must all see a complete view
-    import sys
-    import threading
-
-    rng = random.Random(5)
-    n = 8
-    gens = rand_matrix(rng, 4, n, order=3).data
-    probes = [list(r) for r in rand_matrix(rng, 3, n, order=3).data] + [list(gens[0])]
-    want = [Subspace.from_vectors(n, gens).coordinates(v) for v in probes]
-    spaces = [Subspace.from_vectors(n, gens) for _ in range(50)]
-    got = []
-    start = threading.Barrier(6)
-
-    def worker():
-        for space in spaces:
-            start.wait(timeout=60)  # all threads race on each first query
-            got.append([space.coordinates(v) for v in probes])
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert len(got) == 6 * len(spaces)
-    assert all(answers == want for answers in got)
+    assert space.basis == before
 
 
 def test_kernel_rank_nullity_failure_raises(monkeypatch):
