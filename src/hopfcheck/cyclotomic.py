@@ -19,10 +19,11 @@ from math import gcd, lcm
 # cap lies far above any order the catalogue builds.
 MAX_ORDER = 1000
 
-# The most spellings one cyc_from_json memo keeps.  A dense document repeats
-# a few spellings (the 101-dim benchmark documents: 1,287 of 1,030,402); one
-# whose spellings are mostly distinct gains nothing from a memo, and the cap
-# keeps it from holding a key and a value for each of them.
+# The most spellings one document's memo keeps (a ScalarMemo, or the one of a
+# scalar_hook).  A dense document repeats a few spellings (the 101-dim
+# benchmark documents: 1,287 of 1,030,402); one whose spellings are mostly
+# distinct gains nothing from a memo, and the cap keeps it from holding a key
+# and a value for each of them.
 MEMO_LIMIT = 1 << 16
 
 _CYCLO: dict[int, list[int]] = {}
@@ -483,26 +484,33 @@ class ScalarMemo(dict):
         self.order = 1
 
 
-def cyc_from_json(obj: dict, memo: ScalarMemo | None = None) -> Cyclotomic:
+def cyc_from_json(obj: dict | Cyclotomic, memo: ScalarMemo | None = None) -> Cyclotomic:
     """Parse the JSON form written by `Cyclotomic.to_json`.
 
     `order` must be an integer in 1..MAX_ORDER and `coeffs` a list of
     phi(order) [numerator, denominator] pairs of integer strings with nonzero
     denominators (unreduced or negative ones are fine).  Anything else raises
-    KeyError, TypeError or ValueError.
+    KeyError, TypeError or ValueError.  A Cyclotomic, which scalar_hook made
+    while the document was decoded, is taken as it is.
 
     With a `memo` kept for the scalars of one document, a spelling the
     document repeats is parsed once and its (immutable) value shared, and a
     scalar that takes the lcm of the document's orders above MAX_ORDER raises
-    ValueError.  A spelling that fails is never stored, so it fails again
-    wherever it recurs.
+    ValueError, wherever it recurs.  A spelling that does not parse is never
+    stored, so it fails again wherever it recurs.
     """
-    key = _spelling(obj)
-    if memo is None:
-        return _from_spelling(key)
-    value = memo.get(key)
-    if value is None:
-        value = _from_spelling(key)
+    if type(obj) is Cyclotomic:
+        value = obj
+    else:
+        key = _spelling(obj)
+        if memo is None:
+            return _from_spelling(key)
+        value = memo.get(key)
+        if value is None:
+            value = _from_spelling(key)
+            if len(memo) < MEMO_LIMIT:
+                memo[key] = value
+    if memo is not None and memo.order % value.order:
         order = lcm(memo.order, value.order)
         if order > MAX_ORDER:
             raise ValueError(
@@ -510,9 +518,59 @@ def cyc_from_json(obj: dict, memo: ScalarMemo | None = None) -> Cyclotomic:
                 f"orders above {MAX_ORDER}"
             )
         memo.order = order
+    return value
+
+
+def scalar_hook():
+    """A json `object_hook` that parses scalars while a document is decoded.
+
+    An object whose keys are exactly `order` and `coeffs` and whose spelling
+    parses becomes its Cyclotomic.  Like a ScalarMemo, the hook parses each
+    distinct spelling once (up to MEMO_LIMIT of them) and shares its value,
+    so the decoded tree holds one value per distinct spelling instead of a
+    dict, two lists and two strings per scalar.  Every other object is
+    returned as it is, for cyc_from_json to report where it is read; the cap
+    on the lcm of orders is applied there too, in reading order.  The hook
+    parses only scalars whose orders divide one common order within
+    MAX_ORDER, so a document cannot make it build the fields of orders that
+    reading would refuse.
+    """
+    memo: dict[tuple, Cyclotomic] = {}
+    get = memo.get
+    seen = 1  # lcm of the orders parsed so far
+
+    def hook(obj: dict):
+        nonlocal seen
+        if len(obj) != 2:
+            return obj
+        order = obj.get("order")
+        coeffs = obj.get("coeffs")
+        if type(order) is not int or type(coeffs) is not list:
+            return obj
+        # the spelling key of _spelling, built inline: this runs once per scalar
+        key = [order]
+        for pair in coeffs:
+            if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not str \
+                    or type(pair[1]) is not str:
+                return obj
+            key += pair
+        key = tuple(key)
+        value = get(key)
+        if value is not None:
+            return value
+        both = lcm(seen, order)
+        if not 1 <= both <= MAX_ORDER:
+            return obj
+        try:
+            value = _from_spelling(key)
+        except ValueError:
+            return obj
+        seen = both
         if len(memo) < MEMO_LIMIT:
             memo[key] = value
-    return value
+        return value
+
+    return hook
 
 
 def q_int(n: int, omega: Cyclotomic) -> Cyclotomic:

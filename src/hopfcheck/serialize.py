@@ -9,19 +9,21 @@ Schemas (scalars are { "order": N, "coeffs": [["num","den"], ...] }):
            "counit" ([scalar...]) and "antipode" (an n x n matrix).
 
 Ingest validates the defining axioms on construction and reports the first
-broken one by name.  Reading a document parses each distinct scalar
-spelling once and shares the resulting immutable Cyclotomic.  The readers
-consume their document: they empty it once its fields are read, so that
+broken one by name.  Each distinct scalar spelling of a document is parsed
+once and the resulting immutable Cyclotomic shared.  ingest_algebra parses
+scalars while json decodes the file, through cyclotomic.scalar_hook, so the
+decoded tree holds one shared value per distinct spelling rather than a
+dict, two lists and two strings per scalar.  The readers take those values
+as they are, applying the cap on the lcm of orders, and parse and locate
+whatever the hook left as JSON, through a ScalarMemo.  They consume
+their document: they empty it once its fields are read, so that
 ingest_algebra frees the decoded tree before the associativity certificate
-runs.  ingest_algebra also pauses the cyclic garbage collector while it
-decodes and builds.
+runs.
 """
 
-import gc
 import json
-from contextlib import contextmanager
 
-from .cyclotomic import ZERO, ScalarMemo, cyc_from_json
+from .cyclotomic import ZERO, ScalarMemo, cyc_from_json, scalar_hook
 from .linalg import Matrix, shaped_matrix
 from .algebra import AlgebraError, StructureAlgebra
 from .hopf import HopfAxiomError, HopfData
@@ -151,36 +153,20 @@ def hopf_from_json(obj: dict, *, name: str = "ingested") -> HopfData:
         raise IngestError(str(exc)) from exc
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector, restoring the caller's setting.
-
-    Decoding a dense document allocates millions of containers, and each
-    collector pass would traverse all of the still-growing tree.  A decoded
-    JSON tree holds no reference cycles, so reference counting alone frees it.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def ingest_algebra(path: str):
     """Load a JSON file holding either schema; returns HopfData when the
     coalgebra fields are present, else StructureAlgebra."""
-    with _gc_paused():
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise IngestError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise IngestError("top-level JSON value must be an object")
-        if "comult" in obj or "counit" in obj or "antipode" in obj:
-            return hopf_from_json(obj)
-        return algebra_from_json(obj)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh, object_hook=scalar_hook())
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, bytes that are not text, an integer literal above
+        # Python's digit limit, or nesting deeper than the recursion limit
+        raise IngestError(f"not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise IngestError("top-level JSON value must be an algebra object")
+    if "comult" in obj or "counit" in obj or "antipode" in obj:
+        return hopf_from_json(obj)
+    return algebra_from_json(obj)

@@ -170,6 +170,24 @@ def test_ingest_mistyped_document_is_usage_error(tmp_path, capsys, text):
     assert "internal error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"dim": ' + b"1" * 5001 + b', "unit": [], "structure": []}',
+        b"\xff\xfe{",
+    ],
+    ids=["nested-200000-deep", "dim-of-5001-digits", "not-utf8"],
+)
+def test_ingest_undecodable_document_is_usage_error(tmp_path, capsys, data):
+    # past the recursion limit, past Python's 4,300-digit int limit, not text
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(data)
+    assert cli.main(["ingest", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and "internal error" not in err
+
+
 def test_ingest_missing_file(capsys):
     assert cli.main(["ingest", "/nonexistent/path.json"]) == 2
 

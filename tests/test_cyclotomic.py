@@ -1,6 +1,7 @@
 """Exact scalar arithmetic tests, including frozen small-value oracles."""
 
 import random
+import json
 from fractions import Fraction
 from math import lcm
 
@@ -19,6 +20,7 @@ from hopfcheck.cyclotomic import (
     q_factorial,
     q_int,
     root_of_unity,
+    scalar_hook,
 )
 
 
@@ -259,6 +261,40 @@ def test_cyc_from_json_memo_is_capped_but_still_tracks_orders(monkeypatch):
     with pytest.raises(ValueError, match="lcm 35 "):
         cyc_from_json(seventh, memo)
     assert memo.order == 5
+
+
+def test_cyc_from_json_takes_parsed_values_under_the_lcm_cap(monkeypatch):
+    memo = ScalarMemo()
+    fifth = root_of_unity(5)
+    assert cyc_from_json(fifth, memo) is fifth and memo.order == 5
+    monkeypatch.setattr(cyclotomic, "MAX_ORDER", 34)
+    with pytest.raises(ValueError, match="lcm 35 "):
+        cyc_from_json(root_of_unity(7), memo)
+    assert memo.order == 5
+
+
+def _zero_json(order):
+    return {"order": order, "coeffs": [["0", "1"]] * phi_degree(order)}
+
+
+def test_scalar_hook_leaves_other_objects_as_they_are():
+    other = {"rows": 1, "cols": 1, "entries": [[_zero_json(3)]]}
+    bad = {"order": 1, "coeffs": [["1", "0"]]}
+    got = json.loads(json.dumps([other, bad]), object_hook=scalar_hook())
+    assert got[1] == bad and type(got[0]) is dict
+    assert got[0]["entries"][0][0] == Cyclotomic.zero(3)
+
+
+def test_scalar_hook_parses_only_orders_of_one_common_order(monkeypatch):
+    # 997 and 991 lie within MAX_ORDER but their lcm does not: the hook builds
+    # the field of the first only, and leaves the second for reading to refuse
+    got = json.loads(json.dumps([_zero_json(997), _zero_json(991), _zero_json(1)]),
+                     object_hook=scalar_hook())
+    assert [type(v) for v in got] == [Cyclotomic, dict, Cyclotomic]
+    monkeypatch.setattr(cyclotomic, "MEMO_LIMIT", 1)
+    got = json.loads(json.dumps([_zero_json(1), _zero_json(2), _zero_json(2)]),
+                     object_hook=scalar_hook())
+    assert got[1] == got[2] and got[1] is not got[2]  # past the limit, parsed each time
 
 
 # -- field axioms across mixed orders, and the same-order fast path ------------
