@@ -1,9 +1,15 @@
 """Finite-dimensional associative algebras given by structure constants.
 
 A StructureAlgebra holds a rank-3 tensor c[i][j][k] (stored as sparse rows:
-for each basis pair (i, j) a dict mapping k to a nonzero scalar) plus the
-coordinates of the unit.  Construction verifies the unit laws exactly
-(unit_failure) and associativity in one of three regimes, by size:
+for each basis pair (i, j) a cell mapping k to a nonzero scalar) plus the
+coordinates of the unit.  The constants are held once: every empty cell is
+the one read-only EMPTY_CELL, and a cell handed to the constructor zero-free
+at the algebra's order is kept as it is, not copied, so no one may mutate a
+cell once it is handed over.  The double builders of doubles.py also share
+equal scalars, one object per distinct value within a build.
+
+Construction verifies the unit laws exactly (unit_failure) and
+associativity in one of three regimes, by size:
 
   dim <= DEFAULT_PURE_LIMIT (24)  associativity_failure on every basis triple
   dim <= DEFAULT_EXHAUSTIVE_LIMIT (MODULAR_LIMIT, 230)
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import types
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -78,6 +85,22 @@ DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 20240801
 
 
+# The one empty cell, shared by every empty product e_i e_j of every algebra;
+# read-only, so that no caller can fill it for all of them at once.
+EMPTY_CELL = types.MappingProxyType({})
+
+
+def _own_cell(cell, order: int):
+    """cell as the algebra keeps it: EMPTY_CELL when empty, cell itself when it
+    is zero-free at order, else a zero-free copy lifted to order."""
+    if not cell:
+        return EMPTY_CELL
+    if all(v.order == order and v for v in cell.values()):
+        return cell
+    kept = {k: v if v.order == order else v.lift(order) for k, v in cell.items() if v}
+    return kept or EMPTY_CELL
+
+
 class AlgebraError(ValueError):
     pass
 
@@ -101,24 +124,25 @@ class StructureAlgebra:
     """Associative unital algebra over Q(zeta_N) with exact structure constants."""
 
     def __init__(self, dim: int, rows, unit, *, name: str = "", check: str = "auto"):
+        """Take ownership of rows: rows[i][j] is the cell {k: c[i][j][k]}.
+
+        A nonempty cell that holds no zero and only scalars at the algebra's
+        order (the lcm of all orders) is kept as it is, not copied; any other
+        nonempty cell is replaced by a copy without zeros and with its scalars
+        lifted, and every empty cell by EMPTY_CELL.  So a caller must not
+        mutate its cells once it has handed them over, and no one may mutate
+        the cells of a built algebra (copy a cell to change it, as a new
+        algebra's input).
+        """
         if dim < 0:
             raise ValueError("dim must be nonnegative")
         self.dim = dim
         self.name = name or f"algebra(dim {dim})"
-        orders = {
-            v.order for i in range(dim) for j in range(dim) for v in rows[i][j].values() if v
-        }
+        orders = {v.order for row in rows for cell in row if cell for v in cell.values() if v}
         orders.update(v.order for v in unit)
         order = lcm(*orders) if orders else 1
         self.order = order
-        # one copy of the constants: zeros dropped, off-order scalars lifted
-        self.rows = [
-            [
-                {k: v if v.order == order else v.lift(order) for k, v in rows[i][j].items() if v}
-                for j in range(dim)
-            ]
-            for i in range(dim)
-        ]
+        self.rows = [[_own_cell(rows[i][j], order) for j in range(dim)] for i in range(dim)]
         self.unit = tuple(v if v.order == order else v.lift(order) for v in unit)
         if len(self.unit) != dim:
             raise ValueError("unit vector length must equal dim")

@@ -28,6 +28,7 @@ from .cyclotomic import ONE, ZERO, Cyclotomic, q_factorial
 from .linalg import InvariantError, Matrix, Subspace, kernel, sparse_of
 from .algebra import (
     DEFAULT_PURE_LIMIT,
+    EMPTY_CELL,
     AlgebraElement,
     CentralBlock,
     StructureAlgebra,
@@ -117,7 +118,11 @@ def build_twisted_double(h: HopfData) -> TwistedDouble:
             b, m = divmod(f, n)
             by_first[b].append((k, m, cf))
 
-    rows: list[list[dict]] = [[{} for _ in range(nn)] for _ in range(nn)]
+    # cells start as the shared EMPTY_CELL and get a dict on their first
+    # write; every stored value goes through pool, so equal scalars are one
+    # object
+    rows: list[list] = [[EMPTY_CELL] * nn for _ in range(nn)]
+    pool: dict = {}
     for a in range(n):
         triples = h.delta2_triples(a)
         for b in range(n):
@@ -134,12 +139,14 @@ def build_twisted_double(h: HopfData) -> TwistedDouble:
                             if not prod:
                                 continue
                             cell = row[flat(c, d)]
+                            if cell is EMPTY_CELL:
+                                cell = row[flat(c, d)] = {}
                             for u, cu in prod.items():
                                 key = flat(u, k)
                                 s = cell.get(key)
                                 s = wd * cu if s is None else s + wd * cu
                                 if s:
-                                    cell[key] = s
+                                    cell[key] = pool.setdefault((s.order, s.num, s.den), s)
                                 elif key in cell:
                                     del cell[key]
 
@@ -322,7 +329,10 @@ def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
 
     anti_col = h.antipode_inv_col if flavor == "drinfeld" else h.antipode_col
 
-    rows: list[list[dict]] = [[{} for _ in range(nn)] for _ in range(nn)]
+    # cells and scalars as in build_twisted_double: EMPTY_CELL until the
+    # first write, values shared through pool
+    rows: list[list] = [[EMPTY_CELL] * nn for _ in range(nn)]
+    pool: dict = {}
     for c in range(n):
         # the products e_c3 e_v A(e_c1) for every Sweedler triple of e_c and
         # every v, read by every b below
@@ -337,6 +347,7 @@ def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
             straightened = [(c2, v, t * w[b]) for c2, v, t, w in legs if b in w]
             for a in range(n):
                 arow = alg.rows[a]
+                row = rows[flat(a, b)]
                 for c2, v, weight in straightened:
                     left = arow[c2]
                     if not left:
@@ -346,7 +357,9 @@ def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
                         conv = vrow[d]
                         if not conv:
                             continue
-                        cell = rows[flat(a, b)][flat(c, d)]
+                        cell = row[flat(c, d)]
+                        if cell is EMPTY_CELL:
+                            cell = row[flat(c, d)] = {}
                         for u, cu in left.items():
                             f1 = weight * cu
                             for kk, ck in conv.items():
@@ -354,7 +367,7 @@ def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
                                 s = cell.get(key)
                                 s = f1 * ck if s is None else s + f1 * ck
                                 if s:
-                                    cell[key] = s
+                                    cell[key] = pool.setdefault((s.order, s.num, s.den), s)
                                 elif key in cell:
                                     del cell[key]
 

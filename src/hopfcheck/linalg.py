@@ -15,7 +15,7 @@ and both raise InvariantError rather than assert, so they survive python -O.
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, cyc_from_json
 
@@ -227,13 +227,20 @@ class EchelonBasis:
 
     rows[k] is a sparse row whose pivot, pivots[k] = min(rows[k]), holds a
     one; pivots ascend, and no row has an entry in another row's pivot
-    column.
+    column.  by_pivot maps each pivot to its row.
+
+    Because the rows are fully reduced, eliminating a vector against them
+    subtracts exactly the rows whose pivots the vector holds, each times the
+    vector's own entry there: no subtraction changes an entry in another
+    pivot column.  reduce and coordinates visit only those rows, in
+    ascending pivot order.
     """
 
     def __init__(self, ambient: int):
         self.ambient = ambient
         self.rows: list[dict] = []
         self.pivots: list[int] = []
+        self.by_pivot: dict[int, dict] = {}
 
     @property
     def dim(self) -> int:
@@ -242,10 +249,8 @@ class EchelonBasis:
     def reduce(self, vec: dict) -> dict:
         """Residual of vec after elimination against the basis (vec unchanged)."""
         v = dict(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            f = v.get(piv)
-            if f is not None:
-                _axpy(v, -f, row)
+        for piv in sorted(c for c in vec if c in self.by_pivot):
+            _axpy(v, -v[piv], self.by_pivot[piv])
         return v
 
     def contains(self, vec: dict) -> bool:
@@ -267,6 +272,7 @@ class EchelonBasis:
         pos = bisect(self.pivots, piv)
         self.rows.insert(pos, v)
         self.pivots.insert(pos, piv)
+        self.by_pivot[piv] = v
         return True
 
     def coordinates(self, vec: dict):
@@ -274,11 +280,10 @@ class EchelonBasis:
         vec lies outside the span."""
         coords = {}
         v = dict(vec)
-        for k, (row, piv) in enumerate(zip(self.rows, self.pivots)):
-            f = v.get(piv)
-            if f is not None:
-                coords[k] = f
-                _axpy(v, -f, row)
+        for piv in sorted(c for c in vec if c in self.by_pivot):
+            f = v[piv]
+            coords[bisect_left(self.pivots, piv)] = f
+            _axpy(v, -f, self.by_pivot[piv])
         return None if v else coords
 
 

@@ -8,6 +8,7 @@ import pytest
 from hopfcheck import algebra as algebra_module
 from hopfcheck.algebra import (
     DEFAULT_EXHAUSTIVE_LIMIT,
+    EMPTY_CELL,
     MODULAR_LIMIT,
     PRIME_CEILING,
     AlgebraError,
@@ -55,6 +56,49 @@ def dual_numbers() -> StructureAlgebra:
         [{1: c(1)}, {}],
     ]
     return StructureAlgebra(2, rows, [c(1), c(0)], name="k[t]/(t^2)")
+
+
+def test_construction_keeps_clean_cells_and_copies_the_others():
+    # the twisted group algebra e_i e_j = zeta^(ij) e_{i+j} of Z/3, order 3;
+    # cell (0, 1) gains a zero and cell (0, 2) holds an order-1 one
+    z = root_of_unity(3)
+    rows = [[{(i + j) % 3: z ** (i * j)} for j in range(3)] for i in range(3)]
+    rows[0][1] = {1: z**0, 2: Cyclotomic.zero(3)}
+    rows[0][2] = {2: c(1)}
+    given = [[dict(cell) for cell in row] for row in rows]
+    alg = StructureAlgebra(3, rows, [c(1), c(0), c(0)], check="pure")
+    assert alg.order == 3
+    assert alg.rows[1][2] is rows[1][2]
+    assert alg.rows[0][1] is not rows[0][1] and alg.rows[0][1] == {1: z**0}
+    assert alg.rows[0][2] is not rows[0][2] and alg.rows[0][2] == {2: z**0}
+    assert alg.rows[0][2][2].order == 3
+    assert [[dict(cell) for cell in row] for row in rows] == given
+    assert rows[0][1][2].order == 3 and rows[0][2][2].order == 1
+
+
+def test_construction_shares_one_empty_cell():
+    # k[t]/(t^2) with the product t t = 0 spelled as a zero coefficient
+    rows = [[{0: c(1)}, {1: c(1)}], [{1: c(1)}, {1: c(0)}]]
+    alg = StructureAlgebra(2, rows, [c(1), c(0)], name="k[t]/(t^2)")
+    assert alg.rows[1][1] is EMPTY_CELL and rows[1][1] == {1: c(0)}
+    assert alg.same_structure(dual_numbers())
+    with pytest.raises(TypeError):
+        alg.rows[1][1][0] = c(1)
+
+
+def test_a_variant_built_from_copied_cells_leaves_the_original_unchanged():
+    # k[Z/3]; the variant shares every cell but (2, 2), which it copies
+    # before the write, as with_corrupted_cell in test_doubles does
+    alg = group_algebra_plain(3)
+    before = [[dict(cell) for cell in row] for row in alg.rows]
+    rows = [list(row) for row in alg.rows]
+    rows[2][2] = dict(rows[2][2])
+    rows[2][2][0] = c(1)
+    variant = StructureAlgebra(3, rows, alg.unit, check="none")
+    assert variant.rows[2][2] == {0: c(1), 1: c(1)}
+    assert variant.rows[1][2] is alg.rows[1][2]
+    assert [[dict(cell) for cell in row] for row in alg.rows] == before
+    assert alg.rows[2][2] == {1: c(1)}
 
 
 def test_construction_rejects_broken_associativity():

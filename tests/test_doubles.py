@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import hopfcheck
-from hopfcheck.algebra import AlgebraError, StructureAlgebra, UnitLawError
+from hopfcheck.algebra import EMPTY_CELL, AlgebraError, StructureAlgebra, UnitLawError
 from hopfcheck.cyclotomic import Cyclotomic
 from hopfcheck.hopf import check_algebra_map, dual_hopf, group_algebra, taft
 from hopfcheck.linalg import InvariantError, Matrix, minimal_polynomial, sparse_of
@@ -78,6 +78,31 @@ def test_twisted_double_group_algebra_is_commutative():
         assert d.algebra.dim == n * n
         assert d.algebra.is_commutative()
         assert check_double_unital_associative(d).passed
+
+
+def _taft3_doubles(ctx):
+    return [
+        ctx.twisted_taft(3).algebra,
+        ctx.classical_taft(3, "drinfeld").algebra,
+        ctx.classical_taft(3, "anti").algebra,
+    ]
+
+
+def test_empty_cells_of_the_doubles_are_the_one_read_only_cell(shared_ctx):
+    for alg in _taft3_doubles(shared_ctx):
+        cells = [cell for row in alg.rows for cell in row]
+        empty = [cell for cell in cells if not cell]
+        assert empty and all(cell is EMPTY_CELL for cell in empty)
+        with pytest.raises(TypeError):
+            empty[0][0] = c(1)
+    assert not EMPTY_CELL
+
+
+def test_doubles_share_one_object_per_distinct_scalar(shared_ctx):
+    for alg in _taft3_doubles(shared_ctx):
+        values = [v for row in alg.rows for cell in row for v in cell.values()]
+        distinct = {(v.order, v.num, v.den) for v in values}
+        assert len({id(v) for v in values}) == len(distinct) < len(values)
 
 
 _SIGMA_NOT_CENTRAL = """
@@ -409,9 +434,13 @@ def test_mixed_module_degree_check(d2):
 
 def _corrupted_double(d, cell):
     """A copy of d built with check="none", then structure constant cell
-    (i, j, k) doubled (after construction, whose unit check would refuse it)."""
+    (i, j, k) doubled (after construction, whose unit check would refuse it).
+    The copy shares d's cells, so the row list and the one cell are copied
+    before the write."""
     i, j, k = cell
     alg = StructureAlgebra(d.algebra.dim, d.algebra.rows, d.algebra.unit, check="none")
+    alg.rows[i] = list(alg.rows[i])
+    alg.rows[i][j] = dict(alg.rows[i][j])
     alg.rows[i][j][k] = alg.rows[i][j][k] * 2
     return TwistedDouble(d.base, alg, alg.element(d.sigma.coords), alg.unit_element())
 
@@ -420,7 +449,9 @@ def _corrupted_double(d, cell):
 def test_double_recheck_matches_construction_checks(d2, cell):
     i, j, k = cell
     assert k in d2.algebra.rows[i][j]
+    before = d2.algebra.rows[i][j][k]
     bad = _corrupted_double(d2, cell)
+    assert d2.algebra.rows[i][j][k] is before
     report = check_double_unital_associative(bad)
     assert not report.passed
     witnesses = report.witnesses["associativity"]
@@ -444,7 +475,10 @@ def test_double_recheck_matches_construction_checks(d2, cell):
 
 def with_corrupted_cell(alg, i, j):
     """alg rebuilt with check="none" after adding 1 to the e_0 coefficient
-    of the product e_i e_j."""
+    of the product e_i e_j.  The cells are copied first: a built algebra's
+    cells are shared with whatever was built from them, so a variant is made
+    by copying, changing the copy and constructing anew, never by writing
+    to alg.rows."""
     rows = [[dict(cell) for cell in row] for row in alg.rows]
     rows[i][j][0] = rows[i][j].get(0, c(0)) + 1
     if not rows[i][j][0]:

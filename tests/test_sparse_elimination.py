@@ -233,3 +233,67 @@ def test_inverse_times_matrix_is_the_identity(order, data):
     assert inv @ m == ident and m @ inv == ident
     product = inv @ m
     assert all(zero_free(r) for r in product.data)
+
+
+def walk_every_row(eb, vec):
+    """(residual, coordinates) of vec by eliminating against every basis row
+    in turn, the form that reduce and coordinates index: their dicts must
+    match these item for item, key order included."""
+    coords = {}
+    v = dict(vec)
+    for k, (row, piv) in enumerate(zip(eb.rows, eb.pivots)):
+        f = v.get(piv)
+        if f is not None:
+            coords[k] = f
+            for c, x in row.items():
+                w = v.get(c, zero(x.order)) - f * x
+                if w:
+                    v[c] = w
+                else:
+                    v.pop(c, None)
+    return v, coords
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@seed(20240801)
+@PROPERTY
+@given(data=st.data())
+def test_indexed_elimination_matches_the_dense_reference(order, data):
+    rows, ncols = data.draw(matrices(order))
+    eb = EchelonBasis(ncols)
+    for r in rows:
+        eb.add(sparse_of(r))
+    want_rows, want_pivots = ref_rref(rows, ncols)
+    assert eb.pivots == want_pivots and set(eb.by_pivot) == set(want_pivots)
+    assert all(eb.by_pivot[p] is r for r, p in zip(eb.rows, eb.pivots))
+    # the query: a combination of the basis rows, half the time plus a
+    # random sparse vector, which may take it out of the span
+    query = [zero(order)] * ncols
+    for r in want_rows:
+        f = data.draw(scalars(order))
+        query = [x + f * y for x, y in zip(query, r)]
+    if data.draw(st.booleans()):
+        for j in data.draw(st.lists(st.integers(0, ncols - 1), max_size=ncols)) if ncols else []:
+            query[j] = query[j] + data.draw(scalars(order).filter(bool))
+    vec = sparse_of(query)
+    # shuffle the query's keys: elimination must visit the pivots in
+    # ascending order whatever order the query lists them in
+    vec = {j: vec[j] for j in data.draw(st.permutations(list(vec)))}
+    residual, coords = walk_every_row(eb, vec)
+    got = eb.reduce(vec)
+    assert list(got.items()) == list(residual.items())
+    assert zero_free(got)
+    # the dense reference agrees on the residual
+    v = dense(vec, ncols, order)
+    for r, p in zip(want_rows, want_pivots):
+        v = [x - v[p] * y for x, y in zip(v, r)]
+    assert dense(got, ncols, order) == v
+    got_coords = eb.coordinates(vec)
+    if residual:
+        assert got_coords is None
+    else:
+        assert list(got_coords.items()) == list(coords.items())
+        rebuilt = [zero(order)] * ncols
+        for k, f in got_coords.items():
+            rebuilt = [x + f * y for x, y in zip(rebuilt, want_rows[k])]
+        assert rebuilt == dense(vec, ncols, order)
