@@ -7,9 +7,9 @@ cache and run one after another; output order is fixed by sorting on id.
 import time
 from dataclasses import dataclass, field
 
-from .cyclotomic import ZERO, Cyclotomic
+from .cyclotomic import MAX_ORDER, ZERO, Cyclotomic
 from .linalg import Matrix, Subspace, matrix_order, minimal_polynomial, sparse_of
-from .algebra import AlgebraError, StructureAlgebra
+from .algebra import DEFAULT_SEED, AlgebraError, StructureAlgebra
 from .hopf import (
     HopfData,
     check_hopf_axioms,
@@ -19,6 +19,7 @@ from .hopf import (
     taft_self_duality,
 )
 from .doubles import (
+    RECHECK_SAMPLES,
     acts_as_identity,
     build_classical_double,
     build_twisted_double,
@@ -70,8 +71,8 @@ class RunConfig:
     """Effective settings for a catalogue run."""
 
     ps: tuple = (2, 3)
-    samples: int = 2000  # basis triples sampled by D2.2 above dim 24
-    seed: int = 20240801  # seeds those samples
+    samples: int = RECHECK_SAMPLES  # basis triples sampled by D2.2 above dim 24
+    seed: int = DEFAULT_SEED  # seeds those samples
 
     def __post_init__(self):
         self.ps = tuple(sorted(set(int(p) for p in self.ps)))
@@ -80,6 +81,9 @@ class RunConfig:
         for p in self.ps:
             if p < 2:
                 raise ValueError("p values must be at least 2")
+            if p > MAX_ORDER:
+                # taft(p) lives in Q(zeta_p), and field orders stop at MAX_ORDER
+                raise ValueError(f"p values must be at most {MAX_ORDER}")
         if self.samples < 1:
             raise ValueError("samples must be positive")
 

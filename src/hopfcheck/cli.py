@@ -47,11 +47,14 @@ def _parse_p_list(text: str) -> tuple:
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # as in serialize.ingest_algebra: JSONDecodeError, bytes that are not
+        # text, an integer literal above Python's digit limit, or nesting
+        # deeper than the recursion limit
         raise UsageError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise UsageError(f"config {path} must hold a JSON object")

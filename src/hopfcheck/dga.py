@@ -65,18 +65,11 @@ def stable_dga(dga: TwoTermDga) -> tuple[TwoTermDga, QuotientResult]:
 
 
 def hh_minus_one(dga: TwoTermDga) -> Subspace:
-    """{ r : r z = 0 and r central }, as a subspace of the ring.
-
-    Computed as one kernel: stack right multiplication by z with all the
-    commutator maps r -> r e_j - e_j r, so every kernel vector is central.
-    """
-    ring = dga.ring
-    n = ring.dim
-    blocks = [dga.differential()]
-    for j in range(n):
-        cj = ring._basis_coords(j)
-        blocks.append(ring.right_mult_matrix(cj) - ring.left_mult_matrix(cj))
-    return kernel(Matrix.vstack(blocks))
+    """{ r : r z = 0 and r central }, as a subspace of the ring: the center
+    (StructureAlgebra.center) intersected with the kernel of the
+    differential.  A subspace is held as its reduced echelon basis, which
+    the subspace determines, so the basis does not depend on the route."""
+    return dga.ring.center().intersection(kernel(dga.differential()))
 
 
 @dataclass

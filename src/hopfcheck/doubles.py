@@ -15,9 +15,15 @@ product defined by straightening functionals past algebra elements:
 
     chi . h = h^2 chi( h^3 (-) A(h^1) ),    A = S^{-1} or A = S
 
-for the two flavors, followed by convolution in H^*.  All structure
-constants are computed from these defining formulas directly, so the
-generator relations and central-element facts verified downstream are
+for the two flavors, followed by convolution in H^*.
+
+Both families are built from the same pieces: _embed (the embeddings of H
+and H^*, and the unit) and _diagonal (sigma) in either flat layout, and the
+Sweedler-sandwich kernel _sandwiches, which gives left(e_c3) e_v right(e_c1)
+with (left, right) = (S, id) for the twisted product and (id, A) for the
+straightening rule, to the builders and to their re-checks alike.  So all
+structure constants are computed from the defining formulas directly, and
+the generator relations and central-element facts verified downstream are
 consequences of the construction rather than inputs to it.
 """
 
@@ -28,6 +34,7 @@ from .cyclotomic import ONE, ZERO, Cyclotomic, q_factorial
 from .linalg import InvariantError, Matrix, Subspace, kernel, sparse_of
 from .algebra import (
     DEFAULT_PURE_LIMIT,
+    DEFAULT_SEED,
     EMPTY_CELL,
     AlgebraElement,
     CentralBlock,
@@ -44,9 +51,94 @@ from .hopf import (
 )
 from .report import FAIL, PASS, PRECONDITION_FAILED, CheckReport
 
+# basis triples D2.2 samples above dim DEFAULT_PURE_LIMIT (seeded by DEFAULT_SEED)
+RECHECK_SAMPLES = 2000
+
+
+def _embed(flat, left, right) -> list:
+    """Coordinates of sum_{a,b} left[a] right[b] e_{flat(a, b)}, for left and
+    right of the base's dimension."""
+    out = [ZERO] * (len(left) * len(right))
+    for a, ca in enumerate(left):
+        if ca:
+            for b, cb in enumerate(right):
+                if cb:
+                    out[flat(a, b)] = ca * cb
+    return out
+
+
+def _diagonal(n: int, flat) -> list:
+    """Coordinates of sum_i e_{flat(i, i)}."""
+    out = [ZERO] * (n * n)
+    for i in range(n):
+        out[flat(i, i)] = ONE
+    return out
+
+
+def _sandwiches(h: HopfData, c: int, left, right) -> list:
+    """(c2, v, t, left(e_c3) e_v right(e_c1)) for every Sweedler triple
+    (c1, c2, c3, t) of e_c, in delta2_triples order, and every v; left and
+    right map a basis index to a sparse column."""
+    alg = h.algebra
+    out = []
+    for c1, c2, c3, t in h.delta2_triples(c):
+        for v in range(h.dim):
+            w = alg.mul_sparse(left(c3), alg.basis_sparse(v))
+            out.append((c2, v, t, alg.mul_sparse(w, right(c1))))
+    return out
+
+
+def _twist_col(h: HopfData, flavor: str):
+    """Columns of the flavor's twist A: S^{-1} for "drinfeld", S for "anti"."""
+    if flavor not in ("drinfeld", "anti"):
+        raise ValueError("flavor must be 'drinfeld' or 'anti'")
+    return h.antipode_inv_col if flavor == "drinfeld" else h.antipode_col
+
+
+def _expansion_check(double, check_id, witnesses, left, right, hopf_first) -> CheckReport:
+    """Compare, on every basis pair, the product of embedded elements with
+    its expansion sum t e^b(w) e_{flat(c2, v)} over (c2, v, t, w) in
+    _sandwiches(h, c, left, right): e_c . e^b, pairs (c, b) c-major, if
+    hopf_first, else e^b . e_c, pairs (b, c) b-major.  first_failure is the
+    first failing pair in that order."""
+    h = double.base
+    n = h.dim
+    basis = h.algebra._basis_coords
+    hs = [sparse_of(double.embed_hopf(basis(c)).coords) for c in range(n)]
+    chis = [sparse_of(double.embed_dual(basis(b)).coords) for b in range(n)]
+    legs = [_sandwiches(h, c, left, right) for c in range(n)]
+    first, second = (hs, chis) if hopf_first else (chis, hs)
+    bad = None
+    for i, j in itertools.product(range(n), repeat=2):
+        c, b = (i, j) if hopf_first else (j, i)
+        rhs: dict = {}
+        for c2, v, t, w in legs[c]:
+            wb = w.get(b)
+            if wb:
+                _acc(rhs, double.flat(c2, v), t * wb)
+        if double.algebra.mul_sparse(first[i], second[j]) != rhs:
+            bad = (i, j)
+            break
+    witnesses.update(pairs=n * n, holds=bad is None)
+    if bad is not None:
+        witnesses["first_failure"] = bad
+    return CheckReport(check_id, PASS if bad is None else FAIL, witnesses)
+
+
+class _Embeddings:
+    """The embeddings of H and H^* into a double indexed by flat(a, b)."""
+
+    def embed_hopf(self, coords) -> AlgebraElement:
+        """h -> eps(-)h = h (x) eps, the algebra embedding of the base."""
+        return self.algebra.element(_embed(self.flat, coords, self.base.counit))
+
+    def embed_dual(self, coeffs) -> AlgebraElement:
+        """chi -> chi(-)1 = 1 (x) chi, the convolution-algebra embedding of the dual."""
+        return self.algebra.element(_embed(self.flat, self.base.algebra.unit, coeffs))
+
 
 @dataclass
-class TwistedDouble:
+class TwistedDouble(_Embeddings):
     """The twisted convolution algebra on End(H) with its marked elements."""
 
     base: HopfData
@@ -68,30 +160,6 @@ class TwistedDouble:
             for b in range(n):
                 coords[self.flat(a, b)] = matrix[a, b]
         return self.algebra.element(coords)
-
-    def embed_hopf(self, coords) -> AlgebraElement:
-        """h -> eps(-)h, the algebra embedding of the base."""
-        n = self.base.dim
-        eps = self.base.counit
-        out = [ZERO] * (n * n)
-        for a, ca in enumerate(coords):
-            if ca:
-                for b in range(n):
-                    if eps[b]:
-                        out[self.flat(a, b)] = ca * eps[b]
-        return self.algebra.element(out)
-
-    def embed_dual(self, coeffs) -> AlgebraElement:
-        """chi -> chi(-)1, the convolution-algebra embedding of the dual."""
-        n = self.base.dim
-        unit = self.base.algebra.unit
-        out = [ZERO] * (n * n)
-        for b, cb in enumerate(coeffs):
-            if cb:
-                for a in range(n):
-                    if unit[a]:
-                        out[self.flat(a, b)] = cb * unit[a]
-        return self.algebra.element(out)
 
 
 def build_twisted_double(h: HopfData) -> TwistedDouble:
@@ -124,14 +192,16 @@ def build_twisted_double(h: HopfData) -> TwistedDouble:
     rows: list[list] = [[EMPTY_CELL] * nn for _ in range(nn)]
     pool: dict = {}
     for a in range(n):
-        triples = h.delta2_triples(a)
+        # the sandwiches S(e_a3) e_m e_a1 of e_a, bucketed by m and read by
+        # every (b, k) below
+        by_m: list[list[tuple]] = [[] for _ in range(n)]
+        for a2, m, t, v in _sandwiches(h, a, h.antipode_col, alg.basis_sparse):
+            by_m[m].append((a2, t, v))
         for b in range(n):
             row = rows[flat(a, b)]
             for k, m, cf in by_first[b]:
-                for a1, a2, a3, t in triples:
+                for a2, t, v in by_m[m]:
                     w = cf * t
-                    v = alg.mul_sparse(h.antipode_col(a3), alg.basis_sparse(m))
-                    v = alg.mul_sparse(v, alg.basis_sparse(a1))
                     for d, vd in v.items():
                         wd = w * vd
                         for c in range(n):
@@ -150,23 +220,10 @@ def build_twisted_double(h: HopfData) -> TwistedDouble:
                                 elif key in cell:
                                     del cell[key]
 
-    zero = ZERO
-    unit_coords = [zero] * nn
-    hunit = alg.unit
-    eps = h.counit
-    for a in range(n):
-        if hunit[a]:
-            for b in range(n):
-                if eps[b]:
-                    unit_coords[flat(a, b)] = hunit[a] * eps[b]
-
-    dalg = StructureAlgebra(nn, rows, unit_coords, name=f"twisted-double({h.name})")
-    sigma_coords = [zero] * nn
-    for a in range(n):
-        sigma_coords[flat(a, a)] = ONE
-    double = TwistedDouble(
-        h, dalg, dalg.element(sigma_coords), dalg.unit_element()
+    dalg = StructureAlgebra(
+        nn, rows, _embed(flat, alg.unit, h.counit), name=f"twisted-double({h.name})"
     )
+    double = TwistedDouble(h, dalg, dalg.element(_diagonal(n, flat)), dalg.unit_element())
     if not dalg.is_central(double.sigma):
         raise InvariantError("identity map must be central")
     sinv = double.endo_element(h.antipode_inverse)
@@ -176,8 +233,8 @@ def build_twisted_double(h: HopfData) -> TwistedDouble:
 
 
 def check_double_unital_associative(
-    double: TwistedDouble, check_id: str = "double-assoc-unital", samples: int = 2000,
-    seed: int = 20240801,
+    double: TwistedDouble, check_id: str = "double-assoc-unital",
+    samples: int = RECHECK_SAMPLES, seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Re-verify the unit law on every basis element and associativity on
     basis triples, independent of the construction-time certificate:
@@ -233,44 +290,20 @@ def check_cross_relation(
         h . chi = chi( S(h3) (-) h1 ) h2
 
     evaluated for every basis pair (h = e_k, chi = e^d) directly against
-    the constructed product.
+    the constructed product; first_failure is the first failing (k, d),
+    k-major.
     """
     h = double.base
-    alg = h.algebra
-    n = h.dim
-    chis = [sparse_of(double.embed_dual(alg._basis_coords(d)).coords) for d in range(n)]
-    bad = None
-    for k in range(n):
-        if bad is not None:
-            break
-        hk = sparse_of(double.embed_hopf(alg._basis_coords(k)).coords)
-        # the products S(e_k3) e_v e_k1 for every Sweedler triple of e_k and
-        # every v, read by every d below
-        legs = []
-        for k1, k2, k3, t in h.delta2_triples(k):
-            for v in range(n):
-                w = alg.mul_sparse(h.antipode_col(k3), alg.basis_sparse(v))
-                legs.append((double.flat(k2, v), t, alg.mul_sparse(w, alg.basis_sparse(k1))))
-        for d in range(n):
-            rhs: dict = {}
-            for pos, t, w in legs:
-                cd = w.get(d)
-                if cd:
-                    _acc(rhs, pos, t * cd)
-            if double.algebra.mul_sparse(hk, chis[d]) != rhs:
-                bad = (k, d)
-                break
-    witnesses = {"pairs": n * n, "holds": bad is None}
-    if bad is not None:
-        witnesses["first_failure"] = bad
-    return CheckReport(check_id, PASS if bad is None else FAIL, witnesses)
+    return _expansion_check(
+        double, check_id, {}, h.antipode_col, h.algebra.basis_sparse, hopf_first=True
+    )
 
 
 # -- classical doubles -------------------------------------------------
 
 
 @dataclass
-class ClassicalDouble:
+class ClassicalDouble(_Embeddings):
     """H (x) H^* with the straightening product of the chosen flavor."""
 
     base: HopfData
@@ -282,36 +315,13 @@ class ClassicalDouble:
         """Index of e_a (x) e^b."""
         return a * self.base.dim + b
 
-    def embed_hopf(self, coords) -> AlgebraElement:
-        n = self.base.dim
-        eps = self.base.counit
-        out = [ZERO] * (n * n)
-        for a, ca in enumerate(coords):
-            if ca:
-                for b in range(n):
-                    if eps[b]:
-                        out[self.flat(a, b)] = ca * eps[b]
-        return self.algebra.element(out)
-
-    def embed_dual(self, coeffs) -> AlgebraElement:
-        n = self.base.dim
-        unit = self.base.algebra.unit
-        out = [ZERO] * (n * n)
-        for b, cb in enumerate(coeffs):
-            if cb:
-                for a in range(n):
-                    if unit[a]:
-                        out[self.flat(a, b)] = cb * unit[a]
-        return self.algebra.element(out)
-
 
 def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
     """The double on H (x) H^* for flavor "drinfeld" (straightening twists
     by S^{-1}) or "anti" (twists by S; carries the central element
     sigma = sum_i e_i (x) e^i).
     """
-    if flavor not in ("drinfeld", "anti"):
-        raise ValueError("flavor must be 'drinfeld' or 'anti'")
+    twist_col = _twist_col(h, flavor)
     n = h.dim
     alg = h.algebra
     nn = n * n
@@ -327,20 +337,13 @@ def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
             i, j = divmod(f, n)
             dual_rows[i][j][k] = cf
 
-    anti_col = h.antipode_inv_col if flavor == "drinfeld" else h.antipode_col
-
     # cells and scalars as in build_twisted_double: EMPTY_CELL until the
     # first write, values shared through pool
     rows: list[list] = [[EMPTY_CELL] * nn for _ in range(nn)]
     pool: dict = {}
     for c in range(n):
-        # the products e_c3 e_v A(e_c1) for every Sweedler triple of e_c and
-        # every v, read by every b below
-        legs = []
-        for c1, c2, c3, t in h.delta2_triples(c):
-            for v in range(n):
-                w = alg.mul_sparse(alg.basis_sparse(c3), alg.basis_sparse(v))
-                legs.append((c2, v, t, alg.mul_sparse(w, anti_col(c1))))
+        # the sandwiches e_c3 e_v A(e_c1) of e_c, read by every b below
+        legs = _sandwiches(h, c, alg.basis_sparse, twist_col)
         # straighten e^b . e_c once per (b, c); reuse across a and d
         for b in range(n):
             # list of (c2, v, weight) with e^b e_c = sum weight e_{c2} (x) e^v
@@ -371,22 +374,12 @@ def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
                                 elif key in cell:
                                     del cell[key]
 
-    zero = ZERO
-    unit_coords = [zero] * nn
-    hunit = alg.unit
-    eps = h.counit
-    for a in range(n):
-        if hunit[a]:
-            for b in range(n):
-                if eps[b]:
-                    unit_coords[flat(a, b)] = hunit[a] * eps[b]
-    dalg = StructureAlgebra(nn, rows, unit_coords, name=f"double[{flavor}]({h.name})")
+    dalg = StructureAlgebra(
+        nn, rows, _embed(flat, alg.unit, h.counit), name=f"double[{flavor}]({h.name})"
+    )
     sigma = None
     if flavor == "anti":
-        coords = [zero] * nn
-        for i in range(n):
-            coords[flat(i, i)] = ONE
-        sigma = dalg.element(coords)
+        sigma = dalg.element(_diagonal(n, flat))
         if not dalg.is_central(sigma):
             raise InvariantError("sigma must be central in the anti flavor")
     return ClassicalDouble(h, flavor, dalg, sigma)
@@ -397,42 +390,14 @@ def check_straightening(
 ) -> CheckReport:
     """The flavor's straightening rule, evaluated for every basis pair
     (chi = e^b, h = e_c): the product of the embedded elements equals the
-    expansion  sum  e_{c2} (x) e^b( e_{c3} (-) A(e_{c1}) )."""
+    expansion  sum  e_{c2} (x) e^b( e_{c3} (-) A(e_{c1}) ); first_failure is
+    the first failing (b, c), b-major."""
     h = double.base
-    alg = h.algebra
-    n = h.dim
-    anti_col = (
-        h.antipode_inv_col if double.flavor == "drinfeld" else h.antipode_col
+    twist_col = _twist_col(h, double.flavor)
+    return _expansion_check(
+        double, check_id, {"flavor": double.flavor}, h.algebra.basis_sparse, twist_col,
+        hopf_first=False,
     )
-    hs = [sparse_of(double.embed_hopf(alg._basis_coords(c)).coords) for c in range(n)]
-    # the products e_c3 e_v A(e_c1) for every Sweedler triple of e_c and
-    # every v, computed once per c and read by every b below
-    legs = []
-    for c in range(n):
-        legs_c = []
-        for c1, c2, c3, t in h.delta2_triples(c):
-            for v in range(n):
-                w = alg.mul_sparse(alg.basis_sparse(c3), alg.basis_sparse(v))
-                legs_c.append((double.flat(c2, v), t, alg.mul_sparse(w, anti_col(c1))))
-        legs.append(legs_c)
-    bad = None
-    for b in range(n):
-        if bad is not None:
-            break
-        chi = sparse_of(double.embed_dual(alg._basis_coords(b)).coords)
-        for c in range(n):
-            rhs: dict = {}
-            for pos, t, w in legs[c]:
-                cb = w.get(b)
-                if cb:
-                    _acc(rhs, pos, t * cb)
-            if double.algebra.mul_sparse(chi, hs[c]) != rhs:
-                bad = (b, c)
-                break
-    witnesses = {"flavor": double.flavor, "pairs": n * n, "holds": bad is None}
-    if bad is not None:
-        witnesses["first_failure"] = bad
-    return CheckReport(check_id, PASS if bad is None else FAIL, witnesses)
 
 
 def uhu_map(
@@ -485,16 +450,10 @@ def taft_double_generators(double: TwistedDouble) -> dict[str, AlgebraElement]:
     meta = double.base.meta or {}
     if meta.get("family") != "taft":
         raise ValueError("generators are defined for Taft-algebra doubles")
-    p = meta["p"]
     transport = taft_dual_transport(double.base)
-
-    def idx(i: int, j: int) -> int:
-        return i * p + j
-
-    x_coords = [ZERO] * (p * p)
-    x_coords[idx(0, 1)] = ONE
-    g_coords = [ZERO] * (p * p)
-    g_coords[idx(1, 0)] = ONE
+    # the Taft basis g^i x^j sits at index i*p + j: x is e_1 and g is e_p
+    x_coords = double.base.algebra._basis_coords(1)
+    g_coords = double.base.algebra._basis_coords(meta["p"])
     return {
         "x": double.embed_hopf(x_coords),
         "x'": double.embed_dual(transport.apply(x_coords)),

@@ -1,5 +1,6 @@
 """Catalogue plumbing: ids, selection, ordering, caching, summaries."""
 
+import inspect
 import time
 
 import pytest
@@ -14,6 +15,8 @@ from hopfcheck.catalogue import (
     run_checks,
     summarize,
 )
+from hopfcheck.cyclotomic import MAX_ORDER
+from hopfcheck.doubles import check_double_unital_associative
 
 REQUIRED_IDS = [
     "D2.2-assoc-unital",
@@ -146,4 +149,12 @@ def test_config_validation():
         RunConfig(ps=(1,))
     with pytest.raises(ValueError):
         RunConfig(samples=0)
-    assert RunConfig(ps=(3, 2, 2)).ps == (2, 3)
+    with pytest.raises(ValueError, match=f"at most {MAX_ORDER}"):
+        RunConfig(ps=(2, MAX_ORDER + 1))
+    assert RunConfig(ps=(3, 2, MAX_ORDER)).ps == (2, 3, MAX_ORDER)
+
+
+def test_run_defaults_are_the_d22_library_defaults():
+    params = inspect.signature(check_double_unital_associative).parameters
+    config = RunConfig()
+    assert (config.samples, config.seed) == (params["samples"].default, params["seed"].default)

@@ -52,6 +52,31 @@ def test_malformed_config(tmp_path, capsys):
     assert cli.main(["run", "--config", str(bad)] + CHEAP) == 2
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xff\xfe{",
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"seed": ' + b"1" * 5001 + b"}",
+    ],
+    ids=["not-utf8", "nested-200000-deep", "seed-of-5001-digits"],
+)
+def test_undecodable_config_is_usage_error(tmp_path, capsys, data):
+    # not text, past the recursion limit, past Python's 4,300-digit int limit
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    assert cli.main(["run", "--id", "S3-S-squared", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: config" in err and "not valid JSON" in err and "internal error" not in err
+
+
+def test_p_above_the_field_order_cap_is_usage_error(capsys):
+    # taft(p) lives in Q(zeta_p): a p past MAX_ORDER is refused before any check runs
+    assert cli.main(["run", "--id", "S3-S-squared", "--p", "99999999999999999999999"]) == 2
+    err = capsys.readouterr().err
+    assert f"at most {MAX_ORDER}" in err and "internal error" not in err
+
+
 def test_config_file_sets_p_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": [2]}))

@@ -1,6 +1,7 @@
 """Double constructions: twisted double internals, generator relations,
 block structure, classical doubles and the pivot comparison, module checks."""
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -103,6 +104,47 @@ def test_doubles_share_one_object_per_distinct_scalar(shared_ctx):
         values = [v for row in alg.rows for cell in row for v in cell.values()]
         distinct = {(v.order, v.num, v.den) for v in values}
         assert len({id(v) for v in values}) == len(distinct) < len(values)
+
+
+def constants_digest(alg):
+    """sha256 of every structure constant, as repr((i, j, k, order, num, den))
+    per cell in row order with k sorted, then of the unit's (order, num, den)."""
+    h = hashlib.sha256()
+    for i, row in enumerate(alg.rows):
+        for j, cell in enumerate(row):
+            for k in sorted(cell):
+                v = cell[k]
+                h.update(repr((i, j, k, v.order, v.num, v.den)).encode())
+    h.update(repr([(v.order, v.num, v.den) for v in alg.unit]).encode())
+    return h.hexdigest()
+
+
+# recorded before the builders shared their embedding helper and sandwich
+# kernel; any change of a constant, of its scalar's representation or of the
+# unit changes a digest
+CONSTANTS_DIGESTS = {
+    ("taft2", "twisted"): "607b8ae4291d4b3dc4fd4860dcc4e33346524e7b8c3eccaa0b094b97bfbd80c7",
+    ("taft2", "drinfeld"): "cd5a0b6c7ff023fe4a22d58c3351a4e440c133b57ccde961ce56dcf99c8a01ec",
+    ("taft2", "anti"): "baf0a1a62a5dd3616907011510a495cfe1010278095aa2110abefa3903b7843b",
+    ("taft3", "twisted"): "29fc3389006ced4ebf44a454d23c3838e4eab068c7f293ea5b7dc54ad4a3924e",
+    ("taft3", "drinfeld"): "2223ef8253c4b8af4832add91a560a824523a8d377c78e33b544606370fa6dca",
+    ("taft3", "anti"): "f514f2b0d0d60e360096f884eb2ee1814a4bb764874da544300cc7e3959e2128",
+    ("kZ3", "twisted"): "301c7c6e8bb90e317378b3b3eb3fabfe4590f30ceb7ae0561b8e2627911e4603",
+    ("kZ3", "drinfeld"): "cb7210cae4337e94a6638e080caefd0ec52ce5b3caf99be6b2977b5f879cae10",
+    ("kZ3", "anti"): "cb7210cae4337e94a6638e080caefd0ec52ce5b3caf99be6b2977b5f879cae10",
+}
+
+
+@pytest.mark.parametrize("base, flavor", sorted(CONSTANTS_DIGESTS))
+def test_double_structure_constants_are_pinned(shared_ctx, base, flavor):
+    if base == "kZ3":
+        h = group_algebra(3)
+        d = build_twisted_double(h) if flavor == "twisted" else build_classical_double(h, flavor)
+    elif flavor == "twisted":
+        d = shared_ctx.twisted_taft(int(base[-1]))
+    else:
+        d = shared_ctx.classical_taft(int(base[-1]), flavor)
+    assert constants_digest(d.algebra) == CONSTANTS_DIGESTS[(base, flavor)]
 
 
 _SIGMA_NOT_CENTRAL = """
