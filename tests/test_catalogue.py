@@ -151,6 +151,7 @@ def test_config_validation():
         RunConfig(samples=0)
     with pytest.raises(ValueError, match=f"at most {MAX_ORDER}"):
         RunConfig(ps=(2, MAX_ORDER + 1))
+    assert RunConfig(ps=(3, 2, 2)).ps == (2, 3)
     assert RunConfig(ps=(3, 2, MAX_ORDER)).ps == (2, 3, MAX_ORDER)
 
 

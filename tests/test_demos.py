@@ -19,7 +19,8 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     src = os.path.dirname(os.path.dirname(hopfcheck.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     run = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
     )
