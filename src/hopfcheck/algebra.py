@@ -35,13 +35,14 @@ associativity in one of three regimes, by size:
 check= forces a regime ("pure", "modular", "sample") or skips it ("none").
 The D2.2 re-check of the twisted doubles uses the same two methods.
 
-Every product in the algebra goes through one sparse kernel,
-StructureAlgebra.mul_sparse, which multiplies coordinate dicts {index: nonzero
-scalar} and visits only the structure-constant cells their supports select;
-mul_coords is its dense wrapper for AlgebraElement coordinates.  All higher
-operations (center, radical, subalgebras, ideals, quotients, central
-splitting) hand the same sparse dicts to the exact linear algebra of linalg,
-which keeps its vectors and matrix rows in that form.
+An AlgebraElement holds its terms, a dict {basis index: nonzero scalar}, and
+every product goes through one sparse kernel, StructureAlgebra.mul_sparse,
+which multiplies two such dicts and visits only the structure-constant cells
+their supports select.  All higher operations (center, radical, subalgebras,
+ideals, quotients, central splitting) hand the same dicts to the exact linear
+algebra of linalg.  Dense coordinates remain only at the edges: the unit
+tuple, element(coords), an element's coords view and the dense operands that
+left_mult_matrix and right_mult_matrix still accept.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _axpy,
+    dense_of,
     eigensplit,
     invert_matrix,
     kernel,
@@ -148,6 +150,7 @@ class StructureAlgebra:
             raise ValueError("unit vector length must equal dim")
         self._zero = Cyclotomic.zero(order)
         self._one = Cyclotomic.one(order)
+        self._unit_terms = sparse_of(self.unit)
         if dim:
             j = self.unit_failure()
             if j is not None:
@@ -158,7 +161,7 @@ class StructureAlgebra:
 
     def unit_failure(self):
         """The first basis index j with 1 e_j != e_j or e_j 1 != e_j, or None."""
-        unit = sparse_of(self.unit)
+        unit = self._unit_terms
         for j in range(self.dim):
             e = self.basis_sparse(j)
             if self.mul_sparse(unit, e) != e or self.mul_sparse(e, unit) != e:
@@ -304,35 +307,29 @@ class StructureAlgebra:
 
     # -- element plumbing ------------------------------------------------
 
-    def _basis_coords(self, i: int):
-        coords = [ZERO] * self.dim
-        coords[i] = ONE
-        return tuple(coords)
-
     def basis_sparse(self, i: int) -> dict:
         """Sparse coordinates of basis element i, its one at the algebra's order."""
         return {i: self._one}
 
     def element(self, coords) -> "AlgebraElement":
-        coords = tuple(Cyclotomic.coerce(v) for v in coords)
+        """The element with these dense coordinates, one per basis index."""
+        coords = [Cyclotomic.coerce(v) for v in coords]
         if len(coords) != self.dim:
             raise ValueError("coordinate length must equal dim")
-        return AlgebraElement(self, coords)
+        return AlgebraElement(self, sparse_of(coords))
 
     def from_dict(self, d: dict) -> "AlgebraElement":
-        coords = [ZERO] * self.dim
-        for k, v in d.items():
-            coords[k] = Cyclotomic.coerce(v)
-        return AlgebraElement(self, tuple(coords))
+        """The element sum d[k] e_k; zero values are dropped."""
+        return AlgebraElement(self, {k: c for k, v in d.items() if (c := Cyclotomic.coerce(v))})
 
     def basis_element(self, i: int) -> "AlgebraElement":
-        return AlgebraElement(self, self._basis_coords(i))
+        return AlgebraElement(self, self.basis_sparse(i))
 
     def unit_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.unit)
+        return AlgebraElement(self, self._unit_terms)
 
     def zero_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, (self._zero,) * self.dim)
+        return AlgebraElement(self, {})
 
     def basis_elements(self):
         return [self.basis_element(i) for i in range(self.dim)]
@@ -357,27 +354,31 @@ class StructureAlgebra:
                     out[k] = f * ck if w is None else w + f * ck
         return {k: w for k, w in out.items() if w}
 
-    def mul_coords(self, a, b):
-        """Dense form of mul_sparse: coordinate sequences in, a tuple out."""
-        prod = self.mul_sparse(sparse_of(a), sparse_of(b))
-        return tuple(prod.get(k, ZERO) for k in range(self.dim))
-
     def multiply(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
-        if a.algebra is not self or b.algebra is not self:
+        return AlgebraElement(self, self.mul_sparse(self._terms(a), self._terms(b)))
+
+    def _terms(self, a: "AlgebraElement") -> dict:
+        if a.algebra is not self:
             raise ValueError("elements belong to a different algebra")
-        return AlgebraElement(self, self.mul_coords(a.coords, b.coords))
+        return a.terms
 
-    def left_mult_matrix(self, coords) -> Matrix:
-        """Matrix of v -> a*v in the basis (columns are a * e_j)."""
-        a = sparse_of(coords)
-        n = self.dim
-        return Matrix.from_columns([self.mul_sparse(a, self.basis_sparse(j)) for j in range(n)], n)
+    def _operand(self, a) -> dict:
+        """The terms of a, an element of this algebra or its dense coordinates."""
+        return self._terms(a) if isinstance(a, AlgebraElement) else sparse_of(a)
 
-    def right_mult_matrix(self, coords) -> Matrix:
-        """Matrix of v -> v*a in the basis (columns are e_j * a)."""
-        a = sparse_of(coords)
+    def left_mult_matrix(self, a) -> Matrix:
+        """Matrix of v -> a*v in the basis (columns are a * e_j); a is an
+        element of this algebra or its dense coordinates."""
+        u = self._operand(a)
         n = self.dim
-        return Matrix.from_columns([self.mul_sparse(self.basis_sparse(j), a) for j in range(n)], n)
+        return Matrix.from_columns([self.mul_sparse(u, self.basis_sparse(j)) for j in range(n)], n)
+
+    def right_mult_matrix(self, a) -> Matrix:
+        """Matrix of v -> v*a in the basis (columns are e_j * a); a is an
+        element of this algebra or its dense coordinates."""
+        u = self._operand(a)
+        n = self.dim
+        return Matrix.from_columns([self.mul_sparse(self.basis_sparse(j), u) for j in range(n)], n)
 
     def structure_entry(self, i: int, j: int, k: int) -> Cyclotomic:
         return self.rows[i][j].get(k, self._zero)
@@ -402,8 +403,8 @@ class StructureAlgebra:
             return Subspace.zero(0)
         blocks = []
         for j in range(n):
-            cj = self._basis_coords(j)
-            blocks.append(self.left_mult_matrix(cj) - self.right_mult_matrix(cj))
+            ej = self.basis_element(j)
+            blocks.append(self.left_mult_matrix(ej) - self.right_mult_matrix(ej))
         return kernel(Matrix.vstack(blocks))
 
     def radical(self) -> Subspace:
@@ -433,9 +434,9 @@ class StructureAlgebra:
     def subalgebra_generated(self, gens) -> Subspace:
         """Smallest unital subalgebra containing gens (closure to a fixed point)."""
         eb = EchelonBasis(self.dim)
-        unit = sparse_of(self.unit)
+        unit = self._unit_terms
         eb.add(unit)
-        gvecs = [_sparse_element(g) for g in gens]
+        gvecs = [self._terms(g) for g in gens]
         frontier = [unit]
         while frontier:
             new = []
@@ -459,11 +460,11 @@ class StructureAlgebra:
         if multipliers is None:
             mults = [self.basis_sparse(i) for i in range(n)]
         else:
-            mults = [_sparse_element(m) for m in multipliers]
+            mults = [self._terms(m) for m in multipliers]
         eb = EchelonBasis(n)
         frontier = []
         for g in gens:
-            v = _sparse_element(g)
+            v = self._terms(g)
             if eb.add(v):
                 frontier.append(v)
         while frontier:
@@ -519,9 +520,9 @@ class StructureAlgebra:
             return out
 
         rows = [[project(self.rows[a][b]) for b in chosen] for a in chosen]
-        unit_q = project(sparse_of(self.unit))
+        unit_q = project(self._unit_terms)
         algebra = StructureAlgebra(
-            q, rows, tuple(unit_q.get(t, ZERO) for t in range(q)),
+            q, rows, dense_of(unit_q, q),
             name=f"{self.name}/ideal", check="auto",
         )
         if n <= 32:
@@ -537,14 +538,14 @@ class StructureAlgebra:
 
     def inverse_element(self, a: "AlgebraElement"):
         """Two-sided inverse of a, or None.  Verifies both product orders."""
-        unit = sparse_of(self.unit)
-        x = solve(self.left_mult_matrix(a.coords), unit)
-        if x is None or self.mul_sparse(x, sparse_of(a.coords)) != unit:
+        unit = self._unit_terms
+        x = solve(self.left_mult_matrix(a), unit)
+        if x is None or self.mul_sparse(x, a.terms) != unit:
             return None
-        return self.from_dict(x)
+        return AlgebraElement(self, x)
 
     def is_central(self, a: "AlgebraElement") -> bool:
-        u = sparse_of(a.coords)
+        u = self._terms(a)
         for i in range(self.dim):
             e = self.basis_sparse(i)
             if self.mul_sparse(u, e) != self.mul_sparse(e, u):
@@ -561,18 +562,18 @@ class StructureAlgebra:
         """
         if not self.is_central(z):
             raise AlgebraError(f"{self.name}: element is not central")
-        lz = self.left_mult_matrix(z.coords)
+        lz = self.left_mult_matrix(z)
         spaces, complete = eigensplit(lz, candidates)
         if not complete:
             raise AlgebraError(
                 f"{self.name}: candidate eigenvalues do not split the algebra"
             )
         eigs = [lam for lam, _ in spaces]
-        zs = sparse_of(z.coords)
+        zs = z.terms
         blocks = []
         for lam, space in spaces:
             # Lagrange idempotent for this eigenvalue
-            idem = sparse_of(self.unit)
+            idem = self._unit_terms
             for mu in eigs:
                 if mu == lam:
                     continue
@@ -597,11 +598,10 @@ class StructureAlgebra:
             algebra = StructureAlgebra(
                 d,
                 rows,
-                tuple(unit_coords.get(t, ZERO) for t in range(d)),
+                dense_of(unit_coords, d),
                 name=f"{self.name}[z={lam.pretty()}]",
                 check="auto",
             )
-            idem = tuple(idem.get(t, ZERO) for t in range(self.dim))
             blocks.append(CentralBlock(lam, algebra, space, self, idem))
         if self.dim <= 32:
             self._verify_reassembly(blocks)
@@ -655,9 +655,7 @@ class StructureAlgebra:
                     {
                         "expr": repr(rel),
                         "holds": holds,
-                        "residual_support": [
-                            k for k, v in enumerate(value.coords) if v
-                        ],
+                        "residual_support": value.support(),
                     }
                 )
         except NotInvertibleError as exc:
@@ -675,11 +673,6 @@ def sampled_triples(n: int, samples: int, seed: int) -> list[tuple[int, int, int
     return [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
 
 
-def _sparse_element(x) -> dict:
-    """Sparse coordinates of an AlgebraElement or a coordinate sequence."""
-    return sparse_of(x.coords if isinstance(x, AlgebraElement) else x)
-
-
 def _block_index(offsets, i):
     for t in range(len(offsets) - 1, -1, -1):
         if i >= offsets[t]:
@@ -695,7 +688,11 @@ class QuotientResult:
     ideal: Subspace
 
     def project(self, element: "AlgebraElement") -> "AlgebraElement":
-        return self.algebra.element(self.projection.apply(list(element.coords)))
+        cols = self.projection.transpose().data
+        out: dict = {}
+        for j, c in element.terms.items():
+            _axpy(out, c, cols[j])
+        return AlgebraElement(self.algebra, out)
 
 
 @dataclass
@@ -704,69 +701,69 @@ class CentralBlock:
     algebra: StructureAlgebra
     space: Subspace  # block as a subspace of the parent
     parent: StructureAlgebra
-    idempotent: tuple  # coordinates in the parent
+    idempotent: dict  # terms in the parent
 
     def project(self, element: "AlgebraElement") -> "AlgebraElement":
-        comp = self.parent.mul_sparse(sparse_of(self.idempotent), sparse_of(element.coords))
+        comp = self.parent.mul_sparse(self.idempotent, element.terms)
         coords = self.space.coordinates(comp)
         if coords is None:
             raise InvariantError("projected component escapes the block")
-        return self.algebra.from_dict(coords)
+        return AlgebraElement(self.algebra, coords)
 
     def embed(self, element: "AlgebraElement"):
         vec: dict = {}
-        for c, row in zip(element.coords, self.space.basis):
-            if c:
-                _axpy(vec, c, row)
-        return self.parent.from_dict(vec)
+        for t, c in element.terms.items():
+            _axpy(vec, c, self.space.basis[t])
+        return AlgebraElement(self.parent, vec)
 
 
 class AlgebraElement:
-    """An element of a StructureAlgebra, held as exact coordinates."""
+    """An element of a StructureAlgebra, held as its terms {basis index:
+    nonzero scalar}: no zero is stored, and the dict, which elements may
+    share, is never mutated.  support and pretty read it in index order."""
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: StructureAlgebra, coords: tuple):
+    def __init__(self, algebra: StructureAlgebra, terms: dict):
         self.algebra = algebra
-        self.coords = coords
+        self.terms = terms
+
+    @property
+    def coords(self) -> tuple:
+        """Dense coordinates in index order, made on demand."""
+        return dense_of(self.terms, self.algebra.dim)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.terms
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra is other.algebra and all(
-            a == b for a, b in zip(self.coords, other.coords)
-        )
+        return self.algebra is other.algebra and self.terms == other.terms
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same(other)
-        return AlgebraElement(
-            self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        terms = dict(self.terms)
+        _axpy(terms, None, other.terms)
+        return AlgebraElement(self.algebra, terms)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._same(other)
-        return AlgebraElement(
-            self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        return self + -other
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, tuple(-a for a in self.coords))
+        return AlgebraElement(self.algebra, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return self.algebra.multiply(self, other)
         c = Cyclotomic.coerce(other)
-        return AlgebraElement(self.algebra, tuple(c * a for a in self.coords))
+        return AlgebraElement(self.algebra, {k: c * v for k, v in self.terms.items()} if c else {})
 
-    def __rmul__(self, other):
-        c = Cyclotomic.coerce(other)
-        return AlgebraElement(self.algebra, tuple(c * a for a in self.coords))
+    # a scalar times an element; an element on the left is handled by __mul__
+    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "AlgebraElement":
         if k < 0:
@@ -797,10 +794,10 @@ class AlgebraElement:
             raise ValueError("elements belong to different algebras")
 
     def support(self):
-        return [k for k, v in enumerate(self.coords) if v]
+        return sorted(self.terms)
 
     def pretty(self) -> str:
-        parts = [f"{v.pretty()}*e{k}" for k, v in enumerate(self.coords) if v]
+        parts = [f"{self.terms[k].pretty()}*e{k}" for k in sorted(self.terms)]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:

@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cyclotomic import MAX_ORDER, ZERO, Cyclotomic
-from .linalg import Matrix, Subspace, matrix_order, minimal_polynomial, sparse_of
+from .linalg import Matrix, Subspace, matrix_order, minimal_polynomial
 from .algebra import DEFAULT_SEED, AlgebraError, StructureAlgebra
 from .hopf import (
     HopfData,
@@ -162,6 +162,11 @@ class Context:
 
         return self._get(("block-dgas", 2), build)
 
+    def stable_block_dga_p2(self, s: int):
+        """stable_dga of block s's two-term pair at p = 2: the pair on the
+        stable quotient and the quotient itself."""
+        return self._get(("stable-block-dga", 2, s), lambda: stable_dga(self.block_dgas_p2()[s]))
+
     def twisted_fixtures(self) -> list:
         """The standard bases for double-internals checks: small cyclic
         group algebras plus the configured Taft algebras."""
@@ -216,11 +221,11 @@ def _run_mixed_module(ctx: Context) -> CheckReport:
     mixed = check_mixed_module(
         alg, d.sigma, action, degrees, diff, hom, f"{check_id}[regular-mixed]"
     )
-    regular = [alg.left_mult_matrix(alg._basis_coords(a)) for a in range(alg.dim)]
+    regular = [alg.left_mult_matrix(alg.basis_element(a)) for a in range(alg.dim)]
     reg_valid = check_module_action(alg, regular, f"{check_id}[regular-action]")
     # a stable module is a valid one on which sigma acts as the identity
     reg_stable = reg_valid.passed and acts_as_identity(alg, d.sigma, regular)
-    q = alg.quotient([(d.sigma - d.one).coords])
+    q = alg.quotient([d.sigma - d.one])
     pullback = [
         q.algebra.left_mult_matrix(q.projection.column(a))
         for a in range(alg.dim)
@@ -454,7 +459,7 @@ def _run_minpoly(ctx: Context) -> CheckReport:
     parts = {}
     for s, blk in enumerate(ctx.taft_blocks(2)):
         w = blk.project(gens["x'"]) * blk.project(gens["x"])
-        mp = minimal_polynomial(blk.algebra.left_mult_matrix(w.coords))
+        mp = minimal_polynomial(blk.algebra.left_mult_matrix(w))
         ok = mp == expected[s]
         parts[f"s={s}"] = CheckReport(
             f"{check_id}[s={s}]",
@@ -479,8 +484,7 @@ def _run_matrix_algebra(ctx: Context) -> CheckReport:
     missing = _require_p2(ctx, check_id)
     if missing:
         return missing
-    dga0 = ctx.block_dgas_p2()[0]
-    q = stable_quotient(dga0)
+    _, q = ctx.stable_block_dga_p2(0)
     dim = q.algebra.dim
     rad = q.algebra.radical().dim
     cen = q.algebra.center().dim
@@ -507,13 +511,13 @@ def _run_centers(ctx: Context) -> CheckReport:
     missing = _require_p2(ctx, check_id)
     if missing:
         return missing
-    dga1, blk, xxp, xxpg = _p2_hh_data(ctx)
+    _, blk, xxp, xxpg = _p2_hh_data(ctx)
     center = blk.algebra.center()
     members = all(
-        center.contains(sparse_of(v.coords))
+        center.contains(v.terms)
         for v in (blk.algebra.unit_element(), xxp, xxpg)
     )
-    _, q = stable_dga(dga1)
+    _, q = ctx.stable_block_dga_p2(1)
     stable_center = q.algebra.center().dim
     ok = center.dim == 3 and members and stable_center == 1
     return CheckReport(
@@ -535,11 +539,11 @@ def _run_hh_separation(ctx: Context) -> CheckReport:
     dga1, blk, xxp, xxpg = _p2_hh_data(ctx)
     hh = hh_minus_one(dga1)
     claimed = Subspace.from_vectors(
-        blk.algebra.dim, [sparse_of(xxp.coords), sparse_of(xxpg.coords)]
+        blk.algebra.dim, [xxp.terms, xxpg.terms]
     )
-    sdga, q = stable_dga(dga1)
+    sdga, q = ctx.stable_block_dga_p2(1)
     shh = hh_minus_one(sdga)
-    unit_line = Subspace.from_vectors(q.algebra.dim, [sparse_of(q.algebra.unit)])
+    unit_line = Subspace.from_vectors(q.algebra.dim, [q.algebra.unit_element().terms])
     ok = hh.dim == 2 and hh == claimed and shh.dim == 1 and shh == unit_line
     return CheckReport(
         check_id,

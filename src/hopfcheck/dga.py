@@ -44,18 +44,18 @@ class TwoTermDga:
     z: AlgebraElement
 
     def __post_init__(self):
-        if len(self.z.coords) != self.ring.dim:
+        if self.z.algebra is not self.ring:
             raise ValueError("marked element does not live in the ring")
         if not self.ring.is_central(self.z):
             raise ValueError("marked element must be central")
 
     def differential(self) -> Matrix:
-        return self.ring.right_mult_matrix(self.z.coords)
+        return self.ring.right_mult_matrix(self.z)
 
 
 def stable_quotient(dga: TwoTermDga) -> QuotientResult:
     """The quotient of the ring by the two-sided ideal generated by z."""
-    return dga.ring.quotient([dga.z.coords])
+    return dga.ring.quotient([dga.z])
 
 
 def stable_dga(dga: TwoTermDga) -> tuple[TwoTermDga, QuotientResult]:

@@ -18,7 +18,8 @@ product defined by straightening functionals past algebra elements:
 for the two flavors, followed by convolution in H^*.
 
 Both families are built from the same pieces: _embed (the embeddings of H
-and H^*, and the unit) and _diagonal (sigma) in either flat layout, and the
+and H^*, and the unit) and _diagonal (sigma) in either flat layout, as
+sparse terms {flat index: scalar}, and the
 Sweedler-sandwich kernel _sandwiches, which gives left(e_c3) e_v right(e_c1)
 with (left, right) = (S, id) for the twisted product and (id, A) for the
 straightening rule, to the builders and to their re-checks alike.  So all
@@ -30,8 +31,8 @@ consequences of the construction rather than inputs to it.
 import itertools
 from dataclasses import dataclass
 
-from .cyclotomic import ONE, ZERO, Cyclotomic, q_factorial
-from .linalg import InvariantError, Matrix, Subspace, kernel, sparse_of
+from .cyclotomic import ONE, Cyclotomic, q_factorial
+from .linalg import InvariantError, Matrix, Subspace, dense_of, kernel, sparse_of
 from .algebra import (
     DEFAULT_PURE_LIMIT,
     DEFAULT_SEED,
@@ -55,24 +56,15 @@ from .report import FAIL, PASS, PRECONDITION_FAILED, CheckReport
 RECHECK_SAMPLES = 2000
 
 
-def _embed(flat, left, right) -> list:
-    """Coordinates of sum_{a,b} left[a] right[b] e_{flat(a, b)}, for left and
-    right of the base's dimension."""
-    out = [ZERO] * (len(left) * len(right))
-    for a, ca in enumerate(left):
-        if ca:
-            for b, cb in enumerate(right):
-                if cb:
-                    out[flat(a, b)] = ca * cb
-    return out
+def _embed(flat, left: dict, right: dict) -> dict:
+    """Terms of sum_{a,b} left[a] right[b] e_{flat(a, b)}, for the terms
+    left and right of two vectors of the base's dimension."""
+    return {flat(a, b): ca * cb for a, ca in left.items() for b, cb in right.items()}
 
 
-def _diagonal(n: int, flat) -> list:
-    """Coordinates of sum_i e_{flat(i, i)}."""
-    out = [ZERO] * (n * n)
-    for i in range(n):
-        out[flat(i, i)] = ONE
-    return out
+def _diagonal(n: int, flat) -> dict:
+    """Terms of sum_i e_{flat(i, i)}."""
+    return {flat(i, i): ONE for i in range(n)}
 
 
 def _sandwiches(h: HopfData, c: int, left, right) -> list:
@@ -103,9 +95,9 @@ def _expansion_check(double, check_id, witnesses, left, right, hopf_first) -> Ch
     first failing pair in that order."""
     h = double.base
     n = h.dim
-    basis = h.algebra._basis_coords
-    hs = [sparse_of(double.embed_hopf(basis(c)).coords) for c in range(n)]
-    chis = [sparse_of(double.embed_dual(basis(b)).coords) for b in range(n)]
+    basis = h.algebra.basis_sparse
+    hs = [double.embed_hopf(basis(c)).terms for c in range(n)]
+    chis = [double.embed_dual(basis(b)).terms for b in range(n)]
     legs = [_sandwiches(h, c, left, right) for c in range(n)]
     first, second = (hs, chis) if hopf_first else (chis, hs)
     bad = None
@@ -126,15 +118,18 @@ def _expansion_check(double, check_id, witnesses, left, right, hopf_first) -> Ch
 
 
 class _Embeddings:
-    """The embeddings of H and H^* into a double indexed by flat(a, b)."""
+    """The embeddings of H and H^* into a double indexed by flat(a, b), of
+    vectors given by their terms {index: scalar}."""
 
-    def embed_hopf(self, coords) -> AlgebraElement:
+    def embed_hopf(self, terms: dict) -> AlgebraElement:
         """h -> eps(-)h = h (x) eps, the algebra embedding of the base."""
-        return self.algebra.element(_embed(self.flat, coords, self.base.counit))
+        counit = sparse_of(self.base.counit)
+        return self.algebra.from_dict(_embed(self.flat, terms, counit))
 
-    def embed_dual(self, coeffs) -> AlgebraElement:
+    def embed_dual(self, terms: dict) -> AlgebraElement:
         """chi -> chi(-)1 = 1 (x) chi, the convolution-algebra embedding of the dual."""
-        return self.algebra.element(_embed(self.flat, self.base.algebra.unit, coeffs))
+        unit = self.base.algebra.unit_element().terms
+        return self.algebra.from_dict(_embed(self.flat, unit, terms))
 
 
 @dataclass
@@ -155,11 +150,9 @@ class TwistedDouble(_Embeddings):
         n = self.base.dim
         if matrix.nrows != n or matrix.ncols != n:
             raise ValueError("matrix shape does not match the base")
-        coords = [ZERO] * (n * n)
-        for a in range(n):
-            for b in range(n):
-                coords[self.flat(a, b)] = matrix[a, b]
-        return self.algebra.element(coords)
+        return self.algebra.from_dict(
+            {self.flat(a, b): v for a, row in enumerate(matrix.data) for b, v in row.items()}
+        )
 
 
 def build_twisted_double(h: HopfData) -> TwistedDouble:
@@ -220,10 +213,9 @@ def build_twisted_double(h: HopfData) -> TwistedDouble:
                                 elif key in cell:
                                     del cell[key]
 
-    dalg = StructureAlgebra(
-        nn, rows, _embed(flat, alg.unit, h.counit), name=f"twisted-double({h.name})"
-    )
-    double = TwistedDouble(h, dalg, dalg.element(_diagonal(n, flat)), dalg.unit_element())
+    unit = _embed(flat, alg.unit_element().terms, sparse_of(h.counit))
+    dalg = StructureAlgebra(nn, rows, dense_of(unit, nn), name=f"twisted-double({h.name})")
+    double = TwistedDouble(h, dalg, dalg.from_dict(_diagonal(n, flat)), dalg.unit_element())
     if not dalg.is_central(double.sigma):
         raise InvariantError("identity map must be central")
     sinv = double.endo_element(h.antipode_inverse)
@@ -374,12 +366,11 @@ def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
                                 elif key in cell:
                                     del cell[key]
 
-    dalg = StructureAlgebra(
-        nn, rows, _embed(flat, alg.unit, h.counit), name=f"double[{flavor}]({h.name})"
-    )
+    unit = _embed(flat, alg.unit_element().terms, sparse_of(h.counit))
+    dalg = StructureAlgebra(nn, rows, dense_of(unit, nn), name=f"double[{flavor}]({h.name})")
     sigma = None
     if flavor == "anti":
-        sigma = dalg.element(_diagonal(n, flat))
+        sigma = dalg.from_dict(_diagonal(n, flat))
         if not dalg.is_central(sigma):
             raise InvariantError("sigma must be central in the anti flavor")
     return ClassicalDouble(h, flavor, dalg, sigma)
@@ -411,7 +402,7 @@ def uhu_map(
     be a unital bijective algebra isomorphism on all basis pairs.
     """
     n = h.dim
-    ru = h.algebra.right_mult_matrix(u.coords)
+    ru = h.algebra.right_mult_matrix(u)
     matrix = Matrix.from_columns(
         [{a * n + v: cv for v, cv in ru.data[b].items()} for a in range(n) for b in range(n)],
         n * n,
@@ -450,15 +441,15 @@ def taft_double_generators(double: TwistedDouble) -> dict[str, AlgebraElement]:
     meta = double.base.meta or {}
     if meta.get("family") != "taft":
         raise ValueError("generators are defined for Taft-algebra doubles")
-    transport = taft_dual_transport(double.base)
+    transport = taft_dual_transport(double.base).transpose().data
+    basis = double.base.algebra.basis_sparse
     # the Taft basis g^i x^j sits at index i*p + j: x is e_1 and g is e_p
-    x_coords = double.base.algebra._basis_coords(1)
-    g_coords = double.base.algebra._basis_coords(meta["p"])
+    x, g = 1, meta["p"]
     return {
-        "x": double.embed_hopf(x_coords),
-        "x'": double.embed_dual(transport.apply(x_coords)),
-        "g": double.embed_hopf(g_coords),
-        "g'": double.embed_dual(transport.apply(g_coords)),
+        "x": double.embed_hopf(basis(x)),
+        "x'": double.embed_dual(transport[x]),
+        "g": double.embed_hopf(basis(g)),
+        "g'": double.embed_dual(transport[g]),
     }
 
 
@@ -533,8 +524,8 @@ def taft_eigencomponents(
     p = meta["p"]
     xi = meta["xi"]
     alg = double.algebra
-    lgp = alg.left_mult_matrix(gens["g'"].coords)
-    lg = alg.left_mult_matrix(gens["g"].coords)
+    lgp = alg.left_mult_matrix(gens["g'"])
+    lg = alg.left_mult_matrix(gens["g"])
     out = {}
     for i in range(p):
         mi = lgp.add_scalar_diag(-(xi ** i))
@@ -599,7 +590,7 @@ def verify_sigma_graded_action(
         for l in range(p):
             scale = (xi ** ((i - l) * (j + l))) * q_factorial(l, xi_inv).inverse()
             op = op + (xp_pows[l] * x_pows[l]) * scale
-        diff = sparse_of((double.sigma - op).coords)
+        diff = (double.sigma - op).terms
         holds = not any(alg.mul_sparse(diff, v) for v in space.basis)
         all_hold = all_hold and holds
         witness_components.append({"i": i, "j": j, "dim": space.dim, "holds": holds})
@@ -632,7 +623,7 @@ def check_generator_grading(
     witnesses: dict = {"complete": complete, "total-dim": total}
     ok = complete
     for name, (di, dj) in shifts.items():
-        g = sparse_of(gens[name].coords)
+        g = gens[name].terms
         holds = True
         for (i, j), space in components.items():
             target = components[((i + di) % p, (j + dj) % p)]
@@ -674,7 +665,7 @@ def check_sigma_block_forms_p2(
     ok = True
     for (i, j), form in forms.items():
         space = components[(i, j)]
-        diff = sparse_of((double.sigma - form).coords)
+        diff = (double.sigma - form).terms
         holds = not any(alg.mul_sparse(diff, v) for v in space.basis)
         ok = ok and holds
         witnesses[f"V{i}{j}"] = {"dim": space.dim, "holds": holds}
@@ -790,12 +781,11 @@ def check_module_action(
     return CheckReport(check_id, PASS if ok else FAIL, witnesses)
 
 
-def _rho(algebra: StructureAlgebra, action: list[Matrix], coords) -> Matrix:
+def _rho(action: list[Matrix], element: AlgebraElement) -> Matrix:
     m = action[0].nrows
     out = Matrix.zeros(m, m)
-    for a, ca in enumerate(coords):
-        if ca:
-            out = out + action[a].scale(ca)
+    for a, ca in element.terms.items():
+        out = out + action[a].scale(ca)
     return out
 
 
@@ -804,7 +794,7 @@ def acts_as_identity(
 ) -> bool:
     """rho(element) is the identity of the module space."""
     m = action[0].nrows
-    return _rho(algebra, action, element.coords) == Matrix.identity(m)
+    return _rho(action, element) == Matrix.identity(m)
 
 
 def check_stable_module(
@@ -862,7 +852,7 @@ def check_mixed_module(
     if commute_bad is not None:
         witnesses["module-maps"]["first_failure"] = commute_bad
     lhs = differential @ homotopy + homotopy @ differential
-    rhs = _rho(algebra, action, sigma.coords) - Matrix.identity(m)
+    rhs = _rho(action, sigma) - Matrix.identity(m)
     homotopy_ok = lhs == rhs
     witnesses["homotopy-identity"] = {"holds": homotopy_ok}
     ok = base.passed and deg_ok and d2_ok and commute_bad is None and homotopy_ok
@@ -880,11 +870,11 @@ def regular_mixed_module(double: TwistedDouble):
     nn = alg.dim
     action = []
     for a in range(nn):
-        la = alg.left_mult_matrix(alg._basis_coords(a)).data
+        la = alg.left_mult_matrix(alg.basis_element(a)).data
         shifted = [{nn + v: c for v, c in row.items()} for row in la]
         action.append(Matrix.sparse(la + shifted, 2 * nn))
     degrees = [-1] * nn + [0] * nn
-    rz = alg.right_mult_matrix((double.sigma - double.one).coords)
+    rz = alg.right_mult_matrix(double.sigma - double.one)
     differential = Matrix.sparse([{} for _ in range(nn)] + rz.data, 2 * nn)
     homotopy = Matrix.sparse(
         [{nn + u: ONE} for u in range(nn)] + [{} for _ in range(nn)], 2 * nn

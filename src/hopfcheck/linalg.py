@@ -30,6 +30,11 @@ def sparse_of(coords) -> dict:
     return {i: v for i, v in enumerate(coords) if v}
 
 
+def dense_of(vec: dict, n: int) -> tuple:
+    """The coordinate sequence of length n of a sparse vector."""
+    return tuple(vec.get(i, ZERO) for i in range(n))
+
+
 def _axpy(y: dict, f: Cyclotomic | None, x: dict) -> None:
     """y += f * x in place, for a nonzero f (None stands for 1); entries
     that cancel are removed."""

@@ -227,7 +227,7 @@ def test_criterion_9_property_suites(shared_ctx):
     # quotient projections are algebra maps (verified in-construction, spot
     # checked here), and hh_minus_one lands in the center
     d = shared_ctx.twisted_taft(2)
-    q = d.algebra.quotient([(d.sigma - d.one).coords])
+    q = d.algebra.quotient([d.sigma - d.one])
     for _ in range(20):
         i = rng.randrange(d.algebra.dim)
         j = rng.randrange(d.algebra.dim)

@@ -270,12 +270,12 @@ def test_central_eigensplit_group_algebra():
     blocks = a.central_eigensplit(g, [c(1), c(-1)])
     assert [blk.algebra.dim for blk in blocks] == [1, 1]
     half = c(1) / c(2)
-    idems = [tuple(blk.idempotent) for blk in blocks]
-    expected = [(half, half), (half, -half)]  # (1 +/- g)/2
+    idems = [blk.idempotent for blk in blocks]
+    expected = [{0: half, 1: half}, {0: half, 1: -half}]  # (1 +/- g)/2
     assert all(i in idems for i in expected) and len(idems) == 2
     for blk in blocks:
         back = blk.embed(blk.algebra.unit_element())
-        assert tuple(back.coords) == tuple(blk.idempotent)
+        assert back.terms == blk.idempotent
         assert blk.project(back) == blk.algebra.unit_element()
 
 

@@ -126,6 +126,24 @@ def test_taft_double_fixtures_are_computed_once_per_p(monkeypatch):
         assert sorted(calls) == [2, 3], (name, calls)
 
 
+def test_p35_checks_share_one_stable_quotient(monkeypatch):
+    # P3.5-centers and P3.5-hh-separation both read the stable pair of the
+    # odd p = 2 block, a Context fixture built once
+    from hopfcheck import catalogue
+
+    calls = []
+    original = catalogue.stable_dga
+
+    def counted(dga):
+        calls.append(dga)
+        return original(dga)
+
+    monkeypatch.setattr(catalogue, "stable_dga", counted)
+    reports = run_checks(["P3.5-centers", "P3.5-hh-separation"], Context(RunConfig(ps=(2,))))
+    assert all(r.passed for r in reports)
+    assert len(calls) == 1
+
+
 def test_uqsl2_without_odd_p_reports_precondition():
     ctx = Context(RunConfig(ps=(2,)))
     (report,) = run_checks(["S3.2-uqsl2"], ctx)

@@ -180,19 +180,40 @@ def test_ingest_corrupted_antipode(tmp_path, capsys):
     assert "antipode" in capsys.readouterr().err
 
 
+# the zero ring has 1 = 0, so eps(1) = 1 cannot hold
+ZERO_DIM_HOPF = json.dumps({
+    "dim": 0, "unit": [], "structure": [],
+    "comult": {"rows": 0, "cols": 0, "entries": []}, "counit": [],
+    "antipode": {"rows": 0, "cols": 0, "entries": []},
+})
+
+
 @pytest.mark.parametrize(
     "text",
     [
         '{"dim": "abc", "unit": [], "structure": []}',
         '{"dim": 1, "unit": [{"order": 1, "coeffs": [["1", "1"]]}], "structure": [5]}',
+        ZERO_DIM_HOPF,
     ],
-    ids=["dim-not-int", "plane-not-list"],
+    ids=["dim-not-int", "plane-not-list", "zero-dim-hopf"],
 )
 def test_ingest_mistyped_document_is_usage_error(tmp_path, capsys, text):
     path = tmp_path / "mistyped.json"
     path.write_text(text)
     assert cli.main(["ingest", str(path)]) == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_zero_dim_hopf_fails_the_counit_axiom_but_a_zero_dim_algebra_is_valid(
+    tmp_path, capsys
+):
+    path = tmp_path / "zero.json"
+    path.write_text(ZERO_DIM_HOPF)
+    assert cli.main(["ingest", str(path)]) == 2
+    assert "counit-algebra-map" in capsys.readouterr().err
+    path.write_text('{"dim": 0, "unit": [], "structure": []}')
+    assert cli.main(["ingest", str(path)]) == 0
+    assert "algebra, dim 0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from hopfcheck.hopf import group_algebra, taft
 from hopfcheck.linalg import Matrix, Subspace, invert_matrix, rank, sparse_of
 from hopfcheck.algebra import StructureAlgebra
 from hopfcheck.doubles import (
+    build_classical_double,
     build_twisted_double,
     split_blocks,
     taft_double_generators,
@@ -44,6 +45,15 @@ def test_marked_element_must_be_central():
     with pytest.raises(ValueError):
         TwoTermDga(d.algebra, x)
     TwoTermDga(d.algebra, d.sigma - d.one)  # sigma - 1 is fine
+
+
+def test_marked_element_must_live_in_the_ring():
+    # an element of another algebra of the same dimension is refused
+    ring = build_twisted_double(taft(2)).algebra
+    other = build_classical_double(taft(2), "anti").algebra
+    assert other.dim == ring.dim
+    with pytest.raises(ValueError, match="does not live in the ring"):
+        TwoTermDga(ring, other.zero_element())
 
 
 def test_differential_is_x_prime_x_on_odd_block(p2_blocks):
@@ -149,7 +159,7 @@ def _change_basis(alg: StructureAlgebra, p: Matrix) -> StructureAlgebra:
     for i in range(n):
         row = []
         for j in range(n):
-            prod = alg.mul_coords(cols[i], cols[j])
+            prod = (alg.element(cols[i]) * alg.element(cols[j])).coords
             new = pinv.apply(list(prod))
             row.append({k: v for k, v in enumerate(new) if v})
         rows.append(row)

@@ -1,10 +1,14 @@
 """The sparse product kernel and the checks built on it, against a dense
-schoolbook reference: products, unit laws, centrality and algebra maps."""
+schoolbook reference: products, element arithmetic, unit laws, centrality
+and algebra maps."""
 
+import functools
 import random
 import re
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from hopfcheck.algebra import StructureAlgebra, UnitLawError, sparse_of
 from hopfcheck.cyclotomic import Cyclotomic, root_of_unity
@@ -103,9 +107,114 @@ def test_mul_sparse_matches_dense_reference(name, request):
         want = mul_coords_dense_reference(alg, dense(alg, u), dense(alg, v))
         assert got == sparse_of(want)
         assert all(got.values()), "no key may map to zero"
-        assert list(alg.mul_coords(dense(alg, u), dense(alg, v))) == want
+        assert list(alg.multiply(alg.from_dict(u), alg.from_dict(v)).coords) == want
     for u, v, k in cancels:
         assert k not in alg.mul_sparse(u, v)
+
+
+SCALARS = [
+    Cyclotomic.zero(),
+    Cyclotomic.zero(12),
+    ONE,
+    -ONE,
+    Cyclotomic.from_fraction("3/5"),
+    root_of_unity(3),
+    root_of_unity(4, 3),
+    root_of_unity(12, 5) - root_of_unity(3),
+]
+
+
+@functools.cache
+def property_algebras():
+    return {"mixed": twisted_group_z6(), "d2": build_twisted_double(taft(2)).algebra}
+
+
+def dense_pretty(coords):
+    parts = [f"{v.pretty()}*e{k}" for k, v in enumerate(coords) if v]
+    return " + ".join(parts) if parts else "0"
+
+
+def same_dense(a, b):
+    return all(x == y for x, y in zip(a, b))
+
+
+@st.composite
+def element_pairs(draw):
+    alg = property_algebras()[draw(st.sampled_from(["mixed", "d2"]))]
+    terms = st.dictionaries(
+        st.integers(0, alg.dim - 1), st.sampled_from(SCALARS), max_size=5
+    )
+    return alg, draw(terms), draw(terms), draw(st.sampled_from(SCALARS))
+
+
+@seed(20240801)
+@settings(max_examples=60, deadline=None, database=None)
+@given(element_pairs())
+def test_element_arithmetic_matches_dense_reference(case):
+    alg, u, v, c = case
+    x, y = alg.from_dict(u), alg.from_dict(v)
+    # zero inputs are dropped, whatever their order
+    assert x.terms == {k: a for k, a in u.items() if a}
+    assert alg.element(dense(alg, u)) == x
+    # the reference starts from the nonzero inputs: a zero of higher order
+    # would lift what it is added to, and pretty names the order
+    dx, dy = dense(alg, x.terms), dense(alg, y.terms)
+    want = {
+        "x + y": [a + b for a, b in zip(dx, dy)],
+        "x - y": [a - b for a, b in zip(dx, dy)],
+        "-x": [-a for a in dx],
+        "x * c": [a * c for a in dx],
+        "c * x": [c * a for a in dx],
+        "x * y": mul_coords_dense_reference(alg, dx, dy),
+        "x - x": [Cyclotomic.zero()] * alg.dim,
+    }
+    got = {
+        "x + y": x + y,
+        "x - y": x - y,
+        "-x": -x,
+        "x * c": x * c,
+        "c * x": c * x,
+        "x * y": x * y,
+        "x - x": x - x,
+    }
+    for name, z in got.items():
+        ref = want[name]
+        assert z.algebra is alg
+        assert all(z.terms.values()), f"{name} stores a zero"
+        assert same_dense(z.coords, ref) and len(z.coords) == alg.dim, name
+        assert list(z.coords) == [z.terms.get(k, 0) for k in range(alg.dim)]
+        assert z.is_zero() == (not any(ref)) == (not z)
+        assert z.support() == [k for k, a in enumerate(ref) if a]
+        # the reference product also adds the zero products c_ij^k = 0,
+        # which lift its coefficients to a larger field, and pretty names
+        # the field; so that one is read off the dense view
+        assert z.pretty() == dense_pretty(z.coords if name == "x * y" else ref)
+    assert got["x - x"].terms == {}
+    assert (x == y) == same_dense(dx, dy)
+    assert x == alg.element(dx)
+    # the same terms inserted in the opposite order make the same element
+    xr, yr = alg.from_dict(dict(reversed(list(u.items())))), alg.from_dict(v)
+    assert xr == x
+    for z, zr in ((x + y, xr + yr), (x * y, xr * yr), (y * x, yr * xr), (x * c, xr * c)):
+        assert zr == z and zr.pretty() == z.pretty() and zr.support() == z.support()
+
+
+def test_dense_edges_stay():
+    # coords, dense multiplication-matrix operands and the dense unit are the
+    # forms outside code reads and passes back
+    d = build_twisted_double(taft(2))
+    a = d.algebra
+    x = d.sigma * 3 + d.one * root_of_unity(4) - a.basis_element(5)
+    assert isinstance(x.coords, tuple)
+    assert list(x.coords) == [x.terms.get(k, 0) for k in range(a.dim)]
+    assert [k for k, v in enumerate(x.coords) if v] == x.support()
+    assert a.left_mult_matrix(x.coords) == a.left_mult_matrix(x)
+    assert a.right_mult_matrix(list(x.coords)) == a.right_mult_matrix(x)
+    assert a.element(x.coords) == x
+    again = StructureAlgebra(a.dim, a.rows, a.unit, check="modular")
+    assert again.same_structure(a) and again.unit == a.unit
+    with pytest.raises(ValueError, match="different algebra"):
+        again.left_mult_matrix(x)
 
 
 def unit_law_first_failure(alg, unit):
