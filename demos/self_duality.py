@@ -8,10 +8,10 @@ Run:  python3 demos/self_duality.py [p]
 
 import sys
 
-from hopfcheck.hopf import taft_self_duality
+from hopfcheck.hopf import taft, taft_self_duality
 
 p = int(sys.argv[1]) if len(sys.argv) > 1 else 3
-duality = taft_self_duality(p)
+duality = taft_self_duality(taft(p))
 print(f"p = {p}: dim {duality.hopf.dim} vs dual dim {duality.dual.dim}")
 print("status:", duality.report.status)
 for key, part in duality.report.witnesses.items():

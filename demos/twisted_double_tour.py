@@ -23,7 +23,7 @@ d = build_twisted_double(h)
 print(f"double: dim {d.algebra.dim} (expected p^4 = {p**4})")
 
 gens = taft_double_generators(d)
-rep = check_generator_presentation(d)
+rep = check_generator_presentation(d, gens)
 print(f"\ngenerator presentation: {rep.status}")
 for r in rep.witnesses["relations"]:
     print(f"  {r['expr']}: {'0' if r['holds'] else 'NONZERO'}")

@@ -151,6 +151,7 @@ class StructureAlgebra:
         self._zero = Cyclotomic.zero(order)
         self._one = Cyclotomic.one(order)
         self._unit_terms = sparse_of(self.unit)
+        self._center: Subspace | None = None
         if dim:
             j = self.unit_failure()
             if j is not None:
@@ -174,6 +175,20 @@ class StructureAlgebra:
         for i, j, k in triples:
             if not self._assoc_triple_exact(i, j, k):
                 return (i, j, k)
+        return None
+
+    def algebra_map_failure(self, dst: "StructureAlgebra", cols):
+        """The first basis pair (i, j), in row-major order, at which the linear
+        map e_t -> cols[t] into dst is not multiplicative, that is
+        sum_t c_ij^t cols[t] != cols[i] cols[j], or None; cols holds one
+        sparse vector of dst per basis index of this algebra."""
+        for i in range(self.dim):
+            for j in range(self.dim):
+                want: dict = {}
+                for t, c in self.rows[i][j].items():
+                    _axpy(want, c, cols[t])
+                if dst.mul_sparse(cols[i], cols[j]) != want:
+                    return (i, j)
         return None
 
     def _check_associativity(self, mode):
@@ -397,15 +412,20 @@ class StructureAlgebra:
     # -- subspaces of interest ------------------------------------------------
 
     def center(self) -> Subspace:
-        """Kernel of all commutator maps v -> e_j v - v e_j."""
-        n = self.dim
-        if n == 0:
-            return Subspace.zero(0)
-        blocks = []
-        for j in range(n):
-            ej = self.basis_element(j)
-            blocks.append(self.left_mult_matrix(ej) - self.right_mult_matrix(ej))
-        return kernel(Matrix.vstack(blocks))
+        """Kernel of all commutator maps v -> e_j v - v e_j, computed on the
+        first call and kept, since a built algebra's constants never change;
+        every caller gets the same Subspace, so none may change it."""
+        if self._center is None:
+            n = self.dim
+            if n == 0:
+                self._center = Subspace.zero(0)
+            else:
+                blocks = []
+                for j in range(n):
+                    ej = self.basis_element(j)
+                    blocks.append(self.left_mult_matrix(ej) - self.right_mult_matrix(ej))
+                self._center = kernel(Matrix.vstack(blocks))
+        return self._center
 
     def radical(self) -> Subspace:
         """Jacobson radical via the trace-form criterion (characteristic zero)."""
@@ -448,19 +468,11 @@ class StructureAlgebra:
             frontier = new
         return Subspace(eb)
 
-    def ideal_generated(self, gens, multipliers=None) -> Subspace:
-        """Two-sided ideal generated by gens.
-
-        Closure multiplies new vectors on both sides by the multiplier set;
-        by default that set is the whole basis.  A caller that knows a set of
-        algebra generators may pass those instead: invariance under a
-        generating set already forces invariance under everything.
-        """
+    def ideal_generated(self, gens) -> Subspace:
+        """Two-sided ideal generated by gens: the closure of their span under
+        multiplication by every basis element on either side."""
         n = self.dim
-        if multipliers is None:
-            mults = [self.basis_sparse(i) for i in range(n)]
-        else:
-            mults = [self._terms(m) for m in multipliers]
+        mults = [self.basis_sparse(i) for i in range(n)]
         eb = EchelonBasis(n)
         frontier = []
         for g in gens:
@@ -477,32 +489,24 @@ class StructureAlgebra:
             frontier = new
         return Subspace(eb)
 
-    def quotient(self, gens, multipliers=None, assume_generating=False) -> "QuotientResult":
+    def quotient(self, gens) -> "QuotientResult":
         """Quotient by the two-sided ideal generated by gens.
 
         The complement basis is the lexicographically earliest subset of the
-        original basis that is independent modulo the ideal.  That the
-        projection is an algebra map is asserted pairwise for small parents;
-        for larger ones it is forced by construction (the ideal is a verified
-        fixed point under the multiplier set, and the multiplier set is
-        verified to generate, unless assume_generating says the caller
-        already did so).
+        original basis that is independent modulo the ideal.  The ideal is a
+        fixed point under multiplication by the whole basis, so the projection
+        is an algebra map by construction; for parents up to dim 32 that is
+        also checked on every basis pair (algebra_map_failure).
         """
         n = self.dim
-        if multipliers is not None and not assume_generating:
-            span = self.subalgebra_generated(list(multipliers))
-            if span.dim != n:
-                raise AlgebraError(
-                    f"{self.name}: quotient multipliers generate only dim {span.dim}"
-                )
-        ideal = self.ideal_generated(gens, multipliers)
+        ideal = self.ideal_generated(gens)
         eb = EchelonBasis(n)
         for row in ideal.basis:
             eb.add(row)
         chosen = [i for i in range(n) if eb.add({i: ONE})]
         q = len(chosen)
         if q == 0:
-            algebra = StructureAlgebra(0, [], (), name=f"{self.name}/ideal", check="none")
+            algebra = StructureAlgebra(0, [], (), name=f"{self.name}/ideal")
             return QuotientResult(algebra, Matrix([], ncols=n), tuple(), ideal)
         # base-change matrix: columns are chosen representatives then ideal basis
         try:
@@ -526,14 +530,9 @@ class StructureAlgebra:
             name=f"{self.name}/ideal", check="auto",
         )
         if n <= 32:
-            # check the algebra-map property on every basis pair outright
-            for i in range(n):
-                for j in range(n):
-                    want = project(self.rows[i][j])
-                    if algebra.mul_sparse(pcols[i], pcols[j]) != want:
-                        raise InvariantError(
-                            f"quotient projection is not an algebra map at ({i}, {j})"
-                        )
+            bad = self.algebra_map_failure(algebra, pcols)
+            if bad is not None:
+                raise InvariantError(f"quotient projection is not an algebra map at {bad}")
         return QuotientResult(algebra, proj, tuple(chosen), ideal)
 
     def inverse_element(self, a: "AlgebraElement"):

@@ -8,8 +8,8 @@ import time
 from dataclasses import dataclass, field
 
 from .cyclotomic import MAX_ORDER, ZERO, Cyclotomic
-from .linalg import Matrix, Subspace, matrix_order, minimal_polynomial
-from .algebra import DEFAULT_SEED, AlgebraError, StructureAlgebra
+from .linalg import Subspace, matrix_order, minimal_polynomial
+from .algebra import DEFAULT_SEED, AlgebraError
 from .hopf import (
     HopfData,
     check_hopf_axioms,
@@ -344,7 +344,7 @@ def _run_self_duality(ctx: Context) -> CheckReport:
     check_id = "L3.1-self-duality"
     parts = {}
     for p in ctx.ps:
-        parts[f"p={p}"] = taft_self_duality(p, check_id=f"{check_id}[p={p}]").report
+        parts[f"p={p}"] = taft_self_duality(ctx.taft(p), f"{check_id}[p={p}]").report
     return combine(check_id, parts)
 
 
@@ -352,7 +352,7 @@ def _run_relations(ctx: Context) -> CheckReport:
     check_id = "C3.2-relations"
     parts = {
         f"p={p}": check_generator_presentation(
-            ctx.twisted_taft(p), f"{check_id}[p={p}]"
+            ctx.twisted_taft(p), ctx.taft_generators(p), f"{check_id}[p={p}]"
         )
         for p in ctx.ps
     }
@@ -615,13 +615,8 @@ def _run_uhu(ctx: Context) -> CheckReport:
     for p in ctx.ps:
         h = ctx.taft(p)
         u = h.algebra.basis_element((p - 1) * p)
-        _, rep = uhu_map(
-            h,
-            u,
-            f"{check_id}[p={p}]",
-            doubles=(ctx.classical_taft(p, "drinfeld"), ctx.classical_taft(p, "anti")),
-        )
-        parts[f"p={p}"] = rep
+        doubles = (ctx.classical_taft(p, "drinfeld"), ctx.classical_taft(p, "anti"))
+        _, parts[f"p={p}"] = uhu_map(h, u, doubles, f"{check_id}[p={p}]")
     return combine(check_id, parts)
 
 
@@ -788,8 +783,16 @@ CATALOGUE: tuple[CatalogueEntry, ...] = (
     ),
 )
 
-_BY_ID = {entry.id: entry for entry in CATALOGUE}
-assert len(_BY_ID) == len(CATALOGUE), "catalogue ids must be unique"
+
+def _index(entries) -> dict:
+    """The entries keyed by id; ids must be unique."""
+    by_id = {entry.id: entry for entry in entries}
+    if len(by_id) != len(entries):
+        raise ValueError("catalogue ids must be unique")
+    return by_id
+
+
+_BY_ID = _index(CATALOGUE)
 
 
 def catalogue_ids() -> list[str]:

@@ -43,7 +43,8 @@ def _poly_div_exact_int(num: list[int], den: list[int]) -> list[int]:
         q[i - dd] = c
         for j, dj in enumerate(den):
             num[i - dd + j] -= c * dj
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise ArithmeticError(f"polynomial division leaves the remainder {num}")
     return q
 
 

@@ -103,18 +103,22 @@ def complex_cohomology(dga: TwoTermDga) -> CohomologyProfile:
     return profile
 
 
-def _candidate_eigenvalues(dga: TwoTermDga, order_limit: int = 64) -> list[Cyclotomic]:
+# the largest multiplicative order of z + 1 that _candidate_eigenvalues detects
+ORDER_LIMIT = 64
+
+
+def _candidate_eigenvalues(dga: TwoTermDga) -> list[Cyclotomic]:
     """Candidate pool for eigenvalues of the differential.
 
     The typical z is s - 1 for a central s of finite multiplicative order
     m, which confines the eigenvalues to { xi^a - 1 : xi^m = 1 }.  The
-    order of z + 1 is detected from its matrix (up to order_limit); the
+    order of z + 1 is detected from its matrix (up to ORDER_LIMIT); the
     pool built from it is extended by xi^a - 1 over the ring's scalar
     order and by 0 and +-2 as a safety net.
     """
     orders = [max(dga.ring.order, 1)]
     rz1 = dga.differential().add_scalar_diag(ONE)
-    m = matrix_order(rz1, order_limit)
+    m = matrix_order(rz1, ORDER_LIMIT)
     if m is not None:
         orders.append(m)
     pool: list[Cyclotomic] = []

@@ -392,11 +392,15 @@ def check_straightening(
 
 
 def uhu_map(
-    h: HopfData, u: AlgebraElement, check_id: str = "uhu-iso", doubles=None
+    h: HopfData,
+    u: AlgebraElement,
+    doubles: tuple[ClassicalDouble, ClassicalDouble],
+    check_id: str = "uhu-iso",
 ) -> tuple[Matrix, CheckReport]:
     """The comparison map between the two classical double flavors induced
     by a pivot u (group-like, implementing the square of the antipode by
-    conjugation): e_a (x) e^b  ->  e_a (x) e^b((-) u).
+    conjugation): e_a (x) e^b  ->  e_a (x) e^b((-) u); doubles are the
+    drinfeld and anti classical doubles of h, in that order.
 
     Precondition: check_pivotal(h, u) passes; then the map is verified to
     be a unital bijective algebra isomorphism on all basis pairs.
@@ -415,11 +419,6 @@ def uhu_map(
             {"pivot": pivotal.witnesses, "pivot-status": pivotal.status},
         )
         return matrix, report
-    if doubles is None:
-        doubles = (
-            build_classical_double(h, "drinfeld"),
-            build_classical_double(h, "anti"),
-        )
     dd, da = doubles
     report = check_algebra_map(
         dd.algebra, da.algebra, matrix, check_id, require_bijective=True
@@ -476,15 +475,16 @@ def taft_double_relations(p: int, xi: Cyclotomic) -> list:
 
 
 def check_generator_presentation(
-    double: TwistedDouble, check_id: str = "double-presentation"
+    double: TwistedDouble,
+    gens: dict[str, AlgebraElement],
+    check_id: str = "double-presentation",
 ) -> CheckReport:
-    """All defining relations of the Taft double hold for the constructed
-    generators, the generators generate the whole algebra, and g g' is
-    central with (g g')^p = 1."""
+    """All defining relations of the Taft double hold for the generators
+    (gens as from taft_double_generators), the generators generate the whole
+    algebra, and g g' is central with (g g')^p = 1."""
     meta = double.base.meta or {}
     p = meta["p"]
     xi = meta["xi"]
-    gens = taft_double_generators(double)
     rels = taft_double_relations(p, xi)
     report = double.algebra.check_presentation(gens, rels, check_id)
     witnesses = dict(report.witnesses)

@@ -79,7 +79,6 @@ class HopfData:
         *,
         name: str = "",
         meta: dict | None = None,
-        check: bool = True,
     ):
         self.algebra = algebra
         n = algebra.dim
@@ -107,18 +106,17 @@ class HopfData:
         self._delta2: dict[int, tuple] = {}
         self._antipode_inv: Matrix | None = None
         self._antipode_inv_cols = None
-        if check:
-            report = check_hopf_axioms(self)
-            if not report.passed:
-                failing = [
-                    key
-                    for key, part in report.witnesses.items()
-                    if isinstance(part, dict) and not part.get("holds", True)
-                ]
-                raise HopfAxiomError(
-                    failing[0] if failing else "unknown",
-                    f"{self.name}: hopf axioms fail: {', '.join(failing)}",
-                )
+        report = check_hopf_axioms(self)
+        if not report.passed:
+            failing = [
+                key
+                for key, part in report.witnesses.items()
+                if isinstance(part, dict) and not part.get("holds", True)
+            ]
+            raise HopfAxiomError(
+                failing[0] if failing else "unknown",
+                f"{self.name}: hopf axioms fail: {', '.join(failing)}",
+            )
 
     @property
     def dim(self) -> int:
@@ -449,26 +447,15 @@ def check_algebra_map(
     require_bijective: bool = False,
 ) -> CheckReport:
     """Verify that the matrix is a unital algebra map on all basis pairs:
-    for each pair (i, j) in row-major order, sum_t c_ij^t M[:, t] is compared
-    with the product of the sparse columns M[:, i] M[:, j] in dst."""
+    StructureAlgebra.algebra_map_failure compares, for each pair (i, j) in
+    row-major order, sum_t c_ij^t M[:, t] with the product of the sparse
+    columns M[:, i] M[:, j] in dst."""
     if matrix.ncols != src.dim or matrix.nrows != dst.dim:
         raise ValueError("matrix shape does not match the algebras")
     witnesses: dict = {}
-    cols = matrix.transpose().data
     unit_ok = matrix.apply(src.unit) == list(dst.unit)
     witnesses["unit"] = {"holds": unit_ok}
-    bad = None
-    for i in range(src.dim):
-        if bad is not None:
-            break
-        for j in range(src.dim):
-            want: dict = {}
-            for t, c in src.rows[i][j].items():
-                for k, m in cols[t].items():
-                    _acc(want, k, c * m)
-            if dst.mul_sparse(cols[i], cols[j]) != want:
-                bad = (i, j)
-                break
+    bad = src.algebra_map_failure(dst, matrix.transpose().data)
     witnesses["multiplicative"] = _axiom_witness(bad)
     ok = unit_ok and bad is None
     if require_bijective:
@@ -484,11 +471,10 @@ def check_hopf_map(
     dst: HopfData,
     matrix: Matrix,
     check_id: str = "hopf-map",
-    require_bijective: bool = True,
 ) -> CheckReport:
-    """Verify a matrix is a Hopf algebra map (and by default bijective)."""
+    """Verify a matrix is a bijective Hopf algebra map."""
     alg_report = check_algebra_map(
-        src.algebra, dst.algebra, matrix, check_id, require_bijective
+        src.algebra, dst.algebra, matrix, check_id, require_bijective=True
     )
     witnesses = dict(alg_report.witnesses)
     n = src.dim
@@ -545,10 +531,9 @@ class SelfDuality:
     report: CheckReport
 
 
-def taft_self_duality(
-    p: int, xi: Cyclotomic | None = None, check_id: str = "self-duality"
-) -> SelfDuality:
-    """The explicit isomorphism taft(p, xi) -> taft(p, xi)* and its inverse.
+def taft_self_duality(h: HopfData, check_id: str = "self-duality") -> SelfDuality:
+    """The explicit isomorphism h -> h* and its inverse, for h = taft(p, xi)
+    (p and xi are read from h.meta).
 
     The map sends g to the character G = sum_l xi^l (g^l)^* and x to
     Y = X G where X = sum_l (g^l x)^*; G is group-like and Y satisfies
@@ -561,8 +546,11 @@ def taft_self_duality(
     The report verifies the two maps are mutually inverse and the forward
     map preserves unit, products, coproducts, counit and antipode.
     """
-    h = taft(p, xi)
-    xi = h.meta["xi"]
+    meta = h.meta or {}
+    if meta.get("family") != "taft":
+        raise ValueError("the self-duality is defined for Taft algebras")
+    p = meta["p"]
+    xi = meta["xi"]
     dual = dual_hopf(h)
     n = h.dim
 

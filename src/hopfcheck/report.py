@@ -34,11 +34,9 @@ class CheckReport:
     def passed(self) -> bool:
         return self.status == PASS
 
-    def to_json(self, include_elapsed: bool = True) -> dict:
-        out = {"id": self.id, "status": self.status, "witnesses": self.witnesses}
-        if include_elapsed:
-            out["elapsed"] = round(self.elapsed, 6)
-        return out
+    def to_json(self) -> dict:
+        return {"id": self.id, "status": self.status, "witnesses": self.witnesses,
+                "elapsed": round(self.elapsed, 6)}
 
 
 def combine(check_id: str, parts: dict[str, CheckReport]) -> CheckReport:

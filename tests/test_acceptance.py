@@ -87,7 +87,7 @@ def test_criterion_2_relations_and_split():
     for p in (2, 3):
         start = time.perf_counter()
         d = build_twisted_double(taft(p))
-        rep = check_generator_presentation(d)
+        rep = check_generator_presentation(d, taft_double_generators(d))
         assert rep.passed, rep.witnesses
         assert len(rep.witnesses["relations"]) == 10
         assert rep.witnesses["generated_dim"] == p**4
@@ -122,7 +122,7 @@ def test_criterion_3_sigma_action_formula(shared_ctx):
 
 def test_criterion_4_self_duality():
     for p in (2, 3):
-        duality = taft_self_duality(p)
+        duality = taft_self_duality(taft(p))
         rep = duality.report
         assert rep.passed, rep.witnesses
         for leg in ("unit", "multiplicative", "comultiplicative", "counit",
@@ -171,7 +171,7 @@ def test_criterion_7_classical_doubles(shared_ctx):
         u = h.algebra.basis_element((p - 1) * p)  # g^{p-1} = g^{-1}
         pivot = check_pivotal(h, u)
         assert pivot.passed, pivot.witnesses  # S^2(h) = g^{-1} h g on basis
-        matrix, rep = uhu_map(h, u, doubles=(dd, da))
+        matrix, rep = uhu_map(h, u, (dd, da))
         assert rep.passed, rep.witnesses
         assert rep.witnesses["bijective"]["holds"]
 

@@ -246,23 +246,6 @@ def test_quotient_group_algebra():
         assert q.project(x * y) == q.project(x) * q.project(y)
 
 
-def test_quotient_with_generator_multipliers_matches_full_closure():
-    a = group_algebra_plain(6)
-    g = a.basis_element(1)
-    target = a.basis_element(3) - a.unit_element()  # g^3 - 1
-    full = a.quotient([target])
-    viagen = a.quotient([target], multipliers=[g])
-    assert full.algebra.dim == viagen.algebra.dim == 3
-    assert full.ideal == viagen.ideal
-
-
-def test_quotient_multipliers_must_generate():
-    a = group_algebra_plain(6)
-    g2 = a.basis_element(2)
-    with pytest.raises(AlgebraError):
-        a.quotient([a.basis_element(3) - a.unit_element()], multipliers=[g2])
-
-
 def test_central_eigensplit_group_algebra():
     # k[Z/2] splits along g into eigenvalues +1, -1
     a = group_algebra_plain(2)
@@ -406,3 +389,14 @@ def test_certificate_blocks_cover_every_index():
     assert _blocks([5, 5, 5, 5], 10) == [(0, 2), (2, 4)]
     assert _blocks([50, 1, 1, 50], 10) == [(0, 1), (1, 3), (3, 4)]
     assert _blocks([0, 0], 1) == [(0, 2)]
+
+
+def test_algebra_map_failure_finds_the_first_broken_pair():
+    # the quotient projection is an algebra map; doubling e_1 of k[Z/3]
+    # first breaks at e_1 e_1 = e_2: the images multiply to 4 e_2, not e_2
+    a = group_algebra_plain(6)
+    q = a.quotient([a.basis_element(3) - a.unit_element()])
+    assert a.algebra_map_failure(q.algebra, q.projection.transpose().data) is None
+    b = group_algebra_plain(3)
+    cols = [b.basis_sparse(0), {1: c(2)}, b.basis_sparse(2)]
+    assert b.algebra_map_failure(b, cols) == (1, 1)

@@ -1,10 +1,14 @@
 """Catalogue plumbing: ids, selection, ordering, caching, summaries."""
 
 import inspect
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import hopfcheck
 from hopfcheck.catalogue import (
     CATALOGUE,
     CatalogueError,
@@ -104,9 +108,10 @@ def test_context_caches_fixtures():
 
 
 def test_taft_double_fixtures_are_computed_once_per_p(monkeypatch):
-    # the block split, the generators and the (g', g) eigencomponents are
-    # Context fixtures shared by every check that needs them
-    from hopfcheck import catalogue, doubles
+    # the Taft algebra, the block split, the generators and the (g', g)
+    # eigencomponents are Context fixtures shared by every check that needs
+    # them; no verifier builds its own
+    from hopfcheck import catalogue, doubles, hopf
 
     seen = {"split_blocks": [], "taft_double_generators": [], "taft_eigencomponents": []}
     for name, calls in seen.items():
@@ -118,12 +123,68 @@ def test_taft_double_fixtures_are_computed_once_per_p(monkeypatch):
 
         for module in (doubles, catalogue):
             monkeypatch.setattr(module, name, counted)
+    seen["taft"] = []
+    original_taft = hopf.taft
+
+    def counted_taft(p, *args):
+        seen["taft"].append(p)
+        return original_taft(p, *args)
+
+    for module in (hopf, catalogue):
+        monkeypatch.setattr(module, "taft", counted_taft)
     ids = ["E3.15-split", "S3.2-uqsl2", "C3.2-grading", "C3.2-sigma-action",
-           "E3.24-sigma-blocks"]
+           "E3.24-sigma-blocks", "C3.2-relations", "L3.1-self-duality"]
     reports = run_checks(ids, Context(RunConfig(ps=(2, 3))))
     assert all(r.passed for r in reports)
     for name, calls in seen.items():
         assert sorted(calls) == [2, 3], (name, calls)
+
+
+def test_p35_checks_compute_each_center_once(monkeypatch):
+    # P3.5-centers and P3.5-hh-separation (through hh_minus_one) both read
+    # the centers of the odd p = 2 block and of its stable quotient; an
+    # algebra keeps its center, so each is computed once
+    from hopfcheck import algebra
+
+    ctx = Context(RunConfig(ps=(2,)))
+    block = ctx.taft_blocks(2)[1].algebra
+    stable = ctx.stable_block_dga_p2(1)[1].algebra
+    computed = []
+    original = algebra.kernel
+
+    def counted(matrix):
+        # center() is the one caller of algebra.kernel that these checks reach
+        computed.append(matrix.ncols)
+        return original(matrix)
+
+    monkeypatch.setattr(algebra, "kernel", counted)
+    reports = run_checks(["P3.5-centers", "P3.5-hh-separation"], ctx)
+    assert all(r.passed for r in reports)
+    assert sorted(computed) == sorted([block.dim, stable.dim]), computed
+
+
+_DUPLICATE_ID = """
+import sys
+from hopfcheck import catalogue
+
+try:
+    catalogue._index(catalogue.CATALOGUE + catalogue.CATALOGUE[:1])
+except ValueError as exc:
+    print(sys.flags.optimize, exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_unique_ids_are_checked_under_optimize():
+    src = os.path.dirname(os.path.dirname(hopfcheck.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _DUPLICATE_ID], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "1 catalogue ids must be unique"
 
 
 def test_p35_checks_share_one_stable_quotient(monkeypatch):

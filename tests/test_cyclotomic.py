@@ -1,7 +1,10 @@
 """Exact scalar arithmetic tests, including frozen small-value oracles."""
 
-import random
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -9,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfcheck
 from hopfcheck import cyclotomic
 from hopfcheck.cyclotomic import (
     MAX_ORDER,
     Cyclotomic,
     ScalarMemo,
+    _poly_div_exact_int,
     cyc_from_json,
     cyclotomic_polynomial,
     phi_degree,
@@ -374,3 +379,32 @@ def test_same_order_fast_path_matches_general_path(a, b):
     f = Fraction(k, 7)
     assert _triple(a + f) == _triple(a + Cyclotomic.from_fraction(f, a.order))
     assert (a == k) == (a == Cyclotomic.from_int(k, a.order))
+
+
+_INEXACT_DIVISION = """
+import sys
+from hopfcheck.cyclotomic import _poly_div_exact_int
+
+try:
+    _poly_div_exact_int([1, 0, 1], [-1, 1])
+except ArithmeticError as exc:
+    print(sys.flags.optimize, exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_inexact_division_raises_under_optimize():
+    # x^2 + 1 = (x + 1)(x - 1) + 2: a nonzero remainder is an error, also
+    # where python -O drops assertions
+    assert _poly_div_exact_int([-1, 0, 1], [-1, 1]) == [1, 1]
+    with pytest.raises(ArithmeticError):
+        _poly_div_exact_int([1, 0, 1], [-1, 1])
+    src = os.path.dirname(os.path.dirname(hopfcheck.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _INEXACT_DIVISION], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "1 polynomial division leaves the remainder [2, 0, 0]"

@@ -215,7 +215,7 @@ def test_twisted_double_pbw_basis(d2):
 
 def test_generator_presentation(d2, d3):
     for d, p in ((d2, 2), (d3, 3)):
-        rep = check_generator_presentation(d)
+        rep = check_generator_presentation(d, taft_double_generators(d))
         assert rep.passed, rep.witnesses
         assert rep.witnesses["generated_dim"] == p**4
         assert rep.witnesses["gg'"] == {"central": True, "pth-power-is-one": True}
@@ -347,28 +347,33 @@ def test_straightening_past_a_group_like_by_hand():
             assert chi * g == (g * chi) * c((-1) ** j)
 
 
+def classical_pair(h):
+    return build_classical_double(h, "drinfeld"), build_classical_double(h, "anti")
+
+
 def test_uhu_comparison_map():
     for p in (2, 3):
         h = taft(p)
         u = h.algebra.basis_element(tidx(p, p - 1, 0))  # g^{p-1}
-        matrix, rep = uhu_map(h, u)
+        matrix, rep = uhu_map(h, u, classical_pair(h))
         assert rep.passed, rep.witnesses
         assert rep.witnesses["bijective"]["holds"]
 
 
 def test_uhu_requires_a_pivot():
     h = taft(2)
+    doubles = classical_pair(h)
     x = h.algebra.basis_element(tidx(2, 0, 1))
-    _, rep = uhu_map(h, x)
+    _, rep = uhu_map(h, x, doubles)
     assert rep.status == "precondition-failed"
     # the unit is not a pivot for taft (S^2 is not the identity)
-    _, rep = uhu_map(h, h.algebra.unit_element())
+    _, rep = uhu_map(h, h.algebra.unit_element(), doubles)
     assert rep.status == "precondition-failed"
 
 
 def test_uhu_trivial_when_s2_is_identity():
     h = group_algebra(3)
-    matrix, rep = uhu_map(h, h.algebra.unit_element())
+    matrix, rep = uhu_map(h, h.algebra.unit_element(), classical_pair(h))
     assert rep.passed
     assert matrix == Matrix.identity(9)
 

@@ -183,7 +183,7 @@ def test_taft_radical():
 
 def test_self_duality_p2_und_p3():
     for p in (2, 3):
-        sd = taft_self_duality(p)
+        sd = taft_self_duality(taft(p))
         assert sd.report.passed, sd.report.witnesses
         ident = Matrix.identity(sd.hopf.dim)
         assert sd.forward @ sd.inverse == ident
@@ -191,7 +191,7 @@ def test_self_duality_p2_und_p3():
 
 
 def test_self_duality_preserves_group_likes():
-    sd = taft_self_duality(3)
+    sd = taft_self_duality(taft(3))
     g = sd.hopf.algebra.basis_element(tidx(3, 1, 0))
     image = sd.dual.algebra.element(sd.forward.apply(list(g.coords)))
     assert is_group_like(sd.dual, image)

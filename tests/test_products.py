@@ -307,7 +307,7 @@ def test_algebra_map_first_failure_matches_dense(corrupt):
     u = h.algebra.basis_element(2)  # g, the pivot of taft(2)
     dd = build_classical_double(h, "drinfeld")
     da = build_classical_double(h, "anti")
-    matrix, rep = uhu_map(h, u, doubles=(dd, da))
+    matrix, rep = uhu_map(h, u, (dd, da))
     assert rep.passed
     data = [matrix.row(i) for i in range(matrix.nrows)]
     if corrupt == "scale-column":
