@@ -13,6 +13,7 @@ from hopfcheck.dga import (
     diagonalizability_report,
     hh_minus_one,
     stable_dga,
+    stable_quotient,
 )
 
 d = build_twisted_double(taft(2))
@@ -28,14 +29,14 @@ print("z == x'x:", z == blk.project(gens["x'"]) * blk.project(gens["x"]))
 prof = complex_cohomology(dga)
 print(f"two-term complex: ker {prof.dim_h_minus1}, image {prof.image_dim},"
       f" ker/image overlap {prof.overlap_dim}")
-rep = diagonalizability_report(dga)
+q = stable_quotient(dga)
+rep = diagonalizability_report(dga, q, prof)
 print("differential diagonalizable:", rep.witnesses["diagonalizable"])
 
 hh = hh_minus_one(dga)
 print("\nmixed invariant { r central : r z = 0 }: dim", hh.dim)
 
-sdga, q = stable_dga(dga)
-shh = hh_minus_one(sdga)
+shh = hh_minus_one(stable_dga(q))
 print("stable quotient: dim", q.algebra.dim, " center dim", q.algebra.center().dim)
 print("stable invariant: dim", shh.dim)
 print("\nseparation:", hh.dim, "vs", shh.dim)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import MAX_ORDER, ZERO, Cyclotomic
 from .linalg import Subspace, matrix_order, minimal_polynomial
-from .algebra import DEFAULT_SEED, AlgebraError
+from .algebra import DEFAULT_SEED, AlgebraError, QuotientResult
 from .hopf import (
     HopfData,
     check_hopf_axioms,
@@ -43,6 +43,7 @@ from .doubles import (
     verify_sigma_graded_action,
 )
 from .dga import (
+    CohomologyProfile,
     TwoTermDga,
     complex_cohomology,
     diagonalizability_report,
@@ -162,10 +163,46 @@ class Context:
 
         return self._get(("block-dgas", 2), build)
 
+    def group_dgas(self) -> dict:
+        """The two-term pairs (double of kZ/n, sigma - 1) for n = 1, 2, 3,
+        by label kZ/n."""
+
+        def build():
+            out = {}
+            for n in (1, 2, 3):
+                d = self.twisted_group(n)
+                out[f"kZ/{n}"] = TwoTermDga(d.algebra, d.sigma - d.one)
+            return out
+
+        return self._get(("group-dgas",), build)
+
+    def two_term_dga(self, label: str) -> TwoTermDga:
+        """The two-term pair D0 or D1 (the p = 2 blocks) or kZ/1, kZ/2, kZ/3."""
+        if label in ("D0", "D1"):
+            return self.block_dgas_p2()[int(label[1])]
+        return self.group_dgas()[label]
+
+    def stable_quotient(self, label: str) -> QuotientResult:
+        """The stable quotient of the two-term pair `label`."""
+        return self._get(
+            ("stable-quotient", label), lambda: stable_quotient(self.two_term_dga(label))
+        )
+
+    def cohomology(self, label: str) -> CohomologyProfile:
+        """The cohomology profile of the two-term pair `label`."""
+        return self._get(
+            ("cohomology", label), lambda: complex_cohomology(self.two_term_dga(label))
+        )
+
     def stable_block_dga_p2(self, s: int):
-        """stable_dga of block s's two-term pair at p = 2: the pair on the
-        stable quotient and the quotient itself."""
-        return self._get(("stable-block-dga", 2, s), lambda: stable_dga(self.block_dgas_p2()[s]))
+        """The pair on the stable quotient of block s's two-term pair at
+        p = 2, and the quotient itself."""
+
+        def build():
+            q = self.stable_quotient(f"D{s}")
+            return stable_dga(q), q
+
+        return self._get(("stable-block-dga", 2, s), build)
 
     def twisted_fixtures(self) -> list:
         """The standard bases for double-internals checks: small cyclic
@@ -249,13 +286,10 @@ def _run_mixed_module(ctx: Context) -> CheckReport:
 def _run_stable_quotient(ctx: Context) -> CheckReport:
     check_id = "L2.3-stable-quotient"
     parts = {}
-    dgas = {f"D{s}": dga for s, dga in enumerate(ctx.block_dgas_p2())}
-    for n in (1, 2, 3):
-        d = ctx.twisted_group(n)
-        dgas[f"kZ/{n}"] = TwoTermDga(d.algebra, d.sigma - d.one)
-    for label, dga in dgas.items():
-        q = stable_quotient(dga)
-        prof = complex_cohomology(dga)
+    for label in ("D0", "D1", *ctx.group_dgas()):
+        dga = ctx.two_term_dga(label)
+        q = ctx.stable_quotient(label)
+        prof = ctx.cohomology(label)
         ok = q.algebra.dim == prof.dim_h_minus1
         parts[label] = CheckReport(
             f"{check_id}[{label}]",
@@ -269,13 +303,18 @@ def _run_stable_quotient(ctx: Context) -> CheckReport:
     return combine(check_id, parts)
 
 
+def _diag_report(ctx: Context, label: str, check_id: str) -> CheckReport:
+    return diagonalizability_report(
+        ctx.two_term_dga(label),
+        ctx.stable_quotient(label),
+        ctx.cohomology(label),
+        f"{check_id}[{label}]",
+    )
+
+
 def _run_diag_report(ctx: Context) -> CheckReport:
     check_id = "L2.4-diag-report"
-    dgas = ctx.block_dgas_p2()
-    parts = {
-        "D0": diagonalizability_report(dgas[0], f"{check_id}[D0]"),
-        "D1": diagonalizability_report(dgas[1], f"{check_id}[D1]"),
-    }
+    parts = {label: _diag_report(ctx, label, check_id) for label in ("D0", "D1")}
     merged = combine(check_id, parts)
     expected = (
         parts["D0"].witnesses["diagonalizable"] is True
@@ -290,13 +329,11 @@ def _run_diag_report(ctx: Context) -> CheckReport:
 def _run_group_instances(ctx: Context) -> CheckReport:
     check_id = "P2.5-instance"
     parts = {}
-    for n in (1, 2, 3):
-        d = ctx.twisted_group(n)
-        dga = TwoTermDga(d.algebra, d.sigma - d.one)
-        rep = diagonalizability_report(dga, f"{check_id}[kZ/{n}]")
+    for label in ctx.group_dgas():
+        rep = _diag_report(ctx, label, check_id)
         if rep.passed and not rep.witnesses["diagonalizable"]:
             rep = CheckReport(rep.id, FAIL, rep.witnesses)
-        parts[f"kZ/{n}"] = rep
+        parts[label] = rep
     return combine(check_id, parts)
 
 
@@ -484,7 +521,7 @@ def _run_matrix_algebra(ctx: Context) -> CheckReport:
     missing = _require_p2(ctx, check_id)
     if missing:
         return missing
-    _, q = ctx.stable_block_dga_p2(0)
+    q = ctx.stable_quotient("D0")
     dim = q.algebra.dim
     rad = q.algebra.radical().dim
     cen = q.algebra.center().dim
@@ -517,8 +554,7 @@ def _run_centers(ctx: Context) -> CheckReport:
         center.contains(v.terms)
         for v in (blk.algebra.unit_element(), xxp, xxpg)
     )
-    _, q = ctx.stable_block_dga_p2(1)
-    stable_center = q.algebra.center().dim
+    stable_center = ctx.stable_quotient("D1").algebra.center().dim
     ok = center.dim == 3 and members and stable_center == 1
     return CheckReport(
         check_id,

@@ -26,6 +26,15 @@ MAX_ORDER = 1000
 # and a value for each of them.
 MEMO_LIMIT = 1 << 16
 
+# Products and inverses of degree >= 2, each computed once: the doubles and
+# the checks on them repeat a few distinct scalar operations many times (the
+# drinfeld double of taft(5) makes 396,373 products of 850 distinct pairs).
+# Keys hold the common order and both (num, den), so a value is shared only
+# with an equal computation.  Each memo stops growing at MEMO_LIMIT entries;
+# degree 1 is a single integer multiply and is never stored.
+_PRODUCTS: dict[tuple, "Cyclotomic"] = {}
+_INVERSES: dict[tuple, "Cyclotomic"] = {}
+
 _CYCLO: dict[int, list[int]] = {}
 _REDUCE: dict[int, list[tuple[int, ...]]] = {}
 _POWERS: dict[int, list[tuple[int, ...]]] = {}
@@ -250,28 +259,35 @@ class Cyclotomic:
             except TypeError:
                 return NotImplemented
             a, b = self._common(other)
+        den = a.den * b.den
         deg = len(a.num)
         if deg == 1:
             out = (a.num[0] * b.num[0],)
-        else:
-            conv = [0] * (2 * deg - 1)
-            for i, ai in enumerate(a.num):
-                if ai:
-                    for j, bj in enumerate(b.num):
-                        if bj:
-                            conv[i + j] += ai * bj
-            reduce_rows, _ = _tables(a.order)
-            out = conv[:deg]
-            for k in range(deg, 2 * deg - 1):
-                c = conv[k]
-                if c:
-                    row = reduce_rows[k - deg]
-                    for t in range(deg):
-                        if row[t]:
-                            out[t] += c * row[t]
-            out = tuple(out)
-        den = a.den * b.den
-        return _trusted(a.order, out) if den == 1 else Cyclotomic(a.order, out, den)
+            return _trusted(a.order, out) if den == 1 else Cyclotomic(a.order, out, den)
+        key = (a.order, a.num, a.den, b.num, b.den)
+        hit = _PRODUCTS.get(key)
+        if hit is not None:
+            return hit
+        conv = [0] * (2 * deg - 1)
+        for i, ai in enumerate(a.num):
+            if ai:
+                for j, bj in enumerate(b.num):
+                    if bj:
+                        conv[i + j] += ai * bj
+        reduce_rows, _ = _tables(a.order)
+        out = conv[:deg]
+        for k in range(deg, 2 * deg - 1):
+            c = conv[k]
+            if c:
+                row = reduce_rows[k - deg]
+                for t in range(deg):
+                    if row[t]:
+                        out[t] += c * row[t]
+        out = tuple(out)
+        value = _trusted(a.order, out) if den == 1 else Cyclotomic(a.order, out, den)
+        if len(_PRODUCTS) < MEMO_LIMIT:
+            _PRODUCTS[key] = value
+        return value
 
     __rmul__ = __mul__
 
@@ -281,6 +297,10 @@ class Cyclotomic:
         deg = len(self.num)
         if deg == 1:
             return Cyclotomic(self.order, (self.den,), self.num[0])
+        key = (self.order, self.num, self.den)
+        hit = _INVERSES.get(key)
+        if hit is not None:
+            return hit
         # Extended Euclid in Q[x]: s*self + t*Phi = const, so s/const inverts self.
         r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
         r1 = [Fraction(c, self.den) for c in self.num]
@@ -300,7 +320,10 @@ class Cyclotomic:
         den = 1
         for f in coeffs[:deg]:
             den = lcm(den, f.denominator)
-        return Cyclotomic(self.order, tuple(int(f * den) for f in coeffs[:deg]), den)
+        value = Cyclotomic(self.order, tuple(int(f * den) for f in coeffs[:deg]), den)
+        if len(_INVERSES) < MEMO_LIMIT:
+            _INVERSES[key] = value
+        return value
 
     def __truediv__(self, other) -> Cyclotomic:
         try:

@@ -58,10 +58,10 @@ def stable_quotient(dga: TwoTermDga) -> QuotientResult:
     return dga.ring.quotient([dga.z])
 
 
-def stable_dga(dga: TwoTermDga) -> tuple[TwoTermDga, QuotientResult]:
-    """The induced pair on the stable quotient, where z maps to zero."""
-    q = stable_quotient(dga)
-    return TwoTermDga(q.algebra, q.algebra.zero_element()), q
+def stable_dga(q: QuotientResult) -> TwoTermDga:
+    """The induced pair on the stable quotient q (stable_quotient of a pair),
+    where z maps to zero."""
+    return TwoTermDga(q.algebra, q.algebra.zero_element())
 
 
 def hh_minus_one(dga: TwoTermDga) -> Subspace:
@@ -134,9 +134,14 @@ def _candidate_eigenvalues(dga: TwoTermDga) -> list[Cyclotomic]:
 
 
 def diagonalizability_report(
-    dga: TwoTermDga, check_id: str = "diag-report"
+    dga: TwoTermDga,
+    q: QuotientResult,
+    profile: CohomologyProfile,
+    check_id: str = "diag-report",
 ) -> CheckReport:
-    """Diagonalizability of the differential and its consequences.
+    """Diagonalizability of the differential and its consequences, given
+    the pair's stable quotient q (stable_quotient) and its cohomology
+    profile (complex_cohomology).
 
     When the minimal polynomial is squarefree the report verifies the
     eigensplit over the candidate pool is complete and that the
@@ -149,8 +154,7 @@ def diagonalizability_report(
     rz = dga.differential()
     mp = minimal_polynomial(rz)
     squarefree = poly_is_squarefree(mp)
-    profile = complex_cohomology(dga)
-    quotient_dim = stable_quotient(dga).algebra.dim
+    quotient_dim = q.algebra.dim
     witnesses: dict = {
         "minimal_polynomial": [t.pretty() for t in mp],
         "diagonalizable": squarefree,

@@ -74,8 +74,8 @@ def test_criterion_1_separation_witness():
     )
     assert blk.algebra.center().dim == 3
 
-    sdga, q = stable_dga(dga)
-    shh = hh_minus_one(sdga)
+    q = stable_quotient(dga)
+    shh = hh_minus_one(stable_dga(q))
     assert shh.dim == 1
     assert shh == Subspace.from_vectors(q.algebra.dim, [sparse_of(q.algebra.unit)])
     assert q.algebra.center().dim == 1
@@ -180,18 +180,23 @@ def test_criterion_8_diagonalizability_numerology(shared_ctx):
     d2 = shared_ctx.twisted_taft(2)
     blocks = shared_ctx.taft_blocks(2)
     dgas = shared_ctx.block_dgas_p2()
-    rep0 = diagonalizability_report(dgas[0])
+    rep0 = diagonalizability_report(
+        dgas[0], shared_ctx.stable_quotient("D0"), shared_ctx.cohomology("D0")
+    )
     assert rep0.passed and rep0.witnesses["diagonalizable"]
     assert (
         rep0.witnesses["zero_eigenspace_dim"]
         == rep0.witnesses["stable_quotient_dim"]
     )
-    rep1 = diagonalizability_report(dgas[1])
+    rep1 = diagonalizability_report(
+        dgas[1], shared_ctx.stable_quotient("D1"), shared_ctx.cohomology("D1")
+    )
     assert rep1.passed and not rep1.witnesses["diagonalizable"]
     assert rep1.witnesses["kernel_image_overlap_dim"] > 0
-    for n in (1, 2, 3):
-        dg = shared_ctx.twisted_group(n)
-        rep = diagonalizability_report(TwoTermDga(dg.algebra, dg.sigma - dg.one))
+    for label, dga in shared_ctx.group_dgas().items():
+        rep = diagonalizability_report(
+            dga, shared_ctx.stable_quotient(label), shared_ctx.cohomology(label)
+        )
         assert rep.passed and rep.witnesses["diagonalizable"]
         assert (
             rep.witnesses["zero_eigenspace_dim"]

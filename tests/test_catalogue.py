@@ -205,6 +205,36 @@ def test_p35_checks_share_one_stable_quotient(monkeypatch):
     assert len(calls) == 1
 
 
+def test_run_computes_each_stable_quotient_and_cohomology_once(monkeypatch):
+    # L2.3, L2.4 and P2.5 read the quotients and cohomology profiles of the
+    # p = 2 blocks and the kZ/n doubles, and L3.4 and the P3.5 checks the
+    # blocks' quotients, from Context; D2.1 takes the one quotient of the
+    # taft(2) double
+    from collections import Counter
+
+    from hopfcheck import catalogue
+    from hopfcheck.algebra import StructureAlgebra
+
+    quotients, profiles = [], []
+    original_quotient = StructureAlgebra.quotient
+    original_cohomology = catalogue.complex_cohomology
+
+    def counted_quotient(self, gens):
+        quotients.append(self)
+        return original_quotient(self, gens)
+
+    def counted_cohomology(dga):
+        profiles.append(dga.ring)
+        return original_cohomology(dga)
+
+    monkeypatch.setattr(StructureAlgebra, "quotient", counted_quotient)
+    monkeypatch.setattr(catalogue, "complex_cohomology", counted_cohomology)
+    reports = run_checks(None, Context(RunConfig(ps=(2, 3))))
+    assert all(r.passed for r in reports)
+    assert sorted(Counter(map(id, quotients)).values()) == [1] * 6
+    assert sorted(Counter(map(id, profiles)).values()) == [1] * 5
+
+
 def test_uqsl2_without_odd_p_reports_precondition():
     ctx = Context(RunConfig(ps=(2,)))
     (report,) = run_checks(["S3.2-uqsl2"], ctx)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hopfcheck
@@ -304,6 +304,25 @@ def test_scalar_hook_parses_only_orders_of_one_common_order(monkeypatch):
 
 # -- field axioms across mixed orders, and the same-order fast path ------------
 
+
+@pytest.fixture
+def fresh_memos():
+    """Empties the product and inverse memos, and hands back the function that
+    empties them for a property test to call at the start of each example."""
+
+    def clear():
+        cyclotomic._PRODUCTS.clear()
+        cyclotomic._INVERSES.clear()
+
+    clear()
+    return clear
+
+
+# the fresh_memos fixture is a function each example calls, not per-example state
+_MEMO_SETTINGS = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
 _ORDERS = (1, 3, 4, 5, 8, 12)
 
 
@@ -341,9 +360,9 @@ def _reference_mul(a, b):
     return Cyclotomic(order, tuple(int(f * den) for f in coeffs), den)
 
 
-@given(_scalars(), _scalars(), _scalars())
-@settings(max_examples=200, deadline=None)
-def test_ring_axioms_across_mixed_orders(a, b, c):
+def _ring_axioms(a, b, c) -> list:
+    """Asserts the ring axioms on a, b, c; returns the products and the
+    inverse it computed, as (order, num, den) triples."""
     zero, one = Cyclotomic.zero(), Cyclotomic.one()
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
@@ -353,17 +372,37 @@ def test_ring_axioms_across_mixed_orders(a, b, c):
     assert a + zero == a and a * one == a
     assert a + (-a) == 0 and a - a == 0
     assert a * zero == 0
+    products = [a * b, b * a, (a * b) * c, a * (b * c), a * (b + c), a * one, a * zero]
     if a:
         assert a * a.inverse() == 1
+        products.append(a.inverse())
     assert (a == b) == (not (a - b))
+    return [_triple(x) for x in products]
+
+
+@given(_scalars(), _scalars(), _scalars())
+@settings(_MEMO_SETTINGS, max_examples=200)
+def test_ring_axioms_across_mixed_orders(fresh_memos, a, b, c):
+    # a cold pass, then a warm one that reads its products and inverses from
+    # the memos: a hit must give what the fresh computation gave
+    fresh_memos()
+    cold = _ring_axioms(a, b, c)
+    assert _ring_axioms(a, b, c) == cold
 
 
 @given(_scalars(), _scalars())
-@settings(max_examples=300, deadline=None)
-def test_same_order_fast_path_matches_general_path(a, b):
+@settings(_MEMO_SETTINGS, max_examples=300)
+def test_same_order_fast_path_matches_general_path(fresh_memos, a, b):
     """Operands of different orders go through coerce and _common; the same
     values lifted to one order take the fast path.  Both give one (order,
-    num, den), which is the gcd-normalized form __init__ builds."""
+    num, den), which is the gcd-normalized form __init__ builds.  The checks
+    run with the memos cold and again warm, where every product is a hit."""
+    fresh_memos()
+    for _ in ("cold", "warm"):
+        _fast_path_matches_general_path(a, b)
+
+
+def _fast_path_matches_general_path(a, b):
     order = lcm(a.order, b.order)
     la, lb = a.lift(order), b.lift(order)
     assert _triple(la * lb) == _triple(a * b) == _triple(_reference_mul(a, b))
@@ -379,6 +418,62 @@ def test_same_order_fast_path_matches_general_path(a, b):
     f = Fraction(k, 7)
     assert _triple(a + f) == _triple(a + Cyclotomic.from_fraction(f, a.order))
     assert (a == k) == (a == Cyclotomic.from_int(k, a.order))
+
+
+def test_memo_keys_tell_orders_and_denominators_apart(fresh_memos):
+    # Phi_5 and Phi_10 both have degree 4 but reduce x^4 differently, so the
+    # same coordinates multiply to different values at the two orders
+    num_a, num_b = (1, 2, 0, -1), (0, 1, 1, 3)
+    got = {}
+    for order in (5, 10, 5, 10):
+        a, b = Cyclotomic(order, num_a), Cyclotomic(order, num_b)
+        got[order] = _triple(a * b)
+        assert got[order] == _triple(_reference_mul(a, b))
+        inv = a.inverse()
+        assert inv.order == order and a * inv == 1
+    assert got[5][1:] != got[10][1:]
+    # operands of orders 5 and 10 are keyed at their common order 10
+    a5, b10 = Cyclotomic(5, num_a), Cyclotomic(10, num_b)
+    for x, y in ((a5, b10), (b10, a5), (a5.lift(10), b10)):
+        assert _triple(x * y) == _triple(_reference_mul(a5, b10))
+    # operands that differ only in den
+    for den_a, den_b in ((1, 1), (2, 1), (1, 3), (2, 3), (1, 1)):
+        a, b = Cyclotomic(5, num_a, den_a), Cyclotomic(5, num_b, den_b)
+        assert (a.den, b.den) == (den_a, den_b)
+        assert _triple(a * b) == _triple(_reference_mul(a, b))
+        assert a * a.inverse() == 1 and b * b.inverse() == 1
+
+
+def test_memos_stop_growing_at_the_limit(fresh_memos, monkeypatch):
+    monkeypatch.setattr(cyclotomic, "MEMO_LIMIT", 3)
+    z = root_of_unity(5)
+    first = None
+    for k in range(1, 9):
+        x = z + k
+        assert _triple(x * z) == _triple(_reference_mul(x, z))
+        assert _triple(z * x) == _triple(_reference_mul(z, x))
+        assert _triple(x.inverse() * x) == _triple(Cyclotomic.one(5))
+        if first is None:
+            first = (dict(cyclotomic._PRODUCTS), dict(cyclotomic._INVERSES))
+    assert len(cyclotomic._PRODUCTS) == 3 and len(cyclotomic._INVERSES) == 3
+    # no eviction: the first entries stay
+    assert all(cyclotomic._PRODUCTS[k] is v for k, v in first[0].items())
+    assert all(cyclotomic._INVERSES[k] is v for k, v in first[1].items())
+
+
+def test_degree_one_products_and_inverses_are_not_stored(fresh_memos):
+    for order in (1, 2):
+        a, b = Cyclotomic(order, (3,), 4), Cyclotomic(order, (-5,), 6)
+        assert (a * b).rational_value() == Fraction(-5, 8)
+        assert a.inverse().rational_value() == Fraction(4, 3)
+        assert (a / b).rational_value() == Fraction(-9, 10)
+    assert root_of_unity(2) * root_of_unity(1) == -1
+    assert q_factorial(6, root_of_unity(2)) == 0
+    assert not cyclotomic._PRODUCTS and not cyclotomic._INVERSES
+    # a degree-2 product is stored, once
+    w = root_of_unity(3)
+    assert w * w == w * w
+    assert len(cyclotomic._PRODUCTS) == 1
 
 
 _INEXACT_DIVISION = """

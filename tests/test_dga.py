@@ -27,6 +27,10 @@ from hopfcheck.dga import (
 c = Cyclotomic.coerce
 
 
+def _report(dga):
+    return diagonalizability_report(dga, stable_quotient(dga), complex_cohomology(dga))
+
+
 @pytest.fixture(scope="module")
 def p2_blocks():
     d = build_twisted_double(taft(2))
@@ -76,8 +80,8 @@ def test_hh_minus_one_separation(p2_blocks):
     )
     assert hh == claimed
 
-    sdga, q = stable_dga(dgas[1])
-    shh = hh_minus_one(sdga)
+    q = stable_quotient(dgas[1])
+    shh = hh_minus_one(stable_dga(q))
     assert shh.dim == 1
     assert shh == Subspace.from_vectors(q.algebra.dim, [sparse_of(q.algebra.unit)])
 
@@ -85,7 +89,7 @@ def test_hh_minus_one_separation(p2_blocks):
 def test_centers_drop_across_stabilization(p2_blocks):
     d, blocks, gens, dgas = p2_blocks
     assert blocks[1].algebra.center().dim == 3
-    _, q = stable_dga(dgas[1])
+    q = stable_quotient(dgas[1])
     assert q.algebra.center().dim == 1
 
 
@@ -99,7 +103,7 @@ def test_cohomology_profile_on_odd_block(p2_blocks):
 
 def test_even_block_is_diagonalizable(p2_blocks):
     d, blocks, gens, dgas = p2_blocks
-    rep = diagonalizability_report(dgas[0])
+    rep = _report(dgas[0])
     assert rep.passed, rep.witnesses
     assert rep.witnesses["diagonalizable"]
     assert rep.witnesses["zero_eigenspace_dim"] == 4
@@ -110,7 +114,7 @@ def test_even_block_is_diagonalizable(p2_blocks):
 
 def test_odd_block_is_not_diagonalizable(p2_blocks):
     d, blocks, gens, dgas = p2_blocks
-    rep = diagonalizability_report(dgas[1])
+    rep = _report(dgas[1])
     assert rep.passed, rep.witnesses
     assert not rep.witnesses["diagonalizable"]
     assert rep.witnesses["kernel_image_overlap_dim"] == 2
@@ -131,7 +135,7 @@ def test_group_double_differentials_are_diagonalizable():
     for n in (1, 2, 3):
         dg = build_twisted_double(group_algebra(n))
         dga = TwoTermDga(dg.algebra, dg.sigma - dg.one)
-        rep = diagonalizability_report(dga)
+        rep = _report(dga)
         assert rep.passed, (n, rep.witnesses)
         assert rep.witnesses["diagonalizable"]
         assert rep.witnesses["zero_eigenspace_dim"] == rep.witnesses["stable_quotient_dim"]
@@ -188,8 +192,8 @@ def test_invariants_survive_a_change_of_basis(p2_blocks):
         prof1.image_dim,
         prof1.overlap_dim,
     )
-    rep0 = diagonalizability_report(dga)
-    rep1 = diagonalizability_report(moved_dga)
+    rep0 = diagonalizability_report(dga, stable_quotient(dga), prof0)
+    rep1 = diagonalizability_report(moved_dga, stable_quotient(moved_dga), prof1)
     assert rep0.witnesses["diagonalizable"] == rep1.witnesses["diagonalizable"]
 
 

@@ -2,7 +2,7 @@
 
 tests/golden/run_p23.json holds the `checks` (without `elapsed`) and the
 `summary` of `verify run --all --p 2,3 --json`; run_p5.json holds the same
-for `--p 5` and is compared in CI, since that run takes about a minute.
+for `--p 5` and is compared in CI, since that run takes about 10 s.
 Both were written before the linear algebra moved to sparse rows, so any
 change of representation that alters a witness shows up here.  To
 regenerate one after a deliberate change of the report, run the CLI with
