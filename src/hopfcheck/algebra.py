@@ -9,31 +9,51 @@ cell once it is handed over.  The double builders of doubles.py also share
 equal scalars, one object per distinct value within a build.
 
 Construction verifies the unit laws exactly (unit_failure) and
-associativity in one of three regimes, by size:
+associativity in one of three regimes, chosen by the work an exact check
+would take.  That work is exact_products(), the number of scalar products
+associativity_failure makes over every basis triple: the sum over entries
+c_ab^m of nnz(row m) + nnz(column m), where row m holds the cells c[m][k]
+and column m the cells c[i][m].  It takes O(dim^2 + nnz) to count, and the
+count stops once it passes EXACT_PRODUCTS_LIMIT.
 
-  dim <= DEFAULT_PURE_LIMIT (24)  associativity_failure on every basis triple
-  dim <= DEFAULT_EXHAUSTIVE_LIMIT (MODULAR_LIMIT, 230)
-                           modular certificate, still covering all triples:
-                           denominators are cleared (associativity is
-                           homogeneous under scaling, so truth is preserved
-                           both ways), the integer tensors are evaluated at
-                           every primitive N-th root of unity modulo several
-                           primes P = 1 mod N, and both association orders are
-                           compared via sparse integer matrix products.  An
-                           explicit height bound on the difference tensor
-                           makes the congruences a proof of exact equality;
-                           any mismatch is re-checked exactly for a witness.
-                           Its int64 sums are exact only up to MODULAR_LIMIT;
-                           above it the certificate refuses to run.
-                           The products are formed for a block of first
-                           indices at a time, so their memory is bounded.
-  above                    associativity_failure on the DEFAULT_SAMPLES triples
-                           of sampled_triples(dim, DEFAULT_SAMPLES, DEFAULT_SEED).
-                           This is evidence, not a proof: a sample can miss
-                           the few triples that break.
+  dim <= MODULAR_LIMIT (230) and at most EXACT_PRODUCTS_LIMIT (25,000)
+  products            associativity_failure on every basis triple at which
+                      either side has a term (exact_triples); the others
+                      compare two empty sums.  taft(5) (8,750 products) and
+                      the 27-dim blocks of the taft(3) double (1,852) are
+                      checked here, in exact arithmetic and without numpy.
+  dim <= DEFAULT_EXHAUSTIVE_LIMIT (MODULAR_LIMIT, 230), more products
+                      modular certificate, still covering all triples:
+                      denominators are cleared (associativity is
+                      homogeneous under scaling, so truth is preserved
+                      both ways), the integer tensors are evaluated at
+                      every primitive N-th root of unity modulo several
+                      primes P = 1 mod N, and both association orders are
+                      compared via sparse integer matrix products.  An
+                      explicit height bound on the difference tensor
+                      makes the congruences a proof of exact equality;
+                      any mismatch is re-checked exactly for a witness.
+                      Its int64 sums are exact only up to MODULAR_LIMIT;
+                      above it the certificate refuses to run.
+                      The products are formed for a block of first
+                      indices at a time, so their memory is bounded.
+                      taft(7) (57,624 products), the 125-dim blocks of the
+                      taft(5) double (88,488) and dense 16-dim algebras
+                      (about 10^5) are checked here.
+  above               associativity_failure on the DEFAULT_SAMPLES triples
+                      of sampled_triples(dim, DEFAULT_SAMPLES, DEFAULT_SEED).
+                      This is evidence, not a proof: a sample can miss
+                      the few triples that break.  The product count is
+                      not computed here.
+
+The cut sits between the two kinds of measured cost: the exact check of
+taft(5) takes 0.05-0.1 s against 0.3-0.45 s for the certificate with its
+numpy and scipy imports, while a dense 16-dim algebra of about 10^5
+products takes 0.5-0.7 s exact against 0.36-0.41 s modular.
 
 check= forces a regime ("pure", "modular", "sample") or skips it ("none").
-The D2.2 re-check of the twisted doubles uses the same two methods.
+The D2.2 re-check of the twisted doubles (doubles.py) checks every triple
+up to dim 24 and samples above it.
 
 An AlgebraElement holds its terms, a dict {basis index: nonzero scalar}, and
 every product goes through one sparse kernel, StructureAlgebra.mul_sparse,
@@ -47,7 +67,6 @@ left_mult_matrix and right_mult_matrix still accept.
 
 from __future__ import annotations
 
-import itertools
 import random
 import types
 from dataclasses import dataclass
@@ -81,7 +100,10 @@ MODULAR_LIMIT = (2**63 - 1) // PRIME_CEILING**2
 # that of a block instead of the dim^4 of a dense algebra's whole products.
 CERT_BLOCK_ENTRIES = 1 << 20
 
-DEFAULT_PURE_LIMIT = 24
+# The most scalar products (exact_products) for which construction checks
+# every basis triple exactly; above it the modular certificate runs.
+EXACT_PRODUCTS_LIMIT = 25_000
+
 DEFAULT_EXHAUSTIVE_LIMIT = MODULAR_LIMIT
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 20240801
@@ -93,11 +115,13 @@ EMPTY_CELL = types.MappingProxyType({})
 
 
 def _own_cell(cell, order: int):
-    """cell as the algebra keeps it: EMPTY_CELL when empty, cell itself when it
-    is zero-free at order, else a zero-free copy lifted to order."""
-    if not cell:
-        return EMPTY_CELL
-    if all(v.order == order and v for v in cell.values()):
+    """A nonempty cell as the algebra keeps it: cell itself when it is
+    zero-free at order, else a zero-free copy lifted to order (EMPTY_CELL
+    when that copy is empty)."""
+    for v in cell.values():
+        if v.order != order or not any(v.num):
+            break
+    else:
         return cell
     kept = {k: v if v.order == order else v.lift(order) for k, v in cell.items() if v}
     return kept or EMPTY_CELL
@@ -140,11 +164,21 @@ class StructureAlgebra:
             raise ValueError("dim must be nonnegative")
         self.dim = dim
         self.name = name or f"algebra(dim {dim})"
-        orders = {v.order for row in rows for cell in row if cell for v in cell.values() if v}
-        orders.update(v.order for v in unit)
+        # one pass over the values; only a value of an order not yet seen is
+        # tested for zero (a zero does not set the algebra's order)
+        orders = {v.order for v in unit}
+        for row in rows:
+            for cell in row:
+                if cell:
+                    for v in cell.values():
+                        if v.order not in orders and any(v.num):
+                            orders.add(v.order)
         order = lcm(*orders) if orders else 1
         self.order = order
-        self.rows = [[_own_cell(rows[i][j], order) for j in range(dim)] for i in range(dim)]
+        self.rows = [
+            [_own_cell(cell, order) if (cell := given[j]) else EMPTY_CELL for j in range(dim)]
+            for given in (rows[i] for i in range(dim))
+        ]
         self.unit = tuple(v if v.order == order else v.lift(order) for v in unit)
         if len(self.unit) != dim:
             raise ValueError("unit vector length must equal dim")
@@ -196,14 +230,14 @@ class StructureAlgebra:
             return
         n = self.dim
         if mode == "auto":
-            if n <= DEFAULT_PURE_LIMIT:
-                mode = "pure"
-            elif n <= DEFAULT_EXHAUSTIVE_LIMIT:
-                mode = "modular"
-            else:
+            if n > DEFAULT_EXHAUSTIVE_LIMIT:
                 mode = "sample"
+            elif self.exact_products(EXACT_PRODUCTS_LIMIT) <= EXACT_PRODUCTS_LIMIT:
+                mode = "pure"
+            else:
+                mode = "modular"
         if mode == "pure":
-            bad = self.associativity_failure(itertools.product(range(n), repeat=3))
+            bad = self.associativity_failure(self.exact_triples())
         elif mode == "modular":
             bad = self._assoc_modular()
         elif mode == "sample":
@@ -212,6 +246,54 @@ class StructureAlgebra:
             raise ValueError(f"unknown associativity check mode {mode!r}")
         if bad is not None:
             raise AssociativityError(bad, f"{self.name}: associativity fails")
+
+    def exact_products(self, limit: int | None = None) -> int:
+        """The scalar products associativity_failure makes over every basis
+        triple: (e_i e_j) e_k makes one per c_ij^m c_mk^t and e_i (e_j e_k)
+        one per c_jk^m c_im^t, so the count is the sum over entries c_ab^m
+        of nnz(row m) + nnz(column m).  With limit, the sum stops once it
+        passes limit and returns what it has by then."""
+        rows = self.rows
+        row_nnz = [0] * self.dim
+        col_nnz = [0] * self.dim
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row):
+                if cell:
+                    row_nnz[i] += len(cell)
+                    col_nnz[j] += len(cell)
+        weight = [r + c for r, c in zip(row_nnz, col_nnz)]
+        total = 0
+        for row in rows:
+            for cell in row:
+                for m in cell:
+                    total += weight[m]
+            if limit is not None and total > limit:
+                break
+        return total
+
+    def exact_triples(self):
+        """Every basis triple (i, j, k) at which (e_i e_j) e_k or e_i (e_j e_k)
+        has a term, in row-major order; at any other triple both sides are
+        empty sums.  There are at most exact_products() of them."""
+        rows = self.rows
+        # right[t]: the k with c[t][k] nonempty; hits[m]: the (j, k) with m in c[j][k]
+        right = [[k for k, cell in enumerate(row) if cell] for row in rows]
+        hits: list[list] = [[] for _ in range(self.dim)]
+        for j, row in enumerate(rows):
+            for k, cell in enumerate(row):
+                for m in cell:
+                    hits[m].append((j, k))
+        for i, row in enumerate(rows):
+            pairs = set()
+            for m, cell in enumerate(row):
+                if cell:
+                    # e_i (e_j e_k) meets c[i][m] wherever m is in c[j][k]
+                    pairs.update(hits[m])
+                    # (e_i e_m) e_k meets c[t][k] for each t in c[i][m]
+                    for t in cell:
+                        pairs.update((m, k) for k in right[t])
+            for j, k in sorted(pairs):
+                yield i, j, k
 
     def _assoc_triple_exact(self, i: int, j: int, k: int) -> bool:
         lhs: dict[int, Cyclotomic] = {}

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from .cyclotomic import ONE, Cyclotomic, q_factorial
 from .linalg import InvariantError, Matrix, Subspace, dense_of, kernel, sparse_of
 from .algebra import (
-    DEFAULT_PURE_LIMIT,
     DEFAULT_SEED,
     EMPTY_CELL,
     AlgebraElement,
@@ -52,8 +51,51 @@ from .hopf import (
 )
 from .report import FAIL, PASS, PRECONDITION_FAILED, CheckReport
 
-# basis triples D2.2 samples above dim DEFAULT_PURE_LIMIT (seeded by DEFAULT_SEED)
+# D2.2 checks every basis triple of a double up to dim DEFAULT_PURE_LIMIT and
+# samples RECHECK_SAMPLES of them above it (seeded by DEFAULT_SEED)
+DEFAULT_PURE_LIMIT = 24
 RECHECK_SAMPLES = 2000
+
+
+class _Pool:
+    """The scalars of one double build: one object per distinct value, and
+    each product of two operands computed and pooled once.  Products are
+    keyed by the operands' ids, so every operand must be pooled here or held
+    by the base for the whole build (an id is reused once its object dies)."""
+
+    def __init__(self):
+        self.values: dict = {}
+        self.products: dict = {}
+        self.scaled: dict = {}
+
+    def __call__(self, s: Cyclotomic) -> Cyclotomic:
+        return self.values.setdefault((s.order, s.num, s.den), s)
+
+    def mul(self, x: Cyclotomic, y: Cyclotomic) -> Cyclotomic:
+        key = (id(x), id(y))
+        p = self.products.get(key)
+        if p is None:
+            p = self.products[key] = self(x * y)
+        return p
+
+    def scale(self, x: Cyclotomic, tag, cells: list) -> list:
+        """The terms [(k, x c[k]) for k in c] of each cell c of cells, the
+        cells that tag names, computed once per (x, tag)."""
+        key = (id(x), tag)
+        out = self.scaled.get(key)
+        if out is None:
+            out = self.scaled[key] = [
+                [(k, self.mul(x, ck)) for k, ck in cell.items()] for cell in cells
+            ]
+        return out
+
+
+def _accumulate(cell: dict, key: int, s: Cyclotomic, pool: _Pool) -> None:
+    """Store the sum s at cell[key], pooled, or drop key when s is zero."""
+    if any(s.num):
+        cell[key] = pool(s)
+    else:
+        del cell[key]
 
 
 def _embed(flat, left: dict, right: dict) -> dict:
@@ -179,11 +221,15 @@ def build_twisted_double(h: HopfData) -> TwistedDouble:
             b, m = divmod(f, n)
             by_first[b].append((k, m, cf))
 
+    # nonempty cells of each row of H: cols[a2] the c with c[a2][c] nonempty,
+    # cells[a2] those cells
+    cols = [[c for c, cell in enumerate(row) if cell] for row in alg.rows]
+    cells = [[cell for cell in row if cell] for row in alg.rows]
+
     # cells start as the shared EMPTY_CELL and get a dict on their first
-    # write; every stored value goes through pool, so equal scalars are one
-    # object
+    # write, which stores a pooled product as it is
     rows: list[list] = [[EMPTY_CELL] * nn for _ in range(nn)]
-    pool: dict = {}
+    pool = _Pool()
     for a in range(n):
         # the sandwiches S(e_a3) e_m e_a1 of e_a, bucketed by m and read by
         # every (b, k) below
@@ -193,25 +239,23 @@ def build_twisted_double(h: HopfData) -> TwistedDouble:
         for b in range(n):
             row = rows[flat(a, b)]
             for k, m, cf in by_first[b]:
+                kn = k * n
                 for a2, t, v in by_m[m]:
                     w = cf * t
                     for d, vd in v.items():
-                        wd = w * vd
-                        for c in range(n):
-                            prod = alg.rows[a2][c]
-                            if not prod:
-                                continue
-                            cell = row[flat(c, d)]
+                        dn = d * n
+                        scaled = pool.scale(pool(w * vd), a2, cells[a2])
+                        for c, terms in zip(cols[a2], scaled):
+                            cell = row[dn + c]
                             if cell is EMPTY_CELL:
-                                cell = row[flat(c, d)] = {}
-                            for u, cu in prod.items():
-                                key = flat(u, k)
-                                s = cell.get(key)
-                                s = wd * cu if s is None else s + wd * cu
-                                if s:
-                                    cell[key] = pool.setdefault((s.order, s.num, s.den), s)
-                                elif key in cell:
-                                    del cell[key]
+                                cell = row[dn + c] = {}
+                            for u, s in terms:
+                                key = kn + u
+                                prev = cell.get(key)
+                                if prev is None:
+                                    cell[key] = s
+                                else:
+                                    _accumulate(cell, key, prev + s, pool)
 
     unit = _embed(flat, alg.unit_element().terms, sparse_of(h.counit))
     dalg = StructureAlgebra(nn, rows, dense_of(unit, nn), name=f"twisted-double({h.name})")
@@ -329,17 +373,23 @@ def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
             i, j = divmod(f, n)
             dual_rows[i][j][k] = cf
 
+    # nonempty convolutions of each row: dual_cols[v] the d with e^v e^d
+    # nonzero, dual_cells[v] those products
+    dual_cols = [[d for d, conv in enumerate(vrow) if conv] for vrow in dual_rows]
+    dual_cells = [[conv for conv in vrow if conv] for vrow in dual_rows]
+
     # cells and scalars as in build_twisted_double: EMPTY_CELL until the
-    # first write, values shared through pool
+    # first write, values from pool
     rows: list[list] = [[EMPTY_CELL] * nn for _ in range(nn)]
-    pool: dict = {}
+    pool = _Pool()
     for c in range(n):
         # the sandwiches e_c3 e_v A(e_c1) of e_c, read by every b below
         legs = _sandwiches(h, c, alg.basis_sparse, twist_col)
         # straighten e^b . e_c once per (b, c); reuse across a and d
         for b in range(n):
-            # list of (c2, v, weight) with e^b e_c = sum weight e_{c2} (x) e^v
-            straightened = [(c2, v, t * w[b]) for c2, v, t, w in legs if b in w]
+            # list of (c2, v, weight) with e^b e_c = sum weight e_{c2} (x) e^v;
+            # the weights are pooled, so they outlive this round
+            straightened = [(c2, v, pool(t * w[b])) for c2, v, t, w in legs if b in w]
             for a in range(n):
                 arow = alg.rows[a]
                 row = rows[flat(a, b)]
@@ -347,24 +397,23 @@ def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
                     left = arow[c2]
                     if not left:
                         continue
-                    vrow = dual_rows[v]
-                    for d in range(n):
-                        conv = vrow[d]
-                        if not conv:
-                            continue
+                    # (u n, the convolutions e^v e^d scaled by weight c_{a c2}^u)
+                    scaled = [
+                        (u * n, pool.scale(pool.mul(weight, cu), v, dual_cells[v]))
+                        for u, cu in left.items()
+                    ]
+                    for slot, d in enumerate(dual_cols[v]):
                         cell = row[flat(c, d)]
                         if cell is EMPTY_CELL:
                             cell = row[flat(c, d)] = {}
-                        for u, cu in left.items():
-                            f1 = weight * cu
-                            for kk, ck in conv.items():
-                                key = flat(u, kk)
-                                s = cell.get(key)
-                                s = f1 * ck if s is None else s + f1 * ck
-                                if s:
-                                    cell[key] = pool.setdefault((s.order, s.num, s.den), s)
-                                elif key in cell:
-                                    del cell[key]
+                        for un, sd in scaled:
+                            for kk, s in sd[slot]:
+                                key = un + kk
+                                prev = cell.get(key)
+                                if prev is None:
+                                    cell[key] = s
+                                else:
+                                    _accumulate(cell, key, prev + s, pool)
 
     unit = _embed(flat, alg.unit_element().terms, sparse_of(h.counit))
     dalg = StructureAlgebra(nn, rows, dense_of(unit, nn), name=f"double[{flavor}]({h.name})")

@@ -1,6 +1,7 @@
 """Structure-constant algebra tests: construction checks, center, radical,
 quotients, closures, presentations, central splitting."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hopfcheck import algebra as algebra_module
 from hopfcheck.algebra import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     EMPTY_CELL,
+    EXACT_PRODUCTS_LIMIT,
     MODULAR_LIMIT,
     PRIME_CEILING,
     AlgebraError,
@@ -21,6 +23,7 @@ from hopfcheck.algebra import (
     gen,
 )
 from hopfcheck.cyclotomic import Cyclotomic, root_of_unity
+from hopfcheck.hopf import taft
 from hopfcheck.linalg import InvariantError, Subspace, sparse_of
 
 
@@ -160,6 +163,134 @@ def test_sampled_check_path():
             [c(1), c(0), c(0), c(0), c(0)],
             check="sample",
         )
+
+
+# -- the construction-time regime rule -----------------------------------
+
+
+def _products_per_triple(alg) -> dict:
+    """{(i, j, k): the scalar products (e_i e_j) e_k and e_i (e_j e_k) make},
+    for the triples that make any, counted triple by triple."""
+    rows = alg.rows
+    out = {}
+    for i, j, k in itertools.product(range(alg.dim), repeat=3):
+        lhs = sum(len(rows[m][k]) for m in rows[i][j])
+        rhs = sum(len(rows[i][m]) for m in rows[j][k])
+        if lhs + rhs:
+            out[(i, j, k)] = lhs + rhs
+    return out
+
+
+def _random_sparse_algebra(n: int, seed: int) -> StructureAlgebra:
+    """A random unital algebra with sparse cells, e_0 its unit; not
+    associative in general, so associativity is not checked."""
+    rng = random.Random(seed)
+    rows = [
+        [{k: c(rng.randint(1, 3)) for k in rng.sample(range(n), rng.randint(0, 2))}
+         if rng.random() < 0.4 else {} for _ in range(n)]
+        for _ in range(n)
+    ]
+    for i in range(n):
+        rows[0][i] = rows[i][0] = {i: c(1)}
+    return StructureAlgebra(n, rows, [c(1)] + [c(0)] * (n - 1), check="none")
+
+
+def _dense_group_algebra(n: int):
+    """(rows, unit) of k[Z/n] in the basis f_i = g^i + g^(i+1) + ... + g^(n-1),
+    in which most structure constants are nonzero (g^a = f_a - f_(a+1))."""
+    def g_in_f(a):
+        a %= n
+        return {a: 1, a + 1: -1} if a + 1 < n else {a: 1}
+
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc: dict = {}
+            for a in range(i, n):
+                for b in range(j, n):
+                    for k, v in g_in_f(a + b).items():
+                        acc[k] = acc.get(k, 0) + v
+            row.append({k: c(v) for k, v in acc.items() if v})
+        rows.append(row)
+    unit = [c(1), c(-1)] + [c(0)] * (n - 2)
+    return rows, unit
+
+
+def _refuse_modular(self):
+    raise AssertionError(f"{self.name}: the modular certificate ran")
+
+
+def test_exact_products_counts_what_the_exact_check_multiplies(monkeypatch):
+    algebras = [
+        group_algebra_plain(4), matrix_algebra_2x2(), dual_numbers(), taft(2).algebra,
+        taft(3).algebra, StructureAlgebra(10, *_dense_group_algebra(10), check="none"),
+    ]
+    made = [0]
+    mul = Cyclotomic.__mul__
+
+    def counting(a, b):
+        made[0] += 1
+        return mul(a, b)
+
+    for alg in algebras:
+        made[0] = 0
+        monkeypatch.setattr(Cyclotomic, "__mul__", counting)
+        assert alg.associativity_failure(itertools.product(range(alg.dim), repeat=3)) is None
+        monkeypatch.setattr(Cyclotomic, "__mul__", mul)
+        assert alg.exact_products() == made[0] == sum(_products_per_triple(alg).values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_products_and_triples_match_a_triple_by_triple_count(seed):
+    alg = _random_sparse_algebra(7, seed)
+    per_triple = _products_per_triple(alg)
+    total = sum(per_triple.values())
+    assert alg.exact_products() == total
+    assert list(alg.exact_triples()) == sorted(per_triple)
+    # with a limit the count stops once it passes the limit, and only then
+    assert alg.exact_products(total) == total
+    assert alg.exact_products(total - 1) == total
+    assert 0 < alg.exact_products(0) < total
+
+
+def test_taft5_is_proven_on_the_exact_path(monkeypatch):
+    monkeypatch.setattr(StructureAlgebra, "_assoc_modular", _refuse_modular)
+    alg = taft(5).algebra
+    assert alg.dim == 25
+    assert alg.exact_products() == 8750 <= EXACT_PRODUCTS_LIMIT
+
+
+def test_dense_algebra_above_the_cut_takes_the_modular_path(monkeypatch):
+    rows, unit = _dense_group_algebra(16)
+    certified = []
+    modular = StructureAlgebra._assoc_modular
+
+    def spy(self):
+        certified.append(self.dim)
+        return modular(self)
+
+    monkeypatch.setattr(StructureAlgebra, "_assoc_modular", spy)
+    alg = StructureAlgebra(16, rows, unit)
+    assert certified == [16]
+    assert alg.exact_products() == 215_664 > EXACT_PRODUCTS_LIMIT
+    # well below the cut the same family goes exact
+    monkeypatch.setattr(StructureAlgebra, "_assoc_modular", _refuse_modular)
+    assert StructureAlgebra(8, *_dense_group_algebra(8)).exact_products() == 7352
+
+
+def test_dim25_algebra_with_a_corrupted_cell_fails_at_its_first_bad_triple(monkeypatch):
+    # taft(5) with x g doubled (x is e_1, g is e_5); the unit e_0 is untouched
+    alg = taft(5).algebra
+    rows = [list(row) for row in alg.rows]
+    rows[1][5] = {k: v * 2 for k, v in rows[1][5].items()}
+    bad = StructureAlgebra(25, rows, alg.unit, check="none")
+    first = bad.associativity_failure(itertools.product(range(25), repeat=3))
+    assert first is not None
+    monkeypatch.setattr(StructureAlgebra, "_assoc_modular", _refuse_modular)
+    with pytest.raises(AssociativityError) as err:
+        StructureAlgebra(25, rows, alg.unit)
+    assert err.value.triple == first
 
 
 def test_element_arithmetic_and_powers():
@@ -356,6 +487,18 @@ def test_forced_modular_check_refuses_overflow():
     with pytest.raises(ModularOverflowError):
         StructureAlgebra(n, rows, unit, check="modular")
     StructureAlgebra(n, rows, unit)  # auto samples above the limit
+
+
+def test_auto_check_counts_no_products_above_the_modular_limit(monkeypatch):
+    # above MODULAR_LIMIT the regime is the sample whatever the work, so the
+    # O(dim^2 + nnz) count is skipped (the 625-dim doubles never pay it)
+    def refuse(self, limit=None):
+        raise AssertionError("exact_products ran")
+
+    monkeypatch.setattr(StructureAlgebra, "exact_products", refuse)
+    n = MODULAR_LIMIT + 1
+    rows = [[{i: c(1)} if i == j else {} for j in range(n)] for i in range(n)]
+    StructureAlgebra(n, rows, [c(1)] * n)
 
 
 def _corrupted_matrix_algebra(m: int):

@@ -2,6 +2,7 @@
 block structure, classical doubles and the pivot comparison, module checks."""
 
 import hashlib
+import inspect
 import itertools
 import os
 import subprocess
@@ -13,8 +14,9 @@ import pytest
 import hopfcheck
 from hopfcheck.algebra import EMPTY_CELL, AlgebraError, StructureAlgebra, UnitLawError
 from hopfcheck.cyclotomic import Cyclotomic
-from hopfcheck.hopf import check_algebra_map, dual_hopf, group_algebra, taft
-from hopfcheck.linalg import InvariantError, Matrix, minimal_polynomial
+from hopfcheck import doubles as doubles_module
+from hopfcheck.hopf import HopfData, _acc, check_algebra_map, dual_hopf, group_algebra, taft
+from hopfcheck.linalg import InvariantError, Matrix, dense_of, minimal_polynomial
 from hopfcheck.doubles import (
     ClassicalDouble,
     TwistedDouble,
@@ -145,6 +147,103 @@ def test_double_structure_constants_are_pinned(shared_ctx, base, flavor):
     else:
         d = shared_ctx.classical_taft(int(base[-1]), flavor)
     assert constants_digest(d.algebra) == CONSTANTS_DIGESTS[(base, flavor)]
+
+
+def _in_summed_basis(h: HopfData) -> HopfData:
+    """h in the basis f_a = e_a + e_(a+1) + ... + e_(n-1), so e_a = f_a - f_(a+1):
+    its structure constants are sums, and in the double builders terms meet
+    in a cell, add up and cancel, which they never do in the monomial bases."""
+    n = h.dim
+    one = c(1)
+
+    def to_f(vec):
+        out: dict = {}
+        for a, v in vec.items():
+            _acc(out, a, v)
+            if a + 1 < n:
+                _acc(out, a + 1, -v)
+        return out
+
+    def f(a):
+        return {i: one for i in range(a, n)}
+
+    alg = h.algebra
+    rows = [[to_f(alg.mul_sparse(f(a), f(b))) for b in range(n)] for a in range(n)]
+    comult = []
+    for a in range(n):
+        col: dict = {}
+        for flat, v in h.comult_of(f(a)).items():
+            u, w = divmod(flat, n)
+            for s, cs in to_f({u: v}).items():
+                for t, ct in to_f({w: one}).items():
+                    _acc(col, s * n + t, cs * ct)
+        comult.append(col)
+    antipode = []
+    for a in range(n):
+        col = {}
+        for i in range(a, n):
+            for k, v in h.antipode_col(i).items():
+                _acc(col, k, v)
+        antipode.append(to_f(col))
+    return HopfData(
+        StructureAlgebra(n, rows, dense_of(to_f(alg.unit_element().terms), n)),
+        comult, [h.counit_of(f(a)) for a in range(n)], Matrix.from_columns(antipode, n),
+        name=f"{h.name} in a summed basis",
+    )
+
+
+# recorded with the builders that pooled every sum through (order, num, den)
+# keys and computed each term's product afresh
+SUMMED_BASIS_DIGESTS = {
+    ("kZ3", "twisted"): "c1d0c707235c02d37c7088cce04f4b4353c171268d30d095af279cbf6e9f67e1",
+    ("kZ3", "drinfeld"): "e609b94ee4ecaf111224c314a878d4147fc3977ed3e9d0db94a39e6a32bd19d4",
+    ("kZ3", "anti"): "e609b94ee4ecaf111224c314a878d4147fc3977ed3e9d0db94a39e6a32bd19d4",
+    ("taft2", "twisted"): "45dbf43d889d3e00fbd1cbdc3f9e62629099bd3669847abfee1cbc4e229ecc06",
+    ("taft2", "drinfeld"): "cd263884641e71467a49b196c514f3a4ed8a806206c57902ad1b2dd078a0fb17",
+    ("taft2", "anti"): "97fa3d1638bb84a3f709660db62396287faa5738ae8e032b203c739d1799dd7c",
+}
+
+
+@pytest.mark.parametrize("base, flavor", sorted(SUMMED_BASIS_DIGESTS))
+def test_doubles_that_add_and_cancel_terms_are_pinned(monkeypatch, base, flavor):
+    h = _in_summed_basis(group_algebra(3) if base == "kZ3" else taft(2))
+    sums = []
+    accumulate = doubles_module._accumulate
+
+    def counting(cell, key, s, pool):
+        sums.append(bool(s))
+        accumulate(cell, key, s, pool)
+
+    monkeypatch.setattr(doubles_module, "_accumulate", counting)
+    d = build_twisted_double(h) if flavor == "twisted" else build_classical_double(h, flavor)
+    # both the nonzero sums and the cancellations were taken
+    assert True in sums and False in sums
+    assert constants_digest(d.algebra) == SUMMED_BASIS_DIGESTS[(base, flavor)]
+
+
+# the anti double of taft(5), pinned before its builder kept a product table
+# keyed by operand ids; the CI workflow pins all three p = 5 doubles
+P5_ANTI_DIGEST = "f8cb4bb9a7131ef91c2dbfcd0bcba11833e7080ccac3f42e271dde22f9c8b3b4"
+
+_P5_ANTI_BUILD = """
+import sys
+from hopfcheck.doubles import build_classical_double
+from hopfcheck.hopf import taft
+print(constants_digest(build_classical_double(taft(5), "anti").algebra))
+print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}))
+"""
+
+
+def test_p5_build_keeps_its_constants_and_loads_neither_numpy_nor_scipy():
+    # taft(5) is proven by the exact triple check, and the 625-dim double
+    # samples; in a fresh process neither loads the modular certificate's
+    # numpy and scipy
+    script = "import hashlib\n" + inspect.getsource(constants_digest) + _P5_ANTI_BUILD
+    src = os.path.dirname(os.path.dirname(hopfcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[:2] == [P5_ANTI_DIGEST, "[]"]
 
 
 _SIGMA_NOT_CENTRAL = """
