@@ -16,42 +16,41 @@ c_ab^m of nnz(row m) + nnz(column m), where row m holds the cells c[m][k]
 and column m the cells c[i][m].  It takes O(dim^2 + nnz) to count, and the
 count stops once it passes EXACT_PRODUCTS_LIMIT.
 
-  dim <= MODULAR_LIMIT (230) and at most EXACT_PRODUCTS_LIMIT (25,000)
-  products            associativity_failure on every basis triple at which
+  dim <= DEFAULT_EXHAUSTIVE_LIMIT (230) and at most EXACT_PRODUCTS_LIMIT
+  (25,000) products   associativity_failure on every basis triple at which
                       either side has a term (exact_triples); the others
                       compare two empty sums.  taft(5) (8,750 products) and
                       the 27-dim blocks of the taft(3) double (1,852) are
-                      checked here, in exact arithmetic and without numpy.
-  dim <= DEFAULT_EXHAUSTIVE_LIMIT (MODULAR_LIMIT, 230), more products
-                      modular certificate, still covering all triples:
-                      denominators are cleared (associativity is
-                      homogeneous under scaling, so truth is preserved
-                      both ways), the integer tensors are evaluated at
-                      every primitive N-th root of unity modulo several
-                      primes P = 1 mod N, and both association orders are
-                      compared via sparse integer matrix products.  An
-                      explicit height bound on the difference tensor
-                      makes the congruences a proof of exact equality;
-                      any mismatch is re-checked exactly for a witness.
-                      Its int64 sums are exact only up to MODULAR_LIMIT;
-                      above it the certificate refuses to run.
-                      The products are formed for a block of first
-                      indices at a time, so their memory is bounded.
-                      taft(7) (57,624 products), the 125-dim blocks of the
-                      taft(5) double (88,488) and dense 16-dim algebras
-                      (about 10^5) are checked here.
+                      checked here, in exact arithmetic.
+  dim <= DEFAULT_EXHAUSTIVE_LIMIT (230), more products
+                      the certificate (_assoc_modular): Light's test over a
+                      generating set, in Python integers.  A greedy set S
+                      of basis elements is certified to generate modulo a
+                      prime; the triples (i, a, k) with e_a in S are then
+                      compared modulo Phi_N(w) for an integer w large
+                      enough that a congruence is an exact equality, which
+                      proves associativity on every triple.  On a mismatch
+                      every pair (i, j) is compared the same way and the
+                      first failing triple re-checked exactly, so the
+                      witness is the one the exact loop would report.
+                      taft(7) (57,624 products, 2 generators), the 81-dim
+                      doubles of taft(3) (12 and 15 generators), the
+                      125-dim blocks of the taft(5) double (88,488) and
+                      dense 16-dim algebras (about 10^5) are checked here.
   above               associativity_failure on the DEFAULT_SAMPLES triples
                       of sampled_triples(dim, DEFAULT_SAMPLES, DEFAULT_SEED).
                       This is evidence, not a proof: a sample can miss
                       the few triples that break.  The product count is
                       not computed here.
 
-The cut sits between the two kinds of measured cost: the exact check of
-taft(5) takes 0.05-0.1 s against 0.3-0.45 s for the certificate with its
-numpy and scipy imports, while a dense 16-dim algebra of about 10^5
-products takes 0.5-0.7 s exact against 0.36-0.41 s modular.
+The cut was set where the exact check of a dense 16-dim algebra (about 10^5
+products, 0.5-0.7 s) began to cost more than the certificate did with its
+numpy and scipy imports (0.36-0.41 s).  The certificate is now far cheaper
+(taft(5), dim 25: 0.002-0.003 s against 0.02-0.04 s exact, in one process),
+so the cut is worth measuring again.
 
-check= forces a regime ("pure", "modular", "sample") or skips it ("none").
+check= forces a regime ("pure", "modular", "sample") or skips it ("none");
+"modular" names the certificate at any dim.
 The D2.2 re-check of the twisted doubles (doubles.py) checks every triple
 up to dim 24 and samples above it.
 
@@ -70,9 +69,9 @@ from __future__ import annotations
 import random
 import types
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
-from .cyclotomic import ONE, ZERO, Cyclotomic, phi_degree, reduction_expansion_bound
+from .cyclotomic import ONE, ZERO, Cyclotomic, IntegerImage, cyclotomic_polynomial, phi_degree
 from .linalg import (
     EchelonBasis,
     InvariantError,
@@ -88,23 +87,17 @@ from .linalg import (
 )
 from .report import CheckReport
 
-# The modular certificate works with primes P < PRIME_CEILING and sums up to
-# n products, each below P^2, in int64; MODULAR_LIMIT is the largest n for
-# which such a sum cannot overflow (230).
-PRIME_CEILING = 200_000_000
-MODULAR_LIMIT = (2**63 - 1) // PRIME_CEILING**2
-
-# The certificate compares the two sides of associativity on one block of
-# first indices i at a time, each block's products bounded by about this many
-# nonzeros (or a single i, at most dim^3 of them); this bounds its memory by
-# that of a block instead of the dim^4 of a dense algebra's whole products.
-CERT_BLOCK_ENTRIES = 1 << 20
-
 # The most scalar products (exact_products) for which construction checks
 # every basis triple exactly; above it the modular certificate runs.
 EXACT_PRODUCTS_LIMIT = 25_000
 
-DEFAULT_EXHAUSTIVE_LIMIT = MODULAR_LIMIT
+# The certificate's generating set is certified modulo a prime below this
+# ceiling, so that a product of two residues stays within a machine word.
+GENERATION_PRIME_CEILING = 1 << 31
+
+# Up to this dim construction proves associativity (exactly or with the
+# certificate); above it, it samples.
+DEFAULT_EXHAUSTIVE_LIMIT = 230
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 20240801
 
@@ -129,11 +122,6 @@ def _own_cell(cell, order: int):
 
 class AlgebraError(ValueError):
     pass
-
-
-class ModularOverflowError(RuntimeError):
-    """The modular certificate was asked to run where its int64 sums could
-    overflow (dim above MODULAR_LIMIT); it refuses rather than wrap."""
 
 
 class AssociativityError(AlgebraError):
@@ -308,99 +296,90 @@ class StructureAlgebra:
         return all(not v for v in lhs.values())
 
     def _assoc_modular(self):
-        # loaded on first use, so that importing hopfcheck does not load them
-        import numpy as np
-        from scipy import sparse
+        """The first basis triple (i, j, k), in row-major order, with
+        (e_i e_j) e_k != e_i (e_j e_k), or None: Light's associativity test
+        over a generating set, in integers.
 
-        n = self.dim
-        if n > MODULAR_LIMIT:
-            raise ModularOverflowError(
-                f"{self.name}: the modular certificate is exact only up to dim "
-                f"{MODULAR_LIMIT}, got {n}"
-            )
-        order = self.order
-        deg = phi_degree(order)
-        den_all = 1
+        T = {t : (x t) y = x (t y) for all x, y} is a subspace closed under
+        products, whether or not the algebra is associative, and it holds
+        the unit once the unit laws hold (the constructor checks them
+        first).  So if every element of a generating set S lies in T, then
+        T is the whole algebra, and only the triples (i, a, k) with e_a in S
+        need comparing.  S is picked greedily from the basis and certified
+        to generate modulo a prime (_light_generators).
+
+        The triples are compared modulo M = Phi_N(w), w = B + 2, with zeta
+        sent to w: zeta -> w is a ring map Z[zeta_N] -> Z/M.  With every
+        constant scaled by the common denominator D, a coordinate x of an
+        associator is a sum of at most 2 dim products of two scaled
+        constants, so each conjugate of x is at most B = 2 dim H^2 in
+        absolute value, H the largest sum of |coordinates| of a scaled
+        constant.  A nonzero x then has a nonzero norm below
+        B^phi(N) < (w - 1)^phi(N) <= M that x divides in Z[zeta_N], so x
+        maps to 0 mod M only when x = 0: a mismatch mod M is exactly a
+        mismatch over Q(zeta_N).  If a generator triple fails, every pair
+        (i, j) is compared mod M in row-major order, the least failing k of
+        the first failing pair is reported, and the exact check confirms it.
+        """
+        n, order = self.dim, self.order
+        values = {}  # one entry per scalar object of the constants
+        for row in self.rows:
+            for cell in row:
+                for v in cell.values():
+                    values[id(v)] = v
+        den = lcm(*{v.den for v in values.values()})
+        height = max(sum(map(abs, v.num)) * (den // v.den) for v in values.values())
+        bound = 2 * n * height * height
+        w, modulus = _light_modulus(order, bound)
+        if modulus <= bound ** phi_degree(order):
+            raise InvariantError(f"{self.name}: the modulus {modulus} does not exceed the bound")
+        image = IntegerImage(order, w, modulus, den)
+        ints = {key: image(v) for key, v in values.items()}
+        irows = [
+            [{k: ints[id(v)] for k, v in cell.items()} if cell else EMPTY_CELL for cell in row]
+            for row in self.rows
+        ]
+        # row_terms[m]: (k n + t, c_mk^t) over row m; col_terms[j]: (k n, m, c_jk^m)
+        row_terms: dict[int, list] = {}
+        col_terms: dict[int, list] = {}
+
+        def failing(i: int, j: int) -> list[int]:
+            """The k at which (e_i e_j) e_k and e_i (e_j e_k) differ mod M."""
+            acc: dict[int, int] = {}
+            get = acc.get
+            for m, x in irows[i][j].items():
+                terms = row_terms.get(m)
+                if terms is None:
+                    terms = row_terms[m] = [
+                        (k * n + t, y) for k, cell in enumerate(irows[m]) for t, y in cell.items()
+                    ]
+                for key, y in terms:
+                    acc[key] = get(key, 0) + x * y
+            terms = col_terms.get(j)
+            if terms is None:
+                terms = col_terms[j] = [
+                    (k * n, m, x) for k, cell in enumerate(irows[j]) for m, x in cell.items()
+                ]
+            rowi = irows[i]
+            for base, m, x in terms:
+                for t, y in rowi[m].items():
+                    acc[base + t] = get(base + t, 0) - x * y
+            return [key // n for key, s in acc.items() if s % modulus]
+
+        if all(not failing(i, a) for a in _light_generators(self, den) for i in range(n)):
+            return None
         for i in range(n):
             for j in range(n):
-                for v in self.rows[i][j].values():
-                    den_all = lcm(den_all, v.den)
-        entries = []  # (i, j, k, scaled integer coordinate vector)
-        height = 1
-        for i in range(n):
-            for j in range(n):
-                for k, v in self.rows[i][j].items():
-                    f = den_all // v.den
-                    vec = tuple(c * f for c in v.num)
-                    entries.append((i, j, k, vec))
-                    height = max(height, max(abs(c) for c in vec))
-        rho = reduction_expansion_bound(order)
-        bound = 2 * n * rho * height * height
-        primes = _primes_for(order, bound)
-        factors = [f for f in range(1, order + 1) if gcd(f, order) == 1][:deg]
-        ivec = np.array([e[0] for e in entries], dtype=np.int64)
-        jvec = np.array([e[1] for e in entries], dtype=np.int64)
-        kvec = np.array([e[2] for e in entries], dtype=np.int64)
-        # The two sides are compared on the rows (i, j) of one block of i at a
-        # time.  cost[i] bounds the nonzeros that i adds to the two products:
-        # row (i, j) of t1 has at most sum_m nnz(c2 row m) over c[i][j][m] != 0,
-        # and column block i of t2 at most sum_m nnz(c1 column m) over
-        # c[i][m][l] != 0.
-        first = np.bincount(ivec, minlength=n)
-        third = np.bincount(kvec, minlength=n)
-        cost = np.bincount(ivec, weights=first[kvec] + third[jvec], minlength=n)
-        blocks = _blocks(cost, CERT_BLOCK_ENTRIES)
-        for p in primes:
-            w = _root_mod(order, p)
-            for e in factors:
-                we = pow(w, e, p)
-                wp = [pow(we, t, p) for t in range(deg)]
-                data = np.empty(len(entries), dtype=np.int64)
-                for t, (i, j, k, vec) in enumerate(entries):
-                    val = 0
-                    for s, cc in enumerate(vec):
-                        if cc:
-                            val += cc * wp[s]
-                    data[t] = val % p
-                # c1[(i,j), m] = c[i][j][m]; c2[m, (k,l)] = c[m][k][l];
-                # e2[m, (i,l)] = c[i][m][l]  (all built from the one entry list)
-                c1 = sparse.csr_matrix(
-                    (data, (ivec * n + jvec, kvec)), shape=(n * n, n), dtype=np.int64
-                )
-                c2 = sparse.csr_matrix(
-                    (data, (ivec, jvec * n + kvec)), shape=(n, n * n), dtype=np.int64
-                )
-                e2 = sparse.csc_matrix(
-                    (data, (jvec, ivec * n + kvec)), shape=(n, n * n), dtype=np.int64
-                )
-                for i0, i1 in blocks:
-                    # [(i,j), (k,l)] = sum_m c[i,j,m] c[m,k,l], i in the block
-                    t1 = c1[i0 * n : i1 * n] @ c2
-                    # [(j,k), (i,l)] = sum_m c[j,k,m] c[i,m,l], i in the block
-                    t2 = (c1 @ e2[:, i0 * n : i1 * n]).tocoo()
-                    i2 = t2.col // n
-                    l2 = t2.col % n
-                    j2 = t2.row // n
-                    k2 = t2.row % n
-                    t2a = sparse.csr_matrix(
-                        (t2.data, (i2 * n + j2, k2 * n + l2)),
-                        shape=((i1 - i0) * n, n * n),
-                        dtype=np.int64,
-                    )
-                    diff = t1 - t2a
-                    if diff.nnz:
-                        diff.data %= p
-                        diff.eliminate_zeros()
-                    if diff.nnz:
-                        dc = diff.tocoo()
-                        pos = int(np.lexsort((dc.col, dc.row))[0])
-                        i0r, j0 = divmod(int(dc.row[pos]), n)
-                        k0 = int(dc.col[pos]) // n
-                        if not self._assoc_triple_exact(i0 + i0r, j0, k0):
-                            return (i0 + i0r, j0, k0)
-                        # congruence noise cannot happen: a mod-p mismatch is exact
-                        raise AssertionError("modular mismatch without exact witness")
-        return None
+                bad = failing(i, j)
+                if bad:
+                    k = min(bad)
+                    if self._assoc_triple_exact(i, j, k):
+                        raise InvariantError(
+                            f"{self.name}: triple {(i, j, k)} differs modulo {modulus} "
+                            "but associates exactly"
+                        )
+                    return (i, j, k)
+        raise InvariantError(f"{self.name}: a generator triple differs modulo {modulus}, no triple does")
 
     # -- element plumbing ------------------------------------------------
 
@@ -1061,34 +1040,110 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _blocks(cost, budget: int) -> list[tuple[int, int]]:
-    """Consecutive ranges [i0, i1) covering range(len(cost)), each with total
-    cost at most budget unless it is a single index."""
-    out, start, acc = [], 0, 0
-    for i, c in enumerate(cost):
-        if acc and acc + c > budget:
-            out.append((start, i))
-            start, acc = i, 0
-        acc += c
-    out.append((start, len(cost)))
-    return out
+def _light_modulus(order: int, bound: int) -> tuple[int, int]:
+    """(w, M) with w = bound + 2 and M = Phi_order(w), so that zeta -> w is a
+    ring map Z[zeta_order] -> Z/M and M >= (w - 1)^phi(order) > bound^phi(order):
+    each of the phi(order) factors w - zeta' of M is at least w - 1 in
+    absolute value."""
+    w = bound + 2
+    return w, sum(c * w**s for s, c in enumerate(cyclotomic_polynomial(order)))
 
 
-def _primes_for(order: int, bound: int) -> list[int]:
-    """Primes P = 1 mod order whose product exceeds 2*bound, each < PRIME_CEILING."""
-    start = ((PRIME_CEILING - 2) // order) * order + 1
-    primes = []
-    prod = 1
-    p = start
-    while prod <= 2 * bound:
-        while not _is_probable_prime(p):
-            p -= order
-            if p < 3:
-                raise RuntimeError("ran out of primes (bound too large)")
-        primes.append(p)
-        prod *= p
+def _generation_prime(order: int, den: int) -> int:
+    """The largest prime p < GENERATION_PRIME_CEILING with p = 1 mod order
+    that does not divide den."""
+    p = ((GENERATION_PRIME_CEILING - 2) // order) * order + 1
+    while not (_is_probable_prime(p) and den % p):
         p -= order
-    return primes
+    return p
+
+
+def _light_generators(alg: StructureAlgebra, den: int) -> list[int]:
+    """Basis indices a, in increasing order, whose e_a generate alg: e_a is
+    taken whenever it is not yet in the span, which is the closure of the
+    span of the unit under left multiplication by the e_a taken so far.
+
+    The span is computed modulo a prime p = 1 mod N that divides neither
+    den (a common denominator of the constants) nor the unit's denominators,
+    with zeta sent to a primitive N-th root r mod p.  Every vector it holds
+    is the image of a word s_1 (s_2 (... (s_k 1))) in the scaled constants,
+    which lie in Z[zeta_N]; if n of them are independent mod p, their
+    determinant is nonzero modulo a prime of Z[zeta_N] over p, so nonzero,
+    and the words span the algebra.  The closure reaches full rank whenever
+    the unit laws hold (e_a 1 = e_a); otherwise InvariantError is raised.
+    """
+    n, order = alg.dim, alg.order
+    unit_den = lcm(*(u.den for u in alg.unit))
+    p = _generation_prime(order, den * unit_den)
+    r = _root_mod(order, p)
+    image = IntegerImage(order, r, p, den)
+    unit_image = IntegerImage(order, r, p, unit_den)
+    # the span, fully reduced: pivot column -> the row's other entries (its
+    # entry at the pivot is 1, and it is 0 at every other pivot column)
+    pivots: dict[int, dict] = {}
+
+    def reduce(v: dict) -> dict:
+        for c in [c for c in v if c in pivots]:
+            f = v.pop(c)
+            for k, y in pivots[c].items():
+                s = (v.get(k, 0) - f * y) % p
+                if s:
+                    v[k] = s
+                else:
+                    del v[k]
+        return v
+
+    def absorb(v: dict) -> bool:
+        """Add v to the span; False when it is already there."""
+        v = reduce(dict(v))
+        if not v:
+            return False
+        c = min(v)
+        inv = pow(v.pop(c), -1, p)
+        new = {k: y * inv % p for k, y in v.items()}
+        for row in pivots.values():
+            f = row.pop(c, 0)
+            if f:
+                for k, y in new.items():
+                    s = (row.get(k, 0) - f * y) % p
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
+        pivots[c] = new
+        return True
+
+    def left(gen_row: list, v: dict) -> dict:
+        out: dict = {}
+        for j, x in v.items():
+            for k, y in gen_row[j].items():
+                out[k] = out.get(k, 0) + x * y
+        return {k: y for k, s in out.items() if (y := s % p)}
+
+    unit = {j: x for j, u in enumerate(alg.unit) if (x := unit_image(u))}
+    words = [unit] if absorb(unit) else []
+    gens: list[int] = []
+    gen_rows: list[list] = []
+    for a in range(n):
+        if len(pivots) == n:
+            break
+        if not reduce({a: 1}):
+            continue
+        gens.append(a)
+        gen_row = [{k: image(v) for k, v in cell.items()} for cell in alg.rows[a]]
+        gen_rows.append(gen_row)
+        work = [(gen_row, v) for v in words]
+        while work:
+            g, v = work.pop()
+            u = left(g, v)
+            if absorb(u):
+                words.append(u)
+                work.extend((h, u) for h in gen_rows)
+    if len(pivots) != n:
+        raise InvariantError(
+            f"{alg.name}: the closure of the unit has rank {len(pivots)} of {n} modulo {p}"
+        )
+    return gens
 
 
 def _root_mod(order: int, p: int) -> int:

@@ -2,6 +2,7 @@
 quotients, closures, presentations, central splitting."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -11,18 +12,14 @@ from hopfcheck.algebra import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     EMPTY_CELL,
     EXACT_PRODUCTS_LIMIT,
-    MODULAR_LIMIT,
-    PRIME_CEILING,
     AlgebraError,
     AssociativityError,
-    ModularOverflowError,
     NotInvertibleError,
     StructureAlgebra,
     UnitLawError,
-    _blocks,
     gen,
 )
-from hopfcheck.cyclotomic import Cyclotomic, root_of_unity
+from hopfcheck.cyclotomic import Cyclotomic, phi_degree, root_of_unity
 from hopfcheck.hopf import taft
 from hopfcheck.linalg import InvariantError, Subspace, sparse_of
 
@@ -463,10 +460,42 @@ def test_zero_dim_algebra_is_legal():
     assert z.radical().dim == 0
 
 
-def test_limits_keep_the_modular_certificate_in_int64():
-    assert DEFAULT_EXHAUSTIVE_LIMIT == MODULAR_LIMIT == 230
-    assert MODULAR_LIMIT * (PRIME_CEILING - 1) ** 2 <= 2**63 - 1
-    assert (MODULAR_LIMIT + 1) * (PRIME_CEILING - 1) ** 2 > 2**63 - 1
+def _twisted_group_algebra(n: int, order: int) -> StructureAlgebra:
+    """k[Z/n] twisted by the 2-cocycle zeta_order^(i j) (order divides n), on
+    the basis e_i / (i + 1), so that its constants have denominators."""
+    z = root_of_unity(order)
+    rows = [
+        [{(i + j) % n: z ** (i * j) * c(i + 1) * c(j + 1) / c((i + j) % n + 1)} for j in range(n)]
+        for i in range(n)
+    ]
+    return StructureAlgebra(n, rows, [c(1)] + [c(0)] * (n - 1), check="none")
+
+
+def test_certificate_modulus_exceeds_the_norm_bound(monkeypatch):
+    # the modulus must exceed (2 n H^2)^phi(N), H the largest sum of
+    # |coordinates| of a constant scaled by the common denominator D
+    moduli = []
+    light_modulus = algebra_module._light_modulus
+
+    def spy(order, bound):
+        moduli.append(light_modulus(order, bound)[1])
+        return light_modulus(order, bound)
+
+    monkeypatch.setattr(algebra_module, "_light_modulus", spy)
+    algebras = [StructureAlgebra(10, *_dense_group_algebra(10), check="none")]
+    algebras += [_twisted_group_algebra(order, order) for order in (3, 4, 5, 12)]
+    assert [alg.order for alg in algebras] == [1, 3, 4, 5, 12]
+    for alg in algebras:
+        values = [v for row in alg.rows for cell in row for v in cell.values()]
+        den = 1
+        for v in values:
+            den = den * v.den // math.gcd(den, v.den)
+        height = max(sum(abs(x) for x in v.num) * den // v.den for v in values)
+        moduli.clear()
+        assert alg._assoc_modular() is None
+        assert len(moduli) == 1
+        assert moduli[0] > (2 * alg.dim * height * height) ** phi_degree(alg.order)
+    assert DEFAULT_EXHAUSTIVE_LIMIT == 230
 
 
 def test_corrupted_101_dim_algebra_is_rejected():
@@ -480,23 +509,97 @@ def test_corrupted_101_dim_algebra_is_rejected():
     assert not alg._assoc_triple_exact(1, 10, 2)
 
 
-def test_forced_modular_check_refuses_overflow():
-    n = MODULAR_LIMIT + 1
+def _idempotents(n: int):
+    """(rows, unit) of Q^n on its idempotents: e_i e_i = e_i, unit their sum.
+    Every cell of Q^n is read by a unit law, so a copy with one changed cell
+    breaks one; the tests that certify such a copy switch the unit check off
+    to reach the associativity check."""
     rows = [[{i: c(1)} if i == j else {} for j in range(n)] for i in range(n)]
-    unit = [c(1)] * n
-    with pytest.raises(ModularOverflowError):
-        StructureAlgebra(n, rows, unit, check="modular")
+    return rows, [c(1)] * n
+
+
+def test_forced_modular_check_proves_dim_231_and_rejects_a_corrupted_copy(monkeypatch):
+    n = DEFAULT_EXHAUSTIVE_LIMIT + 1
+    rows, unit = _idempotents(n)
+    StructureAlgebra(n, rows, unit, check="modular")
     StructureAlgebra(n, rows, unit)  # auto samples above the limit
+    rows[228][229] = {230: c(1)}
+    monkeypatch.setattr(StructureAlgebra, "unit_failure", lambda self: None)
+    with pytest.raises(AssociativityError) as pure:
+        StructureAlgebra(n, rows, unit, check="pure")
+    with pytest.raises(AssociativityError) as modular:
+        StructureAlgebra(n, rows, unit, check="modular")
+    assert modular.value.triple == pure.value.triple == (228, 228, 229)
+
+
+def test_certificate_needs_39_generators_of_q40_and_finds_a_corrupted_cell(monkeypatch):
+    # greedy S: span{1} misses e_0, ..., e_38, and e_39 = 1 - e_0 - ... - e_38
+    picked = []
+    light_generators = algebra_module._light_generators
+
+    def spy(alg, den):
+        picked.append(light_generators(alg, den))
+        return picked[-1]
+
+    monkeypatch.setattr(algebra_module, "_light_generators", spy)
+    rows, unit = _idempotents(40)
+    StructureAlgebra(40, rows, unit, check="modular")
+    assert picked == [list(range(39))]
+    # e_37 e_38 = e_39 breaks only triples whose middle index is 37, 38 or
+    # 39, so a generating set short of e_37 would pass the copy
+    rows[37][38] = {39: c(1)}
+    monkeypatch.setattr(StructureAlgebra, "unit_failure", lambda self: None)
+    first = StructureAlgebra(40, rows, unit, check="none").associativity_failure(
+        itertools.product(range(40), repeat=3)
+    )
+    with pytest.raises(AssociativityError) as modular:
+        StructureAlgebra(40, rows, unit, check="modular")
+    assert modular.value.triple == first == (37, 37, 38)
+
+
+def test_certificate_sees_an_associator_of_seven():
+    # k[Z/3] with e_1 e_1 = 8 e_2: every associator is +-7 e_k, so a modulus
+    # that divides 7 would pass it
+    rows = [[{(i + j) % 3: c(1)} for j in range(3)] for i in range(3)]
+    rows[1][1] = {2: c(8)}
+    unit = [c(1), c(0), c(0)]
+    with pytest.raises(AssociativityError) as pure:
+        StructureAlgebra(3, rows, unit, check="pure")
+    with pytest.raises(AssociativityError) as modular:
+        StructureAlgebra(3, rows, unit, check="modular")
+    assert modular.value.triple == pure.value.triple == (1, 1, 2)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_certificate_agrees_with_the_exact_loop_on_random_algebras(seed):
+    # unital and mostly not associative: the certificate's verdict and
+    # witness are the exact loop's over every triple
+    alg = _random_sparse_algebra(7, seed)
+    assert alg._assoc_modular() == alg.associativity_failure(itertools.product(range(7), repeat=3))
+
+
+def test_certificate_checks_raise_instead_of_asserting(monkeypatch):
+    # the bound on the modulus and the exact re-check of a witness survive
+    # python -O
+    n, rows, unit = _corrupted_matrix_algebra(4)
+    monkeypatch.setattr(algebra_module, "_light_modulus", lambda order, bound: (bound + 2, bound))
+    with pytest.raises(InvariantError, match="does not exceed"):
+        StructureAlgebra(n, rows, unit, check="modular")
+    monkeypatch.undo()
+    monkeypatch.setattr(StructureAlgebra, "_assoc_triple_exact", lambda self, i, j, k: True)
+    with pytest.raises(InvariantError, match="associates exactly"):
+        StructureAlgebra(n, rows, unit, check="modular")
 
 
 def test_auto_check_counts_no_products_above_the_modular_limit(monkeypatch):
-    # above MODULAR_LIMIT the regime is the sample whatever the work, so the
-    # O(dim^2 + nnz) count is skipped (the 625-dim doubles never pay it)
+    # above DEFAULT_EXHAUSTIVE_LIMIT the regime is the sample whatever the
+    # work, so the O(dim^2 + nnz) count is skipped (the 625-dim doubles never
+    # pay it)
     def refuse(self, limit=None):
         raise AssertionError("exact_products ran")
 
     monkeypatch.setattr(StructureAlgebra, "exact_products", refuse)
-    n = MODULAR_LIMIT + 1
+    n = DEFAULT_EXHAUSTIVE_LIMIT + 1
     rows = [[{i: c(1)} if i == j else {} for j in range(n)] for i in range(n)]
     StructureAlgebra(n, rows, [c(1)] * n)
 
@@ -515,23 +618,25 @@ def _corrupted_matrix_algebra(m: int):
     return n, rows, unit
 
 
-@pytest.mark.parametrize("budget", [1, 100, algebra_module.CERT_BLOCK_ENTRIES])
-def test_certificate_blocks_report_the_first_failing_triple(monkeypatch, budget):
-    # one block per i, a few blocks, one block: the witness is always the
-    # lexicographically first failing triple, as the exact triple loop finds
+def test_certificate_reports_the_first_failing_triple():
+    # the witness is the lexicographically first failing triple, as the
+    # exact triple loop finds
     n, rows, unit = _corrupted_matrix_algebra(4)
     with pytest.raises(AssociativityError) as pure:
         StructureAlgebra(n, rows, unit, check="pure")
-    monkeypatch.setattr(algebra_module, "CERT_BLOCK_ENTRIES", budget)
     with pytest.raises(AssociativityError) as modular:
         StructureAlgebra(n, rows, unit, check="modular")
     assert modular.value.triple == pure.value.triple == (1, 4, 2)
-
-
-def test_certificate_blocks_cover_every_index():
-    assert _blocks([5, 5, 5, 5], 10) == [(0, 2), (2, 4)]
-    assert _blocks([50, 1, 1, 50], 10) == [(0, 1), (1, 3), (3, 4)]
-    assert _blocks([0, 0], 1) == [(0, 2)]
+    # k[Z/3] with e_1 e_2 = 2 e_0: the first failing pair (1, 1) fails at
+    # k = 1 and at k = 2, and the witness takes the least k
+    rows = [[{(i + j) % 3: c(1)} for j in range(3)] for i in range(3)]
+    rows[1][2] = {0: c(2)}
+    unit = [c(1), c(0), c(0)]
+    alg = StructureAlgebra(3, rows, unit, check="none")
+    assert [k for k in range(3) if not alg._assoc_triple_exact(1, 1, k)] == [1, 2]
+    with pytest.raises(AssociativityError) as modular:
+        StructureAlgebra(3, rows, unit, check="modular")
+    assert modular.value.triple == (1, 1, 1)
 
 
 def test_algebra_map_failure_finds_the_first_broken_pair():

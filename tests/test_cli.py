@@ -13,7 +13,7 @@ from hopfcheck import catalogue, cli
 from hopfcheck.catalogue import CheckCrashed, catalogue_ids
 from hopfcheck.cyclotomic import MAX_ORDER, phi_degree
 from hopfcheck.hopf import taft
-from hopfcheck.serialize import hopf_to_json
+from hopfcheck.serialize import algebra_to_json, hopf_to_json
 
 CHEAP = ["--id", "S3-taft-axioms", "--id", "A-pivotal-taft", "--p", "2"]
 
@@ -136,6 +136,44 @@ def test_json_report_is_the_same_under_optimize(tmp_path, capsys):
     )
     assert run.returncode == 0, run.stderr
     assert _stripped(optimized) == _stripped(plain)
+
+
+_CERTIFIED_IN_A_FRESH_PROCESS = """
+import sys
+from hopfcheck import cli
+from hopfcheck.algebra import StructureAlgebra
+
+certified = []
+modular = StructureAlgebra._assoc_modular
+
+def spy(self):
+    certified.append(self.dim)
+    return modular(self)
+
+StructureAlgebra._assoc_modular = spy
+code = cli.main(sys.argv[1:])
+print(code, certified, sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}))
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "ingest"])
+def test_certified_verdicts_load_neither_numpy_nor_scipy(tmp_path, command):
+    # the associativity certificate runs on the three 81-dim doubles of
+    # taft(3) and on taft(7) (dim 49, 57,624 exact products)
+    if command == "run":
+        args, dims = ["run", "--all", "--p", "2,3"], [81, 81, 81]
+    else:
+        path = tmp_path / "taft7.json"
+        path.write_text(json.dumps(algebra_to_json(taft(7).algebra)))
+        args, dims = ["ingest", str(path)], [49]
+    src = os.path.dirname(os.path.dirname(hopfcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _CERTIFIED_IN_A_FRESH_PROCESS] + args,
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().split("\n")[-1] == f"0 {dims} []"
 
 
 def test_max_workers_is_accepted_and_ignored(tmp_path, capsys):

@@ -236,8 +236,7 @@ print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}))
 
 def test_p5_build_keeps_its_constants_and_loads_neither_numpy_nor_scipy():
     # taft(5) is proven by the exact triple check, and the 625-dim double
-    # samples; in a fresh process neither loads the modular certificate's
-    # numpy and scipy
+    # samples; in a fresh process neither loads numpy or scipy
     script = "import hashlib\n" + inspect.getsource(constants_digest) + _P5_ANTI_BUILD
     src = os.path.dirname(os.path.dirname(hopfcheck.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
