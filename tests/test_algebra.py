@@ -618,12 +618,18 @@ def _corrupted_matrix_algebra(m: int):
     return n, rows, unit
 
 
-def test_certificate_reports_the_first_failing_triple():
-    # the witness is the lexicographically first failing triple, as the
-    # exact triple loop finds
+@pytest.mark.parametrize("slack", [1, 100, 1 << 20])
+def test_certificate_blocks_report_the_first_failing_triple(monkeypatch, slack):
+    # whatever modulus above the bound the certificate works in, the witness
+    # is the lexicographically first failing triple, as the exact triple
+    # loop finds
+    light_modulus = algebra_module._light_modulus
     n, rows, unit = _corrupted_matrix_algebra(4)
     with pytest.raises(AssociativityError) as pure:
         StructureAlgebra(n, rows, unit, check="pure")
+    monkeypatch.setattr(
+        algebra_module, "_light_modulus", lambda order, bound: light_modulus(order, bound + slack)
+    )
     with pytest.raises(AssociativityError) as modular:
         StructureAlgebra(n, rows, unit, check="modular")
     assert modular.value.triple == pure.value.triple == (1, 4, 2)
