@@ -9,20 +9,9 @@ cell once it is handed over.  The double builders of doubles.py also share
 equal scalars, one object per distinct value within a build.
 
 Construction verifies the unit laws exactly (unit_failure) and
-associativity in one of three regimes, chosen by the work an exact check
-would take.  That work is exact_products(), the number of scalar products
-associativity_failure makes over every basis triple: the sum over entries
-c_ab^m of nnz(row m) + nnz(column m), where row m holds the cells c[m][k]
-and column m the cells c[i][m].  It takes O(dim^2 + nnz) to count, and the
-count stops once it passes EXACT_PRODUCTS_LIMIT.
+associativity in one of two regimes, chosen by dim:
 
-  dim <= DEFAULT_EXHAUSTIVE_LIMIT (230) and at most EXACT_PRODUCTS_LIMIT
-  (25,000) products   associativity_failure on every basis triple at which
-                      either side has a term (exact_triples); the others
-                      compare two empty sums.  taft(5) (8,750 products) and
-                      the 27-dim blocks of the taft(3) double (1,852) are
-                      checked here, in exact arithmetic.
-  dim <= DEFAULT_EXHAUSTIVE_LIMIT (230), more products
+  dim <= DEFAULT_EXHAUSTIVE_LIMIT (230)
                       the certificate (_assoc_modular): Light's test over a
                       generating set, in Python integers.  A greedy set S
                       of basis elements is certified to generate modulo a
@@ -33,23 +22,15 @@ count stops once it passes EXACT_PRODUCTS_LIMIT.
                       every pair (i, j) is compared the same way and the
                       first failing triple re-checked exactly, so the
                       witness is the one the exact loop would report.
-                      taft(7) (57,624 products, 2 generators), the 81-dim
-                      doubles of taft(3) (12 and 15 generators), the
-                      125-dim blocks of the taft(5) double (88,488) and
-                      dense 16-dim algebras (about 10^5) are checked here.
+                      taft(p) (2 generators), the 81-dim doubles of
+                      taft(3) (12 and 15) and the 125-dim blocks of the
+                      taft(5) double are checked here.
   above               associativity_failure on the DEFAULT_SAMPLES triples
                       of sampled_triples(dim, DEFAULT_SAMPLES, DEFAULT_SEED).
                       This is evidence, not a proof: a sample can miss
-                      the few triples that break.  The product count is
-                      not computed here.
+                      the few triples that break.
 
-The cut was set where the exact check of a dense 16-dim algebra (about 10^5
-products, 0.5-0.7 s) began to cost more than the certificate did with its
-numpy and scipy imports (0.36-0.41 s).  The certificate is now far cheaper
-(taft(5), dim 25: 0.002-0.003 s against 0.02-0.04 s exact, in one process),
-so the cut is worth measuring again.
-
-check= forces a regime ("pure", "modular", "sample") or skips it ("none");
+check= forces a regime ("modular", "sample") or skips it ("none");
 "modular" names the certificate at any dim.
 The D2.2 re-check of the twisted doubles (doubles.py) checks every triple
 up to dim 24 and samples above it.
@@ -87,16 +68,12 @@ from .linalg import (
 )
 from .report import CheckReport
 
-# The most scalar products (exact_products) for which construction checks
-# every basis triple exactly; above it the modular certificate runs.
-EXACT_PRODUCTS_LIMIT = 25_000
-
 # The certificate's generating set is certified modulo a prime below this
 # ceiling, so that a product of two residues stays within a machine word.
 GENERATION_PRIME_CEILING = 1 << 31
 
-# Up to this dim construction proves associativity (exactly or with the
-# certificate); above it, it samples.
+# Up to this dim construction proves associativity with the certificate;
+# above it, it samples.
 DEFAULT_EXHAUSTIVE_LIMIT = 230
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 20240801
@@ -150,6 +127,8 @@ class StructureAlgebra:
         """
         if dim < 0:
             raise ValueError("dim must be nonnegative")
+        if check not in ("auto", "modular", "sample", "none"):
+            raise ValueError(f"unknown associativity check mode {check!r}")
         self.dim = dim
         self.name = name or f"algebra(dim {dim})"
         # one pass over the values; only a value of an order not yet seen is
@@ -218,70 +197,13 @@ class StructureAlgebra:
             return
         n = self.dim
         if mode == "auto":
-            if n > DEFAULT_EXHAUSTIVE_LIMIT:
-                mode = "sample"
-            elif self.exact_products(EXACT_PRODUCTS_LIMIT) <= EXACT_PRODUCTS_LIMIT:
-                mode = "pure"
-            else:
-                mode = "modular"
-        if mode == "pure":
-            bad = self.associativity_failure(self.exact_triples())
-        elif mode == "modular":
+            mode = "modular" if n <= DEFAULT_EXHAUSTIVE_LIMIT else "sample"
+        if mode == "modular":
             bad = self._assoc_modular()
-        elif mode == "sample":
-            bad = self.associativity_failure(sampled_triples(n, DEFAULT_SAMPLES, DEFAULT_SEED))
         else:
-            raise ValueError(f"unknown associativity check mode {mode!r}")
+            bad = self.associativity_failure(sampled_triples(n, DEFAULT_SAMPLES, DEFAULT_SEED))
         if bad is not None:
             raise AssociativityError(bad, f"{self.name}: associativity fails")
-
-    def exact_products(self, limit: int | None = None) -> int:
-        """The scalar products associativity_failure makes over every basis
-        triple: (e_i e_j) e_k makes one per c_ij^m c_mk^t and e_i (e_j e_k)
-        one per c_jk^m c_im^t, so the count is the sum over entries c_ab^m
-        of nnz(row m) + nnz(column m).  With limit, the sum stops once it
-        passes limit and returns what it has by then."""
-        rows = self.rows
-        row_nnz = [0] * self.dim
-        col_nnz = [0] * self.dim
-        for i, row in enumerate(rows):
-            for j, cell in enumerate(row):
-                if cell:
-                    row_nnz[i] += len(cell)
-                    col_nnz[j] += len(cell)
-        weight = [r + c for r, c in zip(row_nnz, col_nnz)]
-        total = 0
-        for row in rows:
-            for cell in row:
-                for m in cell:
-                    total += weight[m]
-            if limit is not None and total > limit:
-                break
-        return total
-
-    def exact_triples(self):
-        """Every basis triple (i, j, k) at which (e_i e_j) e_k or e_i (e_j e_k)
-        has a term, in row-major order; at any other triple both sides are
-        empty sums.  There are at most exact_products() of them."""
-        rows = self.rows
-        # right[t]: the k with c[t][k] nonempty; hits[m]: the (j, k) with m in c[j][k]
-        right = [[k for k, cell in enumerate(row) if cell] for row in rows]
-        hits: list[list] = [[] for _ in range(self.dim)]
-        for j, row in enumerate(rows):
-            for k, cell in enumerate(row):
-                for m in cell:
-                    hits[m].append((j, k))
-        for i, row in enumerate(rows):
-            pairs = set()
-            for m, cell in enumerate(row):
-                if cell:
-                    # e_i (e_j e_k) meets c[i][m] wherever m is in c[j][k]
-                    pairs.update(hits[m])
-                    # (e_i e_m) e_k meets c[t][k] for each t in c[i][m]
-                    for t in cell:
-                        pairs.update((m, k) for k in right[t])
-            for j, k in sorted(pairs):
-                yield i, j, k
 
     def _assoc_triple_exact(self, i: int, j: int, k: int) -> bool:
         lhs: dict[int, Cyclotomic] = {}

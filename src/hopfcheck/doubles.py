@@ -51,9 +51,10 @@ from .hopf import (
 )
 from .report import FAIL, PASS, PRECONDITION_FAILED, CheckReport
 
-# D2.2 checks every basis triple of a double up to dim DEFAULT_PURE_LIMIT and
-# samples RECHECK_SAMPLES of them above it (seeded by DEFAULT_SEED)
-DEFAULT_PURE_LIMIT = 24
+# D2.2 re-checks every basis triple of a double exactly up to dim
+# EXHAUSTIVE_RECHECK_LIMIT (its witness mode "exhaustive") and samples
+# RECHECK_SAMPLES of them above it ("sampled", seeded by DEFAULT_SEED)
+EXHAUSTIVE_RECHECK_LIMIT = 24
 RECHECK_SAMPLES = 2000
 
 
@@ -273,14 +274,15 @@ def check_double_unital_associative(
     samples: int = RECHECK_SAMPLES, seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Re-verify the unit law on every basis element and associativity on
-    basis triples, independent of the construction-time certificate:
-    exhaustively up to dim DEFAULT_PURE_LIMIT (24), above it on the samples
-    triples of sampled_triples(dim, samples, seed).  first_failure is the
-    first failing triple in that order.
+    basis triples in exact arithmetic, independent of the construction-time
+    certificate: every triple up to dim EXHAUSTIVE_RECHECK_LIMIT (24), mode
+    "exhaustive", and above it the samples triples of sampled_triples(dim,
+    samples, seed), mode "sampled".  first_failure is the first failing
+    triple in that order.
     """
     alg = double.algebra
     nn = alg.dim
-    if nn <= DEFAULT_PURE_LIMIT:
+    if nn <= EXHAUSTIVE_RECHECK_LIMIT:
         mode, count = "exhaustive", nn**3
         triples = itertools.product(range(nn), repeat=3)
     else:

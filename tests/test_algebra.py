@@ -11,7 +11,6 @@ from hopfcheck import algebra as algebra_module
 from hopfcheck.algebra import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     EMPTY_CELL,
-    EXACT_PRODUCTS_LIMIT,
     AlgebraError,
     AssociativityError,
     NotInvertibleError,
@@ -20,6 +19,7 @@ from hopfcheck.algebra import (
     gen,
 )
 from hopfcheck.cyclotomic import Cyclotomic, phi_degree, root_of_unity
+from hopfcheck.doubles import build_twisted_double, split_blocks, taft_double_generators
 from hopfcheck.hopf import taft
 from hopfcheck.linalg import InvariantError, Subspace, sparse_of
 
@@ -66,7 +66,7 @@ def test_construction_keeps_clean_cells_and_copies_the_others():
     rows[0][1] = {1: z**0, 2: Cyclotomic.zero(3)}
     rows[0][2] = {2: c(1)}
     given = [[dict(cell) for cell in row] for row in rows]
-    alg = StructureAlgebra(3, rows, [c(1), c(0), c(0)], check="pure")
+    alg = StructureAlgebra(3, rows, [c(1), c(0), c(0)])
     assert alg.order == 3
     assert alg.rows[1][2] is rows[1][2]
     assert alg.rows[0][1] is not rows[0][1] and alg.rows[0][1] == {1: z**0}
@@ -125,14 +125,22 @@ def test_construction_rejects_broken_unit():
 
 
 def test_modular_check_agrees_with_pure():
-    # same algebra checked both ways; also verify the modular path catches breakage
-    a = group_algebra_plain(6, check="pure")
+    # the certificate against the exact loop over every triple: both pass
+    # k[Z/6], and both reject a broken k[Z/5] at the same triple
+    a = group_algebra_plain(6, check="none")
+    assert a.associativity_failure(itertools.product(range(6), repeat=3)) is None
     b = group_algebra_plain(6, check="modular")
     assert a.same_structure(b)
     broken = [[{(i + j) % 5: c(1)} for j in range(5)] for i in range(5)]
     broken[3][4] = {2: c(1), 0: c(1)}
-    with pytest.raises(AssociativityError):
-        StructureAlgebra(5, broken, [c(1), c(0), c(0), c(0), c(0)], check="modular")
+    unit = [c(1), c(0), c(0), c(0), c(0)]
+    first = StructureAlgebra(5, broken, unit, check="none").associativity_failure(
+        itertools.product(range(5), repeat=3)
+    )
+    assert first is not None
+    with pytest.raises(AssociativityError) as modular:
+        StructureAlgebra(5, broken, unit, check="modular")
+    assert modular.value.triple == first
 
 
 def test_modular_check_with_cyclotomic_entries():
@@ -146,7 +154,15 @@ def test_modular_check_with_cyclotomic_entries():
     z = root_of_unity(3)
     rows = [[{(i + j) % 3: z ** (i * j)} for j in range(3)] for i in range(3)]
     StructureAlgebra(3, rows, [c(1), c(0), c(0)], check="modular")
-    StructureAlgebra(3, rows, [c(1), c(0), c(0)], check="pure")
+    exact = StructureAlgebra(3, rows, [c(1), c(0), c(0)], check="none")
+    assert exact.associativity_failure(itertools.product(range(3), repeat=3)) is None
+
+
+def test_construction_refuses_an_unknown_check_mode():
+    # check= takes auto, modular, sample and none, at every dim
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="unknown associativity check mode 'pure'"):
+            StructureAlgebra(n, [[{0: c(1)}]] * n, [c(1)] * n, check="pure")
 
 
 def test_sampled_check_path():
@@ -163,19 +179,6 @@ def test_sampled_check_path():
 
 
 # -- the construction-time regime rule -----------------------------------
-
-
-def _products_per_triple(alg) -> dict:
-    """{(i, j, k): the scalar products (e_i e_j) e_k and e_i (e_j e_k) make},
-    for the triples that make any, counted triple by triple."""
-    rows = alg.rows
-    out = {}
-    for i, j, k in itertools.product(range(alg.dim), repeat=3):
-        lhs = sum(len(rows[m][k]) for m in rows[i][j])
-        rhs = sum(len(rows[i][m]) for m in rows[j][k])
-        if lhs + rhs:
-            out[(i, j, k)] = lhs + rhs
-    return out
 
 
 def _random_sparse_algebra(n: int, seed: int) -> StructureAlgebra:
@@ -214,52 +217,8 @@ def _dense_group_algebra(n: int):
     return rows, unit
 
 
-def _refuse_modular(self):
-    raise AssertionError(f"{self.name}: the modular certificate ran")
-
-
-def test_exact_products_counts_what_the_exact_check_multiplies(monkeypatch):
-    algebras = [
-        group_algebra_plain(4), matrix_algebra_2x2(), dual_numbers(), taft(2).algebra,
-        taft(3).algebra, StructureAlgebra(10, *_dense_group_algebra(10), check="none"),
-    ]
-    made = [0]
-    mul = Cyclotomic.__mul__
-
-    def counting(a, b):
-        made[0] += 1
-        return mul(a, b)
-
-    for alg in algebras:
-        made[0] = 0
-        monkeypatch.setattr(Cyclotomic, "__mul__", counting)
-        assert alg.associativity_failure(itertools.product(range(alg.dim), repeat=3)) is None
-        monkeypatch.setattr(Cyclotomic, "__mul__", mul)
-        assert alg.exact_products() == made[0] == sum(_products_per_triple(alg).values())
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_exact_products_and_triples_match_a_triple_by_triple_count(seed):
-    alg = _random_sparse_algebra(7, seed)
-    per_triple = _products_per_triple(alg)
-    total = sum(per_triple.values())
-    assert alg.exact_products() == total
-    assert list(alg.exact_triples()) == sorted(per_triple)
-    # with a limit the count stops once it passes the limit, and only then
-    assert alg.exact_products(total) == total
-    assert alg.exact_products(total - 1) == total
-    assert 0 < alg.exact_products(0) < total
-
-
-def test_taft5_is_proven_on_the_exact_path(monkeypatch):
-    monkeypatch.setattr(StructureAlgebra, "_assoc_modular", _refuse_modular)
-    alg = taft(5).algebra
-    assert alg.dim == 25
-    assert alg.exact_products() == 8750 <= EXACT_PRODUCTS_LIMIT
-
-
-def test_dense_algebra_above_the_cut_takes_the_modular_path(monkeypatch):
-    rows, unit = _dense_group_algebra(16)
+def _spy_on_the_certificate(monkeypatch) -> list:
+    """The dims of the algebras _assoc_modular certifies from now on."""
     certified = []
     modular = StructureAlgebra._assoc_modular
 
@@ -268,25 +227,56 @@ def test_dense_algebra_above_the_cut_takes_the_modular_path(monkeypatch):
         return modular(self)
 
     monkeypatch.setattr(StructureAlgebra, "_assoc_modular", spy)
-    alg = StructureAlgebra(16, rows, unit)
-    assert certified == [16]
-    assert alg.exact_products() == 215_664 > EXACT_PRODUCTS_LIMIT
-    # well below the cut the same family goes exact
-    monkeypatch.setattr(StructureAlgebra, "_assoc_modular", _refuse_modular)
-    assert StructureAlgebra(8, *_dense_group_algebra(8)).exact_products() == 7352
+    return certified
 
 
-def test_dim25_algebra_with_a_corrupted_cell_fails_at_its_first_bad_triple(monkeypatch):
-    # taft(5) with x g doubled (x is e_1, g is e_5); the unit e_0 is untouched
+def test_taft5_is_proven_on_the_exact_path(monkeypatch):
+    # Light's certificate, a proof in integers, is the construction check
+    # of taft(5); the exact loop over every triple agrees
+    certified = _spy_on_the_certificate(monkeypatch)
     alg = taft(5).algebra
+    assert certified == [25]
+    assert alg.associativity_failure(itertools.product(range(25), repeat=3)) is None
+
+
+def test_dense_algebra_above_the_cut_takes_the_modular_path(monkeypatch):
+    # dense k[Z/n] goes through the certificate at dim 16 and at dim 8 alike
+    certified = _spy_on_the_certificate(monkeypatch)
+    StructureAlgebra(16, *_dense_group_algebra(16))
+    StructureAlgebra(8, *_dense_group_algebra(8))
+    assert certified == [16, 8]
+
+
+def _twisted_taft3_block():
+    """The first 27-dim block of the twisted double of taft(3)."""
+    d = build_twisted_double(taft(3))
+    return split_blocks(d, taft_double_generators(d))[0].algebra
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: taft(3).algebra, id="taft3"),
+        pytest.param(lambda: taft(5).algebra, id="taft5"),
+        pytest.param(lambda: build_twisted_double(taft(2)).algebra, id="twisted-taft2"),
+        pytest.param(_twisted_taft3_block, id="taft3-double-block"),
+    ],
+)
+def test_dim25_algebra_with_a_corrupted_cell_fails_at_its_first_bad_triple(build):
+    # double the first nonempty cell (i, j) with i and j outside the unit's
+    # support, which no unit law reads (in taft(p), x x)
+    alg = build()
+    n = alg.dim
+    outside = [i for i in range(n) if not alg.unit[i]]
+    i, j = next((i, j) for i in outside for j in outside if alg.rows[i][j])
     rows = [list(row) for row in alg.rows]
-    rows[1][5] = {k: v * 2 for k, v in rows[1][5].items()}
-    bad = StructureAlgebra(25, rows, alg.unit, check="none")
-    first = bad.associativity_failure(itertools.product(range(25), repeat=3))
+    rows[i][j] = {k: v * 2 for k, v in rows[i][j].items()}
+    bad = StructureAlgebra(n, rows, alg.unit, check="none")
+    assert bad.unit_failure() is None
+    first = bad.associativity_failure(itertools.product(range(n), repeat=3))
     assert first is not None
-    monkeypatch.setattr(StructureAlgebra, "_assoc_modular", _refuse_modular)
     with pytest.raises(AssociativityError) as err:
-        StructureAlgebra(25, rows, alg.unit)
+        StructureAlgebra(n, rows, alg.unit)
     assert err.value.triple == first
 
 
@@ -518,6 +508,18 @@ def _idempotents(n: int):
     return rows, [c(1)] * n
 
 
+def _triples_with_a_term(alg):
+    """The basis triples (i, j, k) in row-major order, less those whose cells
+    c[i][j] and c[j][k] are both empty: there (e_i e_j) e_k and
+    e_i (e_j e_k) are both empty sums, so the exact loop over these triples
+    reports what it reports over every triple."""
+    n, rows = alg.dim, alg.rows
+    nonempty = [[k for k in range(n) if row[k]] for row in rows]
+    for i, j in itertools.product(range(n), repeat=2):
+        for k in range(n) if rows[i][j] else nonempty[j]:
+            yield i, j, k
+
+
 def test_forced_modular_check_proves_dim_231_and_rejects_a_corrupted_copy(monkeypatch):
     n = DEFAULT_EXHAUSTIVE_LIMIT + 1
     rows, unit = _idempotents(n)
@@ -525,11 +527,11 @@ def test_forced_modular_check_proves_dim_231_and_rejects_a_corrupted_copy(monkey
     StructureAlgebra(n, rows, unit)  # auto samples above the limit
     rows[228][229] = {230: c(1)}
     monkeypatch.setattr(StructureAlgebra, "unit_failure", lambda self: None)
-    with pytest.raises(AssociativityError) as pure:
-        StructureAlgebra(n, rows, unit, check="pure")
+    bad = StructureAlgebra(n, rows, unit, check="none")
+    first = bad.associativity_failure(_triples_with_a_term(bad))
     with pytest.raises(AssociativityError) as modular:
         StructureAlgebra(n, rows, unit, check="modular")
-    assert modular.value.triple == pure.value.triple == (228, 228, 229)
+    assert modular.value.triple == first == (228, 228, 229)
 
 
 def test_certificate_needs_39_generators_of_q40_and_finds_a_corrupted_cell(monkeypatch):
@@ -563,11 +565,12 @@ def test_certificate_sees_an_associator_of_seven():
     rows = [[{(i + j) % 3: c(1)} for j in range(3)] for i in range(3)]
     rows[1][1] = {2: c(8)}
     unit = [c(1), c(0), c(0)]
-    with pytest.raises(AssociativityError) as pure:
-        StructureAlgebra(3, rows, unit, check="pure")
+    first = StructureAlgebra(3, rows, unit, check="none").associativity_failure(
+        itertools.product(range(3), repeat=3)
+    )
     with pytest.raises(AssociativityError) as modular:
         StructureAlgebra(3, rows, unit, check="modular")
-    assert modular.value.triple == pure.value.triple == (1, 1, 2)
+    assert modular.value.triple == first == (1, 1, 2)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -592,13 +595,12 @@ def test_certificate_checks_raise_instead_of_asserting(monkeypatch):
 
 
 def test_auto_check_counts_no_products_above_the_modular_limit(monkeypatch):
-    # above DEFAULT_EXHAUSTIVE_LIMIT the regime is the sample whatever the
-    # work, so the O(dim^2 + nnz) count is skipped (the 625-dim doubles never
-    # pay it)
-    def refuse(self, limit=None):
-        raise AssertionError("exact_products ran")
+    # above DEFAULT_EXHAUSTIVE_LIMIT auto samples: the certificate does not
+    # run (the 625-dim doubles never pay it)
+    def refuse(self):
+        raise AssertionError(f"{self.name}: the modular certificate ran")
 
-    monkeypatch.setattr(StructureAlgebra, "exact_products", refuse)
+    monkeypatch.setattr(StructureAlgebra, "_assoc_modular", refuse)
     n = DEFAULT_EXHAUSTIVE_LIMIT + 1
     rows = [[{i: c(1)} if i == j else {} for j in range(n)] for i in range(n)]
     StructureAlgebra(n, rows, [c(1)] * n)
@@ -625,14 +627,15 @@ def test_certificate_blocks_report_the_first_failing_triple(monkeypatch, slack):
     # loop finds
     light_modulus = algebra_module._light_modulus
     n, rows, unit = _corrupted_matrix_algebra(4)
-    with pytest.raises(AssociativityError) as pure:
-        StructureAlgebra(n, rows, unit, check="pure")
+    first = StructureAlgebra(n, rows, unit, check="none").associativity_failure(
+        itertools.product(range(n), repeat=3)
+    )
     monkeypatch.setattr(
         algebra_module, "_light_modulus", lambda order, bound: light_modulus(order, bound + slack)
     )
     with pytest.raises(AssociativityError) as modular:
         StructureAlgebra(n, rows, unit, check="modular")
-    assert modular.value.triple == pure.value.triple == (1, 4, 2)
+    assert modular.value.triple == first == (1, 4, 2)
     # k[Z/3] with e_1 e_2 = 2 e_0: the first failing pair (1, 1) fails at
     # k = 1 and at k = 2, and the witness takes the least k
     rows = [[{(i + j) % 3: c(1)} for j in range(3)] for i in range(3)]

@@ -158,10 +158,13 @@ print(code, certified, sorted({m.split(".")[0] for m in sys.modules} & {"numpy",
 
 @pytest.mark.parametrize("command", ["run", "ingest"])
 def test_certified_verdicts_load_neither_numpy_nor_scipy(tmp_path, command):
-    # the associativity certificate runs on the three 81-dim doubles of
-    # taft(3) and on taft(7) (dim 49, 57,624 exact products)
+    # the associativity certificate runs on every algebra that run --all
+    # --p 2,3 builds, the three 81-dim doubles of taft(3) among them, and on
+    # taft(7) (dim 49)
     if command == "run":
-        args, dims = ["run", "--all", "--p", "2,3"], [81, 81, 81]
+        dims = [1, 1, 2, 4, 3, 9, 4, 16, 9, 81, 10, 8, 8, 4, 6, 1, 3, 5, 4, 9, 27, 27, 27,
+                4, 4, 9, 9, 16, 16, 81, 81]
+        args = ["run", "--all", "--p", "2,3"]
     else:
         path = tmp_path / "taft7.json"
         path.write_text(json.dumps(algebra_to_json(taft(7).algebra)))

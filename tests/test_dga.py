@@ -168,7 +168,7 @@ def _change_basis(alg: StructureAlgebra, p: Matrix) -> StructureAlgebra:
             row.append({k: v for k, v in enumerate(new) if v})
         rows.append(row)
     unit = pinv.apply(list(alg.unit))
-    return StructureAlgebra(n, rows, unit, name=f"{alg.name}~", check="pure")
+    return StructureAlgebra(n, rows, unit, name=f"{alg.name}~")
 
 
 def test_invariants_survive_a_change_of_basis(p2_blocks):

@@ -590,7 +590,7 @@ def test_double_recheck_matches_construction_checks(d2, cell):
     witnesses = report.witnesses["associativity"]
     assert witnesses["mode"] == "exhaustive" and witnesses["triples"] == 16**3
     with pytest.raises(AlgebraError) as err:
-        StructureAlgebra(bad.algebra.dim, bad.algebra.rows, bad.algebra.unit, check="pure")
+        StructureAlgebra(bad.algebra.dim, bad.algebra.rows, bad.algebra.unit)
     if isinstance(err.value, UnitLawError):
         # the unit verdict and the index construction names
         assert report.witnesses["unit"]["holds"] is False
@@ -598,7 +598,8 @@ def test_double_recheck_matches_construction_checks(d2, cell):
     else:
         assert report.witnesses["unit"]["holds"] is True
         assert witnesses["first_failure"] == err.value.triple
-    # the pure regime checks the same triples in the same order
+    # D2.2's witness is the first failing triple of the exact loop over
+    # every triple in row-major order
     first = bad.algebra.associativity_failure(itertools.product(range(16), repeat=3))
     assert witnesses.get("first_failure") == first
 
