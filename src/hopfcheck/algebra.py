@@ -3,10 +3,12 @@
 A StructureAlgebra holds a rank-3 tensor c[i][j][k] (stored as sparse rows:
 for each basis pair (i, j) a cell mapping k to a nonzero scalar) plus the
 coordinates of the unit.  The constants are held once: every empty cell is
-the one read-only EMPTY_CELL, and a cell handed to the constructor zero-free
-at the algebra's order is kept as it is, not copied, so no one may mutate a
-cell once it is handed over.  The double builders of doubles.py also share
-equal scalars, one object per distinct value within a build.
+the one read-only EMPTY_CELL, a cell handed to the constructor zero-free at
+the algebra's order is kept as it is, not copied, and so is a row list
+whose cells all are kept (or are EMPTY_CELL).  So no one may mutate a cell
+or a row list once it is handed over.  The double builders of doubles.py
+also share equal scalars, one object per distinct value within a build,
+and equal keys, one int object per basis index.
 
 Construction verifies the unit laws exactly (unit_failure) and
 associativity in one of two regimes, chosen by dim:
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import random
 import types
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import lcm
 
@@ -97,6 +100,19 @@ def _own_cell(cell, order: int):
     return kept or EMPTY_CELL
 
 
+def _own_row(row, dim: int, order: int):
+    """A row as the algebra keeps it: row itself when it has dim cells and
+    each is EMPTY_CELL or a cell _own_cell keeps as it is, else a new list
+    of dim owned cells (row is never changed)."""
+    if len(row) == dim:
+        for cell in row:
+            if cell is not EMPTY_CELL and (not cell or _own_cell(cell, order) is not cell):
+                break
+        else:
+            return row
+    return [_own_cell(cell, order) if (cell := row[j]) else EMPTY_CELL for j in range(dim)]
+
+
 class AlgebraError(ValueError):
     pass
 
@@ -120,9 +136,12 @@ class StructureAlgebra:
         A nonempty cell that holds no zero and only scalars at the algebra's
         order (the lcm of all orders) is kept as it is, not copied; any other
         nonempty cell is replaced by a copy without zeros and with its scalars
-        lifted, and every empty cell by EMPTY_CELL.  So a caller must not
-        mutate its cells once it has handed them over, and no one may mutate
-        the cells of a built algebra (copy a cell to change it, as a new
+        lifted, and every empty cell by EMPTY_CELL.  A row list rows[i] of dim
+        cells is kept as the algebra's row when every cell in it is kept or is
+        EMPTY_CELL; only a row that needs a change is built anew, so the
+        caller's lists never change.  So a caller must not mutate its cells or
+        row lists once it has handed them over, and no one may mutate those
+        of a built algebra (copy a row or a cell to change it, as a new
         algebra's input).
         """
         if dim < 0:
@@ -142,10 +161,7 @@ class StructureAlgebra:
                             orders.add(v.order)
         order = lcm(*orders) if orders else 1
         self.order = order
-        self.rows = [
-            [_own_cell(cell, order) if (cell := given[j]) else EMPTY_CELL for j in range(dim)]
-            for given in (rows[i] for i in range(dim))
-        ]
+        self.rows = [_own_row(rows[i], dim, order) for i in range(dim)]
         self.unit = tuple(v if v.order == order else v.lift(order) for v in unit)
         if len(self.unit) != dim:
             raise ValueError("unit vector length must equal dim")
@@ -649,10 +665,12 @@ class StructureAlgebra:
         return CheckReport(check_id, "pass" if ok else "fail", witnesses)
 
 
-def sampled_triples(n: int, samples: int, seed: int) -> list[tuple[int, int, int]]:
-    """samples basis triples (i, j, k) of range(n), drawn from random.Random(seed)."""
-    rng = random.Random(seed)
-    return [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+def sampled_triples(n: int, samples: int, seed: int) -> Iterator[tuple[int, int, int]]:
+    """samples basis triples (i, j, k) of range(n), drawn lazily from
+    random.Random(seed), each when it is asked for."""
+    randrange = random.Random(seed).randrange
+    for _ in range(samples):
+        yield randrange(n), randrange(n), randrange(n)
 
 
 def _block_index(offsets, i):

@@ -99,6 +99,14 @@ def _accumulate(cell: dict, key: int, s: Cyclotomic, pool: _Pool) -> None:
         del cell[key]
 
 
+def _key_blocks(n: int) -> list[list[int]]:
+    """blocks[k][u] is the key k n + u, one int object per key of an
+    (n n)-dim double, so that its cells share their keys (CPython caches
+    only the ints up to 256)."""
+    keys = list(range(n * n))
+    return [keys[k * n:(k + 1) * n] for k in range(n)]
+
+
 def _embed(flat, left: dict, right: dict) -> dict:
     """Terms of sum_{a,b} left[a] right[b] e_{flat(a, b)}, for the terms
     left and right of two vectors of the base's dimension."""
@@ -228,8 +236,10 @@ def build_twisted_double(h: HopfData) -> TwistedDouble:
     cells = [[cell for cell in row if cell] for row in alg.rows]
 
     # cells start as the shared EMPTY_CELL and get a dict on their first
-    # write, which stores a pooled product as it is
+    # write, which stores a pooled product as it is under a shared key
+    # from blocks
     rows: list[list] = [[EMPTY_CELL] * nn for _ in range(nn)]
+    blocks = _key_blocks(n)
     pool = _Pool()
     for a in range(n):
         # the sandwiches S(e_a3) e_m e_a1 of e_a, bucketed by m and read by
@@ -240,7 +250,7 @@ def build_twisted_double(h: HopfData) -> TwistedDouble:
         for b in range(n):
             row = rows[flat(a, b)]
             for k, m, cf in by_first[b]:
-                kn = k * n
+                kkeys = blocks[k]
                 for a2, t, v in by_m[m]:
                     w = cf * t
                     for d, vd in v.items():
@@ -251,7 +261,7 @@ def build_twisted_double(h: HopfData) -> TwistedDouble:
                             if cell is EMPTY_CELL:
                                 cell = row[dn + c] = {}
                             for u, s in terms:
-                                key = kn + u
+                                key = kkeys[u]
                                 prev = cell.get(key)
                                 if prev is None:
                                     cell[key] = s
@@ -287,7 +297,7 @@ def check_double_unital_associative(
         triples = itertools.product(range(nn), repeat=3)
     else:
         triples = sampled_triples(nn, samples, seed)
-        mode, count = "sampled", len(triples)
+        mode, count = "sampled", max(samples, 0)
     unit_ok = alg.unit_failure() is None
     bad = alg.associativity_failure(triples)
     witnesses = {
@@ -380,9 +390,10 @@ def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
     dual_cols = [[d for d, conv in enumerate(vrow) if conv] for vrow in dual_rows]
     dual_cells = [[conv for conv in vrow if conv] for vrow in dual_rows]
 
-    # cells and scalars as in build_twisted_double: EMPTY_CELL until the
-    # first write, values from pool
+    # cells, keys and scalars as in build_twisted_double: EMPTY_CELL until
+    # the first write, keys from blocks, values from pool
     rows: list[list] = [[EMPTY_CELL] * nn for _ in range(nn)]
+    blocks = _key_blocks(n)
     pool = _Pool()
     for c in range(n):
         # the sandwiches e_c3 e_v A(e_c1) of e_c, read by every b below
@@ -399,18 +410,19 @@ def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
                     left = arow[c2]
                     if not left:
                         continue
-                    # (u n, the convolutions e^v e^d scaled by weight c_{a c2}^u)
+                    # (the keys u n + kk, the convolutions e^v e^d scaled by
+                    # weight c_{a c2}^u)
                     scaled = [
-                        (u * n, pool.scale(pool.mul(weight, cu), v, dual_cells[v]))
+                        (blocks[u], pool.scale(pool.mul(weight, cu), v, dual_cells[v]))
                         for u, cu in left.items()
                     ]
                     for slot, d in enumerate(dual_cols[v]):
                         cell = row[flat(c, d)]
                         if cell is EMPTY_CELL:
                             cell = row[flat(c, d)] = {}
-                        for un, sd in scaled:
+                        for ukeys, sd in scaled:
                             for kk, s in sd[slot]:
-                                key = un + kk
+                                key = ukeys[kk]
                                 prev = cell.get(key)
                                 if prev is None:
                                     cell[key] = s

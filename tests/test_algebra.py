@@ -10,6 +10,8 @@ import pytest
 from hopfcheck import algebra as algebra_module
 from hopfcheck.algebra import (
     DEFAULT_EXHAUSTIVE_LIMIT,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     EMPTY_CELL,
     AlgebraError,
     AssociativityError,
@@ -17,6 +19,7 @@ from hopfcheck.algebra import (
     StructureAlgebra,
     UnitLawError,
     gen,
+    sampled_triples,
 )
 from hopfcheck.cyclotomic import Cyclotomic, phi_degree, root_of_unity
 from hopfcheck.doubles import build_twisted_double, split_blocks, taft_double_generators
@@ -60,20 +63,38 @@ def dual_numbers() -> StructureAlgebra:
 
 def test_construction_keeps_clean_cells_and_copies_the_others():
     # the twisted group algebra e_i e_j = zeta^(ij) e_{i+j} of Z/3, order 3;
-    # cell (0, 1) gains a zero and cell (0, 2) holds an order-1 one
+    # cell (0, 1) gains a zero and cell (0, 2) holds an order-1 one, so only
+    # row 0 needs a change
     z = root_of_unity(3)
     rows = [[{(i + j) % 3: z ** (i * j)} for j in range(3)] for i in range(3)]
     rows[0][1] = {1: z**0, 2: Cyclotomic.zero(3)}
     rows[0][2] = {2: c(1)}
     given = [[dict(cell) for cell in row] for row in rows]
+    lists = [list(row) for row in rows]
     alg = StructureAlgebra(3, rows, [c(1), c(0), c(0)])
     assert alg.order == 3
+    assert alg.rows[1] is rows[1] and alg.rows[2] is rows[2]
+    assert alg.rows[0] is not rows[0] and alg.rows[0][0] is rows[0][0]
     assert alg.rows[1][2] is rows[1][2]
     assert alg.rows[0][1] is not rows[0][1] and alg.rows[0][1] == {1: z**0}
     assert alg.rows[0][2] is not rows[0][2] and alg.rows[0][2] == {2: z**0}
     assert alg.rows[0][2][2].order == 3
     assert [[dict(cell) for cell in row] for row in rows] == given
     assert rows[0][1][2].order == 3 and rows[0][2][2].order == 1
+    # the caller's row lists hold the same cells as before
+    assert all(len(row) == 3 and all(x is y for x, y in zip(row, kept))
+               for row, kept in zip(rows, lists))
+    # k[t]/(t^2): a row is kept when its empty cells are EMPTY_CELL, and
+    # copied when one is another empty mapping, {} here
+    rows = [[{0: c(1)}, {1: c(1)}], [{1: c(1)}, EMPTY_CELL]]
+    alg = StructureAlgebra(2, rows, [c(1), c(0)])
+    assert alg.rows[0] is rows[0] and alg.rows[1] is rows[1]
+    rows = [[{0: c(1)}, {1: c(1)}], [{1: c(1)}, {}]]
+    empty = rows[1][1]
+    alg = StructureAlgebra(2, rows, [c(1), c(0)])
+    assert alg.rows[0] is rows[0] and alg.rows[1] is not rows[1]
+    assert alg.rows[1][0] is rows[1][0] and alg.rows[1][1] is EMPTY_CELL
+    assert rows[1][1] is empty
 
 
 def test_construction_shares_one_empty_cell():
@@ -166,16 +187,27 @@ def test_construction_refuses_an_unknown_check_mode():
 
 
 def test_sampled_check_path():
-    # force the sampled path on a small broken algebra; the seed makes it deterministic
+    # force the sampled path on a small broken algebra; the seed makes it
+    # deterministic, and the witness is the sample's first failing triple
     broken = [[{(i + j) % 5: c(1)} for j in range(5)] for i in range(5)]
     broken[3][4] = {2: c(1), 0: c(1)}
-    with pytest.raises(AssociativityError):
-        StructureAlgebra(
-            5,
-            broken,
-            [c(1), c(0), c(0), c(0), c(0)],
-            check="sample",
-        )
+    unit = [c(1), c(0), c(0), c(0), c(0)]
+    with pytest.raises(AssociativityError) as err:
+        StructureAlgebra(5, broken, unit, check="sample")
+    alg = StructureAlgebra(5, broken, unit, check="none")
+    sample = sampled_triples(5, DEFAULT_SAMPLES, DEFAULT_SEED)
+    assert err.value.triple == next(t for t in sample if not alg._assoc_triple_exact(*t))
+
+
+def test_sampled_triples_are_pinned():
+    # the sample the 625-dim doubles are checked on: drawing it lazily keeps
+    # the seed's order and its length
+    sample = sampled_triples(625, DEFAULT_SAMPLES, DEFAULT_SEED)
+    first = list(itertools.islice(sample, 4))
+    assert first == [(573, 450, 29), (201, 160, 22), (421, 593, 197), (514, 505, 82)]
+    rest = list(sample)
+    assert len(first) + len(rest) == DEFAULT_SAMPLES == 10_000
+    assert rest[-1] == (322, 174, 369)
 
 
 # -- the construction-time regime rule -----------------------------------
@@ -525,6 +557,8 @@ def test_forced_modular_check_proves_dim_231_and_rejects_a_corrupted_copy(monkey
     rows, unit = _idempotents(n)
     StructureAlgebra(n, rows, unit, check="modular")
     StructureAlgebra(n, rows, unit)  # auto samples above the limit
+    # a built algebra may keep the row lists it was given: copy row 228 first
+    rows[228] = list(rows[228])
     rows[228][229] = {230: c(1)}
     monkeypatch.setattr(StructureAlgebra, "unit_failure", lambda self: None)
     bad = StructureAlgebra(n, rows, unit, check="none")
@@ -548,7 +582,9 @@ def test_certificate_needs_39_generators_of_q40_and_finds_a_corrupted_cell(monke
     StructureAlgebra(40, rows, unit, check="modular")
     assert picked == [list(range(39))]
     # e_37 e_38 = e_39 breaks only triples whose middle index is 37, 38 or
-    # 39, so a generating set short of e_37 would pass the copy
+    # 39, so a generating set short of e_37 would pass the copy; row 37 is
+    # copied first, since a built algebra may keep the row lists it was given
+    rows[37] = list(rows[37])
     rows[37][38] = {39: c(1)}
     monkeypatch.setattr(StructureAlgebra, "unit_failure", lambda self: None)
     first = StructureAlgebra(40, rows, unit, check="none").associativity_failure(

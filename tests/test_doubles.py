@@ -108,6 +108,16 @@ def test_doubles_share_one_object_per_distinct_scalar(shared_ctx):
         assert len({id(v) for v in values}) == len(distinct) < len(values)
 
 
+def test_p5_doubles_share_one_key_object_per_index():
+    # CPython caches only the ints up to 256, so a key computed per cell
+    # would be a new object above it (111,707 objects per 625-dim double)
+    h = taft(5)
+    for d in (build_twisted_double(h), build_classical_double(h, "anti")):
+        alg = d.algebra
+        keys = {id(k) for row in alg.rows for cell in row for k in cell}
+        assert alg.dim == 625 and len(keys) <= alg.dim
+
+
 def constants_digest(alg):
     """sha256 of every structure constant, as repr((i, j, k, order, num, den))
     per cell in row order with k sorted, then of the unit's (order, num, den)."""
