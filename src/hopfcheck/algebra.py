@@ -591,7 +591,7 @@ class StructureAlgebra:
                     coords = space.coordinates(self.mul_sparse(basis[a], basis[b]))
                     if coords is None:
                         raise InvariantError("block product escapes the block")
-                    arow.append(coords)
+                    arow.append(coords or EMPTY_CELL)
                 rows.append(arow)
             algebra = StructureAlgebra(
                 d,

@@ -51,20 +51,15 @@ from .dga import (
     stable_dga,
     stable_quotient,
 )
-from .report import FAIL, PASS, PRECONDITION_FAILED, CheckReport, combine
-
-
-class CatalogueError(KeyError):
-    """Unknown check id requested."""
-
-
-class CheckCrashed(RuntimeError):
-    """A runner raised instead of reporting; maps to the internal-error exit."""
-
-    def __init__(self, check_id: str, cause: BaseException):
-        self.check_id = check_id
-        self.cause = cause
-        super().__init__(f"{check_id}: {cause!r}")
+from .report import (
+    FAIL,
+    PASS,
+    PRECONDITION_FAILED,
+    CatalogueError,
+    CheckCrashed,
+    CheckReport,
+    combine,
+)
 
 
 @dataclass
@@ -860,16 +855,3 @@ def run_checks(ids=None, ctx: Context | None = None) -> list[CheckReport]:
     ctx = ctx or Context()
     entries = list(CATALOGUE) if ids is None else [get_entry(i) for i in ids]
     return sorted((_timed(entry, ctx) for entry in entries), key=lambda r: r.id)
-
-
-def summarize(reports) -> dict:
-    counts = {PASS: 0, FAIL: 0, PRECONDITION_FAILED: 0}
-    for r in reports:
-        counts[r.status] += 1
-    return {
-        "total": len(reports),
-        "pass": counts[PASS],
-        "fail": counts[FAIL],
-        "precondition-failed": counts[PRECONDITION_FAILED],
-        "all-pass": counts[PASS] == len(reports),
-    }

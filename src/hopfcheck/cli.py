@@ -10,18 +10,12 @@ import json
 import os
 import sys
 
-from .catalogue import (
-    CatalogueError,
-    CheckCrashed,
-    CATALOGUE,
-    Context,
-    RunConfig,
-    catalogue_ids,
-    run_checks,
-    summarize,
-)
 from .hopf import HopfData
+from .report import CatalogueError, CheckCrashed, summarize
 from .serialize import IngestError, ingest_algebra
+
+# `run` and `list` import the catalogue where they start: it loads the
+# doubles and the dga module, none of which `ingest` runs.
 
 CONFIG_ENV_VAR = "HOPFCHECK_CONFIG"
 
@@ -101,6 +95,8 @@ def _effective_config(args) -> tuple:
             open(json_path, "a").close()  # fail before the run, not after it
         except OSError as exc:
             raise UsageError(f"cannot write report {json_path}: {exc.strerror}")
+    from .catalogue import RunConfig
+
     try:
         config = RunConfig(**kwargs)
     except ValueError as exc:
@@ -131,18 +127,19 @@ def _print_text(reports, out) -> None:
 
 
 def _cmd_run(args, out) -> int:
+    from . import catalogue
+
     config, json_path = _effective_config(args)
     if args.all and args.id:
         raise UsageError("--all and --id are mutually exclusive")
     ids = None
     if args.id:
         ids = list(dict.fromkeys(args.id))  # preserve user order, drop repeats
-        known = set(catalogue_ids())
+        known = set(catalogue.catalogue_ids())
         unknown = [i for i in ids if i not in known]
         if unknown:
             raise UsageError(f"unknown check ids: {', '.join(unknown)}")
-    ctx = Context(config)
-    reports = run_checks(ids, ctx)
+    reports = catalogue.run_checks(ids, catalogue.Context(config))
     _print_text(reports, out)
     if json_path:
         doc = _report_documents(reports)
@@ -153,6 +150,8 @@ def _cmd_run(args, out) -> int:
 
 
 def _cmd_list(args, out) -> int:
+    from .catalogue import CATALOGUE
+
     width = max(len(e.id) for e in CATALOGUE)
     for entry in sorted(CATALOGUE, key=lambda e: e.id):
         print(f"{entry.id:<{width}}  {entry.statement}", file=out)

@@ -572,12 +572,13 @@ def scalar_hook():
     parses becomes its Cyclotomic.  Like a ScalarMemo, the hook parses each
     distinct spelling once (up to MEMO_LIMIT of them) and shares its value,
     so the decoded tree holds one value per distinct spelling instead of a
-    dict, two lists and two strings per scalar.  Every other object is
-    returned as it is, for cyc_from_json to report where it is read; the cap
-    on the lcm of orders is applied there too, in reading order.  The hook
-    parses only scalars whose orders divide one common order within
-    MAX_ORDER, so a document cannot make it build the fields of orders that
-    reading would refuse.
+    dict, two lists and two strings per scalar.  A spelling met again costs
+    one key and one lookup, whatever its order: its types are checked only
+    when it is first parsed.  Every other object is returned as it is, for
+    cyc_from_json to report where it is read; the cap on the lcm of orders
+    is applied there too, in reading order.  The hook parses only scalars
+    whose orders divide one common order within MAX_ORDER, so a document
+    cannot make it build the fields of orders that reading would refuse.
     """
     memo: dict[tuple, Cyclotomic] = {}
     get = memo.get
@@ -587,26 +588,33 @@ def scalar_hook():
         nonlocal seen
         if len(obj) != 2:
             return obj
-        order = obj.get("order")
-        coeffs = obj.get("coeffs")
-        if type(order) is not int or type(coeffs) is not list:
+        # The order's type and value, then each pair's entries followed by
+        # the pair's type.  A stored key spells a scalar that was vetted: an
+        # int order, and lists of two strings.  The types keep true, 1.0, a
+        # string or an object apart from those, and strings equal only
+        # strings, so a key equals a stored one only when obj spells the
+        # same scalar.
+        try:
+            order = obj["order"]
+            key = [type(order), order]
+            for pair in obj["coeffs"]:
+                key += pair
+                key.append(type(pair))
+            key = tuple(key)
+            value = get(key)
+        except (KeyError, TypeError):  # a key missing, a part not iterable or unhashable
             return obj
-        # the spelling key of _spelling, built inline: this runs once per scalar
-        key = [order]
-        for pair in coeffs:
-            if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not str \
-                    or type(pair[1]) is not str:
-                return obj
-            key += pair
-        key = tuple(key)
-        value = get(key)
         if value is not None:
             return value
+        try:
+            spelling = _spelling(obj)
+        except TypeError:
+            return obj
         both = lcm(seen, order)
         if not 1 <= both <= MAX_ORDER:
             return obj
         try:
-            value = _from_spelling(key)
+            value = _from_spelling(spelling)
         except ValueError:
             return obj
         seen = both

@@ -1,4 +1,5 @@
-"""Check reports: the uniform result record produced by every verifier."""
+"""Check reports: the uniform result record produced by every verifier,
+and the two ways a run of the catalogue can end without one."""
 
 from __future__ import annotations
 
@@ -52,3 +53,29 @@ def combine(check_id: str, parts: dict[str, CheckReport]) -> CheckReport:
         status = FAIL
     witnesses = {key: {"status": p.status, **p.witnesses} for key, p in parts.items()}
     return CheckReport(check_id, status, witnesses)
+
+
+def summarize(reports) -> dict:
+    counts = {PASS: 0, FAIL: 0, PRECONDITION_FAILED: 0}
+    for r in reports:
+        counts[r.status] += 1
+    return {
+        "total": len(reports),
+        "pass": counts[PASS],
+        "fail": counts[FAIL],
+        "precondition-failed": counts[PRECONDITION_FAILED],
+        "all-pass": counts[PASS] == len(reports),
+    }
+
+
+class CatalogueError(KeyError):
+    """Unknown check id requested."""
+
+
+class CheckCrashed(RuntimeError):
+    """A runner raised instead of reporting; maps to the internal-error exit."""
+
+    def __init__(self, check_id: str, cause: BaseException):
+        self.check_id = check_id
+        self.cause = cause
+        super().__init__(f"{check_id}: {cause!r}")

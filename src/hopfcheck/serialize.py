@@ -9,23 +9,29 @@ Schemas (scalars are { "order": N, "coeffs": [["num","den"], ...] }):
            "counit" ([scalar...]) and "antipode" (an n x n matrix).
 
 Ingest validates the defining axioms on construction and reports the first
-broken one by name.  Each distinct scalar spelling of a document is parsed
-once and the resulting immutable Cyclotomic shared.  ingest_algebra parses
-scalars while json decodes the file, through cyclotomic.scalar_hook, so the
-decoded tree holds one shared value per distinct spelling rather than a
-dict, two lists and two strings per scalar.  The readers take those values
-as they are, applying the cap on the lcm of orders, and parse and locate
-whatever the hook left as JSON, through a ScalarMemo.  They consume
+broken one by name.  It pays Python work once per distinct scalar value and
+once per list, not once per entry.  ingest_algebra parses scalars while json
+decodes the file, through cyclotomic.scalar_hook, which parses each distinct
+spelling once and shares the resulting immutable Cyclotomic, so the decoded
+tree holds one value per distinct spelling rather than a dict, two lists and
+two strings per scalar.  The readers vet each list of such values at C speed
+and decide whether a value is zero once per distinct value; a list holding
+anything else, or an order that raises the lcm of the document's orders, is
+read entry by entry through a ScalarMemo, which parses and locates whatever
+the hook left as JSON and applies the cap on that lcm.  Only that per-entry
+path reports errors, so each names the exact entry.  The readers consume
 their document: they empty it once its fields are read, so that
 ingest_algebra frees the decoded tree before the associativity certificate
 runs.
 """
 
 import json
+from itertools import compress, repeat
+from operator import is_not
 
-from .cyclotomic import ZERO, ScalarMemo, cyc_from_json, scalar_hook
+from .cyclotomic import ZERO, Cyclotomic, ScalarMemo, cyc_from_json, scalar_hook
 from .linalg import Matrix, shaped_matrix
-from .algebra import AlgebraError, StructureAlgebra
+from .algebra import EMPTY_CELL, AlgebraError, StructureAlgebra
 from .hopf import HopfAxiomError, HopfData
 
 
@@ -60,9 +66,45 @@ def hopf_to_json(h: HopfData) -> dict:
     return out
 
 
-def _scalars(values, memo: ScalarMemo, where: str) -> list:
-    """The scalars of a JSON list, read through the document's memo; the
-    location of a bad entry is spelled out only when one is found."""
+class _Reading(ScalarMemo):
+    """The ScalarMemo of one document's reading, which also keeps the
+    distinct values it has vetted.  A vetted value is a Cyclotomic whose
+    order divides the lcm `order`; that lcm only grows, so a vetted value
+    stays vetted.  `fit` maps the id of each vetted value to the value
+    (holding it, so that the id stays its own), `nonzero` holds the ids of
+    those that are not zero, and `zero` is the first zero vetted, which a
+    dense document repeats in most of its entries."""
+
+    def __init__(self):
+        super().__init__()
+        self.fit: dict[int, Cyclotomic] = {}
+        self.nonzero: set[int] = set()
+        self.zero = None
+
+    def others(self, values: list):
+        """The positions of the entries of values that are not `zero`, when
+        every entry is a vetted value (vetting those met for the first
+        time); None when one is not a Cyclotomic or its order would raise
+        the lcm.  Entries that are `zero` are skipped at C speed."""
+        fit = self.fit
+        out = []
+        for k in compress(range(len(values)), map(is_not, values, repeat(self.zero))):
+            v = values[k]
+            if id(v) not in fit:
+                if type(v) is not Cyclotomic or self.order % v.order:
+                    return None
+                fit[id(v)] = v
+                if v:
+                    self.nonzero.add(id(v))
+                elif self.zero is None:
+                    self.zero = v
+            out.append(k)
+        return out
+
+
+def _each(values, memo: _Reading, where: str) -> list:
+    """The scalars of a JSON list read entry by entry through the document's
+    memo; the location of a bad entry is spelled out only when one is found."""
     out = []
     for k, obj in enumerate(values):
         try:
@@ -72,6 +114,24 @@ def _scalars(values, memo: ScalarMemo, where: str) -> list:
     return out
 
 
+def _scalars(values, memo: _Reading, where: str) -> list:
+    """The scalars of a JSON list: the list itself when it holds vetted
+    values only, which is what reading it entry by entry would give."""
+    if type(values) is list and memo.others(values) is not None:
+        return values
+    return _each(values, memo, where)
+
+
+def _cell(vec: list, memo: _Reading, where: str):
+    """The nonzero entries {k: scalar} of a coordinate list, with each
+    distinct value judged zero or not once per document."""
+    ks = memo.others(vec)
+    if ks is None:
+        return {k: c for k, c in enumerate(_each(vec, memo, where)) if c}
+    nonzero = memo.nonzero
+    return {k: c for k in ks if id(c := vec[k]) in nonzero} or EMPTY_CELL
+
+
 def _require_list(value, n: int, where: str) -> None:
     if not isinstance(value, list):
         raise IngestError(f"{where} must be a list, got {type(value).__name__}")
@@ -79,7 +139,7 @@ def _require_list(value, n: int, where: str) -> None:
         raise IngestError(f"{where} must have length dim")
 
 
-def _read_algebra(obj: dict, memo: ScalarMemo):
+def _read_algebra(obj: dict, memo: _Reading):
     """Validated (dim, sparse rows, unit) of an algebra document."""
     try:
         n = obj["dim"]
@@ -101,17 +161,17 @@ def _read_algebra(obj: dict, memo: ScalarMemo):
         for j, vec in enumerate(plane):
             where = f"structure[{i}][{j}]"
             _require_list(vec, n, where)
-            row.append({k: c for k, c in enumerate(_scalars(vec, memo, where)) if c})
+            row.append(_cell(vec, memo, where))
         rows.append(row)
     return n, rows, unit
 
 
-def _read_matrix(obj: dict, memo: ScalarMemo, where: str) -> Matrix:
+def _read_matrix(obj: dict, memo: _Reading, where: str) -> Matrix:
     entries = [_scalars(r, memo, f"{where}[{i}]") for i, r in enumerate(obj["entries"])]
     return shaped_matrix(obj, entries)
 
 
-def _read_hopf(obj: dict, memo: ScalarMemo):
+def _read_hopf(obj: dict, memo: _Reading):
     """(dim, rows, unit, comult, counit, antipode) of a Hopf document."""
     n, rows, unit = _read_algebra(obj, memo)
     try:
@@ -134,7 +194,7 @@ def algebra_from_json(obj: dict, *, name: str = "ingested") -> StructureAlgebra:
     """Validate and build an algebra document.  This consumes obj: it is
     emptied once its fields are read, so that a caller holding the only
     other reference frees the decoded tree before the axioms are checked."""
-    n, rows, unit = _read_algebra(obj, ScalarMemo())
+    n, rows, unit = _read_algebra(obj, _Reading())
     obj.clear()
     return _build_algebra(n, rows, unit, name)
 
@@ -142,7 +202,7 @@ def algebra_from_json(obj: dict, *, name: str = "ingested") -> StructureAlgebra:
 def hopf_from_json(obj: dict, *, name: str = "ingested") -> HopfData:
     """Validate and build a Hopf document, consuming obj as algebra_from_json
     does.  Every field is read before any axiom is checked."""
-    n, rows, unit, comult, counit, antipode = _read_hopf(obj, ScalarMemo())
+    n, rows, unit, comult, counit, antipode = _read_hopf(obj, _Reading())
     obj.clear()
     alg = _build_algebra(n, rows, unit, name)
     try:

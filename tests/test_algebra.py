@@ -412,6 +412,26 @@ def test_central_eigensplit_group_algebra():
         assert blk.project(back) == blk.algebra.unit_element()
 
 
+def test_split_blocks_adopt_the_rows_the_split_built(monkeypatch):
+    # a zero block product is the shared empty cell, so each block keeps the
+    # row lists of its products instead of copying them
+    d = build_twisted_double(taft(3))
+    gens = taft_double_generators(d)
+    built = []
+
+    class Recording(algebra_module.StructureAlgebra):
+        def __init__(self, dim, rows, *args, **kwargs):
+            built.append(rows)
+            super().__init__(dim, rows, *args, **kwargs)
+
+    monkeypatch.setattr(algebra_module, "StructureAlgebra", Recording)
+    blocks = split_blocks(d, gens)
+    assert len(built) == len(blocks) == 3
+    for blk, rows in zip(blocks, built):
+        assert len(blk.algebra.rows) == len(rows) == 27
+        assert all(kept is row for kept, row in zip(blk.algebra.rows, rows))
+
+
 def test_central_eigensplit_requires_central():
     m2 = matrix_algebra_2x2()
     e01 = m2.basis_element(1)

@@ -17,10 +17,10 @@ from hopfcheck.catalogue import (
     catalogue_ids,
     get_entry,
     run_checks,
-    summarize,
 )
 from hopfcheck.cyclotomic import MAX_ORDER
 from hopfcheck.doubles import check_double_unital_associative
+from hopfcheck.report import summarize
 
 REQUIRED_IDS = [
     "D2.2-assoc-unital",

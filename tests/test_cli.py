@@ -179,6 +179,31 @@ def test_certified_verdicts_load_neither_numpy_nor_scipy(tmp_path, command):
     assert run.stdout.strip().split("\n")[-1] == f"0 {dims} []"
 
 
+_CATALOGUE_MODULES = ["hopfcheck.catalogue", "hopfcheck.doubles", "hopfcheck.dga"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_only_run_and_list_load_the_catalogue(tmp_path, command):
+    # ingest runs none of the catalogue, the doubles or the dga module, so a
+    # fresh `verify ingest` does not import them
+    path = tmp_path / "t3.json"
+    path.write_text(json.dumps(hopf_to_json(taft(3))))
+    args = ["ingest", str(path)] if command == "ingest" else ["run"] + CHEAP
+    script = (
+        "import sys\n"
+        "from hopfcheck import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        f"print(code, sorted(set(sys.modules) & set({_CATALOGUE_MODULES!r})))\n"
+    )
+    src = os.path.dirname(os.path.dirname(hopfcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script] + args,
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    loaded = [] if command == "ingest" else _CATALOGUE_MODULES
+    assert run.stdout.strip().split("\n")[-1] == f"0 {sorted(loaded)}"
+
+
 def test_max_workers_is_accepted_and_ignored(tmp_path, capsys):
     # checks run serially whatever max_workers says; it must still be a
     # positive integer, so that a mistyped config file is reported
@@ -283,7 +308,7 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     def boom(ids, ctx):
         raise CheckCrashed("S3-taft-axioms", RuntimeError("boom"))
 
-    monkeypatch.setattr(cli, "run_checks", boom)
+    monkeypatch.setattr(catalogue, "run_checks", boom)
     assert cli.main(["run", "--id", "S3-taft-axioms"]) == 3
     assert "internal error" in capsys.readouterr().err
 
@@ -368,7 +393,7 @@ def test_unwritable_report_path_is_usage_error_before_the_run(tmp_path, capsys, 
     def refuse(*args):
         raise AssertionError("checks ran although the report cannot be written")
 
-    monkeypatch.setattr(cli, "run_checks", refuse)
+    monkeypatch.setattr(catalogue, "run_checks", refuse)
     path = tmp_path / "nonexistent" / "r.json"
     assert cli.main(["run", "--json", str(path)] + CHEAP) == 2
     assert str(path) in capsys.readouterr().err

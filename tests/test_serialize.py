@@ -238,6 +238,89 @@ def test_scalar_with_an_extra_key_is_read_as_before(tmp_path):
         assert list(alg.unit) == [ONE, ZERO]
 
 
+def test_list_mixing_decoded_values_and_json_is_read_as_before(tmp_path):
+    # structure[1][1] holds a value the hook made and a scalar it left as
+    # JSON (an extra key): the list is read entry by entry, as before
+    noted = {**_scalar_json("1", "1"), "note": "g g = 1"}
+    doc = algebra_to_json(group_algebra(2).algebra)
+    doc["structure"][1][1][0] = noted
+    for alg in (algebra_from_json(json.loads(json.dumps(doc))), _ingest_written(tmp_path, doc)):
+        assert alg.same_structure(group_algebra(2).algebra)
+        assert alg.rows[1][1] == {0: ONE}
+
+
+def _twisted_group_doc_of_order_3() -> dict:
+    # k[Z/3] twisted by the bicharacter xi^(ij): e_i e_j = xi^(ij) e_(i+j),
+    # with every constant written at order 3
+    xi, one, zero = root_of_unity(3), Cyclotomic.one(3), Cyclotomic.zero(3)
+    rows = [[{(i + j) % 3: xi ** (i * j) if i * j else one} for j in range(3)] for i in range(3)]
+    return algebra_to_json(StructureAlgebra(3, rows, [one, zero, zero], check="none"))
+
+
+def test_ingest_shares_equal_spellings_of_order_3(tmp_path):
+    alg = _ingest_written(tmp_path, _twisted_group_doc_of_order_3())
+    assert alg.rows[0][0][0] is alg.rows[0][1][1] is alg.rows[2][0][2]  # 1
+    assert alg.rows[1][1][2] is alg.rows[2][2][1]  # xi = xi^4
+    assert alg.rows[1][2][0] is alg.rows[2][1][0]  # xi^2
+    assert alg.rows[1][1][2] == root_of_unity(3)
+
+
+def test_zeros_spelled_differently_are_all_dropped(tmp_path):
+    # zeros spelled ["0","1"] and ["0","7"], both met many times
+    other_zero = _scalar_json("0", "7")
+    doc = algebra_to_json(group_algebra(3).algebra)
+    for i in range(3):
+        for j in range(3):
+            vec = doc["structure"][i][j]
+            doc["structure"][i][j] = [other_zero if (i + k) % 2 and v["coeffs"][0][0] == "0"
+                                      else v for k, v in enumerate(vec)]
+    doc["unit"][2] = other_zero
+    text = json.dumps(doc)
+    for decoded in (json.loads(text), json.loads(text, object_hook=scalar_hook())):
+        _, rows, _ = serialize._read_algebra(decoded, serialize._Reading())
+        assert all(len(cell) == 1 for row in rows for cell in row)
+    for alg in (algebra_from_json(json.loads(text)), _ingest_written(tmp_path, doc)):
+        assert alg.same_structure(group_algebra(3).algebra)
+
+
+def test_lcm_cap_is_located_when_structure_precedes_unit(tmp_path):
+    # the text spells structure before unit, so the hook parses the order-997
+    # zero and leaves the order-991 one as JSON; reading takes unit first and
+    # reports the 997 where structure holds it, as the plain reader does
+    one = _scalar_json("1", "1")
+    structure = [[[one, _zero_of_order(1)], [_zero_of_order(1), one]],
+                 [[_zero_of_order(1), _zero_of_order(997)], [_zero_of_order(1)] * 2]]
+    doc = {"dim": 2, "structure": structure, "unit": [one, _zero_of_order(991)]}
+    assert list(json.loads(json.dumps(doc))) == ["dim", "structure", "unit"]
+    error = r"^bad scalar in structure\[1\]\[0\]\[1\]: order 997 takes the lcm 988027 "
+    with pytest.raises(IngestError, match=error) as plain:
+        algebra_from_json(json.loads(json.dumps(doc)))
+    with pytest.raises(IngestError, match=error) as ingested:
+        _ingest_written(tmp_path, doc)
+    assert str(ingested.value) == str(plain.value)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_hook_rejects_near_spellings_on_a_memo_hit(order):
+    # each near-spelling follows the valid one it resembles, so its key is
+    # looked up in a memo that holds the valid spelling; a string or an object
+    # where a pair belongs, a non-string part, a float or bool order and pairs
+    # of other lengths are all left as JSON, for reading to reject
+    valid = {"order": order, "coeffs": [["0", "1"]] * phi_degree(order)}
+    near = [
+        {"order": order, "coeffs": ["01"] * phi_degree(order)},
+        {"order": order, "coeffs": [{"0": 0, "1": 1}] * phi_degree(order)},
+        {"order": order, "coeffs": [["0", 1]] * phi_degree(order)},
+        {"order": float(order), "coeffs": valid["coeffs"]},
+        {"order": order, "coeffs": [["0", "1", "0"], ["1"]] if order == 3 else [["0"]]},
+    ]
+    if order == 1:
+        near.append({"order": True, "coeffs": valid["coeffs"]})
+    decoded = json.loads(json.dumps([valid, *near, valid]), object_hook=scalar_hook())
+    assert type(decoded[0]) is Cyclotomic and decoded[-1] is decoded[0]
+    assert decoded[1:-1] == near and all(type(v) is dict for v in decoded[1:-1])
+
+
 @pytest.mark.parametrize("field,value", [("cols", 4.9), ("rows", "4"), ("cols", True)])
 def test_ingest_rejects_mistyped_matrix_shape(field, value):
     doc = hopf_to_json(taft(2))
