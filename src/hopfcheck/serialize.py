@@ -15,8 +15,9 @@ decodes the file, through cyclotomic.scalar_hook, which parses each distinct
 spelling once and shares the resulting immutable Cyclotomic, so the decoded
 tree holds one value per distinct spelling rather than a dict, two lists and
 two strings per scalar.  The readers vet each list of such values at C speed
-and decide whether a value is zero once per distinct value; a list holding
-anything else, or an order that raises the lcm of the document's orders, is
+and decide whether a value is zero once per distinct value (for the first
+MEMO_LIMIT distinct values); a list holding anything else, a value met after
+that limit, or an order that raises the lcm of the document's orders, is
 read entry by entry through a ScalarMemo, which parses and locates whatever
 the hook left as JSON and applies the cap on that lcm.  Only that per-entry
 path reports errors, so each names the exact entry.  The readers consume
@@ -29,7 +30,7 @@ import json
 from itertools import compress, repeat
 from operator import is_not
 
-from .cyclotomic import ZERO, Cyclotomic, ScalarMemo, cyc_from_json, scalar_hook
+from .cyclotomic import MEMO_LIMIT, ZERO, Cyclotomic, ScalarMemo, cyc_from_json, scalar_hook
 from .linalg import Matrix, shaped_matrix
 from .algebra import EMPTY_CELL, AlgebraError, StructureAlgebra
 from .hopf import HopfAxiomError, HopfData
@@ -66,37 +67,44 @@ def hopf_to_json(h: HopfData) -> dict:
     return out
 
 
+# What _Reading.zero holds before the document's first zero is vetted: no
+# JSON value is this object, so every entry is vetted until a zero is.
+_NO_ZERO = object()
+
+
 class _Reading(ScalarMemo):
     """The ScalarMemo of one document's reading, which also keeps the
     distinct values it has vetted.  A vetted value is a Cyclotomic whose
     order divides the lcm `order`; that lcm only grows, so a vetted value
     stays vetted.  `fit` maps the id of each vetted value to the value
-    (holding it, so that the id stays its own), `nonzero` holds the ids of
-    those that are not zero, and `zero` is the first zero vetted, which a
-    dense document repeats in most of its entries."""
+    (holding it, so that the id stays its own) and stops growing at
+    MEMO_LIMIT values, as the memo does; `nonzero` holds the ids of those
+    that are not zero, and `zero` is the first zero vetted, which a dense
+    document repeats in most of its entries."""
 
     def __init__(self):
         super().__init__()
         self.fit: dict[int, Cyclotomic] = {}
         self.nonzero: set[int] = set()
-        self.zero = None
+        self.zero = _NO_ZERO
 
     def others(self, values: list):
         """The positions of the entries of values that are not `zero`, when
         every entry is a vetted value (vetting those met for the first
-        time); None when one is not a Cyclotomic or its order would raise
-        the lcm.  Entries that are `zero` are skipped at C speed."""
+        time); None when one is not a Cyclotomic, its order would raise the
+        lcm, or `fit` is full.  Entries that are `zero` are skipped at C
+        speed."""
         fit = self.fit
         out = []
         for k in compress(range(len(values)), map(is_not, values, repeat(self.zero))):
             v = values[k]
             if id(v) not in fit:
-                if type(v) is not Cyclotomic or self.order % v.order:
+                if type(v) is not Cyclotomic or self.order % v.order or len(fit) >= MEMO_LIMIT:
                     return None
                 fit[id(v)] = v
                 if v:
                     self.nonzero.add(id(v))
-                elif self.zero is None:
+                elif self.zero is _NO_ZERO:
                     self.zero = v
             out.append(k)
         return out

@@ -352,6 +352,15 @@ def _bad_scalar_docs():
     for k, order in ((2, 997), (3, 991)):
         doc["unit"][k] = {"order": order, "coeffs": [["0", "1"]] * phi_degree(order)}
     docs["order-lcm-over-cap"] = doc
+    # in k x k, whose unit holds no zero, a null as the first entry read and
+    # in a cell read before any zero
+    one, zero = {"order": 1, "coeffs": [["1", "1"]]}, {"order": 1, "coeffs": [["0", "1"]]}
+    for label, unit, cell in (("first-in-unit", [None, one], [one, zero]),
+                              ("before-any-zero", [one, one], [one, None])):
+        docs[f"null-{label}"] = {
+            "dim": 2, "unit": unit,
+            "structure": [[cell, [zero, zero]], [[zero, zero], [zero, one]]],
+        }
     return docs
 
 

@@ -152,13 +152,19 @@ BAD_SCALARS = pytest.mark.parametrize(
 )
 
 
-def _doc_with_bad_scalar_after_valid_one(bad) -> dict:
-    # a 2-dim algebra k x k whose zero entries are first spelled validly as
-    # ["0", "1"]; the last zero entry is replaced by a near-spelling
+def _k_times_k_doc() -> dict:
+    # k x k: e_0 e_0 = e_0, e_1 e_1 = e_1 and the unit e_0 + e_1, so no zero
+    # is read before structure[0][0][1]; zeros are spelled ["0", "1"]
     zero, one = _scalar_json("0", "1"), _scalar_json("1", "1")
     structure = [[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]]
-    structure[1][1] = [bad, one]
     return {"dim": 2, "unit": [one, one], "structure": structure}
+
+
+def _doc_with_bad_scalar_after_valid_one(bad) -> dict:
+    # k x k with its last zero entry replaced by a near-spelling
+    doc = _k_times_k_doc()
+    doc["structure"][1][1][0] = bad
+    return doc
 
 
 def _ingest_written(tmp_path, doc):
@@ -298,6 +304,46 @@ def test_lcm_cap_is_located_when_structure_precedes_unit(tmp_path):
     with pytest.raises(IngestError, match=error) as ingested:
         _ingest_written(tmp_path, doc)
     assert str(ingested.value) == str(plain.value)
+
+
+def _null_unit(doc):
+    doc["unit"][0] = None
+
+
+def _null_cell_entry(doc):
+    doc["structure"][0][0][1] = None
+
+
+@pytest.mark.parametrize(
+    "put,where",
+    [(_null_unit, r"unit\[0\]"), (_null_cell_entry, r"structure\[0\]\[0\]\[1\]")],
+    ids=["first-in-unit", "in-a-cell-before-any-zero"],
+)
+def test_null_met_before_any_zero_is_located(tmp_path, put, where):
+    # a null is neither a scalar nor the document's zero, even before a zero
+    # has been read
+    doc = _k_times_k_doc()
+    put(doc)
+    error = rf"^bad scalar in {where}: 'NoneType' object is not subscriptable$"
+    with pytest.raises(IngestError, match=error):
+        algebra_from_json(json.loads(json.dumps(doc)))
+    with pytest.raises(IngestError, match=error):
+        _ingest_written(tmp_path, doc)
+
+
+def test_vetted_values_stop_at_the_memo_limit(monkeypatch):
+    # past the limit, lists holding a value not yet vetted are read entry by
+    # entry, with the same result
+    doc = algebra_to_json(group_algebra(3).algebra)
+    for i in range(3):
+        doc["structure"][i][i] = [_scalar_json(str(k), str(k + 1)) for k in range(3)]
+    text = json.dumps(doc)
+    plain = serialize._read_algebra(json.loads(text), serialize._Reading())
+    monkeypatch.setattr(serialize, "MEMO_LIMIT", 2)
+    reading = serialize._Reading()
+    capped = serialize._read_algebra(json.loads(text, object_hook=scalar_hook()), reading)
+    assert len(reading.fit) == 2
+    assert capped == plain
 
 
 @pytest.mark.parametrize("order", [1, 3])
