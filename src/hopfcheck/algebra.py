@@ -32,10 +32,10 @@ associativity in one of two regimes, chosen by dim:
                       This is evidence, not a proof: a sample can miss
                       the few triples that break.
 
-check= forces a regime ("modular", "sample") or skips it ("none");
-"modular" names the certificate at any dim.
+check= takes "auto" (the rule above), "modular" (the certificate at any
+dim) or "none" (no associativity check).
 The D2.2 re-check of the twisted doubles (doubles.py) checks every triple
-up to dim 24 and samples above it.
+up to dim 24 and, above it, a fixed sample of 2,000 triples.
 
 An AlgebraElement holds its terms, a dict {basis index: nonzero scalar}, and
 every product goes through one sparse kernel, StructureAlgebra.mul_sparse,
@@ -146,7 +146,7 @@ class StructureAlgebra:
         """
         if dim < 0:
             raise ValueError("dim must be nonnegative")
-        if check not in ("auto", "modular", "sample", "none"):
+        if check not in ("auto", "modular", "none"):
             raise ValueError(f"unknown associativity check mode {check!r}")
         self.dim = dim
         self.name = name or f"algebra(dim {dim})"
@@ -165,7 +165,6 @@ class StructureAlgebra:
         self.unit = tuple(v if v.order == order else v.lift(order) for v in unit)
         if len(self.unit) != dim:
             raise ValueError("unit vector length must equal dim")
-        self._zero = Cyclotomic.zero(order)
         self._one = Cyclotomic.one(order)
         self._unit_terms = sparse_of(self.unit)
         self._center: Subspace | None = None
@@ -212,9 +211,7 @@ class StructureAlgebra:
         if mode == "none":
             return
         n = self.dim
-        if mode == "auto":
-            mode = "modular" if n <= DEFAULT_EXHAUSTIVE_LIMIT else "sample"
-        if mode == "modular":
+        if mode == "modular" or n <= DEFAULT_EXHAUSTIVE_LIMIT:
             bad = self._assoc_modular()
         else:
             bad = self.associativity_failure(sampled_triples(n, DEFAULT_SAMPLES, DEFAULT_SEED))
@@ -345,9 +342,6 @@ class StructureAlgebra:
     def zero_element(self) -> "AlgebraElement":
         return AlgebraElement(self, {})
 
-    def basis_elements(self):
-        return [self.basis_element(i) for i in range(self.dim)]
-
     def mul_sparse(self, u: dict, v: dict) -> dict:
         """The product of two sparse coordinate dicts {index: scalar}.
 
@@ -393,9 +387,6 @@ class StructureAlgebra:
         u = self._operand(a)
         n = self.dim
         return Matrix.from_columns([self.mul_sparse(self.basis_sparse(j), u) for j in range(n)], n)
-
-    def structure_entry(self, i: int, j: int, k: int) -> Cyclotomic:
-        return self.rows[i][j].get(k, self._zero)
 
     def same_structure(self, other: "StructureAlgebra") -> bool:
         return self.unit == other.unit and self.rows == other.rows
@@ -524,10 +515,7 @@ class StructureAlgebra:
 
         rows = [[project(self.rows[a][b]) for b in chosen] for a in chosen]
         unit_q = project(self._unit_terms)
-        algebra = StructureAlgebra(
-            q, rows, dense_of(unit_q, q),
-            name=f"{self.name}/ideal", check="auto",
-        )
+        algebra = StructureAlgebra(q, rows, dense_of(unit_q, q), name=f"{self.name}/ideal")
         if n <= 32:
             bad = self.algebra_map_failure(algebra, pcols)
             if bad is not None:
@@ -594,11 +582,7 @@ class StructureAlgebra:
                     arow.append(coords or EMPTY_CELL)
                 rows.append(arow)
             algebra = StructureAlgebra(
-                d,
-                rows,
-                dense_of(unit_coords, d),
-                name=f"{self.name}[z={lam.pretty()}]",
-                check="auto",
+                d, rows, dense_of(unit_coords, d), name=f"{self.name}[z={lam.pretty()}]"
             )
             blocks.append(CentralBlock(lam, algebra, space, self, idem))
         if self.dim <= 32:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import MAX_ORDER, ZERO, Cyclotomic
 from .linalg import Subspace, matrix_order, minimal_polynomial
-from .algebra import DEFAULT_SEED, AlgebraError, QuotientResult
+from .algebra import AlgebraError, QuotientResult
 from .hopf import (
     HopfData,
     check_hopf_axioms,
@@ -19,7 +19,6 @@ from .hopf import (
     taft_self_duality,
 )
 from .doubles import (
-    RECHECK_SAMPLES,
     acts_as_identity,
     build_classical_double,
     build_twisted_double,
@@ -62,16 +61,11 @@ from .report import (
 )
 
 
-@dataclass
-class RunConfig:
-    """Effective settings for a catalogue run."""
+class Context:
+    """Memoized fixtures shared across checks, for the p values ps."""
 
-    ps: tuple = (2, 3)
-    samples: int = RECHECK_SAMPLES  # basis triples sampled by D2.2 above dim 24
-    seed: int = DEFAULT_SEED  # seeds those samples
-
-    def __post_init__(self):
-        self.ps = tuple(sorted(set(int(p) for p in self.ps)))
+    def __init__(self, ps=(2, 3)):
+        self.ps = tuple(sorted(set(int(p) for p in ps)))
         if not self.ps:
             raise ValueError("at least one p value is required")
         for p in self.ps:
@@ -80,20 +74,7 @@ class RunConfig:
             if p > MAX_ORDER:
                 # taft(p) lives in Q(zeta_p), and field orders stop at MAX_ORDER
                 raise ValueError(f"p values must be at most {MAX_ORDER}")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
-
-
-class Context:
-    """Memoized fixtures shared across checks."""
-
-    def __init__(self, config: RunConfig | None = None):
-        self.config = config or RunConfig()
         self._cache: dict = {}
-
-    @property
-    def ps(self) -> tuple:
-        return self.config.ps
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -220,10 +201,7 @@ class CatalogueEntry:
 
 def _run_assoc_unital(ctx: Context) -> CheckReport:
     parts = {
-        label: check_double_unital_associative(
-            d, f"D2.2-assoc-unital[{label}]", samples=ctx.config.samples,
-            seed=ctx.config.seed,
-        )
+        label: check_double_unital_associative(d, f"D2.2-assoc-unital[{label}]")
         for label, d in ctx.twisted_fixtures()
     }
     return combine("D2.2-assoc-unital", parts)

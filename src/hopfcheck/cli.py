@@ -65,7 +65,7 @@ def _is_int(value) -> bool:
 
 
 def _effective_config(args) -> tuple:
-    """Merge defaults, config file and flags; returns (RunConfig, json_path)."""
+    """Merge defaults, config file and flags; returns (Context, json_path)."""
     file_values: dict = {}
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if path:
@@ -78,15 +78,14 @@ def _effective_config(args) -> tuple:
         ps = tuple(raw)
     if args.p is not None:
         ps = _parse_p_list(args.p)
-    kwargs = {"ps": ps}
+    # checks run serially and D2.2's sample is fixed: these keys are
+    # validated for old config files, then ignored
     for key in ("samples", "seed", "max_workers"):
-        if key in file_values:
-            if not _is_int(file_values[key]):
-                raise UsageError(f"config key {key!r} must be an integer")
-            kwargs[key] = file_values[key]
-    # checks run serially; max_workers is validated for old config files, then ignored
-    if kwargs.pop("max_workers", 1) < 1:
-        raise UsageError("max_workers must be positive")
+        if key in file_values and not _is_int(file_values[key]):
+            raise UsageError(f"config key {key!r} must be an integer")
+    for key in ("samples", "max_workers"):
+        if file_values.get(key, 1) < 1:
+            raise UsageError(f"{key} must be positive")
     if not isinstance(file_values.get("json", ""), str):
         raise UsageError("config key 'json' must be a string")
     json_path = args.json or file_values.get("json")
@@ -95,13 +94,13 @@ def _effective_config(args) -> tuple:
             open(json_path, "a").close()  # fail before the run, not after it
         except OSError as exc:
             raise UsageError(f"cannot write report {json_path}: {exc.strerror}")
-    from .catalogue import RunConfig
+    from .catalogue import Context
 
     try:
-        config = RunConfig(**kwargs)
+        ctx = Context(ps)
     except ValueError as exc:
         raise UsageError(str(exc))
-    return config, json_path
+    return ctx, json_path
 
 
 def _report_documents(reports) -> dict:
@@ -129,7 +128,7 @@ def _print_text(reports, out) -> None:
 def _cmd_run(args, out) -> int:
     from . import catalogue
 
-    config, json_path = _effective_config(args)
+    ctx, json_path = _effective_config(args)
     if args.all and args.id:
         raise UsageError("--all and --id are mutually exclusive")
     ids = None
@@ -139,7 +138,7 @@ def _cmd_run(args, out) -> int:
         unknown = [i for i in ids if i not in known]
         if unknown:
             raise UsageError(f"unknown check ids: {', '.join(unknown)}")
-    reports = catalogue.run_checks(ids, catalogue.Context(config))
+    reports = catalogue.run_checks(ids, ctx)
     _print_text(reports, out)
     if json_path:
         doc = _report_documents(reports)

@@ -373,14 +373,6 @@ class Cyclotomic:
 
     # -- queries ---------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.num[0], self.den)
-
     def multiplicative_order(self):
         """Smallest k >= 1 with self**k == 1, or None if not a root of unity."""
         if not any(self.num):

@@ -280,15 +280,14 @@ def build_twisted_double(h: HopfData) -> TwistedDouble:
 
 
 def check_double_unital_associative(
-    double: TwistedDouble, check_id: str = "double-assoc-unital",
-    samples: int = RECHECK_SAMPLES, seed: int = DEFAULT_SEED,
+    double: TwistedDouble, check_id: str = "double-assoc-unital"
 ) -> CheckReport:
     """Re-verify the unit law on every basis element and associativity on
     basis triples in exact arithmetic, independent of the construction-time
-    certificate: every triple up to dim EXHAUSTIVE_RECHECK_LIMIT (24), mode
-    "exhaustive", and above it the samples triples of sampled_triples(dim,
-    samples, seed), mode "sampled".  first_failure is the first failing
-    triple in that order.
+    check: every triple up to dim EXHAUSTIVE_RECHECK_LIMIT (24), mode
+    "exhaustive", and above it the RECHECK_SAMPLES (2,000) triples of
+    sampled_triples(dim, RECHECK_SAMPLES, DEFAULT_SEED), mode "sampled".
+    first_failure is the first failing triple in that order.
     """
     alg = double.algebra
     nn = alg.dim
@@ -296,8 +295,8 @@ def check_double_unital_associative(
         mode, count = "exhaustive", nn**3
         triples = itertools.product(range(nn), repeat=3)
     else:
-        triples = sampled_triples(nn, samples, seed)
-        mode, count = "sampled", max(samples, 0)
+        mode, count = "sampled", RECHECK_SAMPLES
+        triples = sampled_triples(nn, RECHECK_SAMPLES, DEFAULT_SEED)
     unit_ok = alg.unit_failure() is None
     bad = alg.associativity_failure(triples)
     witnesses = {

@@ -163,9 +163,6 @@ class HopfData:
     def antipode_col(self, j: int) -> dict:
         return self._antipode_cols[j]
 
-    def antipode_of(self, coords) -> list:
-        return self.antipode.apply(list(coords))
-
     @property
     def antipode_inverse(self) -> Matrix:
         if self._antipode_inv is None:
@@ -176,28 +173,6 @@ class HopfData:
         if self._antipode_inv_cols is None:
             self._antipode_inv_cols = tuple(self.antipode_inverse.transpose().data)
         return self._antipode_inv_cols[j]
-
-    def is_cocommutative(self) -> bool:
-        n = self.dim
-        for j in range(n):
-            col = self._comult_cols[j]
-            flipped = {}
-            for f, v in col.items():
-                a, b = divmod(f, n)
-                flipped[b * n + a] = v
-            if col != flipped:
-                return False
-        return True
-
-    def same_data(self, other: "HopfData") -> bool:
-        """Equality of all four structure tensors (same basis)."""
-        if self.dim != other.dim:
-            return False
-        if not self.algebra.same_structure(other.algebra):
-            return False
-        if any(self._comult_cols[j] != other._comult_cols[j] for j in range(self.dim)):
-            return False
-        return self.counit == other.counit and self.antipode == other.antipode
 
     def __repr__(self) -> str:
         return f"HopfData({self.name}, dim {self.dim})"

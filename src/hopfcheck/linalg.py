@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect, bisect_left
 
-from .cyclotomic import ONE, ZERO, Cyclotomic, cyc_from_json
+from .cyclotomic import ONE, ZERO, Cyclotomic
 
 
 class InvariantError(RuntimeError):
@@ -205,11 +205,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols})"
-
-
-def matrix_from_json(obj: dict) -> Matrix:
-    """Inverse of Matrix.to_json."""
-    return shaped_matrix(obj, [[cyc_from_json(a) for a in r] for r in obj["entries"]])
 
 
 def shaped_matrix(obj: dict, entries) -> Matrix:
@@ -535,11 +530,6 @@ def poly_gcd(a: list[Cyclotomic], b: list[Cyclotomic]) -> list[Cyclotomic]:
 def poly_is_squarefree(poly: list[Cyclotomic]) -> bool:
     g = poly_gcd(poly, poly_derivative(poly))
     return len(g) <= 1
-
-
-def is_diagonalizable(matrix: Matrix) -> bool:
-    """True iff the minimal polynomial is squarefree (over the algebraic closure)."""
-    return poly_is_squarefree(minimal_polynomial(matrix))
 
 
 def eigensplit(matrix: Matrix, candidates) -> tuple[list[tuple[Cyclotomic, Subspace]], bool]:

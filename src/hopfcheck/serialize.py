@@ -193,7 +193,7 @@ def _read_hopf(obj: dict, memo: _Reading):
 
 def _build_algebra(n: int, rows, unit, name: str) -> StructureAlgebra:
     try:
-        return StructureAlgebra(n, rows, unit, name=name, check="auto")
+        return StructureAlgebra(n, rows, unit, name=name)
     except (AlgebraError, ValueError) as exc:
         raise IngestError(f"algebra axioms fail: {exc}") from exc
 

@@ -180,22 +180,29 @@ def test_modular_check_with_cyclotomic_entries():
 
 
 def test_construction_refuses_an_unknown_check_mode():
-    # check= takes auto, modular, sample and none, at every dim
+    # check= takes auto, modular and none, at every dim
     for n in (0, 1):
-        with pytest.raises(ValueError, match="unknown associativity check mode 'pure'"):
-            StructureAlgebra(n, [[{0: c(1)}]] * n, [c(1)] * n, check="pure")
+        for mode in ("pure", "sample"):
+            with pytest.raises(ValueError, match=f"unknown associativity check mode '{mode}'"):
+                StructureAlgebra(n, [[{0: c(1)}]] * n, [c(1)] * n, check=mode)
 
 
-def test_sampled_check_path():
-    # force the sampled path on a small broken algebra; the seed makes it
-    # deterministic, and the witness is the sample's first failing triple
-    broken = [[{(i + j) % 5: c(1)} for j in range(5)] for i in range(5)]
-    broken[3][4] = {2: c(1), 0: c(1)}
-    unit = [c(1), c(0), c(0), c(0), c(0)]
+def test_sampled_check_path(monkeypatch):
+    # k[Z/231] with e_5 e_j = e_(5+j+1) for j != 0: the unit laws hold and
+    # about one triple in a hundred fails, so auto's sample meets one, and
+    # its witness is the sample's first failing triple
+    def refuse(self):
+        raise AssertionError(f"{self.name}: the modular certificate ran")
+
+    n = DEFAULT_EXHAUSTIVE_LIMIT + 1
+    rows = [[{(i + j) % n: c(1)} for j in range(n)] for i in range(n)]
+    rows[5] = [{(5 + j + (j > 0)) % n: c(1)} for j in range(n)]
+    unit = [c(1)] + [c(0)] * (n - 1)
+    monkeypatch.setattr(StructureAlgebra, "_assoc_modular", refuse)
     with pytest.raises(AssociativityError) as err:
-        StructureAlgebra(5, broken, unit, check="sample")
-    alg = StructureAlgebra(5, broken, unit, check="none")
-    sample = sampled_triples(5, DEFAULT_SAMPLES, DEFAULT_SEED)
+        StructureAlgebra(n, rows, unit)
+    alg = StructureAlgebra(n, rows, unit, check="none")
+    sample = sampled_triples(n, DEFAULT_SAMPLES, DEFAULT_SEED)
     assert err.value.triple == next(t for t in sample if not alg._assoc_triple_exact(*t))
 
 

@@ -1,6 +1,5 @@
 """Catalogue plumbing: ids, selection, ordering, caching, summaries."""
 
-import inspect
 import os
 import subprocess
 import sys
@@ -13,13 +12,11 @@ from hopfcheck.catalogue import (
     CATALOGUE,
     CatalogueError,
     Context,
-    RunConfig,
     catalogue_ids,
     get_entry,
     run_checks,
 )
 from hopfcheck.cyclotomic import MAX_ORDER
-from hopfcheck.doubles import check_double_unital_associative
 from hopfcheck.report import summarize
 
 REQUIRED_IDS = [
@@ -73,7 +70,7 @@ def test_get_entry_unknown_id():
 
 
 def test_run_checks_sorts_by_id():
-    ctx = Context(RunConfig(ps=(2,)))
+    ctx = Context((2,))
     ids = ["S3-taft-axioms", "A-pivotal-taft", "L3.1-self-duality"]
     reports = run_checks(ids, ctx)
     assert [r.id for r in reports] == sorted(ids)
@@ -84,8 +81,8 @@ def test_run_checks_sorts_by_id():
 def test_serial_and_parallel_agree():
     # checks run serially; two fresh Contexts give the same reports
     ids = ["S3-taft-axioms", "S3-S-squared", "A-pivotal-taft"]
-    first = run_checks(ids, Context(RunConfig(ps=(2,))))
-    second = run_checks(ids, Context(RunConfig(ps=(2,))))
+    first = run_checks(ids, Context((2,)))
+    second = run_checks(ids, Context((2,)))
     assert [(r.id, r.status, r.witnesses) for r in first] == [
         (r.id, r.status, r.witnesses) for r in second
     ]
@@ -94,14 +91,14 @@ def test_serial_and_parallel_agree():
 def test_elapsed_values_add_up_to_at_most_the_wall_time():
     # each check's elapsed is its own time: serially they cannot overlap
     start = time.perf_counter()
-    reports = run_checks(None, Context(RunConfig()))
+    reports = run_checks(None, Context())
     wall = time.perf_counter() - start
     assert len(reports) == 25
     assert sum(r.elapsed for r in reports) <= wall
 
 
 def test_context_caches_fixtures():
-    ctx = Context(RunConfig(ps=(2,)))
+    ctx = Context((2,))
     assert ctx.taft(2) is ctx.taft(2)
     assert ctx.twisted_taft(2) is ctx.twisted_taft(2)
     assert ctx.classical_taft(2, "anti") is ctx.classical_taft(2, "anti")
@@ -134,7 +131,7 @@ def test_taft_double_fixtures_are_computed_once_per_p(monkeypatch):
         monkeypatch.setattr(module, "taft", counted_taft)
     ids = ["E3.15-split", "S3.2-uqsl2", "C3.2-grading", "C3.2-sigma-action",
            "E3.24-sigma-blocks", "C3.2-relations", "L3.1-self-duality"]
-    reports = run_checks(ids, Context(RunConfig(ps=(2, 3))))
+    reports = run_checks(ids, Context((2, 3)))
     assert all(r.passed for r in reports)
     for name, calls in seen.items():
         assert sorted(calls) == [2, 3], (name, calls)
@@ -146,7 +143,7 @@ def test_p35_checks_compute_each_center_once(monkeypatch):
     # algebra keeps its center, so each is computed once
     from hopfcheck import algebra
 
-    ctx = Context(RunConfig(ps=(2,)))
+    ctx = Context((2,))
     block = ctx.taft_blocks(2)[1].algebra
     stable = ctx.stable_block_dga_p2(1)[1].algebra
     computed = []
@@ -200,7 +197,7 @@ def test_p35_checks_share_one_stable_quotient(monkeypatch):
         return original(dga)
 
     monkeypatch.setattr(catalogue, "stable_dga", counted)
-    reports = run_checks(["P3.5-centers", "P3.5-hh-separation"], Context(RunConfig(ps=(2,))))
+    reports = run_checks(["P3.5-centers", "P3.5-hh-separation"], Context((2,)))
     assert all(r.passed for r in reports)
     assert len(calls) == 1
 
@@ -229,20 +226,20 @@ def test_run_computes_each_stable_quotient_and_cohomology_once(monkeypatch):
 
     monkeypatch.setattr(StructureAlgebra, "quotient", counted_quotient)
     monkeypatch.setattr(catalogue, "complex_cohomology", counted_cohomology)
-    reports = run_checks(None, Context(RunConfig(ps=(2, 3))))
+    reports = run_checks(None, Context((2, 3)))
     assert all(r.passed for r in reports)
     assert sorted(Counter(map(id, quotients)).values()) == [1] * 6
     assert sorted(Counter(map(id, profiles)).values()) == [1] * 5
 
 
 def test_uqsl2_without_odd_p_reports_precondition():
-    ctx = Context(RunConfig(ps=(2,)))
+    ctx = Context((2,))
     (report,) = run_checks(["S3.2-uqsl2"], ctx)
     assert report.status == "precondition-failed"
 
 
 def test_summarize_counts():
-    ctx = Context(RunConfig(ps=(2,)))
+    ctx = Context((2,))
     reports = run_checks(["S3-taft-axioms", "S3.2-uqsl2"], ctx)
     summary = summarize(reports)
     assert summary["total"] == 2
@@ -252,19 +249,12 @@ def test_summarize_counts():
 
 
 def test_config_validation():
+    # the run configuration is the p list, which Context sorts and checks
     with pytest.raises(ValueError):
-        RunConfig(ps=())
+        Context(())
     with pytest.raises(ValueError):
-        RunConfig(ps=(1,))
-    with pytest.raises(ValueError):
-        RunConfig(samples=0)
+        Context((1,))
     with pytest.raises(ValueError, match=f"at most {MAX_ORDER}"):
-        RunConfig(ps=(2, MAX_ORDER + 1))
-    assert RunConfig(ps=(3, 2, 2)).ps == (2, 3)
-    assert RunConfig(ps=(3, 2, MAX_ORDER)).ps == (2, 3, MAX_ORDER)
-
-
-def test_run_defaults_are_the_d22_library_defaults():
-    params = inspect.signature(check_double_unital_associative).parameters
-    config = RunConfig()
-    assert (config.samples, config.seed) == (params["samples"].default, params["seed"].default)
+        Context((2, MAX_ORDER + 1))
+    assert Context((3, 2, 2)).ps == (2, 3)
+    assert Context((3, 2, MAX_ORDER)).ps == (2, 3, MAX_ORDER)

@@ -223,6 +223,29 @@ def test_max_workers_is_accepted_and_ignored(tmp_path, capsys):
         assert "max_workers" in capsys.readouterr().err
 
 
+def test_samples_and_seed_are_accepted_and_ignored(tmp_path, capsys):
+    # D2.2's sample is fixed: a config that sets samples and seed writes
+    # the report of a run without them
+    reports = []
+    for config in ({}, {"samples": 1, "seed": 7}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.json"
+        args = ["run", "--id", "D2.2-assoc-unital", "--p", "3", "--config", str(cfg)]
+        assert cli.main(args + ["--json", str(out)]) == 0
+        reports.append(_stripped(out))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_ignored_samples_must_still_be_positive(tmp_path, capsys, samples):
+    # as max_workers: a mistyped config file is reported, not ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": samples}))
+    assert cli.main(["run", "--config", str(cfg)] + CHEAP) == 2
+    assert "samples must be positive" in capsys.readouterr().err
+
+
 def test_list_shows_all_ids(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out

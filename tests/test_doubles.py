@@ -521,7 +521,7 @@ def brute_force_first_failure(alg, action):
         for j in range(alg.dim):
             want = Matrix.zeros(m, m)
             for k in range(alg.dim):
-                want = want + action[k].scale(alg.structure_entry(i, j, k))
+                want = want + action[k].scale(alg.rows[i][j].get(k, Cyclotomic.zero()))
             if action[i] @ action[j] != want:
                 return (i, j)
     return None

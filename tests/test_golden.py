@@ -13,7 +13,7 @@ indent=2 and a trailing newline).
 import json
 from pathlib import Path
 
-from hopfcheck.catalogue import Context, RunConfig, run_checks
+from hopfcheck.catalogue import Context, run_checks
 from hopfcheck.cli import _report_documents
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -27,7 +27,7 @@ def without_elapsed(doc: dict) -> dict:
 
 
 def test_run_p23_matches_the_golden_report():
-    reports = run_checks(None, Context(RunConfig(ps=(2, 3))))
+    reports = run_checks(None, Context((2, 3)))
     got = json.loads(json.dumps(_report_documents(reports), sort_keys=True))
     want = json.loads((GOLDEN / "run_p23.json").read_text())
     assert without_elapsed(got) == want

@@ -18,6 +18,7 @@ from hopfcheck.hopf import (
     tensor_mult,
 )
 from hopfcheck.linalg import Matrix, matrix_order, sparse_of
+from hopfcheck.serialize import hopf_to_json
 
 
 def c(v):
@@ -62,9 +63,9 @@ def test_taft_antipode_values():
         xi = h.meta["xi"]
         a = h.algebra
         x = a.basis_element(tidx(p, 0, 1))
-        sx = a.element(h.antipode_of(x.coords))
+        sx = a.element(h.antipode.apply(x.coords))
         assert sx == -a.basis_element(tidx(p, p - 1, 1))
-        s2x = a.element(h.antipode_of(sx.coords))
+        s2x = a.element(h.antipode.apply(sx.coords))
         assert s2x == xi.inverse() * x
 
 
@@ -102,11 +103,16 @@ def test_broken_antipode_rejected():
     assert info.value.axiom == "antipode"
 
 
+def flip(n):
+    """The matrix of a (x) b -> b (x) a on the n^2 coordinates a * n + b."""
+    return Matrix.from_columns([{(f % n) * n + f // n: c(1)} for f in range(n * n)], n * n)
+
+
 def test_group_algebra_structure():
     for n in (1, 2, 3):
         h = group_algebra(n)
         assert h.algebra.is_commutative()
-        assert h.is_cocommutative()
+        assert flip(n) @ h.comult_matrix() == h.comult_matrix()
     # n = 2: inversion is trivial, so S = id
     assert group_algebra(2).antipode == Matrix.identity(2)
     # n = 3: S != id but S^2 = id
@@ -145,13 +151,16 @@ def test_tensor_mult_matches_outer_products():
 def test_dual_hopf_double_dual_is_identity():
     for h in (group_algebra(3), taft(2), taft(3)):
         dd = dual_hopf(dual_hopf(h))
-        assert dd.same_data(h)
+        # equal values; the double dual may hold them at a higher order
+        assert dd.algebra.same_structure(h.algebra)
+        assert dd.comult_matrix() == h.comult_matrix()
+        assert dd.counit == h.counit and dd.antipode == h.antipode
 
 
 def test_dual_of_group_algebra_commutative_cocommutative():
     d = dual_hopf(group_algebra(2))
     assert d.algebra.is_commutative()
-    assert d.is_cocommutative()
+    assert flip(2) @ d.comult_matrix() == d.comult_matrix()
 
 
 def test_hopf_data_accepts_matrix_comult():
@@ -163,7 +172,7 @@ def test_hopf_data_accepts_matrix_comult():
         h.antipode,
         name="rebuilt",
     )
-    assert rebuilt.same_data(h)
+    assert hopf_to_json(rebuilt) == hopf_to_json(h)
 
 
 def test_antipode_inverse():
