@@ -495,14 +495,19 @@ def _spelling(obj) -> tuple:
 
 
 def _from_spelling(key: tuple) -> Cyclotomic:
-    order = key[0]
+    return _from_parts(key[0], key[1::2], key[2::2])
+
+
+def _from_parts(order: int, nums: tuple, dens: tuple) -> Cyclotomic:
+    """The scalar of an int order and its coefficients' numerator and
+    denominator strings, which are as many as each other."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must lie in 1..{MAX_ORDER}, got {order}")
     deg = phi_degree(order)
-    if len(key) != 2 * deg + 1:
+    if len(nums) != deg:
         raise ValueError(f"order {order} needs a list of {deg} coefficients")
-    nums = [int(s) for s in key[1::2]]
-    dens = [int(s) for s in key[2::2]]
+    nums = [int(s) for s in nums]
+    dens = [int(s) for s in dens]
     if not all(dens):
         raise ValueError("zero denominator")
     den = lcm(*dens)  # positive; Cyclotomic() gcd-normalizes what is left
@@ -565,12 +570,13 @@ def scalar_hook():
     distinct spelling once (up to MEMO_LIMIT of them) and shares its value,
     so the decoded tree holds one value per distinct spelling instead of a
     dict, two lists and two strings per scalar.  A spelling met again costs
-    one key and one lookup, whatever its order: its types are checked only
-    when it is first parsed.  Every other object is returned as it is, for
-    cyc_from_json to report where it is read; the cap on the lcm of orders
-    is applied there too, in reading order.  The hook parses only scalars
-    whose orders divide one common order within MAX_ORDER, so a document
-    cannot make it build the fields of orders that reading would refuse.
+    one key and one lookup, whatever its order: its types are checked, from
+    that key, only when it is first parsed.  Every other object is returned
+    as it is, for cyc_from_json to report where it is read; the cap on the
+    lcm of orders is applied there too, in reading order.  The hook parses
+    only scalars whose orders divide one common order within MAX_ORDER, so a
+    document cannot make it build the fields of orders that reading would
+    refuse.
     """
     memo: dict[tuple, Cyclotomic] = {}
     get = memo.get
@@ -598,15 +604,21 @@ def scalar_hook():
             return obj
         if value is not None:
             return value
-        try:
-            spelling = _spelling(obj)
-        except TypeError:
+        # Vetted from the key.  No JSON value is a type, so the pair types
+        # fall on every third place exactly when each pair has two entries,
+        # and they are list only when the pairs are lists (coeffs that is
+        # not a list gives no list, or no pair, which no order has).
+        if type(order) is not int or len(key) % 3 != 2:
             return obj
+        parts = iter(key[2:])
+        for num, den, kind in zip(parts, parts, parts):
+            if kind is not list or type(num) is not str or type(den) is not str:
+                return obj
         both = lcm(seen, order)
         if not 1 <= both <= MAX_ORDER:
             return obj
         try:
-            value = _from_spelling(spelling)
+            value = _from_parts(order, key[2::3], key[3::3])
         except ValueError:
             return obj
         seen = both

@@ -24,10 +24,21 @@ path reports errors, so each names the exact entry.  The readers consume
 their document: they empty it once its fields are read, so that
 ingest_algebra frees the decoded tree before the associativity certificate
 runs.
+
+ingest_algebra holds at most WINDOW characters of the file's text at once
+(_Window): each value the text in view holds whole goes to json's own
+scanner, and only containers that do not fit are walked member by member,
+so a document no longer than the window is decoded by one scan, as
+json.load decodes it.  A document the window refuses (text that is not
+UTF-8 or not JSON, a BOM, trailing data, nesting past the recursion limit,
+an integer past Python's digit limit, or a string or number longer than
+half the window) is decoded whole with a fresh hook, as json.load decodes
+it, so that it gets the same value or the same error.
 """
 
 import json
 from itertools import compress, repeat
+from json.decoder import WHITESPACE
 from operator import is_not
 
 from .cyclotomic import MEMO_LIMIT, ZERO, Cyclotomic, ScalarMemo, cyc_from_json, scalar_hook
@@ -221,12 +232,165 @@ def hopf_from_json(obj: dict, *, name: str = "ingested") -> HopfData:
         raise IngestError(str(exc)) from exc
 
 
+# The most text of a document that ingest holds at once, in characters; the
+# most it reads in one call; and the most text a walked container's first
+# member is scanned over before that member is walked in turn.
+WINDOW = 1 << 20
+_PIECE = 1 << 16
+_FIRST = 1 << 12
+
+
+class _Window:
+    """The JSON text of an open file, held at most WINDOW characters at a time.
+
+    Each value that the text in view holds whole is decoded by json's own
+    scanner, with the document's object hook.  Only containers that do not
+    fit are walked here: their members in order, the last of duplicate keys
+    winning, and the hook called on each finished object, as the scanner
+    does.  The document's value is walked when the file is longer than the
+    window.  Inside a walked container, a member container is scanned over
+    at most twice the length of the longest member before it (_FIRST
+    characters for the first member), and walked when it is longer or when
+    a window cannot hold that much, so that the text scanned twice stays
+    shorter than the containers that are walked.  What the window cannot
+    decode raises ValueError or RecursionError, and the whole file is then
+    decoded instead.
+
+    A scan that a container outgrows has run the hook on the objects it
+    finished, and the walk scans them again.  That is safe with scalar_hook,
+    which only inserts keys that are absent and only raises its lcm of
+    orders to an lcm: a second call on an object returns a value equal to
+    the first's and leaves the hook as it was."""
+
+    def __init__(self, fh, hook):
+        self.fh = fh
+        self.hook = hook
+        self.scan = json.JSONDecoder(object_hook=hook).raw_decode
+        self.buf = ""
+        self.pos = 0
+        self.done = 0  # characters dropped before buf
+        self.eof = False
+        self.fill()
+
+    def fill(self) -> None:
+        """Drop the text before pos and read up to a full window.  It is read
+        a piece at a time, so that the file object keeps only the last
+        piece's text and bytes."""
+        pieces = [self.buf[self.pos:]]
+        self.buf = ""
+        self.done += self.pos
+        size = len(pieces[0])
+        while size < WINDOW and not self.eof:
+            ask = min(WINDOW - size, _PIECE)
+            pieces.append(self.fh.read(ask))
+            size += len(pieces[-1])
+            # a text file returns fewer characters than asked only at its end
+            self.eof = len(pieces[-1]) < ask
+        self.buf, self.pos = "".join(pieces), 0
+
+    def peek(self) -> str:
+        """The next character that is not JSON whitespace, with pos on it;
+        "" at the end of the file."""
+        while True:
+            self.pos = WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf):
+                return self.buf[self.pos]
+            if self.eof:
+                return ""
+            self.fill()
+
+    def value(self, bound: int):
+        """The JSON value at the next character that is not whitespace.  A
+        container is scanned over at most `bound` characters, and walked
+        when it is longer or when a window cannot hold `bound` characters;
+        at the end of the file all the text left is in view and is scanned.
+        Half a window at least is brought into view, and `bound` characters
+        when a window holds them."""
+        first = self.peek()
+        container = first == "{" or first == "["
+        if not self.eof and len(self.buf) - self.pos < max(WINDOW // 2, min(bound, WINDOW)):
+            self.fill()
+        if self.eof or not container:
+            # A string that the window's edge cuts fails to scan.  A number
+            # scans as a shorter number, and the rest of it (a digit, ".",
+            # "e" or "E") then stands where a delimiter belongs, so the walk
+            # refuses it.
+            value, self.pos = self.scan(self.buf, self.pos)
+            return value
+        if bound <= len(self.buf) - self.pos:
+            try:
+                value, end = self.scan(self.buf[self.pos:self.pos + bound], 0)
+                self.pos += end
+                return value
+            except json.JSONDecodeError:
+                pass
+        return self.walk({}, "}") if first == "{" else self.walk([], "]")
+
+    def walk(self, items, close: str):
+        """The container at pos, member by member, into the empty items."""
+        self.pos += 1
+        longest = _FIRST // 2
+        if self.peek() == close:
+            self.pos += 1
+        else:
+            while True:
+                if close == "}":
+                    if self.peek() != '"':
+                        raise ValueError("expecting a property name")
+                    key = self.value(0)
+                    if self.peek() != ":":
+                        raise ValueError("expecting ':'")
+                    self.pos += 1
+                start = self.done + self.pos
+                member = self.value(2 * longest)
+                longest = max(longest, self.done + self.pos - start)
+                if close == "}":
+                    items[key] = member
+                else:
+                    items.append(member)
+                delimiter = self.peek()
+                self.pos += 1
+                if delimiter == close:
+                    break
+                if delimiter != ",":
+                    raise ValueError("expecting ',' or the container's end")
+        return self.hook(items) if close == "}" else items
+
+    def document(self):
+        value = self.value(0)
+        if self.peek():
+            raise ValueError("extra data")
+        return value
+
+
+# What _decode returns for a document that the window refuses; no JSON value
+# is this object.
+_REFUSED = object()
+
+
+def _decode(path: str):
+    """The JSON value of the file at path, decoded with a scalar_hook as
+    json.load decodes it, holding at most a window of its text at once; or
+    _REFUSED.  Its frames reach json's scanner no less deep than json.load's
+    do from ingest_algebra, so it refuses whatever is nested too deeply for
+    json.load, and then ingest_algebra runs json.load itself."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return _Window(fh, scalar_hook()).document()
+        except (ValueError, RecursionError):
+            return _REFUSED
+
+
 def ingest_algebra(path: str):
     """Load a JSON file holding either schema; returns HopfData when the
     coalgebra fields are present, else StructureAlgebra."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh, object_hook=scalar_hook())
+        obj = _decode(path)
+        if obj is _REFUSED:
+            # decoded whole with a fresh hook, as before the window, so that
+            # the document gets the same value or the same error
+            with open(path, encoding="utf-8") as fh:
+                obj = json.load(fh, object_hook=scalar_hook())
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from test_serialize import decode_ways
 
 import hopfcheck
 
@@ -253,11 +254,24 @@ def test_list_shows_all_ids(capsys):
         assert check_id in out
 
 
+def _ingest(path, capsys) -> tuple:
+    """(exit code, stdout, stderr) of `verify ingest path`, once every way
+    ingest can decode the file is seen to give the same three."""
+    seen = []
+    for way in decode_ways():
+        with way:
+            code = cli.main(["ingest", str(path)])
+        seen.append((code, *capsys.readouterr()))
+    assert seen[1:] == seen[:1] * 2, seen
+    return seen[0]
+
+
 def test_ingest_round_trip(tmp_path, capsys):
     path = tmp_path / "t2.json"
     path.write_text(json.dumps(hopf_to_json(taft(2))))
-    assert cli.main(["ingest", str(path)]) == 0
-    assert "hopf algebra, dim 4" in capsys.readouterr().out
+    code, out, _ = _ingest(path, capsys)
+    assert code == 0
+    assert "hopf algebra, dim 4" in out
 
 
 def test_ingest_corrupted_antipode(tmp_path, capsys):
@@ -265,8 +279,9 @@ def test_ingest_corrupted_antipode(tmp_path, capsys):
     doc["antipode"]["entries"][0][0] = {"order": 1, "coeffs": [["7", "1"]]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    assert cli.main(["ingest", str(path)]) == 2
-    assert "antipode" in capsys.readouterr().err
+    code, _, err = _ingest(path, capsys)
+    assert code == 2
+    assert "antipode" in err
 
 
 # the zero ring has 1 = 0, so eps(1) = 1 cannot hold
@@ -289,8 +304,9 @@ ZERO_DIM_HOPF = json.dumps({
 def test_ingest_mistyped_document_is_usage_error(tmp_path, capsys, text):
     path = tmp_path / "mistyped.json"
     path.write_text(text)
-    assert cli.main(["ingest", str(path)]) == 2
-    assert "internal error" not in capsys.readouterr().err
+    code, _, err = _ingest(path, capsys)
+    assert code == 2
+    assert "internal error" not in err
 
 
 def test_zero_dim_hopf_fails_the_counit_axiom_but_a_zero_dim_algebra_is_valid(
@@ -298,11 +314,13 @@ def test_zero_dim_hopf_fails_the_counit_axiom_but_a_zero_dim_algebra_is_valid(
 ):
     path = tmp_path / "zero.json"
     path.write_text(ZERO_DIM_HOPF)
-    assert cli.main(["ingest", str(path)]) == 2
-    assert "counit-algebra-map" in capsys.readouterr().err
+    code, _, err = _ingest(path, capsys)
+    assert code == 2
+    assert "counit-algebra-map" in err
     path.write_text('{"dim": 0, "unit": [], "structure": []}')
-    assert cli.main(["ingest", str(path)]) == 0
-    assert "algebra, dim 0" in capsys.readouterr().out
+    code, out, _ = _ingest(path, capsys)
+    assert code == 0
+    assert "algebra, dim 0" in out
 
 
 @pytest.mark.parametrize(
@@ -318,8 +336,8 @@ def test_ingest_undecodable_document_is_usage_error(tmp_path, capsys, data):
     # past the recursion limit, past Python's 4,300-digit int limit, not text
     path = tmp_path / "undecodable.json"
     path.write_bytes(data)
-    assert cli.main(["ingest", str(path)]) == 2
-    err = capsys.readouterr().err
+    code, _, err = _ingest(path, capsys)
+    assert code == 2
     assert "not valid JSON" in err and "internal error" not in err
 
 
@@ -391,8 +409,8 @@ def _bad_scalar_docs():
 def test_ingest_malformed_scalar_is_usage_error(tmp_path, capsys, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(_bad_scalar_docs()[name]))
-    assert cli.main(["ingest", str(path)]) == 2
-    err = capsys.readouterr().err
+    code, _, err = _ingest(path, capsys)
+    assert code == 2
     assert "bad scalar" in err and "internal error" not in err
 
 

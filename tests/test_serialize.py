@@ -1,8 +1,12 @@
 """JSON round-trips and ingest validation."""
 
+import contextlib
 import gc
+import itertools
 import json
+import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from test_algebra import _corrupted_matrix_algebra
@@ -10,7 +14,7 @@ from test_algebra import _corrupted_matrix_algebra
 from hopfcheck import serialize
 from hopfcheck.algebra import AssociativityError, StructureAlgebra
 from hopfcheck.cyclotomic import ONE, ZERO, Cyclotomic, phi_degree, root_of_unity, scalar_hook
-from hopfcheck.hopf import dual_hopf, group_algebra, taft
+from hopfcheck.hopf import HopfData, dual_hopf, group_algebra, taft
 from hopfcheck.serialize import (
     IngestError,
     algebra_from_json,
@@ -34,7 +38,7 @@ def test_hopf_round_trip_through_file(tmp_path):
     h = taft(2, c(-1))
     path = tmp_path / "taft2.json"
     path.write_text(json.dumps(hopf_to_json(h)))
-    back = ingest_algebra(str(path))
+    back = ingest_each_way(path)
     assert hopf_to_json(back) == hopf_to_json(h)
 
 
@@ -54,7 +58,7 @@ def test_ingest_plain_algebra(tmp_path):
     alg = group_algebra(3).algebra
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(algebra_to_json(alg)))
-    back = ingest_algebra(str(path))
+    back = ingest_each_way(path)
     assert not hasattr(back, "comult_col")
     assert back.same_structure(alg)
 
@@ -63,9 +67,9 @@ def test_ingest_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")
     with pytest.raises(IngestError):
-        ingest_algebra(str(path))
+        ingest_each_way(path)
     with pytest.raises(IngestError):
-        ingest_algebra(str(tmp_path / "missing.json"))
+        ingest_each_way(tmp_path / "missing.json")
 
 
 def test_ingest_rejects_shape_errors():
@@ -167,10 +171,47 @@ def _doc_with_bad_scalar_after_valid_one(bad) -> dict:
     return doc
 
 
+def decode_ways() -> list:
+    """A context for each way ingest can decode a file: the window as
+    shipped; a window of 40 characters, whose edges the values of every
+    document the tests ingest straddle, with first members scanned over 8;
+    and json.load of the whole file."""
+    return [
+        contextlib.nullcontext(),
+        mock.patch.multiple(serialize, WINDOW=40, _FIRST=8),
+        mock.patch.object(serialize, "_decode", lambda path: serialize._REFUSED),
+    ]
+
+
+def _described(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    if isinstance(outcome, HopfData):
+        return hopf_to_json(outcome)
+    return algebra_to_json(outcome)
+
+
+def ingest_each_way(path):
+    """ingest_algebra(path), once every decode way gives the same algebra or
+    raises the same error."""
+    outcomes = []
+    for way in decode_ways():
+        with way:
+            try:
+                outcomes.append(ingest_algebra(str(path)))
+            except Exception as exc:
+                outcomes.append(exc)
+    described = [_described(outcome) for outcome in outcomes]
+    assert described[1:] == described[:1] * 2, described
+    if isinstance(outcomes[0], Exception):
+        raise outcomes[0]
+    return outcomes[0]
+
+
 def _ingest_written(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    return ingest_algebra(str(path))
+    return ingest_each_way(path)
 
 
 @BAD_SCALARS
@@ -367,6 +408,31 @@ def test_hook_rejects_near_spellings_on_a_memo_hit(order):
     assert decoded[1:-1] == near and all(type(v) is dict for v in decoded[1:-1])
 
 
+@pytest.mark.parametrize("order", [1, 3])
+def test_hook_rejects_near_spellings_met_first(order):
+    # on a memo miss the hook vets the key it built: the near-spellings, and
+    # coeffs that is not a list or is empty, are left as JSON
+    pairs = [["0", "1"]] * phi_degree(order)
+    near = [
+        {"order": order, "coeffs": ["01"] * len(pairs)},
+        {"order": order, "coeffs": [{"0": 0, "1": 1}] * len(pairs)},
+        {"order": order, "coeffs": [["0", 1]] * len(pairs)},
+        {"order": order, "coeffs": [[0, "1"]] * len(pairs)},
+        {"order": float(order), "coeffs": pairs},
+        {"order": True, "coeffs": pairs},
+        {"order": str(order), "coeffs": pairs},
+        {"order": order, "coeffs": [["0", "1", "0"], ["1"]] if order == 3 else [["0", "1", "0"]]},
+        {"order": order, "coeffs": {"0": "1"}},
+        {"order": order, "coeffs": "01"},
+        {"order": order, "coeffs": []},
+    ]
+    valid = {"order": order, "coeffs": pairs}
+    for one in near:
+        decoded = json.loads(json.dumps([one, valid]), object_hook=scalar_hook())
+        assert decoded[0] == one and type(decoded[0]) is dict
+        assert decoded[1] == Cyclotomic.zero(order)
+
+
 @pytest.mark.parametrize("field,value", [("cols", 4.9), ("rows", "4"), ("cols", True)])
 def test_ingest_rejects_mistyped_matrix_shape(field, value):
     doc = hopf_to_json(taft(2))
@@ -388,10 +454,10 @@ def test_ingest_restores_gc_state(tmp_path, caller_enabled):
             gc.enable()
         else:
             gc.disable()
-        ingest_algebra(str(good))
+        ingest_each_way(good)
         assert gc.isenabled() is caller_enabled
         with pytest.raises(IngestError):
-            ingest_algebra(str(bad))
+            ingest_each_way(bad)
         assert gc.isenabled() is caller_enabled
     finally:
         if was:
@@ -405,13 +471,13 @@ def test_ingest_releases_the_decoded_document(tmp_path, monkeypatch):
     path = tmp_path / "t3.json"
     path.write_text(json.dumps(hopf_to_json(taft(3))))
     seen = []
-    real_load = serialize.json.load
+    real_decode = serialize._decode
 
-    def load(fh, **kwargs):
-        seen.append(real_load(fh, **kwargs))
+    def decode(path):
+        seen.append(real_decode(path))
         return seen[-1]
 
-    monkeypatch.setattr(serialize.json, "load", load)
+    monkeypatch.setattr(serialize, "_decode", decode)
     left = []
     real_algebra = serialize.StructureAlgebra
 
@@ -434,31 +500,156 @@ class _Decoded(Exception):
     pass
 
 
+def _traced_peak(decode, arg) -> tuple:
+    """decode(arg) and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return decode(arg), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_ingest_decode_holds_a_fifth_of_the_plain_tree(tmp_path, monkeypatch):
-    # dim 30: 27,030 scalars in two spellings.  Both peaks are taken after the
-    # file's text is read, so they measure the decoded trees alone.
+    # dim 30: 27,030 scalars in two spellings.  The plain tree's peak is
+    # taken after the file's text is read, and ingest's decode holds a window
+    # of 64 Ki characters of the 1 MB text, so both peaks measure the decoded
+    # trees.
     path = tmp_path / "group30.json"
     path.write_text(json.dumps(_dense_group_algebra_doc(30)))
+    monkeypatch.setattr(serialize, "WINDOW", 1 << 16)
     peaks = {}
+    real_decode = serialize._decode
 
-    def traced_peak(label, text, **kwargs):
-        tracemalloc.start()
-        try:
-            json.loads(text, **kwargs)
-            peaks[label] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    def load(fh, **kwargs):
-        text = fh.read()
-        traced_peak("plain", text)
-        traced_peak("ingest", text, **kwargs)
+    def decode(path):
+        with open(path, encoding="utf-8") as fh:
+            _, peaks["plain"] = _traced_peak(json.loads, fh.read())
+        decoded, peaks["ingest"] = _traced_peak(real_decode, path)
+        assert type(decoded) is dict
         raise _Decoded
 
-    monkeypatch.setattr(serialize.json, "load", load)
+    monkeypatch.setattr(serialize, "_decode", decode)
     with pytest.raises(_Decoded):
         ingest_algebra(str(path))
     assert peaks["ingest"] * 5 <= peaks["plain"], peaks
+
+
+def _write_dense_group_doc(path, n: int) -> None:
+    """k[Z/n] in the dense schema, written as text: n^3 + n scalars."""
+    one = '{"order": 1, "coeffs": [["1", "1"]]}'
+    zero = '{"order": 1, "coeffs": [["0", "1"]]}'
+    vec = lambda k: "[" + ", ".join(one if m == k else zero for m in range(n)) + "]"
+    planes = ("[" + ", ".join(vec((i + j) % n) for j in range(n)) + "]" for i in range(n))
+    path.write_text('{"dim": %d, "unit": %s, "structure": [%s]}' % (n, vec(0), ", ".join(planes)))
+
+
+def test_ingest_holds_less_than_the_file_while_decoding(tmp_path, monkeypatch):
+    # dim 48: 4.2 MB of text, four windows.  json.load held the whole text and
+    # its bytes; ingest holds a window of it and the decoded tree.
+    path = tmp_path / "group48.json"
+    _write_dense_group_doc(path, 48)
+
+    def decoded(obj, **kwargs):
+        raise _Decoded
+
+    monkeypatch.setattr(serialize, "algebra_from_json", decoded)
+    _, peak = _traced_peak(lambda p: pytest.raises(_Decoded, ingest_algebra, p), str(path))
+    assert peak < path.stat().st_size, peak
+
+
+# Documents whose values straddle a window edge at some window size, and
+# whose members outgrow the scan of a walked container's first member or
+# twice their longest sibling.  Each scalar is at most 14 characters long,
+# so every window of 32 characters or more decodes the valid ones itself.
+STRADDLING = {
+    "integers": b'{"a": [12345, 678, -90], "b": 12345678, "c": [0, 1, 22, 333, 4444]}',
+    "floats": b'[1.5e+10, 2.25, -0.5e-3, 7E2, 0.125, 1e5, -3.75, 6.5E-1, 8.0, 9e9]',
+    "strings": b'{"s": ["abc", "d\\"e\\u00e9f", "", "ghij"], "t": "klmno", "u": ["p"]}',
+    "literals": b'[true, false, null, true, [true, [false]], {"t": true}, null, false]',
+    "multibyte": '{"é": ["ü€", "𝄞", "a"], "k": "ßß", "l": ["€", "ü"], "m": "𝄞"}'.encode(),
+    "invalid-utf8": b'{"a": [1, 2, 3, 4, 5, 6, 7, 8, 9], "b": ["x", "y", "\xff"], "c": 0}',
+    "crlf": b'{\r\n  "a": [1,\r\n  2, 3],\r\n  "b": "x",\r\n  "c": [[4], [5, 6]]\r\n}\r\n',
+    "bom": b'\xef\xbb\xbf{"a": [1, 2, 3, 4, 5, 6, 7, 8, 9], "b": [10, 11, 12, 13]}',
+    "trailing-data": b'{"a": [1, 2, 3, 4, 5, 6, 7, 8, 9], "b": [10, 11, 12]} [13]',
+    "duplicate-keys": b'{"a": [1, 2, 3], "b": {"c": 4, "c": [5, 6]}, "a": [7, 8, 9, 10]}',
+    "empty-containers": b'{"a": {}, "b": [], "c": [{}, [], { }, [ ], {"d": []}], "e": {}}',
+    "scalar-spelling": b'{"order": 3, "coeffs": [["1", "2"], ["-3", "4"]]}   ',
+    "trailing-comma": b'{"a": [1, 2, 3, 4, 5, 6, 7, 8, 9], "b": [10, 11, 12,]}',
+    "missing-colon": b'{"a": [1, 2, 3, 4, 5, 6, 7, 8, 9], "b" [10, 11, 12]}',
+    "outgrown": b'{"a": [{"x": 1}, [{"y": 2}, {"y": 3}, {"y": 4}], {"z": [5, 6, 7, 8, 9]}]}',
+}
+
+
+def _loaded(path):
+    """The repr of json.load's value of path with a scalar_hook, which shows
+    key order and numeric types; None when json.load refuses the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return repr(json.load(fh, object_hook=serialize.scalar_hook()))
+    except (ValueError, RecursionError):
+        return None
+
+
+def _windowed(path):
+    """The repr of the window's value of path, or None when it refuses it."""
+    got = serialize._decode(str(path))
+    return None if got is serialize._REFUSED else repr(got)
+
+
+def _windows_that_differ(path, text: bytes, monkeypatch) -> list:
+    """The (window, first member's scan) sizes at which the window decodes
+    path to another value than json.load's, or refuses a valid document
+    whose scalars are all in view at once.  It may refuse the others, which
+    json.load then decodes."""
+    want = _loaded(path)
+    differ = []
+    for window, first in itertools.product(range(2, len(text) + 3), (2, 8, 64)):
+        monkeypatch.setattr(serialize, "WINDOW", window)
+        monkeypatch.setattr(serialize, "_FIRST", first)
+        got = _windowed(path)
+        if got != want and (got is not None or window >= 32):
+            differ.append((window, first))
+    return differ
+
+
+@pytest.mark.parametrize("name", sorted(STRADDLING))
+def test_window_decodes_as_the_whole_file_at_every_size(tmp_path, monkeypatch, name):
+    path = tmp_path / "doc.json"
+    path.write_bytes(STRADDLING[name])
+    assert _windows_that_differ(path, STRADDLING[name], monkeypatch) == []
+
+
+def test_nesting_at_the_recursion_limit_decodes_each_way(tmp_path):
+    # json's scanner and the window's frames share Python's recursion limit
+    # (up to Python 3.11; later versions give the scanner a limit of its
+    # own): the window must refuse whatever json.load refuses, at every
+    # depth around the one where json.load starts to refuse
+    path = tmp_path / "deep.json"
+    passed = []
+    for depth in range(sys.getrecursionlimit() - 250, sys.getrecursionlimit()):
+        path.write_text('{"dim": 0, "unit": [], "structure": [], "x": %s%s}'
+                        % ("[" * depth, "]" * depth))
+        try:
+            ingest_each_way(path)
+            passed.append(True)
+        except IngestError as exc:
+            assert "maximum recursion depth" in str(exc)
+            passed.append(False)
+    assert passed[0] and (not passed[-1] or sys.version_info >= (3, 12))
+
+
+def test_straddling_cases_catch_a_hook_that_is_not_idempotent(tmp_path, monkeypatch):
+    # a hook that numbers the objects it sees: a scan that a member outgrows
+    # has numbered some objects that the walk numbers again
+    def numbering():
+        count = itertools.count()
+        return lambda obj: {**obj, "n": next(count)}
+
+    text = STRADDLING["outgrown"]
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    assert _windows_that_differ(path, text, monkeypatch) == []
+    monkeypatch.setattr(serialize, "scalar_hook", numbering)
+    assert _windows_that_differ(path, text, monkeypatch) != []
 
 
 def test_ingest_rejects_the_corrupted_matrix_algebra(tmp_path):
