@@ -193,17 +193,24 @@ class StructureAlgebra:
                 return (i, j, k)
         return None
 
-    def algebra_map_failure(self, dst: "StructureAlgebra", cols):
+    def map_failure(self, images, product):
         """The first basis pair (i, j), in row-major order, at which the linear
-        map e_t -> cols[t] into dst is not multiplicative, that is
-        sum_t c_ij^t cols[t] != cols[i] cols[j], or None; cols holds one
-        sparse vector of dst per basis index of this algebra."""
+        map e_t -> images[t] is not multiplicative, that is
+        sum_t c_ij^t images[t] != product(i, j), or None.
+
+        images holds one sparse vector of the target per basis index of this
+        algebra (a dict from the target's coordinate keys to nonzero
+        scalars), and product(i, j) is the target's product images[i]
+        images[j] as such a vector.  This is the one multiplicativity check:
+        algebra maps and quotient projections (into a StructureAlgebra),
+        module actions (into End(V), keyed (u, v)) and the comultiplication
+        and counit of a Hopf algebra (into H (x) H, and into k, keyed 0)."""
         for i in range(self.dim):
             for j in range(self.dim):
                 want: dict = {}
                 for t, c in self.rows[i][j].items():
-                    _axpy(want, c, cols[t])
-                if dst.mul_sparse(cols[i], cols[j]) != want:
+                    _axpy(want, c, images[t])
+                if product(i, j) != want:
                     return (i, j)
         return None
 
@@ -486,7 +493,7 @@ class StructureAlgebra:
         original basis that is independent modulo the ideal.  The ideal is a
         fixed point under multiplication by the whole basis, so the projection
         is an algebra map by construction; for parents up to dim 32 that is
-        also checked on every basis pair (algebra_map_failure).
+        also checked on every basis pair (map_failure).
         """
         n = self.dim
         ideal = self.ideal_generated(gens)
@@ -517,7 +524,7 @@ class StructureAlgebra:
         unit_q = project(self._unit_terms)
         algebra = StructureAlgebra(q, rows, dense_of(unit_q, q), name=f"{self.name}/ideal")
         if n <= 32:
-            bad = self.algebra_map_failure(algebra, pcols)
+            bad = self.map_failure(pcols, lambda i, j: algebra.mul_sparse(pcols[i], pcols[j]))
             if bad is not None:
                 raise InvariantError(f"quotient projection is not an algebra map at {bad}")
         return QuotientResult(algebra, proj, tuple(chosen), ideal)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import MAX_ORDER, ZERO, Cyclotomic
 from .linalg import Subspace, matrix_order, minimal_polynomial
-from .algebra import AlgebraError, QuotientResult
+from .algebra import AlgebraElement, AlgebraError, QuotientResult
 from .hopf import (
     HopfData,
     check_hopf_axioms,
@@ -199,39 +199,48 @@ class CatalogueEntry:
 # -- runners -------------------------------------------------------------
 
 
+def _combine_each(check_id: str, labelled, part) -> CheckReport:
+    """combine(check_id, ...) of one part per (label, x) of labelled, in
+    order: part(x, f"{check_id}[{label}]"), keyed by label."""
+    return combine(check_id, {label: part(x, f"{check_id}[{label}]") for label, x in labelled})
+
+
+def _per_p(ctx: Context) -> list:
+    """(f"p={p}", p) for each configured p, the labels of per-p parts."""
+    return [(f"p={p}", p) for p in ctx.ps]
+
+
+def _pivot(h: HopfData) -> AlgebraElement:
+    """The pivot g^{p-1} of taft(p)."""
+    p = h.meta["p"]
+    return h.algebra.basis_element((p - 1) * p)
+
+
 def _run_assoc_unital(ctx: Context) -> CheckReport:
-    parts = {
-        label: check_double_unital_associative(d, f"D2.2-assoc-unital[{label}]")
-        for label, d in ctx.twisted_fixtures()
-    }
-    return combine("D2.2-assoc-unital", parts)
+    return _combine_each(
+        "D2.2-assoc-unital", ctx.twisted_fixtures(), check_double_unital_associative
+    )
 
 
 def _run_sigma_central(ctx: Context) -> CheckReport:
-    parts = {
-        label: check_sigma_central_invertible(d, f"D2.2-sigma-central-invertible[{label}]")
-        for label, d in ctx.twisted_fixtures()
-    }
-    return combine("D2.2-sigma-central-invertible", parts)
+    return _combine_each(
+        "D2.2-sigma-central-invertible", ctx.twisted_fixtures(), check_sigma_central_invertible
+    )
 
 
 def _run_cross_relation(ctx: Context) -> CheckReport:
-    parts = {
-        label: check_cross_relation(d, f"D2.2-cross-relation[{label}]")
-        for label, d in ctx.twisted_fixtures()
-    }
-    return combine("D2.2-cross-relation", parts)
+    return _combine_each("D2.2-cross-relation", ctx.twisted_fixtures(), check_cross_relation)
 
 
 def _run_mixed_module(ctx: Context) -> CheckReport:
     check_id = "D2.1-mixed-module"
     d = ctx.twisted_taft(2)
     alg = d.algebra
-    action, degrees, diff, hom = regular_mixed_module(d)
+    regular = [alg.left_mult_matrix(alg.basis_element(a)) for a in range(alg.dim)]
+    action, degrees, diff, hom = regular_mixed_module(d, regular)
     mixed = check_mixed_module(
         alg, d.sigma, action, degrees, diff, hom, f"{check_id}[regular-mixed]"
     )
-    regular = [alg.left_mult_matrix(alg.basis_element(a)) for a in range(alg.dim)]
     reg_valid = check_module_action(alg, regular, f"{check_id}[regular-action]")
     # a stable module is a valid one on which sigma acts as the identity
     reg_stable = reg_valid.passed and acts_as_identity(alg, d.sigma, regular)
@@ -311,18 +320,13 @@ def _run_group_instances(ctx: Context) -> CheckReport:
 
 
 def _run_taft_axioms(ctx: Context) -> CheckReport:
-    check_id = "S3-taft-axioms"
-    parts = {
-        f"p={p}": check_hopf_axioms(ctx.taft(p), f"{check_id}[p={p}]")
-        for p in ctx.ps
-    }
-    return combine(check_id, parts)
+    return _combine_each(
+        "S3-taft-axioms", _per_p(ctx), lambda p, part_id: check_hopf_axioms(ctx.taft(p), part_id)
+    )
 
 
 def _run_s_squared(ctx: Context) -> CheckReport:
-    check_id = "S3-S-squared"
-    parts = {}
-    for p in ctx.ps:
+    def part(p, part_id):
         h = ctx.taft(p)
         xi = h.meta["xi"]
         s2 = h.antipode @ h.antipode
@@ -339,72 +343,61 @@ def _run_s_squared(ctx: Context) -> CheckReport:
                 break
         order = matrix_order(h.antipode, 2 * p + 1)
         ok = bad is None and order == 2 * p
-        parts[f"p={p}"] = CheckReport(
-            f"{check_id}[p={p}]",
+        return CheckReport(
+            part_id,
             PASS if ok else FAIL,
             {
                 "s-squared-scales-x-powers": {"holds": bad is None},
                 "antipode-order": order,
             },
         )
-    return combine(check_id, parts)
+
+    return _combine_each("S3-S-squared", _per_p(ctx), part)
 
 
 def _run_self_duality(ctx: Context) -> CheckReport:
-    check_id = "L3.1-self-duality"
-    parts = {}
-    for p in ctx.ps:
-        parts[f"p={p}"] = taft_self_duality(ctx.taft(p), f"{check_id}[p={p}]").report
-    return combine(check_id, parts)
+    return _combine_each(
+        "L3.1-self-duality", _per_p(ctx),
+        lambda p, part_id: taft_self_duality(ctx.taft(p), part_id).report,
+    )
 
 
 def _run_relations(ctx: Context) -> CheckReport:
-    check_id = "C3.2-relations"
-    parts = {
-        f"p={p}": check_generator_presentation(
-            ctx.twisted_taft(p), ctx.taft_generators(p), f"{check_id}[p={p}]"
-        )
-        for p in ctx.ps
-    }
-    return combine(check_id, parts)
+    return _combine_each(
+        "C3.2-relations", _per_p(ctx),
+        lambda p, part_id: check_generator_presentation(
+            ctx.twisted_taft(p), ctx.taft_generators(p), part_id
+        ),
+    )
 
 
 def _run_grading(ctx: Context) -> CheckReport:
-    check_id = "C3.2-grading"
-    parts = {
-        f"p={p}": check_generator_grading(
-            ctx.twisted_taft(p), ctx.taft_generators(p), ctx.taft_components(p),
-            f"{check_id}[p={p}]",
-        )
-        for p in ctx.ps
-    }
-    return combine(check_id, parts)
+    return _combine_each(
+        "C3.2-grading", _per_p(ctx),
+        lambda p, part_id: check_generator_grading(
+            ctx.twisted_taft(p), ctx.taft_generators(p), ctx.taft_components(p), part_id
+        ),
+    )
 
 
 def _run_sigma_action(ctx: Context) -> CheckReport:
-    check_id = "C3.2-sigma-action"
-    parts = {
-        f"p={p}": verify_sigma_graded_action(
-            ctx.twisted_taft(p), ctx.taft_generators(p), ctx.taft_components(p),
-            f"{check_id}[p={p}]",
-        )
-        for p in ctx.ps
-    }
-    return combine(check_id, parts)
+    return _combine_each(
+        "C3.2-sigma-action", _per_p(ctx),
+        lambda p, part_id: verify_sigma_graded_action(
+            ctx.twisted_taft(p), ctx.taft_generators(p), ctx.taft_components(p), part_id
+        ),
+    )
 
 
 def _run_block_split(ctx: Context) -> CheckReport:
-    check_id = "E3.15-split"
-    parts = {}
-    for p in ctx.ps:
-        part_id = f"{check_id}[p={p}]"
+    def part(p, part_id):
         try:
             blocks = ctx.taft_blocks(p)
         except AlgebraError as exc:
-            parts[f"p={p}"] = CheckReport(part_id, FAIL, {"error": str(exc)})
-        else:
-            parts[f"p={p}"] = check_block_split(ctx.twisted_taft(p), blocks, part_id)
-    return combine(check_id, parts)
+            return CheckReport(part_id, FAIL, {"error": str(exc)})
+        return check_block_split(ctx.twisted_taft(p), blocks, part_id)
+
+    return _combine_each("E3.15-split", _per_p(ctx), part)
 
 
 def _run_uqsl2(ctx: Context) -> CheckReport:
@@ -606,37 +599,28 @@ def _run_straightening(ctx: Context) -> CheckReport:
 
 
 def _run_classical_sigma(ctx: Context) -> CheckReport:
-    check_id = "A.2-sigma-central"
-    parts = {}
-    for label, _, da in _classical_fixtures(ctx):
+    def part(da, part_id):
         central = da.sigma is not None and da.algebra.is_central(da.sigma)
-        parts[label] = CheckReport(
-            f"{check_id}[{label}]",
-            PASS if central else FAIL,
-            {"central": central},
-        )
-    return combine(check_id, parts)
+        return CheckReport(part_id, PASS if central else FAIL, {"central": central})
+
+    anti = [(label, da) for label, _, da in _classical_fixtures(ctx)]
+    return _combine_each("A.2-sigma-central", anti, part)
 
 
 def _run_uhu(ctx: Context) -> CheckReport:
-    check_id = "A.3-uhu-iso"
-    parts = {}
-    for p in ctx.ps:
+    def part(p, part_id):
         h = ctx.taft(p)
-        u = h.algebra.basis_element((p - 1) * p)
         doubles = (ctx.classical_taft(p, "drinfeld"), ctx.classical_taft(p, "anti"))
-        _, parts[f"p={p}"] = uhu_map(h, u, doubles, f"{check_id}[p={p}]")
-    return combine(check_id, parts)
+        return uhu_map(h, _pivot(h), doubles, part_id)[1]
+
+    return _combine_each("A.3-uhu-iso", _per_p(ctx), part)
 
 
 def _run_pivotal(ctx: Context) -> CheckReport:
-    check_id = "A-pivotal-taft"
-    parts = {}
-    for p in ctx.ps:
-        h = ctx.taft(p)
-        u = h.algebra.basis_element((p - 1) * p)
-        parts[f"p={p}"] = check_pivotal(h, u, f"{check_id}[p={p}]")
-    return combine(check_id, parts)
+    return _combine_each(
+        "A-pivotal-taft", _per_p(ctx),
+        lambda p, part_id: check_pivotal(ctx.taft(p), _pivot(ctx.taft(p)), part_id),
+    )
 
 
 CATALOGUE: tuple[CatalogueEntry, ...] = (

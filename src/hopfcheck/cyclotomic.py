@@ -567,9 +567,12 @@ def scalar_hook():
 
     An object whose keys are exactly `order` and `coeffs` and whose spelling
     parses becomes its Cyclotomic.  Like a ScalarMemo, the hook parses each
-    distinct spelling once (up to MEMO_LIMIT of them) and shares its value,
-    so the decoded tree holds one value per distinct spelling instead of a
-    dict, two lists and two strings per scalar.  A spelling met again costs
+    distinct spelling once (up to MEMO_LIMIT of them), and it shares each
+    value it parsed by (order, num, den) (up to MEMO_LIMIT of them), so the
+    decoded tree holds one value per distinct value, however it is spelled,
+    instead of a dict, two lists and two strings per scalar.  Both memos
+    only gain absent keys, so the hook is idempotent: called again on an
+    object, it returns an equal value.  A spelling met again costs
     one key and one lookup, whatever its order: its types are checked, from
     that key, only when it is first parsed.  Every other object is returned
     as it is, for cyc_from_json to report where it is read; the cap on the
@@ -580,6 +583,7 @@ def scalar_hook():
     """
     memo: dict[tuple, Cyclotomic] = {}
     get = memo.get
+    values: dict[tuple, Cyclotomic] = {}  # by (order, num, den)
     seen = 1  # lcm of the orders parsed so far
 
     def hook(obj: dict):
@@ -622,6 +626,11 @@ def scalar_hook():
         except ValueError:
             return obj
         seen = both
+        shared = (value.order, value.num, value.den)
+        if len(values) < MEMO_LIMIT:
+            value = values.setdefault(shared, value)
+        else:
+            value = values.get(shared, value)
         if len(memo) < MEMO_LIMIT:
             memo[key] = value
         return value

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 
 from .cyclotomic import ONE, Cyclotomic, q_factorial
-from .linalg import InvariantError, Matrix, Subspace, dense_of, kernel, sparse_of
+from .linalg import InvariantError, Matrix, Subspace, _axpy, dense_of, kernel, sparse_of
 from .algebra import (
     DEFAULT_SEED,
     EMPTY_CELL,
@@ -45,6 +45,7 @@ from .algebra import (
 from .hopf import (
     HopfData,
     _acc,
+    _axiom_witness,
     check_algebra_map,
     check_pivotal,
     taft_dual_transport,
@@ -801,44 +802,27 @@ def check_module_action(
 ) -> CheckReport:
     """The matrices (one per basis element, acting on a module space)
     assemble to a unital algebra map: rho(1) = id, and for every basis pair
-    rho(e_i) rho(e_j) = sum_k c_ij^k rho(e_k).  Both sides are summed over
-    nonzero entries only; first_failure is the first failing pair (i, j)
-    in row-major order."""
+    rho(e_i) rho(e_j) = sum_k c_ij^k rho(e_k), checked by
+    algebra.map_failure with each rho(e_k) a sparse vector keyed (u, v);
+    first_failure is the first failing pair (i, j) in row-major order."""
     nn = algebra.dim
     if len(action) != nn:
         raise ValueError("one action matrix per basis element required")
     m = action[0].nrows if action else 0
     if any(a.nrows != m or a.ncols != m for a in action):
         raise ValueError("action matrices must be square of one size")
-    rows = [a.data for a in action]
 
-    def combination(coeffs) -> dict:
-        out: dict = {}
-        for k, ck in coeffs:
-            for u, row in enumerate(rows[k]):
-                for v, a in row.items():
-                    _acc(out, (u, v), ck * a)
-        return out
+    def entries(mat: Matrix) -> dict:
+        return {(u, v): a for u, row in enumerate(mat.data) for v, a in row.items()}
 
-    rho_unit = combination((a, ca) for a, ca in enumerate(algebra.unit) if ca)
+    images = [entries(a) for a in action]
+    rho_unit: dict = {}
+    for a, ca in enumerate(algebra.unit):
+        if ca:
+            _axpy(rho_unit, ca, images[a])
     unit_ok = rho_unit == {(u, u): ONE for u in range(m)}
-    bad = None
-    for i in range(nn):
-        if bad is not None:
-            break
-        for j in range(nn):
-            got: dict = {}
-            rj = rows[j]
-            for u, row in enumerate(rows[i]):
-                for v, a in row.items():
-                    for w, b in rj[v].items():
-                        _acc(got, (u, w), a * b)
-            if got != combination(algebra.rows[i][j].items()):
-                bad = (i, j)
-                break
-    witnesses = {"unit": {"holds": unit_ok}, "multiplicative": {"holds": bad is None}}
-    if bad is not None:
-        witnesses["multiplicative"]["first_failure"] = bad
+    bad = algebra.map_failure(images, lambda i, j: entries(action[i] @ action[j]))
+    witnesses = {"unit": {"holds": unit_ok}, "multiplicative": _axiom_witness(bad)}
     ok = unit_ok and bad is None
     return CheckReport(check_id, PASS if ok else FAIL, witnesses)
 
@@ -921,20 +905,21 @@ def check_mixed_module(
     return CheckReport(check_id, PASS if ok else FAIL, witnesses)
 
 
-def regular_mixed_module(double: TwistedDouble):
+def regular_mixed_module(double: TwistedDouble, regular: list[Matrix]):
     """The two-term regular fixture: two copies of the double in degrees
     -1 and 0, action by left multiplication on both, d = right
     multiplication by (sigma - 1) from degree -1 to degree 0, h = the
-    identity from degree 0 to degree -1.  Returns (action, degrees,
-    differential, homotopy).
+    identity from degree 0 to degree -1.  regular holds the left
+    multiplication matrices of the basis elements, which the fixture reads
+    and does not compute again.  Returns (action, degrees, differential,
+    homotopy).
     """
     alg = double.algebra
     nn = alg.dim
     action = []
-    for a in range(nn):
-        la = alg.left_mult_matrix(alg.basis_element(a)).data
-        shifted = [{nn + v: c for v, c in row.items()} for row in la]
-        action.append(Matrix.sparse(la + shifted, 2 * nn))
+    for la in regular:
+        shifted = [{nn + v: c for v, c in row.items()} for row in la.data]
+        action.append(Matrix.sparse(la.data + shifted, 2 * nn))
     degrees = [-1] * nn + [0] * nn
     rz = alg.right_mult_matrix(double.sigma - double.one)
     differential = Matrix.sparse([{} for _ in range(nn)] + rz.data, 2 * nn)

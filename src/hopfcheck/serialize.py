@@ -12,9 +12,9 @@ Ingest validates the defining axioms on construction and reports the first
 broken one by name.  It pays Python work once per distinct scalar value and
 once per list, not once per entry.  ingest_algebra parses scalars while json
 decodes the file, through cyclotomic.scalar_hook, which parses each distinct
-spelling once and shares the resulting immutable Cyclotomic, so the decoded
-tree holds one value per distinct spelling rather than a dict, two lists and
-two strings per scalar.  The readers vet each list of such values at C speed
+spelling once and shares the resulting immutable Cyclotomic by value, so the
+decoded tree holds one value per distinct value rather than a dict, two lists
+and two strings per scalar.  The readers vet each list of such values at C speed
 and decide whether a value is zero once per distinct value (for the first
 MEMO_LIMIT distinct values); a list holding anything else, a value met after
 that limit, or an order that raises the lcm of the document's orders, is
@@ -258,8 +258,8 @@ class _Window:
 
     A scan that a container outgrows has run the hook on the objects it
     finished, and the walk scans them again.  That is safe with scalar_hook,
-    which only inserts keys that are absent and only raises its lcm of
-    orders to an lcm: a second call on an object returns a value equal to
+    which only inserts keys that are absent into its memos of spellings and
+    of values and only raises its lcm of orders to an lcm: a second call on an object returns a value equal to
     the first's and leaves the hook as it was."""
 
     def __init__(self, fh, hook):

@@ -716,7 +716,8 @@ def test_algebra_map_failure_finds_the_first_broken_pair():
     # first breaks at e_1 e_1 = e_2: the images multiply to 4 e_2, not e_2
     a = group_algebra_plain(6)
     q = a.quotient([a.basis_element(3) - a.unit_element()])
-    assert a.algebra_map_failure(q.algebra, q.projection.transpose().data) is None
+    pcols = q.projection.transpose().data
+    assert a.map_failure(pcols, lambda i, j: q.algebra.mul_sparse(pcols[i], pcols[j])) is None
     b = group_algebra_plain(3)
     cols = [b.basis_sparse(0), {1: c(2)}, b.basis_sparse(2)]
-    assert b.algebra_map_failure(b, cols) == (1, 1)
+    assert b.map_failure(cols, lambda i, j: b.mul_sparse(cols[i], cols[j])) == (1, 1)

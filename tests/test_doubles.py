@@ -550,13 +550,13 @@ def test_stable_pullback_module(d2):
 
 
 def test_regular_mixed_module(d2):
-    action, degrees, diff, hom = regular_mixed_module(d2)
+    action, degrees, diff, hom = regular_mixed_module(d2, regular_action(d2))
     rep = check_mixed_module(d2.algebra, d2.sigma, action, degrees, diff, hom)
     assert rep.passed, rep.witnesses
 
 
 def test_perturbed_homotopy_fails(d2):
-    action, degrees, diff, hom = regular_mixed_module(d2)
+    action, degrees, diff, hom = regular_mixed_module(d2, regular_action(d2))
     rep = check_mixed_module(
         d2.algebra, d2.sigma, action, degrees, diff, hom.scale(c(2))
     )
@@ -565,7 +565,7 @@ def test_perturbed_homotopy_fails(d2):
 
 
 def test_mixed_module_degree_check(d2):
-    action, degrees, diff, hom = regular_mixed_module(d2)
+    action, degrees, diff, hom = regular_mixed_module(d2, regular_action(d2))
     wrong = [0 for _ in degrees]
     rep = check_mixed_module(d2.algebra, d2.sigma, action, wrong, diff, hom)
     assert not rep.passed

@@ -1,8 +1,10 @@
 """Hopf layer tests: constructors, axioms, duals, self-duality, pivots."""
 
+import copy
+
 import pytest
 
-from hopfcheck.cyclotomic import Cyclotomic, q_int, root_of_unity
+from hopfcheck.cyclotomic import ONE, ZERO, Cyclotomic, q_int, root_of_unity
 from hopfcheck.hopf import (
     HopfAxiomError,
     HopfData,
@@ -284,3 +286,90 @@ def test_taft_dual_transport_is_algebra_but_not_coalgebra_map():
     assert not rep3.witnesses["comultiplicative"]["holds"]
     with pytest.raises(ValueError):
         taft_dual_transport(group_algebra(2))
+
+
+# -- the comultiplication and counit as algebra maps, against brute force --
+
+
+def with_structure_maps(h, comult=None, counit=None):
+    """A copy of h whose comultiplication columns or counit are replaced,
+    built without the construction-time axiom check."""
+    bad = copy.copy(h)
+    if comult is not None:
+        bad._comult_cols = tuple(comult)
+    if counit is not None:
+        bad.counit = tuple(counit)
+    return bad
+
+
+def brute_force_comult_failure(h):
+    """"unit" when Delta(1) != 1 (x) 1, else the first basis pair (i, j) in
+    row-major order with Delta(e_i e_j) != Delta(e_i) Delta(e_j), the
+    tensor-square product taken as (a (x) b)(c (x) d) = ac (x) bd on dense
+    coordinate lists."""
+    n, rows = h.dim, h.algebra.rows
+    cols = [[h.comult_col(t).get(f, ZERO) for f in range(n * n)] for t in range(n)]
+    if cols[0] != [ONE if f == 0 else ZERO for f in range(n * n)]:  # the unit is e_0
+        return "unit"
+    for i in range(n):
+        for j in range(n):
+            lhs = [ZERO] * (n * n)
+            for t in range(n):
+                for f in range(n * n):
+                    lhs[f] = lhs[f] + rows[i][j].get(t, ZERO) * cols[t][f]
+            rhs = [ZERO] * (n * n)
+            for ab in range(n * n):
+                for cd in range(n * n):
+                    coeff = cols[i][ab] * cols[j][cd]
+                    if not coeff:
+                        continue
+                    (a, b), (c_, d) = divmod(ab, n), divmod(cd, n)
+                    for p1, w1 in rows[a][c_].items():
+                        for p2, w2 in rows[b][d].items():
+                            rhs[p1 * n + p2] = rhs[p1 * n + p2] + coeff * w1 * w2
+            if lhs != rhs:
+                return (i, j)
+    return None
+
+
+def brute_force_counit_failure(h):
+    """"unit" when eps(1) != 1, else the first basis pair (i, j) in row-major
+    order with eps(e_i e_j) != eps(e_i) eps(e_j), summed over every t."""
+    n, rows, eps = h.dim, h.algebra.rows, h.counit
+    if eps[0] != ONE:  # the unit is e_0
+        return "unit"
+    for i in range(n):
+        for j in range(n):
+            total = ZERO
+            for t in range(n):
+                total = total + rows[i][j].get(t, ZERO) * eps[t]
+            if total != eps[i] * eps[j]:
+                return (i, j)
+    return None
+
+
+@pytest.mark.parametrize("p, k, f", [(2, 1, 0), (2, 3, 15), (3, 4, 40), (3, 8, 0)])
+def test_corrupted_comult_first_failure_matches_brute_force(p, k, f):
+    h = taft(p)
+    cols = [dict(h.comult_col(t)) for t in range(h.dim)]
+    cols[k][f] = cols[k].get(f, ZERO) + c(1)
+    bad = with_structure_maps(h, comult=cols)
+    want = brute_force_comult_failure(bad)
+    assert want not in (None, "unit")
+    witness = check_hopf_axioms(bad).witnesses["comult-algebra-map"]
+    assert witness == {"holds": False, "first_failure": want}
+    assert check_hopf_axioms(bad).witnesses["counit-algebra-map"] == {"holds": True}
+
+
+@pytest.mark.parametrize("p, k, value", [(2, 1, 1), (2, 2, 2), (3, 4, 1), (3, 3, -1)])
+def test_corrupted_counit_first_failure_matches_brute_force(p, k, value):
+    h = taft(p)
+    eps = list(h.counit)
+    eps[k] = c(value)
+    bad = with_structure_maps(h, counit=eps)
+    want = brute_force_counit_failure(bad)
+    assert want not in (None, "unit")
+    witness = check_hopf_axioms(bad).witnesses["counit-algebra-map"]
+    assert witness == {"holds": False, "first_failure": want}
+    assert check_hopf_axioms(bad).witnesses["comult-algebra-map"] == {"holds": True}
+

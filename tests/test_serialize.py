@@ -266,7 +266,7 @@ def test_equal_spellings_decode_to_one_value():
     decoded = json.loads(json.dumps([half, other_half, half]),
                          object_hook=scalar_hook())
     assert decoded[0] is decoded[2]
-    assert decoded[1] is not decoded[0] and decoded[1] == decoded[0]
+    assert decoded[1] is decoded[0] and decoded[1] == decoded[0]
 
 
 def test_ingest_shares_equal_spellings(tmp_path):
