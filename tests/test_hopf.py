@@ -373,3 +373,168 @@ def test_corrupted_counit_first_failure_matches_brute_force(p, k, value):
     assert witness == {"holds": False, "first_failure": want}
     assert check_hopf_axioms(bad).witnesses["comult-algebra-map"] == {"holds": True}
 
+
+
+# -- the coalgebra and antipode laws and the Hopf-map checks, against brute force --
+
+
+def dense_comult(h):
+    """cols[t][f]: the coefficient of the flat tensor key f in Delta(e_t)."""
+    n = h.dim
+    return [[h.comult_col(t).get(f, ZERO) for f in range(n * n)] for t in range(n)]
+
+
+def dense_cols(m):
+    """The columns of a Matrix as dense lists."""
+    return [m.column(j) for j in range(m.ncols)]
+
+
+def brute_force_axiom_witnesses(h):
+    """The coassociativity, counit and antipode witnesses of check_hopf_axioms,
+    each naming the first basis index j at which its law fails, computed on
+    dense coordinate lists by summing over every index."""
+    n, rows, eps = h.dim, h.algebra.rows, h.counit
+    delta = dense_comult(h)
+    s = [[h.antipode_col(t).get(k, ZERO) for k in range(n)] for t in range(n)]
+    unit = list(h.algebra.unit)
+
+    def coassociative(j):
+        left = [ZERO] * n**3
+        right = [ZERO] * n**3
+        for a in range(n):
+            for b in range(n):
+                for u in range(n):
+                    for v in range(n):
+                        left[(u * n + v) * n + b] += delta[j][a * n + b] * delta[a][u * n + v]
+                        right[(a * n + u) * n + v] += delta[j][a * n + b] * delta[b][u * n + v]
+        return left == right
+
+    def counital(j):
+        want = [ONE if k == j else ZERO for k in range(n)]
+        lhs = [sum((delta[j][a * n + b] * eps[a] for a in range(n)), ZERO) for b in range(n)]
+        rhs = [sum((delta[j][a * n + b] * eps[b] for b in range(n)), ZERO) for a in range(n)]
+        return lhs == want and rhs == want
+
+    def antipodal(j):
+        want = [eps[j] * u for u in unit]
+        left = [ZERO] * n
+        right = [ZERO] * n
+        for a in range(n):
+            for b in range(n):
+                for k in range(n):
+                    for t in range(n):
+                        left[t] += delta[j][a * n + b] * s[a][k] * rows[k][b].get(t, ZERO)
+                        right[t] += delta[j][a * n + b] * s[b][k] * rows[a][k].get(t, ZERO)
+        return left == want and right == want
+
+    out = {}
+    for name, law in (("coassociativity", coassociative), ("counit", counital), ("antipode", antipodal)):
+        bad = next((j for j in range(n) if not law(j)), None)
+        out[name] = {"holds": True} if bad is None else {"holds": False, "first_failure": bad}
+    return out
+
+
+def brute_force_hopf_map_witnesses(src, dst, matrix):
+    """The comultiplicative, counit and antipode-commutes witnesses of
+    check_hopf_map for the dense matrix M: (M (x) M) Delta(e_j) against
+    Delta(M e_j), eps(M e_j) against eps(e_j) and M S e_j against S M e_j,
+    each at the first failing j."""
+    n, m = src.dim, dst.dim
+    mcols = dense_cols(matrix)
+    src_delta, dst_delta = dense_comult(src), dense_comult(dst)
+    src_s, dst_s = dense_cols(src.antipode), dense_cols(dst.antipode)
+
+    def apply(cols, vec):
+        return [sum((cols[k][r] * vec[k] for k in range(len(vec))), ZERO) for r in range(len(cols[0]))]
+
+    def comultiplicative(j):
+        lhs = [ZERO] * m * m
+        for a in range(n):
+            for b in range(n):
+                for u in range(m):
+                    for v in range(m):
+                        lhs[u * m + v] += src_delta[j][a * n + b] * mcols[a][u] * mcols[b][v]
+        return lhs == apply(dst_delta, mcols[j])
+
+    def counital(j):
+        return sum((dst.counit[k] * mcols[j][k] for k in range(m)), ZERO) == src.counit[j]
+
+    def commutes(j):
+        return apply(mcols, src_s[j]) == apply(dst_s, mcols[j])
+
+    def first(law):
+        return next((j for j in range(n) if not law(j)), None)
+
+    bad = first(comultiplicative)
+    comult = {"holds": True} if bad is None else {"holds": False, "first_failure": bad}
+    bad = first(commutes)
+    anti = {"holds": True} if bad is None else {"holds": False, "first_failure": bad}
+    return {"comultiplicative": comult, "counit": {"holds": first(counital) is None}, "antipode-commutes": anti}
+
+
+def with_antipode(h, cols):
+    """A copy of h whose antipode has these sparse columns, built without the
+    construction-time axiom check."""
+    bad = copy.copy(h)
+    bad.antipode = Matrix.from_columns(cols, h.dim)
+    bad._antipode_cols = tuple(cols)
+    return bad
+
+
+def shifted(vec, key, value):
+    """A copy of the sparse vector vec with value added at key, zero-free."""
+    out = dict(vec)
+    out[key] = out.get(key, ZERO) + c(value)
+    return {k: v for k, v in out.items() if v}
+
+
+# each case names a failing index other than the corrupted one for some law
+@pytest.mark.parametrize("p, k, f", [(2, 2, 8), (2, 3, 12), (3, 6, 60), (3, 7, 63)])
+def test_corrupted_comult_axiom_witnesses_match_brute_force(p, k, f):
+    h = taft(p)
+    cols = [h.comult_col(t) for t in range(h.dim)]
+    cols[k] = shifted(cols[k], f, 1)
+    bad = with_structure_maps(h, comult=cols)
+    want = brute_force_axiom_witnesses(bad)
+    assert not any(part["holds"] for part in want.values())
+    got = check_hopf_axioms(bad).witnesses
+    assert {key: got[key] for key in want} == want
+
+
+@pytest.mark.parametrize("p, k, t", [(2, 2, 0), (2, 3, 1), (3, 3, 0), (3, 3, 2), (3, 4, 0)])
+def test_corrupted_antipode_axiom_witnesses_match_brute_force(p, k, t):
+    h = taft(p)
+    cols = [h.antipode_col(i) for i in range(h.dim)]
+    cols[k] = shifted(cols[k], t, 1)
+    bad = with_antipode(h, cols)
+    want = brute_force_axiom_witnesses(bad)
+    assert want["coassociativity"] == want["counit"] == {"holds": True}
+    assert not want["antipode"]["holds"]
+    got = check_hopf_axioms(bad).witnesses
+    assert {key: got[key] for key in want} == want
+
+
+def test_dual_transport_hopf_map_witnesses_match_brute_force():
+    from hopfcheck.hopf import taft_dual_transport
+
+    h = taft(3)
+    dual = dual_hopf(h)
+    t = taft_dual_transport(h)
+    want = brute_force_hopf_map_witnesses(h, dual, t)
+    assert not want["comultiplicative"]["holds"]
+    got = check_hopf_map(h, dual, t).witnesses
+    assert {key: got[key] for key in want} == want
+
+
+# (3, 0, 6) also breaks the counit; (2, 2, 1) keeps comultiplicativity
+@pytest.mark.parametrize("p, row, col", [(2, 2, 1), (2, 1, 3), (3, 0, 6), (3, 4, 7)])
+def test_corrupted_hopf_map_witnesses_match_brute_force(p, row, col):
+    sd = taft_self_duality(taft(p))
+    assert sd.report.passed
+    cols = list(sd.forward.transpose().data)
+    cols[col] = shifted(cols[col], row, 1)
+    bad = Matrix.from_columns(cols, sd.forward.nrows)
+    want = brute_force_hopf_map_witnesses(sd.hopf, sd.dual, bad)
+    assert not want["antipode-commutes"]["holds"]
+    got = check_hopf_map(sd.hopf, sd.dual, bad).witnesses
+    assert {key: got[key] for key in want} == want
