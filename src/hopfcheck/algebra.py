@@ -66,6 +66,7 @@ from .linalg import (
     eigensplit,
     invert_matrix,
     kernel,
+    lincomb,
     solve,
     sparse_of,
 )
@@ -207,10 +208,7 @@ class StructureAlgebra:
         and counit of a Hopf algebra (into H (x) H, and into k, keyed 0)."""
         for i in range(self.dim):
             for j in range(self.dim):
-                want: dict = {}
-                for t, c in self.rows[i][j].items():
-                    _axpy(want, c, images[t])
-                if product(i, j) != want:
+                if product(i, j) != lincomb(images, self.rows[i][j]):
                     return (i, j)
         return None
 
@@ -513,15 +511,8 @@ class StructureAlgebra:
         proj = Matrix.sparse(binv.data[:q], n)
         # column j of the projection, as a sparse vector of the quotient
         pcols = proj.transpose().data
-
-        def project(vec: dict) -> dict:
-            out: dict = {}
-            for j, vj in vec.items():
-                _axpy(out, vj, pcols[j])
-            return out
-
-        rows = [[project(self.rows[a][b]) for b in chosen] for a in chosen]
-        unit_q = project(self._unit_terms)
+        rows = [[lincomb(pcols, self.rows[a][b]) for b in chosen] for a in chosen]
+        unit_q = lincomb(pcols, self._unit_terms)
         algebra = StructureAlgebra(q, rows, dense_of(unit_q, q), name=f"{self.name}/ideal")
         if n <= 32:
             bad = self.map_failure(pcols, lambda i, j: algebra.mul_sparse(pcols[i], pcols[j]))
@@ -680,10 +671,7 @@ class QuotientResult:
 
     def project(self, element: "AlgebraElement") -> "AlgebraElement":
         cols = self.projection.transpose().data
-        out: dict = {}
-        for j, c in element.terms.items():
-            _axpy(out, c, cols[j])
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement(self.algebra, lincomb(cols, element.terms))
 
 
 @dataclass
@@ -702,10 +690,7 @@ class CentralBlock:
         return AlgebraElement(self.algebra, coords)
 
     def embed(self, element: "AlgebraElement"):
-        vec: dict = {}
-        for t, c in element.terms.items():
-            _axpy(vec, c, self.space.basis[t])
-        return AlgebraElement(self.parent, vec)
+        return AlgebraElement(self.parent, lincomb(self.space.basis, element.terms))
 
 
 class AlgebraElement:

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 
 from .cyclotomic import ONE, Cyclotomic, q_factorial
-from .linalg import InvariantError, Matrix, Subspace, _axpy, dense_of, kernel, sparse_of
+from .linalg import InvariantError, Matrix, Subspace, dense_of, kernel, lincomb, sparse_of
 from .algebra import (
     DEFAULT_SEED,
     EMPTY_CELL,
@@ -44,7 +44,6 @@ from .algebra import (
 )
 from .hopf import (
     HopfData,
-    _acc,
     _axiom_witness,
     check_algebra_map,
     check_pivotal,
@@ -151,16 +150,14 @@ def _expansion_check(double, check_id, witnesses, left, right, hopf_first) -> Ch
     hs = [double.embed_hopf(basis(c)).terms for c in range(n)]
     chis = [double.embed_dual(basis(b)).terms for b in range(n)]
     legs = [_sandwiches(h, c, left, right) for c in range(n)]
+    # one column {flat(c2, v): t} per Sweedler leg (c2, v, t, w) of each e_c
+    leg_cols = [[{double.flat(c2, v): t} for c2, v, t, _ in leg] for leg in legs]
     first, second = (hs, chis) if hopf_first else (chis, hs)
     bad = None
     for i, j in itertools.product(range(n), repeat=2):
         c, b = (i, j) if hopf_first else (j, i)
-        rhs: dict = {}
-        for c2, v, t, w in legs[c]:
-            wb = w.get(b)
-            if wb:
-                _acc(rhs, double.flat(c2, v), t * wb)
-        if double.algebra.mul_sparse(first[i], second[j]) != rhs:
+        coeffs = {k: w[b] for k, (*_, w) in enumerate(legs[c]) if b in w}
+        if double.algebra.mul_sparse(first[i], second[j]) != lincomb(leg_cols[c], coeffs):
             bad = (i, j)
             break
     witnesses.update(pairs=n * n, holds=bad is None)
@@ -589,13 +586,9 @@ def taft_eigencomponents(
     alg = double.algebra
     lgp = alg.left_mult_matrix(gens["g'"])
     lg = alg.left_mult_matrix(gens["g"])
-    out = {}
-    for i in range(p):
-        mi = lgp.add_scalar_diag(-(xi ** i))
-        for j in range(p):
-            mj = lg.add_scalar_diag(-(xi ** j))
-            out[(i, j)] = kernel(Matrix.vstack([mi, mj]))
-    return out
+    mgp = [lgp.add_scalar_diag(-(xi ** i)) for i in range(p)]
+    mg = [lg.add_scalar_diag(-(xi ** j)) for j in range(p)]
+    return {(i, j): kernel(Matrix.vstack([mgp[i], mg[j]])) for i in range(p) for j in range(p)}
 
 
 def check_block_split(
@@ -816,11 +809,7 @@ def check_module_action(
         return {(u, v): a for u, row in enumerate(mat.data) for v, a in row.items()}
 
     images = [entries(a) for a in action]
-    rho_unit: dict = {}
-    for a, ca in enumerate(algebra.unit):
-        if ca:
-            _axpy(rho_unit, ca, images[a])
-    unit_ok = rho_unit == {(u, u): ONE for u in range(m)}
+    unit_ok = lincomb(images, sparse_of(algebra.unit)) == {(u, u): ONE for u in range(m)}
     bad = algebra.map_failure(images, lambda i, j: entries(action[i] @ action[j]))
     witnesses = {"unit": {"holds": unit_ok}, "multiplicative": _axiom_witness(bad)}
     ok = unit_ok and bad is None

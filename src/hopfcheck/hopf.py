@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraElement, StructureAlgebra
 from .cyclotomic import ONE, ZERO, Cyclotomic, q_factorial, root_of_unity
-from .linalg import Matrix, invert_matrix, rank
+from .linalg import Matrix, invert_matrix, lincomb, rank, sparse_of
 from .report import FAIL, PASS, PRECONDITION_FAILED, CheckReport
 
 
@@ -29,42 +29,48 @@ class HopfAxiomError(ValueError):
         super().__init__(message or f"hopf axiom fails: {axiom}")
 
 
-def _acc(out: dict, key, value):
-    prev = out.get(key)
-    if prev is None:
-        out[key] = value
-    else:
-        s = prev + value
-        if s:
-            out[key] = s
-        else:
-            del out[key]
+def tensor_map(n: int, t: dict, f, g, width: int) -> dict:
+    """(f (x) g)(t) for a flat tensor t of H (x) H (key a*n + b for
+    e_a (x) e_b), keyed x*width + y.  f and g are sequences of sparse
+    vectors, f[a] the image of e_a; None is the identity leg.  Terms are
+    summed coefficient by coefficient of t, f's entries outside g's, and
+    entries that cancel are removed."""
+    out: dict = {}
+    for ab, c in t.items():
+        a, b = divmod(ab, n)
+        right = ((b, None),) if g is None else g[b].items()
+        if not right:
+            continue
+        for x, u in ((a, None),) if f is None else f[a].items():
+            cu = c if u is None else c * u
+            base = x * width
+            for y, w in right:
+                term = cu if w is None else cu * w
+                key = base + y
+                prev = out.get(key)
+                if prev is None:
+                    out[key] = term
+                else:
+                    total = prev + term
+                    if total:
+                        out[key] = total
+                    else:
+                        del out[key]
+    return out
 
 
 def tensor_mult(algebra: StructureAlgebra, u: dict, v: dict) -> dict:
-    """Product of sparse flat-indexed tensors in H (x) H (componentwise)."""
+    """Product of sparse flat-indexed tensors in H (x) H (componentwise):
+    the sum over the terms e_a (x) e_b of u of u_ab (L_a (x) L_b)(v), L_a
+    being left multiplication by e_a, whose column c is the cell e_a e_c."""
     n = algebra.dim
     rows = algebra.rows
-    out: dict = {}
-    for ab, cu in u.items():
-        a, b = divmod(ab, n)
-        for cd, cv in v.items():
-            c, d = divmod(cd, n)
-            cc = cu * cv
-            for p1, w1 in rows[a][c].items():
-                left = cc * w1
-                for p2, w2 in rows[b][d].items():
-                    _acc(out, p1 * n + p2, left * w2)
-    return out
+    return lincomb({ab: tensor_map(n, v, rows[ab // n], rows[ab % n], n) for ab in u}, u)
 
 
 def tensor_outer(n: int, u: dict, v: dict) -> dict:
     """u (x) v as a sparse flat tensor for sparse coordinate vectors u, v."""
-    out: dict = {}
-    for a, cu in u.items():
-        for b, cv in v.items():
-            _acc(out, a * n + b, cu * cv)
-    return out
+    return {a * n + b: cu * cv for a, cu in u.items() for b, cv in v.items()}
 
 
 class HopfData:
@@ -130,11 +136,7 @@ class HopfData:
 
     def comult_of(self, vec: dict) -> dict:
         """Delta of the vector with sparse coordinates vec, as a flat tensor."""
-        out: dict = {}
-        for j, cj in vec.items():
-            for f, v in self._comult_cols[j].items():
-                _acc(out, f, cj * v)
-        return out
+        return lincomb(self._comult_cols, vec)
 
     def delta2_triples(self, j: int) -> tuple:
         """(Delta (x) id) Delta(e_j) as tuples (a, b, c, coeff)."""
@@ -142,13 +144,8 @@ class HopfData:
         if cached is not None:
             return cached
         n = self.dim
-        out: dict = {}
-        for f, cval in self._comult_cols[j].items():
-            a, b = divmod(f, n)
-            for f2, d in self._comult_cols[a].items():
-                u, v = divmod(f2, n)
-                _acc(out, (u, v, b), cval * d)
-        triples = tuple((a, b, c, val) for (a, b, c), val in out.items())
+        out = tensor_map(n, self._comult_cols[j], self._comult_cols, None, n)
+        triples = tuple((k // (n * n), k // n % n, k % n, val) for k, val in out.items())
         self._delta2[j] = triples
         return triples
 
@@ -187,77 +184,54 @@ def check_hopf_axioms(h: HopfData, check_id: str = "hopf-axioms") -> CheckReport
     """
     alg = h.algebra
     n = alg.dim
-    witnesses: dict = {}
+    cols, anti = h._comult_cols, h._antipode_cols
+    # the counit as a map into the 1-dim algebra k = k (x) k (flat index 0)
+    eps = [{0: e} if e else {} for e in h.counit]
+    # column a*n + b of the product map m is the cell e_a e_b
+    m = [cell for row in alg.rows for cell in row]
 
-    bad = None
-    for j in range(n):
-        left: dict = {}
-        right: dict = {}
-        for f, cval in h.comult_col(j).items():
-            a, b = divmod(f, n)
-            for f2, d in h.comult_col(a).items():
-                u, v = divmod(f2, n)
-                _acc(left, (u * n + v) * n + b, cval * d)
-            for f2, d in h.comult_col(b).items():
-                u, v = divmod(f2, n)
-                _acc(right, (a * n + u) * n + v, cval * d)
-        if left != right:
-            bad = j
-            break
-    witnesses["coassociativity"] = _axiom_witness(bad)
+    def coassociative(j):
+        return tensor_map(n, cols[j], cols, None, n) == tensor_map(n, cols[j], None, cols, n * n)
 
-    bad = None
-    for j in range(n):
-        lhs: dict = {}
-        rhs: dict = {}
-        for f, cval in h.comult_col(j).items():
-            a, b = divmod(f, n)
-            if h.counit[a]:
-                _acc(lhs, b, cval * h.counit[a])
-            if h.counit[b]:
-                _acc(rhs, a, cval * h.counit[b])
+    def counital(j):
         want = {j: ONE}
-        if lhs != want or rhs != want:
-            bad = j
-            break
-    witnesses["counit"] = _axiom_witness(bad)
+        return (
+            tensor_map(n, cols[j], eps, None, n) == want
+            and tensor_map(n, cols[j], None, eps, 1) == want
+        )
+
+    def antipodal(j):
+        want = {k: h.counit[j] * u for k, u in enumerate(alg.unit) if u and h.counit[j]}
+        return (
+            lincomb(m, tensor_map(n, cols[j], anti, None, n)) == want
+            and lincomb(m, tensor_map(n, cols[j], None, anti, n)) == want
+        )
+
+    witnesses: dict = {
+        "coassociativity": _axiom_witness(_first_failure(n, coassociative)),
+        "counit": _axiom_witness(_first_failure(n, counital)),
+    }
 
     unit_sparse = alg.unit_element().terms
     bad = "unit"
     if h.comult_of(unit_sparse) == tensor_outer(n, unit_sparse, unit_sparse):
-        cols = h._comult_cols
         bad = alg.map_failure(cols, lambda i, j: tensor_mult(alg, cols[i], cols[j]))
     witnesses["comult-algebra-map"] = _axiom_witness(bad)
 
-    # the counit as a map into the 1-dim algebra k = k (x) k (flat index 0)
     bad = "unit"
     if h.counit_of(unit_sparse) == ONE:
-        eps = [{0: e} if e else {} for e in h.counit]
         bad = alg.map_failure(eps, lambda i, j: tensor_outer(1, eps[i], eps[j]))
     witnesses["counit-algebra-map"] = _axiom_witness(bad)
 
-    bad = None
-    for j in range(n):
-        left = {}
-        right = {}
-        for f, cval in h.comult_col(j).items():
-            a, b = divmod(f, n)
-            for s_idx, s_val in h.antipode_col(a).items():
-                for t, w in alg.rows[s_idx][b].items():
-                    _acc(left, t, cval * s_val * w)
-            for s_idx, s_val in h.antipode_col(b).items():
-                for t, w in alg.rows[a][s_idx].items():
-                    _acc(right, t, cval * s_val * w)
-        want = {
-            k: h.counit[j] * u for k, u in enumerate(alg.unit) if u and h.counit[j]
-        }
-        if left != want or right != want:
-            bad = j
-            break
-    witnesses["antipode"] = _axiom_witness(bad)
+    witnesses["antipode"] = _axiom_witness(_first_failure(n, antipodal))
 
     ok = all(part["holds"] for part in witnesses.values())
     return CheckReport(check_id, PASS if ok else FAIL, witnesses)
+
+
+def _first_failure(n: int, holds):
+    """The first basis index j < n with not holds(j), or None."""
+    return next((j for j in range(n) if not holds(j)), None)
 
 
 def _axiom_witness(bad) -> dict:
@@ -375,7 +349,7 @@ def dual_hopf(h: HopfData) -> HopfData:
     for i in range(n):
         for j in range(n):
             for c, v in alg.rows[i][j].items():
-                _acc(cols[c], i * n + j, v)
+                cols[c][i * n + j] = v
     counit = list(alg.unit)
     antipode = h.antipode.transpose()
     return HopfData(
@@ -404,10 +378,9 @@ def check_algebra_map(
     columns in dst."""
     if matrix.ncols != src.dim or matrix.nrows != dst.dim:
         raise ValueError("matrix shape does not match the algebras")
-    witnesses: dict = {}
-    unit_ok = matrix.apply(src.unit) == list(dst.unit)
-    witnesses["unit"] = {"holds": unit_ok}
     cols = matrix.transpose().data
+    unit_ok = lincomb(cols, sparse_of(src.unit)) == sparse_of(dst.unit)
+    witnesses: dict = {"unit": {"holds": unit_ok}}
     bad = src.map_failure(cols, lambda i, j: dst.mul_sparse(cols[i], cols[j]))
     witnesses["multiplicative"] = _axiom_witness(bad)
     ok = unit_ok and bad is None
@@ -434,37 +407,18 @@ def check_hopf_map(
     m = dst.dim
     cols = matrix.transpose().data
 
-    bad = None
-    for j in range(n):
-        lhs: dict = {}
-        for f, cval in src.comult_col(j).items():
-            a, b = divmod(f, n)
-            for u, va in cols[a].items():
-                left = cval * va
-                for v, vb in cols[b].items():
-                    _acc(lhs, u * m + v, left * vb)
-        rhs: dict = {}
-        for k, ck in cols[j].items():
-            for f, v in dst.comult_col(k).items():
-                _acc(rhs, f, ck * v)
-        if lhs != rhs:
-            bad = j
-            break
-    witnesses["comultiplicative"] = _axiom_witness(bad)
+    def comultiplicative(j):
+        return tensor_map(n, src.comult_col(j), cols, cols, m) == dst.comult_of(cols[j])
 
-    bad = None
-    for j in range(n):
-        if dst.counit_of(cols[j]) != src.counit[j]:
-            bad = j
-            break
-    witnesses["counit"] = {"holds": bad is None}
+    def counital(j):
+        return dst.counit_of(cols[j]) == src.counit[j]
 
-    bad = None
-    for j in range(n):
-        if matrix.apply(src.antipode.column(j)) != dst.antipode.apply(matrix.column(j)):
-            bad = j
-            break
-    witnesses["antipode-commutes"] = _axiom_witness(bad)
+    def commutes(j):
+        return lincomb(cols, src.antipode_col(j)) == lincomb(dst._antipode_cols, cols[j])
+
+    witnesses["comultiplicative"] = _axiom_witness(_first_failure(n, comultiplicative))
+    witnesses["counit"] = {"holds": _first_failure(n, counital) is None}
+    witnesses["antipode-commutes"] = _axiom_witness(_first_failure(n, commutes))
 
     ok = alg_report.passed and all(
         part["holds"] for part in witnesses.values() if isinstance(part, dict)

@@ -52,6 +52,16 @@ def _axpy(y: dict, f: Cyclotomic | None, x: dict) -> None:
                 del y[c]
 
 
+def lincomb(cols, coeffs: dict) -> dict:
+    """sum_j coeffs[j] cols[j] for sparse vectors cols[j] and nonzero
+    coeffs[j], summed in the order of coeffs; cols is anything that the
+    keys of coeffs index (a list, a tuple or a dict)."""
+    out: dict = {}
+    for j, c in coeffs.items():
+        _axpy(out, c, cols[j])
+    return out
+
+
 class Matrix:
     """Matrix over Q(zeta_N) with exact entries, held as sparse rows.
 
@@ -143,14 +153,7 @@ class Matrix:
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        brows = other.data
-        rows = []
-        for arow in self.data:
-            out: dict = {}
-            for k, aik in arow.items():
-                _axpy(out, aik, brows[k])
-            rows.append(out)
-        return Matrix.sparse(rows, other.ncols)
+        return Matrix.sparse([lincomb(other.data, arow) for arow in self.data], other.ncols)
 
     def apply(self, vec) -> list[Cyclotomic]:
         """M v for a dense vector v, as a dense list."""
@@ -352,13 +355,10 @@ class Subspace:
         if not self.basis or not other.basis:
             return Subspace.zero(self.ambient)
         ker = kernel(Matrix.from_columns(self.basis + other.basis, self.ambient))
-        vecs = []
-        for kv in ker.basis:
-            vec: dict = {}
-            for t, c in kv.items():
-                if t < self.dim:
-                    _axpy(vec, c, self.basis[t])
-            vecs.append(vec)
+        vecs = [
+            lincomb(self.basis, {t: c for t, c in kv.items() if t < self.dim})
+            for kv in ker.basis
+        ]
         return Subspace.from_vectors(self.ambient, vecs)
 
     def __eq__(self, other) -> bool:

@@ -15,8 +15,8 @@ import hopfcheck
 from hopfcheck.algebra import EMPTY_CELL, AlgebraError, StructureAlgebra, UnitLawError
 from hopfcheck.cyclotomic import Cyclotomic
 from hopfcheck import doubles as doubles_module
-from hopfcheck.hopf import HopfData, _acc, check_algebra_map, dual_hopf, group_algebra, taft
-from hopfcheck.linalg import InvariantError, Matrix, dense_of, minimal_polynomial
+from hopfcheck.hopf import HopfData, check_algebra_map, dual_hopf, group_algebra, taft
+from hopfcheck.linalg import InvariantError, Matrix, _axpy, dense_of, minimal_polynomial
 from hopfcheck.doubles import (
     ClassicalDouble,
     TwistedDouble,
@@ -169,9 +169,9 @@ def _in_summed_basis(h: HopfData) -> HopfData:
     def to_f(vec):
         out: dict = {}
         for a, v in vec.items():
-            _acc(out, a, v)
+            _axpy(out, None, {a: v})
             if a + 1 < n:
-                _acc(out, a + 1, -v)
+                _axpy(out, None, {a + 1: -v})
         return out
 
     def f(a):
@@ -186,14 +186,14 @@ def _in_summed_basis(h: HopfData) -> HopfData:
             u, w = divmod(flat, n)
             for s, cs in to_f({u: v}).items():
                 for t, ct in to_f({w: one}).items():
-                    _acc(col, s * n + t, cs * ct)
+                    _axpy(col, None, {s * n + t: cs * ct})
         comult.append(col)
     antipode = []
     for a in range(n):
         col = {}
         for i in range(a, n):
             for k, v in h.antipode_col(i).items():
-                _acc(col, k, v)
+                _axpy(col, None, {k: v})
         antipode.append(to_f(col))
     return HopfData(
         StructureAlgebra(n, rows, dense_of(to_f(alg.unit_element().terms), n)),
