@@ -514,6 +514,22 @@ def test_corrupted_antipode_axiom_witnesses_match_brute_force(p, k, t):
     assert {key: got[key] for key in want} == want
 
 
+# both maps corrupted so that m(S (x) id)Delta = eps 1 holds at j = 1, or
+# everywhere, while m(id (x) S)Delta = eps 1 fails there
+@pytest.mark.parametrize("k, f, value, ks, t", [(1, 0, -1, 1, 0), (1, 7, 1, 3, 0)])
+def test_the_right_antipode_law_is_checked(k, f, value, ks, t):
+    h = taft(2)
+    comult = [h.comult_col(i) for i in range(h.dim)]
+    comult[k] = shifted(comult[k], f, value)
+    anti = [h.antipode_col(i) for i in range(h.dim)]
+    anti[ks] = shifted(anti[ks], t, 1)
+    bad = with_antipode(with_structure_maps(h, comult=comult), anti)
+    want = brute_force_axiom_witnesses(bad)
+    assert want["antipode"] == {"holds": False, "first_failure": 1}
+    got = check_hopf_axioms(bad).witnesses
+    assert {key: got[key] for key in want} == want
+
+
 def test_dual_transport_hopf_map_witnesses_match_brute_force():
     from hopfcheck.hopf import taft_dual_transport
 
