@@ -109,7 +109,7 @@ class HopfData:
             raise ValueError("antipode matrix must be n x n")
         self.antipode = antipode
         self._antipode_cols = tuple(antipode.transpose().data)
-        self._delta2: dict[int, tuple] = {}
+        self._delta2: dict[int, dict] = {}
         self._antipode_inv: Matrix | None = None
         self._antipode_inv_cols = None
         report = check_hopf_axioms(self)
@@ -138,16 +138,19 @@ class HopfData:
         """Delta of the vector with sparse coordinates vec, as a flat tensor."""
         return lincomb(self._comult_cols, vec)
 
+    def delta2(self, j: int) -> dict:
+        """(Delta (x) id) Delta(e_j) as a flat tensor of H (x) H (x) H, key
+        (a*n + b)*n + c for e_a (x) e_b (x) e_c; computed once."""
+        out = self._delta2.get(j)
+        if out is None:
+            n = self.dim
+            out = self._delta2[j] = tensor_map(n, self._comult_cols[j], self._comult_cols, None, n)
+        return out
+
     def delta2_triples(self, j: int) -> tuple:
         """(Delta (x) id) Delta(e_j) as tuples (a, b, c, coeff)."""
-        cached = self._delta2.get(j)
-        if cached is not None:
-            return cached
         n = self.dim
-        out = tensor_map(n, self._comult_cols[j], self._comult_cols, None, n)
-        triples = tuple((k // (n * n), k // n % n, k % n, val) for k, val in out.items())
-        self._delta2[j] = triples
-        return triples
+        return tuple((k // (n * n), k // n % n, k % n, val) for k, val in self.delta2(j).items())
 
     def counit_of(self, vec: dict) -> Cyclotomic:
         """eps of the vector with sparse coordinates vec."""
@@ -191,7 +194,7 @@ def check_hopf_axioms(h: HopfData, check_id: str = "hopf-axioms") -> CheckReport
     m = [cell for row in alg.rows for cell in row]
 
     def coassociative(j):
-        return tensor_map(n, cols[j], cols, None, n) == tensor_map(n, cols[j], None, cols, n * n)
+        return h.delta2(j) == tensor_map(n, cols[j], None, cols, n * n)
 
     def counital(j):
         want = {j: ONE}

@@ -4,7 +4,7 @@ A vector is a dict {index: nonzero Cyclotomic}: no zero value is ever
 stored, so a zero test is a dict's emptiness and elimination touches only
 the entries that are there.  A Matrix holds one such dict per row.  Dense
 lists appear only at the edges: Matrix(dense_rows) converts each row once,
-and Matrix.row, Matrix.column, Matrix.apply and to_json return dense forms.
+and Matrix.row, Matrix.column and to_json return dense forms.
 
 Pivoting always selects the first nonzero entry, the least key of a row, so
 every reduced form is deterministic.  kernel() checks rank-nullity on every
@@ -155,20 +155,6 @@ class Matrix:
             raise ValueError("shape mismatch in matrix product")
         return Matrix.sparse([lincomb(other.data, arow) for arow in self.data], other.ncols)
 
-    def apply(self, vec) -> list[Cyclotomic]:
-        """M v for a dense vector v, as a dense list."""
-        if len(vec) != self.ncols:
-            raise ValueError("shape mismatch in matrix-vector product")
-        out = []
-        for row in self.data:
-            s = None
-            for j, a in row.items():
-                vj = vec[j]
-                if vj:
-                    s = a * vj if s is None else s + a * vj
-            out.append(ZERO if s is None else s)
-        return out
-
     def transpose(self) -> Matrix:
         rows: list[dict] = [{} for _ in range(self.ncols)]
         for i, r in enumerate(self.data):
@@ -208,21 +194,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols})"
-
-
-def shaped_matrix(obj: dict, entries) -> Matrix:
-    """The Matrix of the parsed `entries` of a Matrix.to_json form `obj`,
-    checked against the integer "rows" and "cols" that obj declares."""
-    nrows, ncols = obj["rows"], obj["cols"]
-    for v in (nrows, ncols):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise TypeError(f"matrix rows and cols must be integers, got {v!r}")
-    m = Matrix(entries, ncols=ncols)
-    if m.nrows != nrows:
-        raise ValueError("row count mismatch in matrix JSON")
-    if m.nrows and m.ncols != ncols:
-        raise ValueError("column count mismatch in matrix JSON")
-    return m
 
 
 class EchelonBasis:

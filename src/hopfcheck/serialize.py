@@ -34,6 +34,17 @@ UTF-8 or not JSON, a BOM, trailing data, nesting past the recursion limit,
 an integer past Python's digit limit, or a string or number longer than
 half the window) is decoded whole with a fresh hook, as json.load decodes
 it, so that it gets the same value or the same error.
+
+The window also packs each coordinate list (each structure[i][j], and each
+row of comult and antipode) as soon as it is decoded (_Packed): its length,
+the one zero object it repeats, and a dict of its other entries by
+position.  So the reader holds a dense document's nonzero cells, not a tree
+of n^3 list pointers, and a packed structure list whose other entries are
+all nonzero becomes its cell as it is.  The readers vet a packed list's
+other entries as they vet a list's; whenever its zero is not the zero they
+have vetted, its length is wrong or an entry is in doubt, they unpack it
+into the identical list and read that, so every value and every error is
+the one that json.load's tree gives.
 """
 
 import json
@@ -42,7 +53,7 @@ from json.decoder import WHITESPACE
 from operator import is_not
 
 from .cyclotomic import MEMO_LIMIT, ZERO, Cyclotomic, ScalarMemo, cyc_from_json, scalar_hook
-from .linalg import Matrix, shaped_matrix
+from .linalg import Matrix, sparse_of
 from .algebra import EMPTY_CELL, AlgebraError, StructureAlgebra
 from .hopf import HopfAxiomError, HopfData
 
@@ -83,6 +94,26 @@ def hopf_to_json(h: HopfData) -> dict:
 _NO_ZERO = object()
 
 
+class _Packed:
+    """A coordinate list as the window holds it: its length n, the one
+    object `zero` that it repeats, and a dict of its other entries by
+    position, in order."""
+
+    __slots__ = ("n", "zero", "others")
+
+    def __init__(self, values: list, zero):
+        self.n = len(values)
+        self.zero = zero
+        self.others = {k: values[k] for k in compress(range(self.n), map(is_not, values, repeat(zero)))}
+
+    def unpacked(self) -> list:
+        """The list itself."""
+        values = [self.zero] * self.n
+        for k, v in self.others.items():
+            values[k] = v
+        return values
+
+
 class _Reading(ScalarMemo):
     """The ScalarMemo of one document's reading, which also keeps the
     distinct values it has vetted.  A vetted value is a Cyclotomic whose
@@ -99,26 +130,42 @@ class _Reading(ScalarMemo):
         self.nonzero: set[int] = set()
         self.zero = _NO_ZERO
 
-    def others(self, values: list):
-        """The positions of the entries of values that are not `zero`, when
-        every entry is a vetted value (vetting those met for the first
-        time); None when one is not a Cyclotomic, its order would raise the
-        lcm, or `fit` is full.  Entries that are `zero` are skipped at C
-        speed."""
+    def vetted(self, values) -> bool:
+        """Whether every one of values is a vetted value, vetting in order
+        those met for the first time; False at the first that is not a
+        Cyclotomic, whose order would raise the lcm, or that finds `fit`
+        full."""
         fit = self.fit
-        out = []
-        for k in compress(range(len(values)), map(is_not, values, repeat(self.zero))):
-            v = values[k]
+        for v in values:
             if id(v) not in fit:
                 if type(v) is not Cyclotomic or self.order % v.order or len(fit) >= MEMO_LIMIT:
-                    return None
+                    return False
                 fit[id(v)] = v
                 if v:
                     self.nonzero.add(id(v))
                 elif self.zero is _NO_ZERO:
                     self.zero = v
-            out.append(k)
-        return out
+        return True
+
+    def others(self, values: list):
+        """The positions of the entries of values that are not `zero`, when
+        every entry is a vetted value; None otherwise.  Entries that are
+        `zero` are skipped at C speed."""
+        ks = list(compress(range(len(values)), map(is_not, values, repeat(self.zero))))
+        return ks if self.vetted(map(values.__getitem__, ks)) else None
+
+    def packed(self, vec: _Packed):
+        """The nonzero entries {k: scalar} of a packed list whose zero is
+        `zero` and whose other entries are vetted values, which is what
+        reading vec.unpacked() would give: the record's own dict when none
+        of them is zero.  None for any other packed list."""
+        others = vec.others
+        if vec.zero is not self.zero or not self.vetted(others.values()):
+            return None
+        nonzero = self.nonzero
+        if nonzero.issuperset(map(id, others.values())):
+            return others
+        return {k: c for k, c in others.items() if id(c) in nonzero}
 
 
 def _each(values, memo: _Reading, where: str) -> list:
@@ -141,14 +188,32 @@ def _scalars(values, memo: _Reading, where: str) -> list:
     return _each(values, memo, where)
 
 
-def _cell(vec: list, memo: _Reading, where: str):
-    """The nonzero entries {k: scalar} of a coordinate list, with each
-    distinct value judged zero or not once per document."""
+def _cell(vec, memo: _Reading, n: int, where: str):
+    """The nonzero entries {k: scalar} of the coordinate list of length n at
+    where, with each distinct value judged zero or not once per document.  A
+    packed list that _Reading.packed cannot read is unpacked and read as the
+    list, so that any error names the entry that reading the list names."""
+    if type(vec) is _Packed:
+        if vec.n == n and (cell := memo.packed(vec)) is not None:
+            return cell or EMPTY_CELL
+        vec = vec.unpacked()
+    _require_list(vec, n, where)
     ks = memo.others(vec)
     if ks is None:
         return {k: c for k, c in enumerate(_each(vec, memo, where)) if c}
     nonzero = memo.nonzero
     return {k: c for k in ks if id(c := vec[k]) in nonzero} or EMPTY_CELL
+
+
+def _row(values, memo: _Reading, where: str) -> tuple:
+    """(length, nonzero entries {k: scalar}) of the matrix row at where,
+    read as _cell reads a coordinate list."""
+    if type(values) is _Packed:
+        if (row := memo.packed(values)) is not None:
+            return values.n, row
+        values = values.unpacked()
+    values = _scalars(values, memo, where)
+    return len(values), sparse_of(values)
 
 
 def _require_list(value, n: int, where: str) -> None:
@@ -178,16 +243,27 @@ def _read_algebra(obj: dict, memo: _Reading):
         _require_list(plane, n, f"structure[{i}]")
         row = []
         for j, vec in enumerate(plane):
-            where = f"structure[{i}][{j}]"
-            _require_list(vec, n, where)
-            row.append(_cell(vec, memo, where))
+            row.append(_cell(vec, memo, n, f"structure[{i}][{j}]"))
         rows.append(row)
     return n, rows, unit
 
 
 def _read_matrix(obj: dict, memo: _Reading, where: str) -> Matrix:
-    entries = [_scalars(r, memo, f"{where}[{i}]") for i, r in enumerate(obj["entries"])]
-    return shaped_matrix(obj, entries)
+    """The Matrix of a Matrix.to_json form, its rows read before its integer
+    "rows" and "cols" are checked against them."""
+    rows = [_row(r, memo, f"{where}[{i}]") for i, r in enumerate(obj["entries"])]
+    nrows, ncols = obj["rows"], obj["cols"]
+    for v in (nrows, ncols):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise TypeError(f"matrix rows and cols must be integers, got {v!r}")
+    width = rows[0][0] if rows else ncols
+    if any(length != width for length, _ in rows):
+        raise ValueError("ragged rows")
+    if len(rows) != nrows:
+        raise ValueError("row count mismatch in matrix JSON")
+    if rows and width != ncols:
+        raise ValueError("column count mismatch in matrix JSON")
+    return Matrix.sparse([row for _, row in rows], width)
 
 
 def _read_hopf(obj: dict, memo: _Reading):
@@ -256,6 +332,9 @@ class _Window:
     decode raises ValueError or RecursionError, and the whole file is then
     decoded instead.
 
+    The lists that the document's shape locates (see _COORDINATE_LISTS)
+    are packed as soon as they are decoded, whether scanned whole or walked.
+
     A scan that a container outgrows has run the hook on the objects it
     finished, and the walk scans them again.  That is safe with scalar_hook,
     which only inserts keys that are absent into its memos of spellings and
@@ -265,6 +344,7 @@ class _Window:
     def __init__(self, fh, hook):
         self.fh = fh
         self.hook = hook
+        self.zero = None  # the first zero met in a list to pack
         self.scan = json.JSONDecoder(object_hook=hook).raw_decode
         self.buf = ""
         self.pos = 0
@@ -299,13 +379,14 @@ class _Window:
                 return ""
             self.fill()
 
-    def value(self, bound: int):
-        """The JSON value at the next character that is not whitespace.  A
-        container is scanned over at most `bound` characters, and walked
-        when it is longer or when a window cannot hold `bound` characters;
-        at the end of the file all the text left is in view and is scanned.
-        Half a window at least is brought into view, and `bound` characters
-        when a window holds them."""
+    def value(self, bound: int, shape=None):
+        """The JSON value at the next character that is not whitespace, with
+        the lists that shape locates in it packed.  A container is scanned
+        over at most `bound` characters, and walked when it is longer or
+        when a window cannot hold `bound` characters; at the end of the file
+        all the text left is in view and is scanned.  Half a window at least
+        is brought into view, and `bound` characters when a window holds
+        them."""
         first = self.peek()
         container = first == "{" or first == "["
         if not self.eof and len(self.buf) - self.pos < max(WINDOW // 2, min(bound, WINDOW)):
@@ -316,20 +397,23 @@ class _Window:
             # "e" or "E") then stands where a delimiter belongs, so the walk
             # refuses it.
             value, self.pos = self.scan(self.buf, self.pos)
-            return value
+            return self.packed(value, shape)
         if bound <= len(self.buf) - self.pos:
             try:
                 value, end = self.scan(self.buf[self.pos:self.pos + bound], 0)
-                self.pos += end
-                return value
             except json.JSONDecodeError:
                 pass
-        return self.walk({}, "}") if first == "{" else self.walk([], "]")
+            else:
+                self.pos += end
+                return self.packed(value, shape)
+        return self.walk({}, "}", shape) if first == "{" else self.walk([], "]", shape)
 
-    def walk(self, items, close: str):
-        """The container at pos, member by member, into the empty items."""
+    def walk(self, items, close: str, shape=None):
+        """The container at pos, member by member, into the empty items,
+        with the lists that shape locates in it packed."""
         self.pos += 1
         longest = _FIRST // 2
+        inner = shape - 1 if type(shape) is int and shape else None
         if self.peek() == close:
             self.pos += 1
         else:
@@ -341,8 +425,9 @@ class _Window:
                     if self.peek() != ":":
                         raise ValueError("expecting ':'")
                     self.pos += 1
+                    inner = shape.get(key) if type(shape) is dict else None
                 start = self.done + self.pos
-                member = self.value(2 * longest)
+                member = self.value(2 * longest, inner)
                 longest = max(longest, self.done + self.pos - start)
                 if close == "}":
                     items[key] = member
@@ -354,10 +439,36 @@ class _Window:
                     break
                 if delimiter != ",":
                     raise ValueError("expecting ',' or the container's end")
-        return self.hook(items) if close == "}" else items
+        if close == "}":
+            return self.hook(items)
+        return self.pack(items) if shape == 0 else items
 
-    def document(self):
-        value = self.value(0)
+    def packed(self, value, shape):
+        """value, decoded whole, with the lists that shape locates in it
+        packed in place."""
+        if type(shape) is dict:
+            if type(value) is dict:
+                for key, inner in shape.items():
+                    if key in value:
+                        value[key] = self.packed(value[key], inner)
+        elif shape is not None and type(value) is list:
+            if shape == 0:
+                return self.pack(value)
+            for k, member in enumerate(value):
+                value[k] = self.packed(member, shape - 1)
+        return value
+
+    def pack(self, values: list):
+        """values as a _Packed whose zero is the first zero Cyclotomic met in
+        a list to pack; values itself until one is met."""
+        if self.zero is None:
+            self.zero = next((v for v in values if type(v) is Cyclotomic and not v), None)
+            if self.zero is None:
+                return values
+        return _Packed(values, self.zero)
+
+    def document(self, shape=None):
+        value = self.value(0, shape)
         if self.peek():
             raise ValueError("extra data")
         return value
@@ -368,15 +479,25 @@ class _Window:
 _REFUSED = object()
 
 
-def _decode(path: str):
+# Where a document's coordinate lists sit, for the window to pack them: a
+# shape is a dict of the shapes of an object's members by key, or for a list
+# the number of list levels between it and the lists to pack (0: pack the
+# list itself).  The planes of "structure" hold coordinate lists, and the
+# "entries" of "comult" and "antipode" hold rows.
+_COORDINATE_LISTS = {"structure": 2, "comult": {"entries": 1}, "antipode": {"entries": 1}}
+
+
+def _decode(path: str, shape=None):
     """The JSON value of the file at path, decoded with a scalar_hook as
     json.load decodes it, holding at most a window of its text at once; or
-    _REFUSED.  Its frames reach json's scanner no less deep than json.load's
-    do from ingest_algebra, so it refuses whatever is nested too deeply for
-    json.load, and then ingest_algebra runs json.load itself."""
+    _REFUSED.  The lists that shape locates are packed (_Packed) as they are
+    decoded, once a zero has been met in one of them.  Its frames reach
+    json's scanner no less deep than json.load's do from ingest_algebra, so
+    it refuses whatever is nested too deeply for json.load, and then
+    ingest_algebra runs json.load itself."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return _Window(fh, scalar_hook()).document()
+            return _Window(fh, scalar_hook()).document(shape)
         except (ValueError, RecursionError):
             return _REFUSED
 
@@ -385,7 +506,7 @@ def ingest_algebra(path: str):
     """Load a JSON file holding either schema; returns HopfData when the
     coalgebra fields are present, else StructureAlgebra."""
     try:
-        obj = _decode(path)
+        obj = _decode(path, _COORDINATE_LISTS)
         if obj is _REFUSED:
             # decoded whole with a fresh hook, as before the window, so that
             # the document gets the same value or the same error

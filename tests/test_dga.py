@@ -4,6 +4,7 @@ stable quotient, and the centrality-constrained degree -1 kernel."""
 import random
 
 import pytest
+from test_linalg import matrix_apply
 
 from hopfcheck.cyclotomic import Cyclotomic
 from hopfcheck.hopf import group_algebra, taft
@@ -164,10 +165,10 @@ def _change_basis(alg: StructureAlgebra, p: Matrix) -> StructureAlgebra:
         row = []
         for j in range(n):
             prod = (alg.element(cols[i]) * alg.element(cols[j])).coords
-            new = pinv.apply(list(prod))
+            new = matrix_apply(pinv, list(prod))
             row.append({k: v for k, v in enumerate(new) if v})
         rows.append(row)
-    unit = pinv.apply(list(alg.unit))
+    unit = matrix_apply(pinv, list(alg.unit))
     return StructureAlgebra(n, rows, unit, name=f"{alg.name}~")
 
 
@@ -182,7 +183,7 @@ def test_invariants_survive_a_change_of_basis(p2_blocks):
         if rank(p) == n:
             break
     moved = _change_basis(dga.ring, p)
-    z_new = moved.element(invert_matrix(p).apply(list(dga.z.coords)))
+    z_new = moved.element(matrix_apply(invert_matrix(p), list(dga.z.coords)))
     moved_dga = TwoTermDga(moved, z_new)
     assert hh_minus_one(moved_dga).dim == hh_minus_one(dga).dim
     prof0 = complex_cohomology(dga)

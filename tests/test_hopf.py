@@ -3,7 +3,9 @@
 import copy
 
 import pytest
+from test_linalg import matrix_apply
 
+from hopfcheck import hopf
 from hopfcheck.cyclotomic import ONE, ZERO, Cyclotomic, q_int, root_of_unity
 from hopfcheck.hopf import (
     HopfAxiomError,
@@ -46,6 +48,26 @@ def test_taft_axioms_pass():
         assert report.passed, report.witnesses
 
 
+def test_coassociativity_computes_each_iterated_coproduct_once(monkeypatch):
+    # check_hopf_axioms computes (Delta (x) id) Delta(e_j) for every j, and
+    # delta2_triples reads it rather than computing it again
+    calls = []
+    real = hopf.tensor_map
+
+    def counting(n, t, f, g, width):
+        calls.append((f, g))
+        return real(n, t, f, g, width)
+
+    monkeypatch.setattr(hopf, "tensor_map", counting)
+    h = taft(3)
+    cols = h._comult_cols
+    assert sum(f is cols and g is None for f, g in calls) == h.dim
+    built = len(calls)
+    triples = [h.delta2_triples(j) for j in range(h.dim)]
+    assert len(calls) == built
+    assert [h.delta2_triples(j) for j in range(h.dim)] == triples
+
+
 def test_taft_defining_relations():
     for p in (2, 3):
         h = taft(p)
@@ -65,9 +87,9 @@ def test_taft_antipode_values():
         xi = h.meta["xi"]
         a = h.algebra
         x = a.basis_element(tidx(p, 0, 1))
-        sx = a.element(h.antipode.apply(x.coords))
+        sx = a.element(matrix_apply(h.antipode, x.coords))
         assert sx == -a.basis_element(tidx(p, p - 1, 1))
-        s2x = a.element(h.antipode.apply(sx.coords))
+        s2x = a.element(matrix_apply(h.antipode, sx.coords))
         assert s2x == xi.inverse() * x
 
 
@@ -204,7 +226,7 @@ def test_self_duality_p2_und_p3():
 def test_self_duality_preserves_group_likes():
     sd = taft_self_duality(taft(3))
     g = sd.hopf.algebra.basis_element(tidx(3, 1, 0))
-    image = sd.dual.algebra.element(sd.forward.apply(list(g.coords)))
+    image = sd.dual.algebra.element(matrix_apply(sd.forward, list(g.coords)))
     assert is_group_like(sd.dual, image)
 
 
@@ -297,6 +319,7 @@ def with_structure_maps(h, comult=None, counit=None):
     bad = copy.copy(h)
     if comult is not None:
         bad._comult_cols = tuple(comult)
+        bad._delta2 = {}  # h's iterated coproducts, read from its own columns
     if counit is not None:
         bad.counit = tuple(counit)
     return bad

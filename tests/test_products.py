@@ -9,6 +9,7 @@ import re
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from test_linalg import matrix_apply
 
 from hopfcheck.algebra import StructureAlgebra, UnitLawError, sparse_of
 from hopfcheck.cyclotomic import Cyclotomic, root_of_unity
@@ -294,7 +295,7 @@ def algebra_map_first_failure(src, dst, matrix):
     """First basis pair (i, j) with M(e_i e_j) != M(e_i) M(e_j), all dense."""
     for i in range(src.dim):
         for j in range(src.dim):
-            want = matrix.apply([src.rows[i][j].get(k, Cyclotomic.zero()) for k in range(src.dim)])
+            want = matrix_apply(matrix, [src.rows[i][j].get(k, Cyclotomic.zero()) for k in range(src.dim)])
             got = mul_coords_dense_reference(dst, matrix.column(i), matrix.column(j))
             if want != got:
                 return (i, j)

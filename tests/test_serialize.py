@@ -179,7 +179,7 @@ def decode_ways() -> list:
     return [
         contextlib.nullcontext(),
         mock.patch.multiple(serialize, WINDOW=40, _FIRST=8),
-        mock.patch.object(serialize, "_decode", lambda path: serialize._REFUSED),
+        mock.patch.object(serialize, "_decode", lambda path, shape=None: serialize._REFUSED),
     ]
 
 
@@ -347,6 +347,78 @@ def test_lcm_cap_is_located_when_structure_precedes_unit(tmp_path):
     assert str(ingested.value) == str(plain.value)
 
 
+def _unpacked(value):
+    """value with every packed list that the window made replaced by the list."""
+    if type(value) is serialize._Packed:
+        return value.unpacked()
+    if type(value) is dict:
+        return {key: _unpacked(member) for key, member in value.items()}
+    if type(value) is list:
+        return [_unpacked(member) for member in value]
+    return value
+
+
+@pytest.mark.parametrize("window", [40, serialize.WINDOW])
+def test_window_packs_the_coordinate_lists_losslessly(tmp_path, monkeypatch, window):
+    # the coordinate lists of structure and the rows of comult and antipode
+    # are packed, and nothing else is; unpacked, they give json.load's value
+    path = tmp_path / "taft2.json"
+    path.write_text(json.dumps(hopf_to_json(taft(2))))
+    monkeypatch.setattr(serialize, "WINDOW", window)
+    decoded = serialize._decode(str(path), serialize._COORDINATE_LISTS)
+    packed = [vec for plane in decoded["structure"] for vec in plane]
+    packed += decoded["comult"]["entries"] + decoded["antipode"]["entries"]
+    assert {type(vec) for vec in packed} == {serialize._Packed}
+    assert all(type(v) is Cyclotomic for v in decoded["unit"] + decoded["counit"])
+    assert repr(_unpacked(decoded)) == _loaded(path)
+    assert repr(serialize._decode(str(path))) == _loaded(path)
+
+
+def _lcm_across_fields_doc(fault) -> dict:
+    # k[Z/4], with unit written after structure: the hook parses the order-997
+    # zero in structure[3][2] and leaves unit's order-991 one as JSON, so the
+    # lcm passes MAX_ORDER only when reading meets structure[3][2]; a fault
+    # put in plane 1 is met before that.  With every zero of structure at
+    # order 997, the zero that each packed list repeats passes it.
+    doc = _dense_group_algebra_doc(4)
+    doc = {"dim": 4, "structure": doc["structure"], "unit": doc["unit"]}
+    doc["structure"][3][2][1] = _zero_of_order(997)
+    doc["unit"][1] = _zero_of_order(991)
+    if fault == "zeros-of-order-997":
+        for vec in itertools.chain(*doc["structure"]):
+            vec[:] = [_zero_of_order(997) if v == _scalar_json("0", "1") else v for v in vec]
+    elif fault == "short":
+        del doc["structure"][1][2][-1]
+    elif fault == "not-a-list":
+        doc["structure"][1][2] = 7
+    return doc
+
+
+@pytest.mark.parametrize(
+    "fault,error",
+    [
+        (None, r"^bad scalar in structure\[3\]\[2\]\[1\]: order 997 takes the lcm 988027 "),
+        ("zeros-of-order-997", r"^bad scalar in structure\[0\]\[0\]\[1\]: order 997 takes the lcm 988027 "),
+        ("short", r"^structure\[1\]\[2\] must have length dim$"),
+        ("not-a-list", r"^structure\[1\]\[2\] must be a list, got int$"),
+    ],
+)
+def test_packed_planes_report_what_their_lists_report(tmp_path, fault, error):
+    doc = _lcm_across_fields_doc(fault)
+    with pytest.raises(IngestError, match=error) as plain:
+        algebra_from_json(json.loads(json.dumps(doc)))
+    with pytest.raises(IngestError, match=error) as ingested:
+        _ingest_written(tmp_path, doc)
+    assert str(ingested.value) == str(plain.value)
+
+
+def test_packed_rows_report_a_ragged_matrix(tmp_path):
+    doc = hopf_to_json(taft(2))
+    del doc["antipode"]["entries"][2][-1]
+    with pytest.raises(IngestError, match=r"^bad hopf field: ragged rows$"):
+        _ingest_written(tmp_path, doc)
+
+
 def _null_unit(doc):
     doc["unit"][0] = None
 
@@ -473,8 +545,8 @@ def test_ingest_releases_the_decoded_document(tmp_path, monkeypatch):
     seen = []
     real_decode = serialize._decode
 
-    def decode(path):
-        seen.append(real_decode(path))
+    def decode(path, shape=None):
+        seen.append(real_decode(path, shape))
         return seen[-1]
 
     monkeypatch.setattr(serialize, "_decode", decode)
@@ -520,10 +592,10 @@ def test_ingest_decode_holds_a_fifth_of_the_plain_tree(tmp_path, monkeypatch):
     peaks = {}
     real_decode = serialize._decode
 
-    def decode(path):
+    def decode(path, shape=None):
         with open(path, encoding="utf-8") as fh:
             _, peaks["plain"] = _traced_peak(json.loads, fh.read())
-        decoded, peaks["ingest"] = _traced_peak(real_decode, path)
+        decoded, peaks["ingest"] = _traced_peak(lambda p: real_decode(p, shape), path)
         assert type(decoded) is dict
         raise _Decoded
 
@@ -554,6 +626,32 @@ def test_ingest_holds_less_than_the_file_while_decoding(tmp_path, monkeypatch):
     monkeypatch.setattr(serialize, "algebra_from_json", decoded)
     _, peak = _traced_peak(lambda p: pytest.raises(_Decoded, ingest_algebra, p), str(path))
     assert peak < path.stat().st_size, peak
+
+
+def test_reading_memory_grows_with_the_cells_not_the_tree(tmp_path, monkeypatch):
+    # k[Z/n] has n^2 nonzero cells and n^3 entries.  From n = 24 to n = 48
+    # the cells grow 4x and the tree of decoded lists 8x.  Traced up to the
+    # algebra's construction, a reader holding that tree peaks 5.9x higher
+    # (the cells it builds beside the tree grow 4x), one holding packed
+    # lists 3.5x higher.  Each document is ingested once untraced first, so
+    # that no memo or cache that outlives it fills inside the trace.
+    monkeypatch.setattr(serialize, "WINDOW", 1 << 12)
+    peaks = {}
+
+    def read(path):
+        with monkeypatch.context() as m:
+            m.setattr(serialize, "_build_algebra", stop)
+            pytest.raises(_Decoded, ingest_algebra, path)
+
+    def stop(*args):
+        raise _Decoded
+
+    for n in (24, 48):
+        path = tmp_path / f"group{n}.json"
+        _write_dense_group_doc(path, n)
+        assert ingest_algebra(str(path)).dim == n
+        _, peaks[n] = _traced_peak(read, str(path))
+    assert peaks[48] < 4.5 * peaks[24], peaks
 
 
 # Documents whose values straddle a window edge at some window size, and
