@@ -120,12 +120,15 @@ def _diagonal(n: int, flat) -> dict:
 
 def _sandwiches(h: HopfData, c: int, left, right) -> list:
     """(c2, v, t, left(e_c3) e_v right(e_c1)) for every Sweedler triple
-    (c1, c2, c3, t) of e_c, in delta2_triples order, and every v; left and
-    right map a basis index to a sparse column."""
+    (c1, c2, c3, t) of e_c, in the key order of h.delta2(c), and every v;
+    left and right map a basis index to a sparse column."""
     alg = h.algebra
+    n = h.dim
     out = []
-    for c1, c2, c3, t in h.delta2_triples(c):
-        for v in range(h.dim):
+    for k, t in h.delta2(c).items():
+        c12, c3 = divmod(k, n)
+        c1, c2 = divmod(c12, n)
+        for v in range(n):
             w = alg.mul_sparse(left(c3), alg.basis_sparse(v))
             out.append((c2, v, t, alg.mul_sparse(w, right(c1))))
     return out

@@ -140,17 +140,13 @@ class HopfData:
 
     def delta2(self, j: int) -> dict:
         """(Delta (x) id) Delta(e_j) as a flat tensor of H (x) H (x) H, key
-        (a*n + b)*n + c for e_a (x) e_b (x) e_c; computed once."""
+        (a*n + b)*n + c for e_a (x) e_b (x) e_c; computed on first use and
+        kept, for the double builders, which read it once per double."""
         out = self._delta2.get(j)
         if out is None:
             n = self.dim
             out = self._delta2[j] = tensor_map(n, self._comult_cols[j], self._comult_cols, None, n)
         return out
-
-    def delta2_triples(self, j: int) -> tuple:
-        """(Delta (x) id) Delta(e_j) as tuples (a, b, c, coeff)."""
-        n = self.dim
-        return tuple((k // (n * n), k // n % n, k % n, val) for k, val in self.delta2(j).items())
 
     def counit_of(self, vec: dict) -> Cyclotomic:
         """eps of the vector with sparse coordinates vec."""
@@ -194,7 +190,9 @@ def check_hopf_axioms(h: HopfData, check_id: str = "hopf-axioms") -> CheckReport
     m = [cell for row in alg.rows for cell in row]
 
     def coassociative(j):
-        return h.delta2(j) == tensor_map(n, cols[j], None, cols, n * n)
+        # computed here and dropped, not kept through h.delta2: that would
+        # hold sum_j |Delta^2(e_j)| entries (n^3 for k^G) on every HopfData
+        return tensor_map(n, cols[j], cols, None, n) == tensor_map(n, cols[j], None, cols, n * n)
 
     def counital(j):
         want = {j: ONE}

@@ -316,6 +316,14 @@ _PIECE = 1 << 16
 _FIRST = 1 << 12
 
 
+# Where a document's coordinate lists sit, for the window to pack them: a
+# shape is a dict of the shapes of an object's members by key, or for a list
+# the number of list levels between it and the lists to pack (0: pack the
+# list itself).  The planes of "structure" hold coordinate lists, and the
+# "entries" of "comult" and "antipode" hold rows.
+_COORDINATE_LISTS = {"structure": 2, "comult": {"entries": 1}, "antipode": {"entries": 1}}
+
+
 class _Window:
     """The JSON text of an open file, held at most WINDOW characters at a time.
 
@@ -332,8 +340,8 @@ class _Window:
     decode raises ValueError or RecursionError, and the whole file is then
     decoded instead.
 
-    The lists that the document's shape locates (see _COORDINATE_LISTS)
-    are packed as soon as they are decoded, whether scanned whole or walked.
+    The lists that _COORDINATE_LISTS locates are packed as soon as they are
+    decoded, whether scanned whole or walked.
 
     A scan that a container outgrows has run the hook on the objects it
     finished, and the walk scans them again.  That is safe with scalar_hook,
@@ -379,7 +387,7 @@ class _Window:
                 return ""
             self.fill()
 
-    def value(self, bound: int, shape=None):
+    def value(self, bound: int, shape):
         """The JSON value at the next character that is not whitespace, with
         the lists that shape locates in it packed.  A container is scanned
         over at most `bound` characters, and walked when it is longer or
@@ -408,7 +416,7 @@ class _Window:
                 return self.packed(value, shape)
         return self.walk({}, "}", shape) if first == "{" else self.walk([], "]", shape)
 
-    def walk(self, items, close: str, shape=None):
+    def walk(self, items, close: str, shape):
         """The container at pos, member by member, into the empty items,
         with the lists that shape locates in it packed."""
         self.pos += 1
@@ -421,7 +429,7 @@ class _Window:
                 if close == "}":
                     if self.peek() != '"':
                         raise ValueError("expecting a property name")
-                    key = self.value(0)
+                    key = self.value(0, None)
                     if self.peek() != ":":
                         raise ValueError("expecting ':'")
                     self.pos += 1
@@ -467,8 +475,8 @@ class _Window:
                 return values
         return _Packed(values, self.zero)
 
-    def document(self, shape=None):
-        value = self.value(0, shape)
+    def document(self):
+        value = self.value(0, _COORDINATE_LISTS)
         if self.peek():
             raise ValueError("extra data")
         return value
@@ -479,25 +487,17 @@ class _Window:
 _REFUSED = object()
 
 
-# Where a document's coordinate lists sit, for the window to pack them: a
-# shape is a dict of the shapes of an object's members by key, or for a list
-# the number of list levels between it and the lists to pack (0: pack the
-# list itself).  The planes of "structure" hold coordinate lists, and the
-# "entries" of "comult" and "antipode" hold rows.
-_COORDINATE_LISTS = {"structure": 2, "comult": {"entries": 1}, "antipode": {"entries": 1}}
-
-
-def _decode(path: str, shape=None):
+def _decode(path: str):
     """The JSON value of the file at path, decoded with a scalar_hook as
     json.load decodes it, holding at most a window of its text at once; or
-    _REFUSED.  The lists that shape locates are packed (_Packed) as they are
-    decoded, once a zero has been met in one of them.  Its frames reach
-    json's scanner no less deep than json.load's do from ingest_algebra, so
-    it refuses whatever is nested too deeply for json.load, and then
-    ingest_algebra runs json.load itself."""
+    _REFUSED.  The lists that _COORDINATE_LISTS locates are packed (_Packed)
+    as they are decoded, once a zero has been met in one of them.  Its
+    frames reach json's scanner no less deep than json.load's do from
+    ingest_algebra, so it refuses whatever is nested too deeply for
+    json.load, and then ingest_algebra runs json.load itself."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return _Window(fh, scalar_hook()).document(shape)
+            return _Window(fh, scalar_hook()).document()
         except (ValueError, RecursionError):
             return _REFUSED
 
@@ -506,7 +506,7 @@ def ingest_algebra(path: str):
     """Load a JSON file holding either schema; returns HopfData when the
     coalgebra fields are present, else StructureAlgebra."""
     try:
-        obj = _decode(path, _COORDINATE_LISTS)
+        obj = _decode(path)
         if obj is _REFUSED:
             # decoded whole with a fresh hook, as before the window, so that
             # the document gets the same value or the same error

@@ -630,6 +630,13 @@ def with_corrupted_cell(alg, i, j):
     return StructureAlgebra(alg.dim, rows, alg.unit, check="none")
 
 
+def sweedler_triples(h, j):
+    """(c1, c2, c3, t) for each term t e_c1 (x) e_c2 (x) e_c3 of
+    (Delta (x) id) Delta(e_j), in the key order of h.delta2(j)."""
+    n = h.dim
+    return [(k // (n * n), k // n % n, k % n, t) for k, t in h.delta2(j).items()]
+
+
 def straightening_first_failure(double):
     """First (b, c), b-major, where e^b . e_c differs from the expansion
     sum e_{c2} (x) e^b(e_{c3} (-) A(e_{c1})), all with element arithmetic."""
@@ -642,7 +649,7 @@ def straightening_first_failure(double):
         for c in range(n):
             lhs = chi * double.embed_hopf(h.algebra.basis_sparse(c))
             rhs = double.algebra.zero_element()
-            for c1, c2, c3, t in h.delta2_triples(c):
+            for c1, c2, c3, t in sweedler_triples(h, c):
                 for v in range(n):
                     w = basis(c3) * basis(v) * h.algebra.element(anti.column(c1))
                     e = double.algebra.basis_element(double.flat(c2, v))
@@ -663,7 +670,7 @@ def cross_relation_first_failure(double):
         for d in range(n):
             lhs = hk * double.embed_dual(h.algebra.basis_sparse(d))
             rhs = double.algebra.zero_element()
-            for k1, k2, k3, t in h.delta2_triples(k):
+            for k1, k2, k3, t in sweedler_triples(h, k):
                 for v in range(n):
                     w = h.algebra.element(h.antipode.column(k3)) * basis(v) * basis(k1)
                     e = double.algebra.basis_element(double.flat(k2, v))

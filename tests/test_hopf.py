@@ -48,9 +48,9 @@ def test_taft_axioms_pass():
         assert report.passed, report.witnesses
 
 
-def test_coassociativity_computes_each_iterated_coproduct_once(monkeypatch):
-    # check_hopf_axioms computes (Delta (x) id) Delta(e_j) for every j, and
-    # delta2_triples reads it rather than computing it again
+def test_iterated_coproducts_are_kept_for_the_doubles_only(monkeypatch):
+    # check_hopf_axioms computes (Delta (x) id) Delta(e_j) and keeps none of
+    # it; h.delta2 computes each on first use and reads it after that
     calls = []
     real = hopf.tensor_map
 
@@ -62,10 +62,12 @@ def test_coassociativity_computes_each_iterated_coproduct_once(monkeypatch):
     h = taft(3)
     cols = h._comult_cols
     assert sum(f is cols and g is None for f, g in calls) == h.dim
-    built = len(calls)
-    triples = [h.delta2_triples(j) for j in range(h.dim)]
-    assert len(calls) == built
-    assert [h.delta2_triples(j) for j in range(h.dim)] == triples
+    assert h._delta2 == {}
+    calls.clear()
+    tensors = [h.delta2(j) for j in range(h.dim)]
+    assert calls == [(cols, None)] * h.dim
+    assert [h.delta2(j) for j in range(h.dim)] == tensors
+    assert len(calls) == h.dim
 
 
 def test_taft_defining_relations():
@@ -319,7 +321,6 @@ def with_structure_maps(h, comult=None, counit=None):
     bad = copy.copy(h)
     if comult is not None:
         bad._comult_cols = tuple(comult)
-        bad._delta2 = {}  # h's iterated coproducts, read from its own columns
     if counit is not None:
         bad.counit = tuple(counit)
     return bad

@@ -179,7 +179,7 @@ def decode_ways() -> list:
     return [
         contextlib.nullcontext(),
         mock.patch.multiple(serialize, WINDOW=40, _FIRST=8),
-        mock.patch.object(serialize, "_decode", lambda path, shape=None: serialize._REFUSED),
+        mock.patch.object(serialize, "_decode", lambda path: serialize._REFUSED),
     ]
 
 
@@ -365,13 +365,12 @@ def test_window_packs_the_coordinate_lists_losslessly(tmp_path, monkeypatch, win
     path = tmp_path / "taft2.json"
     path.write_text(json.dumps(hopf_to_json(taft(2))))
     monkeypatch.setattr(serialize, "WINDOW", window)
-    decoded = serialize._decode(str(path), serialize._COORDINATE_LISTS)
+    decoded = serialize._decode(str(path))
     packed = [vec for plane in decoded["structure"] for vec in plane]
     packed += decoded["comult"]["entries"] + decoded["antipode"]["entries"]
     assert {type(vec) for vec in packed} == {serialize._Packed}
     assert all(type(v) is Cyclotomic for v in decoded["unit"] + decoded["counit"])
     assert repr(_unpacked(decoded)) == _loaded(path)
-    assert repr(serialize._decode(str(path))) == _loaded(path)
 
 
 def _lcm_across_fields_doc(fault) -> dict:
@@ -545,8 +544,8 @@ def test_ingest_releases_the_decoded_document(tmp_path, monkeypatch):
     seen = []
     real_decode = serialize._decode
 
-    def decode(path, shape=None):
-        seen.append(real_decode(path, shape))
+    def decode(path):
+        seen.append(real_decode(path))
         return seen[-1]
 
     monkeypatch.setattr(serialize, "_decode", decode)
@@ -592,10 +591,10 @@ def test_ingest_decode_holds_a_fifth_of_the_plain_tree(tmp_path, monkeypatch):
     peaks = {}
     real_decode = serialize._decode
 
-    def decode(path, shape=None):
+    def decode(path):
         with open(path, encoding="utf-8") as fh:
             _, peaks["plain"] = _traced_peak(json.loads, fh.read())
-        decoded, peaks["ingest"] = _traced_peak(lambda p: real_decode(p, shape), path)
+        decoded, peaks["ingest"] = _traced_peak(real_decode, path)
         assert type(decoded) is dict
         raise _Decoded
 
