@@ -191,7 +191,7 @@ def check_hopf_axioms(h: HopfData, check_id: str = "hopf-axioms") -> CheckReport
 
     def coassociative(j):
         # computed here and dropped, not kept through h.delta2: that would
-        # hold sum_j |Delta^2(e_j)| entries (n^3 for k^G) on every HopfData
+        # hold sum_j |Delta^2(e_j)| entries (n^3 for k^G, |G| = n) on every HopfData
         return tensor_map(n, cols[j], cols, None, n) == tensor_map(n, cols[j], None, cols, n * n)
 
     def counital(j):
