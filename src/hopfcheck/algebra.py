@@ -39,12 +39,13 @@ up to dim 24 and, above it, a fixed sample of 2,000 triples.
 
 An AlgebraElement holds its terms, a dict {basis index: nonzero scalar}, and
 every product goes through one sparse kernel, StructureAlgebra.mul_sparse,
-which multiplies two such dicts and visits only the structure-constant cells
-their supports select.  All higher operations (center, radical, subalgebras,
-ideals, quotients, central splitting) hand the same dicts to the exact linear
-algebra of linalg.  Dense coordinates remain only at the edges: the unit
-tuple, element(coords), an element's coords view and the dense operands that
-left_mult_matrix and right_mult_matrix still accept.
+which multiplies two such dicts, visits only the structure-constant cells
+their supports select and sums each cell in through linalg._axpy; the exact
+check of a triple is two such products.  All higher operations (center,
+radical, subalgebras, ideals, quotients, central splitting) hand the same
+dicts to the exact linear algebra of linalg.  Dense coordinates remain only
+at the edges: the unit tuple, element(coords), an element's coords view and
+the dense operands that left_mult_matrix and right_mult_matrix still accept.
 """
 
 from __future__ import annotations
@@ -224,16 +225,9 @@ class StructureAlgebra:
             raise AssociativityError(bad, f"{self.name}: associativity fails")
 
     def _assoc_triple_exact(self, i: int, j: int, k: int) -> bool:
-        lhs: dict[int, Cyclotomic] = {}
-        for m, c in self.rows[i][j].items():
-            for t, d in self.rows[m][k].items():
-                prev = lhs.get(t)
-                lhs[t] = c * d if prev is None else prev + c * d
-        for m, c in self.rows[j][k].items():
-            for t, d in self.rows[i][m].items():
-                prev = lhs.get(t)
-                lhs[t] = -(c * d) if prev is None else prev - c * d
-        return all(not v for v in lhs.values())
+        """(e_i e_j) e_k == e_i (e_j e_k), both sides through mul_sparse."""
+        rows, basis = self.rows, self.basis_sparse
+        return self.mul_sparse(rows[i][j], basis(k)) == self.mul_sparse(basis(i), rows[j][k])
 
     def _assoc_modular(self):
         """The first basis triple (i, j, k), in row-major order, with
@@ -348,10 +342,11 @@ class StructureAlgebra:
         return AlgebraElement(self, {})
 
     def mul_sparse(self, u: dict, v: dict) -> dict:
-        """The product of two sparse coordinate dicts {index: scalar}.
+        """The product of two sparse coordinate dicts {index: nonzero scalar}.
 
         Only the cells c[i][j] with i in u and j in v are visited, and empty
-        ones are skipped; the result holds no zero-valued keys.
+        ones are skipped; each cell is summed in through _axpy, so a key
+        that cancels is dropped at once and the result holds no zero.
         """
         rows = self.rows
         out: dict = {}
@@ -359,13 +354,9 @@ class StructureAlgebra:
             rowi = rows[i]
             for j, cj in v.items():
                 cell = rowi[j]
-                if not cell:
-                    continue
-                f = ci * cj
-                for k, ck in cell.items():
-                    w = out.get(k)
-                    out[k] = f * ck if w is None else w + f * ck
-        return {k: w for k, w in out.items() if w}
+                if cell:
+                    _axpy(out, ci * cj, cell)
+        return out
 
     def multiply(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(self, self.mul_sparse(self._terms(a), self._terms(b)))
@@ -998,15 +989,19 @@ def _light_generators(alg: StructureAlgebra, den: int) -> list[int]:
     # entry at the pivot is 1, and it is 0 at every other pivot column)
     pivots: dict[int, dict] = {}
 
+    def sub(row: dict, f: int, vec: dict) -> None:
+        """row -= f vec mod p in place, for f nonzero mod p; entries that
+        vanish are removed (the integer twin of linalg._axpy)."""
+        for k, y in vec.items():
+            s = (row.get(k, 0) - f * y) % p
+            if s:
+                row[k] = s
+            else:
+                del row[k]
+
     def reduce(v: dict) -> dict:
         for c in [c for c in v if c in pivots]:
-            f = v.pop(c)
-            for k, y in pivots[c].items():
-                s = (v.get(k, 0) - f * y) % p
-                if s:
-                    v[k] = s
-                else:
-                    del v[k]
+            sub(v, v.pop(c), pivots[c])
         return v
 
     def absorb(v: dict) -> bool:
@@ -1020,12 +1015,7 @@ def _light_generators(alg: StructureAlgebra, den: int) -> list[int]:
         for row in pivots.values():
             f = row.pop(c, 0)
             if f:
-                for k, y in new.items():
-                    s = (row.get(k, 0) - f * y) % p
-                    if s:
-                        row[k] = s
-                    else:
-                        del row[k]
+                sub(row, f, new)
         pivots[c] = new
         return True
 

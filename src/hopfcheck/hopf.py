@@ -371,12 +371,11 @@ def check_algebra_map(
     dst: StructureAlgebra,
     matrix: Matrix,
     check_id: str = "algebra-map",
-    require_bijective: bool = False,
 ) -> CheckReport:
-    """Verify that the matrix is a unital algebra map on all basis pairs:
-    src.map_failure compares, for each pair (i, j) in row-major order,
-    sum_t c_ij^t M[:, t] with the product M[:, i] M[:, j] of the sparse
-    columns in dst."""
+    """Verify that the matrix is a bijective unital algebra map on all basis
+    pairs: src.map_failure compares, for each pair (i, j) in row-major
+    order, sum_t c_ij^t M[:, t] with the product M[:, i] M[:, j] of the
+    sparse columns in dst, and the rank shows bijectivity."""
     if matrix.ncols != src.dim or matrix.nrows != dst.dim:
         raise ValueError("matrix shape does not match the algebras")
     cols = matrix.transpose().data
@@ -384,12 +383,10 @@ def check_algebra_map(
     witnesses: dict = {"unit": {"holds": unit_ok}}
     bad = src.map_failure(cols, lambda i, j: dst.mul_sparse(cols[i], cols[j]))
     witnesses["multiplicative"] = _axiom_witness(bad)
-    ok = unit_ok and bad is None
-    if require_bijective:
-        r = rank(matrix)
-        bij = matrix.nrows == matrix.ncols and r == matrix.ncols
-        witnesses["bijective"] = {"holds": bij, "rank": r}
-        ok = ok and bij
+    r = rank(matrix)
+    bij = matrix.nrows == matrix.ncols and r == matrix.ncols
+    witnesses["bijective"] = {"holds": bij, "rank": r}
+    ok = unit_ok and bad is None and bij
     return CheckReport(check_id, PASS if ok else FAIL, witnesses)
 
 
@@ -400,9 +397,7 @@ def check_hopf_map(
     check_id: str = "hopf-map",
 ) -> CheckReport:
     """Verify a matrix is a bijective Hopf algebra map."""
-    alg_report = check_algebra_map(
-        src.algebra, dst.algebra, matrix, check_id, require_bijective=True
-    )
+    alg_report = check_algebra_map(src.algebra, dst.algebra, matrix, check_id)
     witnesses = dict(alg_report.witnesses)
     n = src.dim
     m = dst.dim

@@ -37,7 +37,19 @@ def dense_of(vec: dict, n: int) -> tuple:
 
 def _axpy(y: dict, f: Cyclotomic | None, x: dict) -> None:
     """y += f * x in place, for a nonzero f (None stands for 1); entries
-    that cancel are removed."""
+    that cancel are removed at once.
+
+    The one accumulate kernel of the exact sums: lincomb, matrix sums,
+    EchelonBasis, StructureAlgebra.mul_sparse (so every product of the
+    algebra layer, and the exact triple check), AlgebraElement addition and
+    the eigensplit call it.  Two hot loops keep their own accumulation,
+    since routing them here measured slower (in-process, on a 2-core VM):
+    hopf.tensor_map (taft(5), its dual, both self-dualities and taft(3)
+    took 0.30 s instead of 0.16 s) and the double builders' pooled
+    first-write path, doubles._accumulate with its id-keyed product memo
+    (dropping only the memo slowed the three p = 5 builds from about
+    0.95 s to 1.35 s).  The certificate's integer sums mod M stay apart.
+    """
     for c, xc in x.items():
         if f is not None:
             xc = f * xc

@@ -1,7 +1,9 @@
 """CLI contract: exit codes, determinism of JSON reports, ingest."""
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -137,6 +139,20 @@ def test_json_report_is_the_same_under_optimize(tmp_path, capsys):
     )
     assert run.returncode == 0, run.stderr
     assert _stripped(optimized) == _stripped(plain)
+
+
+def test_no_module_of_the_package_asserts():
+    """python -O strips assert statements, so no check of the package may be one."""
+    package = pathlib.Path(hopfcheck.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 12
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 _CERTIFIED_IN_A_FRESH_PROCESS = """

@@ -3,6 +3,7 @@ schoolbook reference: products, element arithmetic, unit laws, centrality
 and algebra maps."""
 
 import functools
+import itertools
 import random
 import re
 
@@ -11,11 +12,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from test_linalg import matrix_apply
 
+from hopfcheck import algebra as algebra_module
 from hopfcheck.algebra import StructureAlgebra, UnitLawError, sparse_of
 from hopfcheck.cyclotomic import Cyclotomic, root_of_unity
 from hopfcheck.doubles import build_classical_double, build_twisted_double, uhu_map
 from hopfcheck.hopf import check_algebra_map, taft
-from hopfcheck.linalg import Matrix
+from hopfcheck.linalg import Matrix, _axpy
 
 ONE = Cyclotomic.one()
 
@@ -92,8 +94,32 @@ def cancelling_pair(alg, rng):
             return u, {j: ONE, j2: -(p[k] / q[k])}, k
 
 
+def cancel_then_add(alg, rng):
+    """u, v, k and c such that, in mul_sparse's order (u outer, v inner),
+    the first two terms at e_k cancel and at least one more follows; c is
+    the e_k coefficient of u v, the sum of the terms after the two."""
+    n = alg.dim
+    while True:
+        u = dict.fromkeys(rng.sample(range(n), 3), ONE)
+        js = rng.sample(range(n), 3)
+        at: dict = {}
+        for i in u:
+            for j in js:
+                for k, ck in alg.rows[i][j].items():
+                    at.setdefault(k, []).append((j, ck))
+        for k, terms in sorted(at.items()):
+            if len(terms) < 3 or terms[0][0] == terms[1][0]:
+                continue
+            (_, ca), (jb, cb) = terms[:2]
+            v = {j: ONE for j in js}
+            v[jb] = -(ca / cb)
+            rest = sum((v[j] * ck for j, ck in terms[2:]), Cyclotomic.zero())
+            if rest:
+                return u, v, k, rest
+
+
 @pytest.mark.parametrize("name", ["d3", "mixed"])
-def test_mul_sparse_matches_dense_reference(name, request):
+def test_mul_sparse_matches_dense_reference(name, request, monkeypatch):
     fixture = request.getfixturevalue(name)
     alg = fixture.algebra if name == "d3" else fixture
     rng = random.Random(20240801)
@@ -111,6 +137,50 @@ def test_mul_sparse_matches_dense_reference(name, request):
         assert list(alg.multiply(alg.from_dict(u), alg.from_dict(v)).coords) == want
     for u, v, k in cancels:
         assert k not in alg.mul_sparse(u, v)
+    # a key whose running sum cancels and then takes a third term: it is
+    # dropped when it cancels, so no step of the sum ever holds a zero
+    u, v, k, third = cancel_then_add(alg, rng)
+    steps = []
+
+    def axpy(y, f, x):
+        had = k in y
+        _axpy(y, f, x)
+        assert all(y.values()), "a cancelled key stayed as a zero"
+        steps.append(had and k not in y)
+
+    monkeypatch.setattr(algebra_module, "_axpy", axpy)
+    got = alg.mul_sparse(u, v)
+    assert any(steps), "the running sum never cancelled"
+    assert got[k] == third and all(got.values())
+    assert got == sparse_of(mul_coords_dense_reference(alg, dense(alg, u), dense(alg, v)))
+
+
+def corrupted_d2() -> StructureAlgebra:
+    """The twisted double of taft(2) with its first nonempty cell (i, j),
+    i and j outside the unit's support, doubled: unital, not associative."""
+    alg = build_twisted_double(taft(2)).algebra
+    outside = [i for i in range(alg.dim) if not alg.unit[i]]
+    i, j = next((i, j) for i in outside for j in outside if alg.rows[i][j])
+    rows = [list(row) for row in alg.rows]
+    rows[i][j] = {k: v * 2 for k, v in rows[i][j].items()}
+    return StructureAlgebra(alg.dim, rows, alg.unit, check="none")
+
+
+@pytest.mark.parametrize("build", [corrupted_d2, twisted_group_z6], ids=["corrupted-d2", "mixed"])
+def test_exact_triple_check_matches_a_dense_associator(build):
+    # every triple, against (e_i e_j) e_k - e_i (e_j e_k) in dense coordinates
+    alg = build()
+    n = alg.dim
+    basis = [dense(alg, alg.basis_sparse(i)) for i in range(n)]
+    dense_first = None
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = mul_coords_dense_reference(alg, dense(alg, alg.rows[i][j]), basis[k])
+        rhs = mul_coords_dense_reference(alg, basis[i], dense(alg, alg.rows[j][k]))
+        assert alg._assoc_triple_exact(i, j, k) == (lhs == rhs), (i, j, k)
+        if lhs != rhs and dense_first is None:
+            dense_first = (i, j, k)
+    assert alg.associativity_failure(itertools.product(range(n), repeat=3)) == dense_first
+    assert (dense_first is None) == (build is twisted_group_z6)
 
 
 SCALARS = [
