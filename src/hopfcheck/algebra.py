@@ -344,6 +344,8 @@ class StructureAlgebra:
     def mul_sparse(self, u: dict, v: dict) -> dict:
         """The product of two sparse coordinate dicts {index: nonzero scalar}.
 
+        u and v hold no zero: every caller passes an element's terms, a
+        cell, a basis vector or another zero-free vector of linalg's.
         Only the cells c[i][j] with i in u and j in v are visited, and empty
         ones are skipped; each cell is summed in through _axpy, so a key
         that cancels is dropped at once and the result holds no zero.
