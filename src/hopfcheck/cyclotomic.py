@@ -212,6 +212,27 @@ class Cyclotomic:
                         acc[k] += c * row[k]
         return Cyclotomic(target, tuple(acc), self.den)
 
+    def lowest(self) -> Cyclotomic:
+        """This value at the lowest order at which it lives: the least
+        divisor d of its order with the value in Q(zeta_d)."""
+        order, num = self.order, self.num
+        if order == 1:
+            return self
+        if not any(num[1:]):
+            # normalized, so num[0] and den are coprime
+            return _trusted(1, num[:1], self.den)
+        for d in range(2, order // 2 + 1):
+            if order % d == 0:
+                pivots, solve = _descent(order, d)
+                coords = [sum(num[p] * row[t] for p, row in zip(pivots, solve))
+                          for t in range(len(pivots))]
+                scale = lcm(*(c.denominator for c in coords))
+                value = Cyclotomic(d, tuple(int(c * scale) for c in coords), self.den * scale)
+                lifted = value.lift(order)
+                if lifted.num == num and lifted.den == self.den:
+                    return value
+        return self
+
     def _common(self, other: Cyclotomic) -> tuple[Cyclotomic, Cyclotomic]:
         if self.order == other.order:
             return self, other
@@ -408,11 +429,47 @@ class Cyclotomic:
         return f"Cyclotomic({self.pretty()!r})"
 
     def to_json(self) -> dict:
+        """The JSON form, at the lowest order at which the value lives, so
+        that equal values are written alike."""
+        value = self.lowest()
         coeffs = []
-        for c in self.num:
-            q = Fraction(c, self.den)
+        for c in value.num:
+            q = Fraction(c, value.den)
             coeffs.append([str(q.numerator), str(q.denominator)])
-        return {"order": self.order, "coeffs": coeffs}
+        return {"order": value.order, "coeffs": coeffs}
+
+
+# (order, d) -> what Cyclotomic.lowest needs to read a value of Q(zeta_order)
+# in the power basis of its subfield Q(zeta_d), filled on first use.
+_DESCENT: dict[tuple[int, int], tuple[list[int], list[list[Fraction]]]] = {}
+
+
+def _descent(order: int, d: int) -> tuple[list[int], list[list[Fraction]]]:
+    """(pivots, solve) for d dividing order: a value of Q(zeta_order) whose
+    coordinates are num lies in Q(zeta_d) only as sum_t a_t zeta_d^t with
+    a_t = sum_r num[pivots[r]] * solve[r][t].  The lifts of zeta_d^t are
+    independent rows, reduced here with the identity beside them."""
+    key = (order, d)
+    if key not in _DESCENT:
+        _, powers = _tables(order)
+        m, step = phi_degree(d), order // d
+        rows = [[Fraction(x) for x in powers[t * step]] + [Fraction(int(t == s)) for s in range(m)]
+                for t in range(m)]
+        pivots = []
+        for col in range(phi_degree(order)):
+            r = len(pivots)
+            lead = next((i for i in range(r, m) if rows[i][col]), None)
+            if lead is None:
+                continue
+            rows[r], rows[lead] = rows[lead], rows[r]
+            rows[r] = [x / rows[r][col] for x in rows[r]]
+            for i in range(m):
+                if i != r and rows[i][col]:
+                    f = rows[i][col]
+                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            pivots.append(col)
+        _DESCENT[key] = pivots, [row[-m:] for row in rows]
+    return _DESCENT[key]
 
 
 def _trusted(order: int, num: tuple[int, ...], den: int = 1) -> Cyclotomic:

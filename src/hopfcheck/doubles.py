@@ -28,6 +28,8 @@ the generator relations and central-element facts verified downstream are
 consequences of the construction rather than inputs to it.
 """
 
+import functools
+import gc
 import itertools
 from dataclasses import dataclass
 
@@ -97,6 +99,25 @@ def _accumulate(cell: dict, key: int, s: Cyclotomic, pool: _Pool) -> None:
         cell[key] = pool(s)
     else:
         del cell[key]
+
+
+def _collector_paused(build):
+    """build with cyclic garbage collection paused while it runs, and the
+    collector's prior state restored after.  A build's tables hold no
+    reference cycles, but their hundreds of thousands of containers would
+    trigger collection passes that free nothing."""
+
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def _key_blocks(n: int) -> list[list[int]]:
@@ -207,6 +228,7 @@ class TwistedDouble(_Embeddings):
         )
 
 
+@_collector_paused
 def build_twisted_double(h: HopfData) -> TwistedDouble:
     """Structure constants of the twisted product on End(H), evaluated from
     the defining formula on all pairs of elementary maps.
@@ -364,6 +386,7 @@ class ClassicalDouble(_Embeddings):
         return a * self.base.dim + b
 
 
+@_collector_paused
 def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
     """The double on H (x) H^* for flavor "drinfeld" (straightening twists
     by S^{-1}) or "anti" (twists by S; carries the central element

@@ -45,14 +45,29 @@ other entries as they vet a list's; whenever its zero is not the zero they
 have vetted, its length is wrong or an entry is in doubt, they unpack it
 into the identical list and read that, so every value and every error is
 the one that json.load's tree gives.
+
+Once the window has met the zero, it reads the zero's usual spelling Z
+(json.dumps's text of it, {"order": 1, "coeffs": [["0", "1"]]} at order 1,
+which algebra_to_json documents hold) as null in the members of a walked
+list that holds coordinate lists (_Window.nulled): a member is read over
+1.25 times the length of the one before it, with each exact occurrence of Z
+replaced by "null", so json reads each such zero as a literal, with no dict
+and no hook call, and _Packed takes None as the zero.  A guard at C speed
+proves that reading json's: the text holds no null and no backslash, every
+null stands outside a string, and the value is lists of None and Cyclotomic
+values down to the coordinate lists.  Whenever it cannot, or that text
+holds no Z, or the member outgrows it, the member is scanned as before, so
+every value and every error is unchanged.  A document no longer than the
+window is scanned whole before any zero is known, and so is read as before.
 """
 
 import json
+import re
 from itertools import compress, repeat
 from json.decoder import WHITESPACE
 from operator import is_not
 
-from .cyclotomic import MEMO_LIMIT, ZERO, Cyclotomic, ScalarMemo, cyc_from_json, scalar_hook
+from .cyclotomic import MEMO_LIMIT, ZERO, Cyclotomic, ScalarMemo, cyc_from_json, phi_degree, scalar_hook
 from .linalg import Matrix, sparse_of
 from .algebra import EMPTY_CELL, AlgebraError, StructureAlgebra
 from .hopf import HopfAxiomError, HopfData
@@ -97,14 +112,17 @@ _NO_ZERO = object()
 class _Packed:
     """A coordinate list as the window holds it: its length n, the one
     object `zero` that it repeats, and a dict of its other entries by
-    position, in order."""
+    position, in order.  In a list that the window read with the zero's
+    usual spelling as null (`nulled`), None stands for `zero` too."""
 
     __slots__ = ("n", "zero", "others")
 
-    def __init__(self, values: list, zero):
+    def __init__(self, values: list, zero, nulled: bool = False):
         self.n = len(values)
         self.zero = zero
-        self.others = {k: values[k] for k in compress(range(self.n), map(is_not, values, repeat(zero)))}
+        skipped = None if nulled else zero
+        kept = compress(range(self.n), map(is_not, values, repeat(skipped)))
+        self.others = {k: v for k in kept if (v := values[k]) is not zero}
 
     def unpacked(self) -> list:
         """The list itself."""
@@ -316,6 +334,25 @@ _PIECE = 1 << 16
 _FIRST = 1 << 12
 
 
+# A JSON string literal in text that holds no backslash, where every quote
+# either opens or closes one.
+_STRING = re.compile(r'"[^"]*"')
+
+# What a coordinate list decoded with the zero's spelling read as null may
+# hold, and still be the list that json.load decodes with None for the zero.
+_NULLED_ENTRIES = frozenset((type(None), Cyclotomic))
+
+
+def _nulled_fit(value, shape: int) -> bool:
+    """Whether value is lists nested shape levels deep down to coordinate
+    lists that hold only None and Cyclotomic values."""
+    if type(value) is not list:
+        return False
+    if shape == 0:
+        return _NULLED_ENTRIES.issuperset(map(type, value))
+    return all(_nulled_fit(member, shape - 1) for member in value)
+
+
 # Where a document's coordinate lists sit, for the window to pack them: a
 # shape is a dict of the shapes of an object's members by key, or for a list
 # the number of list levels between it and the lists to pack (0: pack the
@@ -341,7 +378,10 @@ class _Window:
     decoded instead.
 
     The lists that _COORDINATE_LISTS locates are packed as soon as they are
-    decoded, whether scanned whole or walked.
+    decoded, whether scanned whole or walked.  Once a zero is known, each
+    member of a walked list that holds such lists is first read with the
+    zero's usual spelling as null (nulled), which spares json the dict and
+    the hook call of every zero.
 
     A scan that a container outgrows has run the hook on the objects it
     finished, and the walk scans them again.  That is safe with scalar_hook,
@@ -353,6 +393,8 @@ class _Window:
         self.fh = fh
         self.hook = hook
         self.zero = None  # the first zero met in a list to pack
+        self.spelling = None  # the JSON text that the hook decodes to zero itself
+        self.clear = 0  # no spelling starts between the last search's start and here
         self.scan = json.JSONDecoder(object_hook=hook).raw_decode
         self.buf = ""
         self.pos = 0
@@ -387,18 +429,23 @@ class _Window:
                 return ""
             self.fill()
 
-    def value(self, bound: int, shape):
+    def value(self, bound: int, shape, last: int = 0):
         """The JSON value at the next character that is not whitespace, with
         the lists that shape locates in it packed.  A container is scanned
         over at most `bound` characters, and walked when it is longer or
         when a window cannot hold `bound` characters; at the end of the file
         all the text left is in view and is scanned.  Half a window at least
         is brought into view, and `bound` characters when a window holds
-        them."""
+        them.  A list that holds coordinate lists is first read nulled over
+        1.25 times `last`, the length of the member before it."""
         first = self.peek()
         container = first == "{" or first == "["
         if not self.eof and len(self.buf) - self.pos < max(WINDOW // 2, min(bound, WINDOW)):
             self.fill()
+        if first == "[" and last and type(shape) is int and self.spelling is not None:
+            value = self.nulled(last + last // 4, shape)
+            if value is not None:
+                return value
         if self.eof or not container:
             # A string that the window's edge cuts fails to scan.  A number
             # scans as a shorter number, and the rest of it (a digit, ".",
@@ -421,6 +468,7 @@ class _Window:
         with the lists that shape locates in it packed."""
         self.pos += 1
         longest = _FIRST // 2
+        last = 0
         inner = shape - 1 if type(shape) is int and shape else None
         if self.peek() == close:
             self.pos += 1
@@ -435,8 +483,9 @@ class _Window:
                     self.pos += 1
                     inner = shape.get(key) if type(shape) is dict else None
                 start = self.done + self.pos
-                member = self.value(2 * longest, inner)
-                longest = max(longest, self.done + self.pos - start)
+                member = self.value(2 * longest, inner, last)
+                last = self.done + self.pos - start
+                longest = max(longest, last)
                 if close == "}":
                     items[key] = member
                 else:
@@ -451,9 +500,9 @@ class _Window:
             return self.hook(items)
         return self.pack(items) if shape == 0 else items
 
-    def packed(self, value, shape):
+    def packed(self, value, shape, nulled: bool = False):
         """value, decoded whole, with the lists that shape locates in it
-        packed in place."""
+        packed in place (read with nulls for the zero when `nulled`)."""
         if type(shape) is dict:
             if type(value) is dict:
                 for key, inner in shape.items():
@@ -461,19 +510,72 @@ class _Window:
                         value[key] = self.packed(value[key], inner)
         elif shape is not None and type(value) is list:
             if shape == 0:
-                return self.pack(value)
+                return self.pack(value, nulled)
             for k, member in enumerate(value):
-                value[k] = self.packed(member, shape - 1)
+                value[k] = self.packed(member, shape - 1, nulled)
         return value
 
-    def pack(self, values: list):
+    def nulled(self, size: int, shape: int):
+        """The list at pos, read over at most `size` characters with each
+        occurrence of the zero's spelling Z read as null, with its lists
+        packed and pos moved past it; None whenever that reading cannot be
+        proven to be json's.
+
+        Let T be the text read and T' the text with each Z replaced by
+        "null".  T' is scanned only when T holds a Z (without one there is
+        nothing to spare) and no "null", so that every null of T' is a Z of
+        T, and no backslash, so that no string of T or T' holds a quote and
+        the quotes pair up in order, as _STRING pairs them.  Stripping the
+        strings of T' must keep every null: each Z of T then starts outside
+        a string, and since Z's own quotes pair up among themselves, T and
+        T' have the same tokens apart from Z in place of null.  Scanned,
+        each Z gives the zero itself (the hook's memo answers it, with no
+        change of state, which is how `spelling` was chosen), so T' gives
+        T's value with None for each zero that Z spells, and the hook sees
+        the same objects apart from the Z it skips.  That value is taken
+        only when it is lists nested shape levels deep down to coordinate
+        lists of None and Cyclotomic values, so that every None stands where
+        _Packed reads it as the zero; a Z anywhere else (in a scalar, or as
+        a plane) leaves some other value.  T' holds four characters for each
+        Z before its end, so that end lies len(Z) - 4 characters further on
+        in T for each."""
+        z = self.spelling
+        end = min(self.pos + size, len(self.buf))
+        start = max(self.pos, self.clear - self.done)
+        if self.buf.find(z, start, end) < 0:
+            # members only move forward, so this text is never searched again
+            self.clear = self.done + max(start, end - len(z) + 1)
+            return None
+        text = self.buf[self.pos:end]
+        if "null" in text or "\\" in text:
+            return None
+        text = text.replace(z, "null")
+        if _STRING.sub("", text).count("null") != text.count("null"):
+            return None
+        try:
+            value, end = self.scan(text, 0)
+        except json.JSONDecodeError:
+            return None
+        if not _nulled_fit(value, shape):
+            return None
+        self.pos += end + (len(z) - 4) * text.count("null", 0, end)
+        return self.packed(value, shape, True)
+
+    def pack(self, values: list, nulled: bool = False):
         """values as a _Packed whose zero is the first zero Cyclotomic met in
-        a list to pack; values itself until one is met."""
+        a list to pack; values itself until one is met.  With the zero, it
+        learns the zero's usual spelling: json.dumps's text of it at its
+        order, once the hook decodes that text to the zero itself."""
         if self.zero is None:
             self.zero = next((v for v in values if type(v) is Cyclotomic and not v), None)
             if self.zero is None:
                 return values
-        return _Packed(values, self.zero)
+            order = self.zero.order
+            z = json.dumps({"order": order, "coeffs": [["0", "1"]] * phi_degree(order)})
+            value, end = self.scan(z, 0)
+            if value is self.zero and end == len(z):
+                self.spelling = z
+        return _Packed(values, self.zero, nulled)
 
     def document(self):
         value = self.value(0, _COORDINATE_LISTS)

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -158,6 +158,43 @@ def test_json_round_trip():
     assert cyc_from_json(Cyclotomic.zero(3).to_json()) == 0
 
 
+def _galois(v: Cyclotomic, a: int) -> Cyclotomic:
+    """v with zeta sent to zeta^a."""
+    out = Cyclotomic.zero(v.order)
+    for k, c in enumerate(v.num):
+        out = out + Cyclotomic.from_fraction(Fraction(c, v.den), v.order) * root_of_unity(v.order, a * k)
+    return out
+
+
+def _lowest_order_by_galois(v: Cyclotomic) -> int:
+    """The least divisor d of v's order with v fixed by every automorphism
+    zeta -> zeta^a, a = 1 mod d: the fixed field of those is Q(zeta_d)."""
+    n = v.order
+    for d in range(1, n + 1):
+        units = [a for a in range(1, n) if gcd(a, n) == 1 and a % d == 1 % d]
+        if n % d == 0 and all(_galois(v, a) == v for a in units):
+            return d
+
+
+def test_to_json_writes_the_lowest_order_of_the_value():
+    # values of each subfield Q(zeta_e), lifted to order n, and values of
+    # Q(zeta_n) itself; the order written is the least d whose field holds
+    # the value, found from the Galois group, and the value reads back equal
+    rng = random.Random(7)
+    for n in (2, 4, 6, 8, 9, 10, 12, 15, 18, 20, 24):
+        for e in [e for e in range(1, n + 1) if n % e == 0]:
+            for _ in range(4):
+                nums = [rng.choice((0, 0, 1, -2, 3)) for _ in range(phi_degree(e))]
+                v = Cyclotomic(e, tuple(nums), rng.randint(1, 6)).lift(n)
+                written = v.to_json()
+                assert written["order"] == _lowest_order_by_galois(v), (n, e, nums)
+                back = cyc_from_json(written)
+                assert back == v and back.lift(n).num == v.num and back.lift(n).den == v.den
+    assert root_of_unity(12, 2).to_json() == {"order": 3, "coeffs": [["1", "1"], ["1", "1"]]}  # zeta_6 = 1 + zeta_3
+    assert root_of_unity(12, 3).to_json() == {"order": 4, "coeffs": [["0", "1"], ["1", "1"]]}
+    assert Cyclotomic.zero(12).to_json() == {"order": 1, "coeffs": [["0", "1"]]}
+
+
 def test_json_shape():
     z = root_of_unity(3)
     obj = (z / 2).to_json()
@@ -207,8 +244,14 @@ def test_cyc_from_json_matches_fraction_reference(spelling):
     assert got.den == den
     assert got.num == tuple(int(f * den) for f in fracs)
     reduced = [[str(f.numerator), str(f.denominator)] for f in fracs]
-    assert got.to_json() == {"order": order, "coeffs": reduced}
-    back = cyc_from_json(got.to_json())
+    written = got.to_json()
+    if written["order"] == order:
+        assert written == {"order": order, "coeffs": reduced}
+    else:
+        # a value of a subfield is written at its lowest order, which
+        # test_to_json_writes_the_lowest_order_of_the_value pins
+        assert order % written["order"] == 0
+    back = cyc_from_json(written).lift(order)
     assert (back.order, back.num, back.den) == (got.order, got.num, got.den)
 
 

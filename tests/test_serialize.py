@@ -13,7 +13,7 @@ from test_algebra import _corrupted_matrix_algebra
 
 from hopfcheck import serialize
 from hopfcheck.algebra import AssociativityError, StructureAlgebra
-from hopfcheck.cyclotomic import ONE, ZERO, Cyclotomic, phi_degree, root_of_unity, scalar_hook
+from hopfcheck.cyclotomic import ONE, ZERO, Cyclotomic, cyc_from_json, phi_degree, root_of_unity, scalar_hook
 from hopfcheck.hopf import HopfData, dual_hopf, group_algebra, taft
 from hopfcheck.serialize import (
     IngestError,
@@ -45,6 +45,30 @@ def test_hopf_round_trip_through_file(tmp_path):
 def test_hopf_round_trip_all_small():
     for h in (taft(2), taft(3), group_algebra(3), dual_hopf(taft(2))):
         assert hopf_to_json(hopf_from_json(hopf_to_json(h))) == hopf_to_json(h)
+
+
+def _scalars_of(doc: dict) -> list:
+    """Every scalar object of an algebra or Hopf document."""
+    lists = [doc["unit"], *itertools.chain(*doc["structure"])]
+    if "comult" in doc:
+        lists += [doc["counit"], *doc["comult"]["entries"], *doc["antipode"]["entries"]]
+    return list(itertools.chain(*lists))
+
+
+def test_equal_hopf_algebras_are_written_alike():
+    # the double dual holds taft(2)'s constants at order 2, and the
+    # documents still agree: each value is written at its lowest order
+    for h in (taft(2), taft(3), group_algebra(4)):
+        twice = dual_hopf(dual_hopf(h))
+        assert hopf_to_json(twice) == hopf_to_json(h)
+    for h in (taft(2), dual_hopf(dual_hopf(taft(2))), taft(3), dual_hopf(taft(3))):
+        values = [*h.algebra.unit, *itertools.chain.from_iterable(
+            cell.values() for row in h.algebra.rows for cell in row), *h.counit]
+        assert all(cyc_from_json(v.to_json()) == v for v in values)
+        doc = hopf_to_json(h)
+        assert all(cyc_from_json(obj).to_json() == obj for obj in _scalars_of(doc))
+        assert {json.dumps(obj) for obj in _scalars_of(doc) if not cyc_from_json(obj)} == {
+            json.dumps({"order": 1, "coeffs": [["0", "1"]]})}
 
 
 def test_json_is_plain_data():
@@ -236,7 +260,11 @@ def _lcm_over_cap_docs():
     # lcm and build its field tables
     doc = {"dim": 2, "unit": [_zero_of_order(997), _zero_of_order(991)],
            "structure": [[[_zero_of_order(1)] * 2] * 2] * 2}
-    hopf = hopf_to_json(taft(2))  # order 2, so 499 alone keeps the lcm at 998
+    # taft(2) is written at order 1, the lowest at which its constants live;
+    # its counit's 1 spelled at order 2 and a zero of order 499 keep the lcm
+    # at 998
+    hopf = hopf_to_json(taft(2))
+    hopf["counit"][0] = {"order": 2, "coeffs": [["1", "1"]]}
     hopf["counit"][1] = _zero_of_order(499)
     hopf["antipode"]["entries"][0][1] = _zero_of_order(991)
     return [
@@ -298,10 +326,15 @@ def test_list_mixing_decoded_values_and_json_is_read_as_before(tmp_path):
 
 def _twisted_group_doc_of_order_3() -> dict:
     # k[Z/3] twisted by the bicharacter xi^(ij): e_i e_j = xi^(ij) e_(i+j),
-    # with every constant written at order 3
+    # with every constant spelled at order 3 (to_json writes the rational
+    # ones at order 1)
     xi, one, zero = root_of_unity(3), Cyclotomic.one(3), Cyclotomic.zero(3)
     rows = [[{(i + j) % 3: xi ** (i * j) if i * j else one} for j in range(3)] for i in range(3)]
-    return algebra_to_json(StructureAlgebra(3, rows, [one, zero, zero], check="none"))
+    doc = algebra_to_json(StructureAlgebra(3, rows, [one, zero, zero], check="none"))
+    at_order_3 = lambda v: {"order": 3, "coeffs": v["coeffs"] + [["0", "1"]]} if v["order"] == 1 else v
+    doc["unit"] = [at_order_3(v) for v in doc["unit"]]
+    doc["structure"] = [[[at_order_3(v) for v in vec] for vec in plane] for plane in doc["structure"]]
+    return doc
 
 
 def test_ingest_shares_equal_spellings_of_order_3(tmp_path):
@@ -758,3 +791,148 @@ def test_ingest_rejects_the_corrupted_matrix_algebra(tmp_path):
     with pytest.raises(IngestError) as ingested:
         _ingest_written(tmp_path, doc)
     assert f"at basis triple {direct.value.triple}" in str(ingested.value)
+
+
+# The zero's usual spelling, which the window reads as null once it has met
+# the zero: json.dumps's text of an order-1 zero.
+ZERO_TEXT = json.dumps({"order": 1, "coeffs": [["0", "1"]]})
+_MARK = {"order": 1, "coeffs": [["MARK", "1"]]}
+
+
+def _group_doc_with(n: int, text: str, where: tuple, **dumps) -> str:
+    """The dense k[Z/n] as json.dumps writes it, with the value at where (a
+    plane, a coordinate list or an entry of structure) replaced by text."""
+    doc = _dense_group_algebra_doc(n)
+    parent = doc["structure"]
+    for k in where[:-1]:
+        parent = parent[k]
+    parent[where[-1]] = _MARK
+    return json.dumps(doc, **dumps).replace(json.dumps(_MARK, **dumps), text)
+
+
+# Documents whose text holds the zero's spelling where it is not a zero
+# entry of a coordinate list, or holds what the null reading must not meet,
+# each put after the window has met the zero.  An entry is structure[9][7][3]
+# of the dense k[Z/16], whose planes are walked at windows of 4 Ki
+# characters and scanned whole at 64 Ki.
+_ENTRY = (9, 7, 3)
+NULLED_CASES = {
+    # a string opened before Z ends at Z's first quote, so the text is not
+    # JSON; read as null, Z would sit inside the string of an overwritten key
+    "z-opening-a-string": (
+        '{"coeffs": "a' + ZERO_TEXT + '", "order": 1, "coeffs": [["0", "1"]]}', _ENTRY),
+    # with escaped quotes on both sides, the quotes of the text read as null
+    # pair up in order again after it, but not as json pairs them
+    "z-between-escaped-quotes": (
+        '{"coeffs": "\\"' + ZERO_TEXT + '\\"", "order": 1, "coeffs": [["0", "1"]]}', _ENTRY),
+    "z-as-an-overwritten-duplicate-key": (
+        '{"order": ' + ZERO_TEXT + ', "order": 1, "coeffs": [["0", "1"]]}', _ENTRY),
+    "z-as-an-order": ('{"order": ' + ZERO_TEXT + ', "coeffs": [["0", "1"]]}', _ENTRY),
+    "z-in-a-list-as-an-entry": ("[" + ZERO_TEXT + "]", _ENTRY),
+    "z-as-a-plane-member": (ZERO_TEXT, _ENTRY[:2]),
+    "z-as-a-plane": (ZERO_TEXT, _ENTRY[:1]),
+    "late-null": ("null", _ENTRY),
+    "null-string": ('"null"', _ENTRY),
+    "escaped-digit": ('{"order": 1, "coeffs": [["\\u0030", "1"]]}', _ENTRY),
+    "zero-of-another-spelling": ('{"order": 1, "coeffs": [["0", "7"]]}', _ENTRY),
+    "zero-of-order-2": ('{"order": 2, "coeffs": [["0", "1"]]}', _ENTRY),
+    "missing-comma": (ZERO_TEXT + " " + ZERO_TEXT, _ENTRY),
+}
+NULLED_WINDOWS = [1 << 12, 1 << 14, 1 << 16]
+
+
+def _nulled_case_text(name: str) -> str:
+    if name == "truncated":
+        text = _group_doc_with(16, ZERO_TEXT, _ENTRY)
+        return text[: len(text) * 7 // 10]
+    return _group_doc_with(16, *NULLED_CASES[name])
+
+
+def _read_at_window(path, window):
+    """(the window's decoded value with its packed lists unpacked, or None
+    when it refuses the file; what ingest_algebra returns or raises), at a
+    window of the given size."""
+    with mock.patch.object(serialize, "WINDOW", window):
+        got = serialize._decode(str(path))
+        try:
+            outcome = ingest_algebra(str(path))
+        except Exception as exc:
+            outcome = exc
+    return None if got is serialize._REFUSED else repr(_unpacked(got)), _described(outcome)
+
+
+def _read_whole(path):
+    with mock.patch.object(serialize, "_decode", lambda path: serialize._REFUSED):
+        try:
+            outcome = ingest_algebra(str(path))
+        except Exception as exc:
+            outcome = exc
+    return _loaded(path), _described(outcome)
+
+
+@pytest.mark.parametrize("window", NULLED_WINDOWS)
+@pytest.mark.parametrize("name", sorted(NULLED_CASES) + ["truncated"])
+def test_zeros_read_as_null_give_json_loads_value(tmp_path, name, window):
+    path = tmp_path / "doc.json"
+    path.write_text(_nulled_case_text(name))
+    assert _read_at_window(path, window) == _read_whole(path)
+
+
+def _separated_docs() -> dict:
+    return {
+        "taft3": hopf_to_json(taft(3)),
+        "group24": _dense_group_algebra_doc(24),
+    }
+
+
+@pytest.mark.parametrize("name", ["taft3", "group24"])
+def test_zeros_read_alike_whatever_the_separators(tmp_path, name):
+    # the compact and indented texts never hold the zero's spelling, so only
+    # the default one is read with nulls; all three read alike at each window
+    doc = _separated_docs()[name]
+    texts = [json.dumps(doc), json.dumps(doc, separators=(",", ":")), json.dumps(doc, indent=1)]
+    assert ZERO_TEXT in texts[0] and all(ZERO_TEXT not in text for text in texts[1:])
+    reads = []
+    for k, text in enumerate(texts):
+        path = tmp_path / f"doc{k}.json"
+        path.write_text(text)
+        whole = _read_whole(path)
+        for window in NULLED_WINDOWS:
+            assert _read_at_window(path, window) == whole
+        reads.append(whole)
+    assert reads[1:] == reads[:1] * 2
+    assert type(reads[0][1]) is dict and reads[0][1]["dim"] == doc["dim"]
+
+
+def _group_text_compact_first(doc: dict, planes: int) -> str:
+    """json.dumps's text of doc with its first planes written compactly."""
+    head = json.dumps({"dim": doc["dim"], "unit": doc["unit"], "structure": []})[:-2]
+    planes = [json.dumps(plane, separators=(",", ":")) for plane in doc["structure"][:planes]] + [
+        json.dumps(plane) for plane in doc["structure"][planes:]]
+    return head + ", ".join(planes) + "]}"
+
+
+@pytest.mark.parametrize("compact_planes", [0, 24])
+def test_zeros_read_as_null_skip_the_scalar_hook(tmp_path, monkeypatch, compact_planes):
+    # k[Z/48] as json.dumps writes it: 110,640 scalars, 2,305 of them
+    # nonzero, 4.2 MB of text over several windows.  Once the window has met
+    # the zero, json reads each zero as null and calls the hook only on the
+    # nonzero scalars; read as the first windows were, it would call it on
+    # every scalar.  With the first 24 planes written compactly, which never
+    # hold the zero's spelling, the zeros of the other 24 are still read as
+    # null.
+    n = 48
+    path = tmp_path / "group48.json"
+    doc = _dense_group_algebra_doc(n)
+    path.write_text(_group_text_compact_first(doc, compact_planes))
+    assert json.loads(path.read_text()) == doc
+    calls = itertools.count()
+
+    def counting():
+        hook = scalar_hook()
+        return lambda obj: (next(calls), hook(obj))[1]
+
+    monkeypatch.setattr(serialize, "scalar_hook", counting)
+    assert ingest_algebra(str(path)).same_structure(algebra_from_json(doc))
+    nonzero = n * n + 1
+    assert next(calls) < compact_planes * n * n + 2 * nonzero
