@@ -33,9 +33,11 @@ associativity in one of two regimes, chosen by dim:
                       the few triples that break.
 
 check= takes "auto" (the rule above), "modular" (the certificate at any
-dim) or "none" (no associativity check).
+dim) or "none" (no associativity check).  The algebra records which ran in
+`associativity`: "certificate", "sampled" or "unchecked".
 The D2.2 re-check of the twisted doubles (doubles.py) checks every triple
-up to dim 24 and, above it, a fixed sample of 2,000 triples.
+up to dim 24, runs the certificate again up to dim 230 and, above it, a
+fixed sample of 2,000 triples.
 
 An AlgebraElement holds its terms, a dict {basis index: nonzero scalar}, and
 every product goes through one sparse kernel, StructureAlgebra.mul_sparse,
@@ -170,6 +172,8 @@ class StructureAlgebra:
         self._one = Cyclotomic.one(order)
         self._unit_terms = sparse_of(self.unit)
         self._center: Subspace | None = None
+        self.associativity = "exhaustive"  # at dim 0 there is no triple to check
+        self.light_generators: list[int] | None = None
         if dim:
             j = self.unit_failure()
             if j is not None:
@@ -214,12 +218,18 @@ class StructureAlgebra:
         return None
 
     def _check_associativity(self, mode):
+        """Check associativity as check= asks, and record in `associativity`
+        how it was checked: "certificate" (proven), "sampled" (only the
+        DEFAULT_SAMPLES triples of the sample) or "unchecked"."""
         if mode == "none":
+            self.associativity = "unchecked"
             return
         n = self.dim
         if mode == "modular" or n <= DEFAULT_EXHAUSTIVE_LIMIT:
+            self.associativity = "certificate"
             bad = self._assoc_modular()
         else:
+            self.associativity = "sampled"
             bad = self.associativity_failure(sampled_triples(n, DEFAULT_SAMPLES, DEFAULT_SEED))
         if bad is not None:
             raise AssociativityError(bad, f"{self.name}: associativity fails")
@@ -254,6 +264,7 @@ class StructureAlgebra:
         mismatch over Q(zeta_N).  If a generator triple fails, every pair
         (i, j) is compared mod M in row-major order, the least failing k of
         the first failing pair is reported, and the exact check confirms it.
+        S is kept, as basis indices, in `light_generators`.
         """
         n, order = self.dim, self.order
         values = {}  # one entry per scalar object of the constants
@@ -300,7 +311,8 @@ class StructureAlgebra:
                     acc[base + t] = get(base + t, 0) - x * y
             return [key // n for key, s in acc.items() if s % modulus]
 
-        if all(not failing(i, a) for a in _light_generators(self, den) for i in range(n)):
+        self.light_generators = _light_generators(self, den)
+        if all(not failing(i, a) for a in self.light_generators for i in range(n)):
             return None
         for i in range(n):
             for j in range(n):

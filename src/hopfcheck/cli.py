@@ -10,6 +10,7 @@ import json
 import os
 import sys
 
+from .algebra import DEFAULT_SAMPLES
 from .hopf import HopfData
 from .report import CatalogueError, CheckCrashed, summarize
 from .serialize import IngestError, ingest_algebra
@@ -160,8 +161,11 @@ def _cmd_list(args, out) -> int:
 
 def _cmd_ingest(args, out) -> int:
     obj = ingest_algebra(args.file)
-    kind = "hopf algebra" if isinstance(obj, HopfData) else "algebra"
-    print(f"ok: {kind}, dim {obj.dim}, axioms verified", file=out)
+    hopf = isinstance(obj, HopfData)
+    verdict = "axioms verified"
+    if (obj.algebra if hopf else obj).associativity == "sampled":
+        verdict = f"associativity sampled ({DEFAULT_SAMPLES:,} triples), not proven"
+    print(f"ok: {'hopf algebra' if hopf else 'algebra'}, dim {obj.dim}, {verdict}", file=out)
     return EXIT_PASS
 
 

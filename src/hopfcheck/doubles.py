@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from .cyclotomic import ONE, Cyclotomic, q_factorial
 from .linalg import InvariantError, Matrix, Subspace, dense_of, kernel, lincomb, sparse_of
 from .algebra import (
+    DEFAULT_EXHAUSTIVE_LIMIT,
     DEFAULT_SEED,
     EMPTY_CELL,
     AlgebraElement,
@@ -54,8 +55,9 @@ from .hopf import (
 from .report import FAIL, PASS, PRECONDITION_FAILED, CheckReport
 
 # D2.2 re-checks every basis triple of a double exactly up to dim
-# EXHAUSTIVE_RECHECK_LIMIT (its witness mode "exhaustive") and samples
-# RECHECK_SAMPLES of them above it ("sampled", seeded by DEFAULT_SEED)
+# EXHAUSTIVE_RECHECK_LIMIT (its witness mode "exhaustive"), proves them with
+# the certificate up to algebra.DEFAULT_EXHAUSTIVE_LIMIT ("certificate") and
+# samples RECHECK_SAMPLES of them above it ("sampled", seeded by DEFAULT_SEED)
 EXHAUSTIVE_RECHECK_LIMIT = 24
 RECHECK_SAMPLES = 2000
 
@@ -306,26 +308,32 @@ def check_double_unital_associative(
     double: TwistedDouble, check_id: str = "double-assoc-unital"
 ) -> CheckReport:
     """Re-verify the unit law on every basis element and associativity on
-    basis triples in exact arithmetic, independent of the construction-time
-    check: every triple up to dim EXHAUSTIVE_RECHECK_LIMIT (24), mode
-    "exhaustive", and above it the RECHECK_SAMPLES (2,000) triples of
-    sampled_triples(dim, RECHECK_SAMPLES, DEFAULT_SEED), mode "sampled".
-    first_failure is the first failing triple in that order.
+    basis triples, whatever construction checked: every triple in exact
+    arithmetic up to dim EXHAUSTIVE_RECHECK_LIMIT (24), mode "exhaustive";
+    up to DEFAULT_EXHAUSTIVE_LIMIT (230), when the unit law holds, Light's
+    certificate (StructureAlgebra._assoc_modular), mode "certificate" with
+    its number of generators, which proves every triple; and otherwise the
+    RECHECK_SAMPLES (2,000) triples of sampled_triples(dim, RECHECK_SAMPLES,
+    DEFAULT_SEED) in exact arithmetic, mode "sampled".  first_failure is the
+    first failing triple in row-major order, or in the sample's order.
     """
     alg = double.algebra
     nn = alg.dim
-    if nn <= EXHAUSTIVE_RECHECK_LIMIT:
-        mode, count = "exhaustive", nn**3
-        triples = itertools.product(range(nn), repeat=3)
-    else:
-        mode, count = "sampled", RECHECK_SAMPLES
-        triples = sampled_triples(nn, RECHECK_SAMPLES, DEFAULT_SEED)
     unit_ok = alg.unit_failure() is None
-    bad = alg.associativity_failure(triples)
+    if nn <= EXHAUSTIVE_RECHECK_LIMIT:
+        bad = alg.associativity_failure(itertools.product(range(nn), repeat=3))
+        associativity = {"mode": "exhaustive", "triples": nn**3}
+    elif unit_ok and nn <= DEFAULT_EXHAUSTIVE_LIMIT:
+        # Light's test needs the unit laws, which hold here
+        bad = alg._assoc_modular()
+        associativity = {"mode": "certificate", "generators": len(alg.light_generators)}
+    else:
+        bad = alg.associativity_failure(sampled_triples(nn, RECHECK_SAMPLES, DEFAULT_SEED))
+        associativity = {"mode": "sampled", "triples": RECHECK_SAMPLES}
     witnesses = {
         "dim": nn,
         "unit": {"holds": unit_ok},
-        "associativity": {"holds": bad is None, "mode": mode, "triples": count},
+        "associativity": {"holds": bad is None, **associativity},
     }
     if bad is not None:
         witnesses["associativity"]["first_failure"] = bad

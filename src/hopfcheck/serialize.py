@@ -48,14 +48,17 @@ the one that json.load's tree gives.
 
 Once the window has met the zero, it reads the zero's usual spelling Z
 (json.dumps's text of it, {"order": 1, "coeffs": [["0", "1"]]} at order 1,
-which algebra_to_json documents hold) as null in the members of a walked
+which algebra_to_json documents hold, or its compact text when only that
+one is in the window's text ahead) as null in the members of a walked
 list that holds coordinate lists (_Window.nulled): a member is read over
 1.25 times the length of the one before it, with each exact occurrence of Z
 replaced by "null", so json reads each such zero as a literal, with no dict
-and no hook call, and _Packed takes None as the zero.  A guard at C speed
-proves that reading json's: the text holds no null and no backslash, every
-null stands outside a string, and the value is lists of None and Cyclotomic
-values down to the coordinate lists.  Whenever it cannot, or that text
+and no hook call, and _Packed takes None as the zero.  The replacement is
+made in pieces shorter than CPython's two-way search threshold
+(_nulled_text), and gives the text that one str.replace gives.  A guard
+at C speed proves that reading json's: the text holds no null and no
+backslash, every null stands outside a string, and the value is lists of
+None and Cyclotomic values down to the coordinate lists.  Whenever it cannot, or that text
 holds no Z, or the member outgrows it, the member is scanned as before, so
 every value and every error is unchanged.  A document no longer than the
 window is scanned whole before any zero is known, and so is read as before.
@@ -333,24 +336,33 @@ WINDOW = 1 << 20
 _PIECE = 1 << 16
 _FIRST = 1 << 12
 
+# The length of the pieces in which _Window.nulled replaces the zero's
+# spelling.  CPython 3.11 and later search a text of 30,000 characters or
+# more with the two-way algorithm, and str.replace then pays that
+# algorithm's setup again for every match; below that length it does not.
+_REPLACED = 25_000
+
 
 # A JSON string literal in text that holds no backslash, where every quote
 # either opens or closes one.
 _STRING = re.compile(r'"[^"]*"')
 
-# What a coordinate list decoded with the zero's spelling read as null may
-# hold, and still be the list that json.load decodes with None for the zero.
-_NULLED_ENTRIES = frozenset((type(None), Cyclotomic))
+# The types that the entries of a coordinate list read nulled may have,
+# besides None, and still be the list that json.load decodes.
+_CYCLOTOMIC = frozenset((Cyclotomic,))
 
 
-def _nulled_fit(value, shape: int) -> bool:
-    """Whether value is lists nested shape levels deep down to coordinate
-    lists that hold only None and Cyclotomic values."""
-    if type(value) is not list:
-        return False
-    if shape == 0:
-        return _NULLED_ENTRIES.issuperset(map(type, value))
-    return all(_nulled_fit(member, shape - 1) for member in value)
+def _nulled_text(buf: str, start: int, end: int, z: str) -> str:
+    """buf[start:end].replace(z, "null"), for a z that cannot overlap
+    itself, replaced in pieces of about _REPLACED characters: each piece
+    ends just before the first z that starts _REPLACED characters or more
+    after the piece's start."""
+    pieces = []
+    while (cut := buf.find(z, start + _REPLACED, end)) >= 0:
+        pieces.append(buf[start:cut].replace(z, "null"))
+        start = cut
+    pieces.append(buf[start:end].replace(z, "null"))
+    return "".join(pieces)
 
 
 # Where a document's coordinate lists sit, for the window to pack them: a
@@ -500,9 +512,9 @@ class _Window:
             return self.hook(items)
         return self.pack(items) if shape == 0 else items
 
-    def packed(self, value, shape, nulled: bool = False):
+    def packed(self, value, shape):
         """value, decoded whole, with the lists that shape locates in it
-        packed in place (read with nulls for the zero when `nulled`)."""
+        packed in place."""
         if type(shape) is dict:
             if type(value) is dict:
                 for key, inner in shape.items():
@@ -510,9 +522,26 @@ class _Window:
                         value[key] = self.packed(value[key], inner)
         elif shape is not None and type(value) is list:
             if shape == 0:
-                return self.pack(value, nulled)
+                return self.pack(value)
             for k, member in enumerate(value):
-                value[k] = self.packed(member, shape - 1, nulled)
+                value[k] = self.packed(member, shape - 1)
+        return value
+
+    def packed_nulled(self, value, shape: int):
+        """value, decoded with None for the zero, with its lists nested shape
+        levels deep packed in place; None unless value is such lists down to
+        coordinate lists that hold only None and Cyclotomic values.  Each
+        list's entries other than None and the zero are its record's
+        `others`, so only those have their type read."""
+        if type(value) is not list:
+            return None
+        if shape == 0:
+            vec = _Packed(value, self.zero, True)
+            return vec if _CYCLOTOMIC.issuperset(map(type, vec.others.values())) else None
+        for k, member in enumerate(value):
+            if (member := self.packed_nulled(member, shape - 1)) is None:
+                return None
+            value[k] = member
         return value
 
     def nulled(self, size: int, shape: int):
@@ -536,9 +565,19 @@ class _Window:
         only when it is lists nested shape levels deep down to coordinate
         lists of None and Cyclotomic values, so that every None stands where
         _Packed reads it as the zero; a Z anywhere else (in a scalar, or as
-        a plane) leaves some other value.  T' holds four characters for each
-        Z before its end, so that end lies len(Z) - 4 characters further on
-        in T for each."""
+        a plane) leaves some other value.  No two occurrences of "null"
+        overlap, and T holds none, so the nulls of T' are exactly the Z
+        replaced: T' is len(Z) - 4 characters shorter than T for each, and
+        the end of its value lies that much further on in T for each null
+        before it.
+
+        T' is built in pieces of about _REPLACED characters, each cut just
+        before a Z, rather than by one T.replace(Z, "null"): on a text longer
+        than CPython's two-way threshold, replace pays that search's setup
+        once per Z, which made it the largest cost of reading a dense
+        document.  Z's only "{" is its first character, so no two Z overlap,
+        no Z crosses a cut, and the pieces joined are T.replace(Z, "null")
+        character for character."""
         z = self.spelling
         end = min(self.pos + size, len(self.buf))
         start = max(self.pos, self.clear - self.done)
@@ -546,36 +585,43 @@ class _Window:
             # members only move forward, so this text is never searched again
             self.clear = self.done + max(start, end - len(z) + 1)
             return None
-        text = self.buf[self.pos:end]
-        if "null" in text or "\\" in text:
+        buf = self.buf
+        if buf.find("null", self.pos, end) >= 0 or buf.find("\\", self.pos, end) >= 0:
             return None
-        text = text.replace(z, "null")
-        if _STRING.sub("", text).count("null") != text.count("null"):
+        text = _nulled_text(buf, self.pos, end, z)
+        nulls = (end - self.pos - len(text)) // (len(z) - 4)
+        if _STRING.sub("", text).count("null") != nulls:
             return None
         try:
-            value, end = self.scan(text, 0)
+            value, scanned = self.scan(text, 0)
         except json.JSONDecodeError:
             return None
-        if not _nulled_fit(value, shape):
-            return None
-        self.pos += end + (len(z) - 4) * text.count("null", 0, end)
-        return self.packed(value, shape, True)
+        value = self.packed_nulled(value, shape)
+        if value is not None:
+            self.pos += scanned + (len(z) - 4) * (nulls - text.count("null", scanned))
+        return value
 
-    def pack(self, values: list, nulled: bool = False):
+    def pack(self, values: list):
         """values as a _Packed whose zero is the first zero Cyclotomic met in
         a list to pack; values itself until one is met.  With the zero, it
         learns the zero's usual spelling: json.dumps's text of it at its
-        order, once the hook decodes that text to the zero itself."""
+        order, with the default separators or, when only that one is in the
+        window's text ahead, the compact ones (",", ":"), once the hook
+        decodes that text to the zero itself."""
         if self.zero is None:
             self.zero = next((v for v in values if type(v) is Cyclotomic and not v), None)
             if self.zero is None:
                 return values
             order = self.zero.order
-            z = json.dumps({"order": order, "coeffs": [["0", "1"]] * phi_degree(order)})
+            zero = {"order": order, "coeffs": [["0", "1"]] * phi_degree(order)}
+            z = json.dumps(zero)
+            compact = json.dumps(zero, separators=(",", ":"))
+            if self.buf.find(z, self.pos) < 0 and self.buf.find(compact, self.pos) >= 0:
+                z = compact
             value, end = self.scan(z, 0)
             if value is self.zero and end == len(z):
                 self.spelling = z
-        return _Packed(values, self.zero, nulled)
+        return _Packed(values, self.zero)
 
     def document(self):
         value = self.value(0, _COORDINATE_LISTS)

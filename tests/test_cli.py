@@ -12,7 +12,7 @@ from test_serialize import decode_ways
 
 import hopfcheck
 
-from hopfcheck import catalogue, cli
+from hopfcheck import algebra, catalogue, cli
 from hopfcheck.catalogue import CheckCrashed, catalogue_ids
 from hopfcheck.cyclotomic import MAX_ORDER, phi_degree
 from hopfcheck.hopf import taft
@@ -176,10 +176,10 @@ print(code, certified, sorted({m.split(".")[0] for m in sys.modules} & {"numpy",
 @pytest.mark.parametrize("command", ["run", "ingest"])
 def test_certified_verdicts_load_neither_numpy_nor_scipy(tmp_path, command):
     # the associativity certificate runs on every algebra that run --all
-    # --p 2,3 builds, the three 81-dim doubles of taft(3) among them, and on
-    # taft(7) (dim 49)
+    # --p 2,3 builds, the three 81-dim doubles of taft(3) among them, once
+    # more on the twisted one for D2.2's re-check, and on taft(7) (dim 49)
     if command == "run":
-        dims = [1, 1, 2, 4, 3, 9, 4, 16, 9, 81, 10, 8, 8, 4, 6, 1, 3, 5, 4, 9, 27, 27, 27,
+        dims = [1, 1, 2, 4, 3, 9, 4, 16, 9, 81, 81, 10, 8, 8, 4, 6, 1, 3, 5, 4, 9, 27, 27, 27,
                 4, 4, 9, 9, 16, 16, 81, 81]
         args = ["run", "--all", "--p", "2,3"]
     else:
@@ -288,6 +288,22 @@ def test_ingest_round_trip(tmp_path, capsys):
     code, out, _ = _ingest(path, capsys)
     assert code == 0
     assert "hopf algebra, dim 4" in out
+
+
+@pytest.mark.parametrize("hopf", [True, False])
+def test_ingest_says_when_associativity_is_only_sampled(tmp_path, capsys, monkeypatch, hopf):
+    # above DEFAULT_EXHAUSTIVE_LIMIT construction samples associativity, and
+    # ingest says so in place of "axioms verified"; up to it, the line holds
+    doc = hopf_to_json(taft(3)) if hopf else algebra_to_json(taft(3).algebra)
+    path = tmp_path / "t3.json"
+    path.write_text(json.dumps(doc))
+    kind = "hopf algebra" if hopf else "algebra"
+    lines = {}
+    for limit in (9, 8):
+        monkeypatch.setattr(algebra, "DEFAULT_EXHAUSTIVE_LIMIT", limit)
+        lines[limit] = _ingest(path, capsys)
+    assert lines[9] == (0, f"ok: {kind}, dim 9, axioms verified\n", "")
+    assert lines[8] == (0, f"ok: {kind}, dim 9, associativity sampled (10,000 triples), not proven\n", "")
 
 
 def test_ingest_corrupted_antipode(tmp_path, capsys):

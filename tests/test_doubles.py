@@ -616,6 +616,33 @@ def test_double_recheck_matches_construction_checks(d2, cell):
     assert witnesses.get("first_failure") == first
 
 
+def test_double_recheck_proves_the_81_dim_double(d3):
+    witnesses = check_double_unital_associative(d3).witnesses["associativity"]
+    assert witnesses == {"holds": True, "mode": "certificate", "generators": 15}
+
+
+@pytest.mark.parametrize("pair", [(9, 64), (40, 41), (80, 80)])
+def test_double_recheck_certificate_finds_the_first_failing_triple(d3, pair):
+    # above dim 24 and up to 230 D2.2 runs Light's certificate, whose
+    # witness is the first failing triple of the exact row-major loop
+    i, j = pair
+    bad = _corrupted_double(d3, (i, j, min(d3.algebra.rows[i][j])))
+    report = check_double_unital_associative(bad)
+    witnesses = report.witnesses["associativity"]
+    assert not report.passed and report.witnesses["unit"]["holds"]
+    assert witnesses["mode"] == "certificate" and witnesses["generators"] == 15
+    first = bad.algebra.associativity_failure(itertools.product(range(81), repeat=3))
+    assert first is not None and witnesses["first_failure"] == first
+
+
+def test_double_recheck_samples_when_the_unit_law_fails(d3):
+    # Light's test needs the unit laws, so without them D2.2 samples
+    bad = _corrupted_double(d3, (0, 5, 5))
+    report = check_double_unital_associative(bad)
+    assert report.witnesses["unit"]["holds"] is False
+    assert report.witnesses["associativity"]["mode"] == "sampled"
+
+
 # -- straightening and cross relation on corrupted doubles ----------------
 
 

@@ -793,9 +793,12 @@ def test_ingest_rejects_the_corrupted_matrix_algebra(tmp_path):
     assert f"at basis triple {direct.value.triple}" in str(ingested.value)
 
 
-# The zero's usual spelling, which the window reads as null once it has met
-# the zero: json.dumps's text of an order-1 zero.
+# The zero's usual spellings, which the window reads as null once it has
+# met the zero: json.dumps's text of an order-1 zero, with the default and
+# with the compact separators.
+COMPACT = {"separators": (",", ":")}
 ZERO_TEXT = json.dumps({"order": 1, "coeffs": [["0", "1"]]})
+ZERO_COMPACT = json.dumps({"order": 1, "coeffs": [["0", "1"]]}, **COMPACT)
 _MARK = {"order": 1, "coeffs": [["MARK", "1"]]}
 
 
@@ -814,7 +817,8 @@ def _group_doc_with(n: int, text: str, where: tuple, **dumps) -> str:
 # entry of a coordinate list, or holds what the null reading must not meet,
 # each put after the window has met the zero.  An entry is structure[9][7][3]
 # of the dense k[Z/16], whose planes are walked at windows of 4 Ki
-# characters and scanned whole at 64 Ki.
+# characters and scanned whole at 64 Ki.  The "compact-" documents are
+# written with compact separators, and so hold the compact spelling.
 _ENTRY = (9, 7, 3)
 NULLED_CASES = {
     # a string opened before Z ends at Z's first quote, so the text is not
@@ -837,6 +841,15 @@ NULLED_CASES = {
     "zero-of-another-spelling": ('{"order": 1, "coeffs": [["0", "7"]]}', _ENTRY),
     "zero-of-order-2": ('{"order": 2, "coeffs": [["0", "1"]]}', _ENTRY),
     "missing-comma": (ZERO_TEXT + " " + ZERO_TEXT, _ENTRY),
+    "compact-z-opening-a-string": (
+        '{"coeffs":"a' + ZERO_COMPACT + '","order":1,"coeffs":[["0","1"]]}', _ENTRY, COMPACT),
+    "compact-z-as-an-order": ('{"order":' + ZERO_COMPACT + ',"coeffs":[["0","1"]]}', _ENTRY, COMPACT),
+    "compact-z-in-a-list-as-an-entry": ("[" + ZERO_COMPACT + "]", _ENTRY, COMPACT),
+    "compact-z-as-a-plane-member": (ZERO_COMPACT, _ENTRY[:2], COMPACT),
+    "compact-z-as-a-plane": (ZERO_COMPACT, _ENTRY[:1], COMPACT),
+    "compact-late-null": ("null", _ENTRY, COMPACT),
+    "compact-missing-comma": (ZERO_COMPACT + ZERO_COMPACT, _ENTRY, COMPACT),
+    "compact-default-spelling": (ZERO_TEXT, _ENTRY, COMPACT),
 }
 NULLED_WINDOWS = [1 << 12, 1 << 14, 1 << 16]
 
@@ -845,7 +858,8 @@ def _nulled_case_text(name: str) -> str:
     if name == "truncated":
         text = _group_doc_with(16, ZERO_TEXT, _ENTRY)
         return text[: len(text) * 7 // 10]
-    return _group_doc_with(16, *NULLED_CASES[name])
+    text, where, *dumps = NULLED_CASES[name]
+    return _group_doc_with(16, text, where, **(dumps[0] if dumps else {}))
 
 
 def _read_at_window(path, window):
@@ -887,11 +901,13 @@ def _separated_docs() -> dict:
 
 @pytest.mark.parametrize("name", ["taft3", "group24"])
 def test_zeros_read_alike_whatever_the_separators(tmp_path, name):
-    # the compact and indented texts never hold the zero's spelling, so only
-    # the default one is read with nulls; all three read alike at each window
+    # the default and the compact texts are read with nulls, each with its
+    # own spelling of the zero; the indented one never holds either, and is
+    # read with a hook call per scalar.  All three read alike at each window
     doc = _separated_docs()[name]
-    texts = [json.dumps(doc), json.dumps(doc, separators=(",", ":")), json.dumps(doc, indent=1)]
-    assert ZERO_TEXT in texts[0] and all(ZERO_TEXT not in text for text in texts[1:])
+    texts = [json.dumps(doc), json.dumps(doc, **COMPACT), json.dumps(doc, indent=1)]
+    assert ZERO_TEXT in texts[0] and ZERO_COMPACT in texts[1]
+    assert all(z not in texts[2] for z in (ZERO_TEXT, ZERO_COMPACT))
     reads = []
     for k, text in enumerate(texts):
         path = tmp_path / f"doc{k}.json"
@@ -912,15 +928,17 @@ def _group_text_compact_first(doc: dict, planes: int) -> str:
     return head + ", ".join(planes) + "]}"
 
 
-@pytest.mark.parametrize("compact_planes", [0, 24])
+@pytest.mark.parametrize("compact_planes", [0, 24, 48])
 def test_zeros_read_as_null_skip_the_scalar_hook(tmp_path, monkeypatch, compact_planes):
     # k[Z/48] as json.dumps writes it: 110,640 scalars, 2,305 of them
     # nonzero, 4.2 MB of text over several windows.  Once the window has met
     # the zero, json reads each zero as null and calls the hook only on the
     # nonzero scalars; read as the first windows were, it would call it on
-    # every scalar.  With the first 24 planes written compactly, which never
-    # hold the zero's spelling, the zeros of the other 24 are still read as
-    # null.
+    # every scalar.  The window learns the spelling that its text ahead
+    # holds when it meets the zero: with all planes written compactly, the
+    # compact one.  With only the first 24 written so, the compact one too,
+    # and the zeros of the other 24, spelled otherwise, each take a hook
+    # call.
     n = 48
     path = tmp_path / "group48.json"
     doc = _dense_group_algebra_doc(n)
@@ -935,4 +953,54 @@ def test_zeros_read_as_null_skip_the_scalar_hook(tmp_path, monkeypatch, compact_
     monkeypatch.setattr(serialize, "scalar_hook", counting)
     assert ingest_algebra(str(path)).same_structure(algebra_from_json(doc))
     nonzero = n * n + 1
-    assert next(calls) < compact_planes * n * n + 2 * nonzero
+    spelled_otherwise = 0 if compact_planes in (0, n) else n - compact_planes
+    assert next(calls) < spelled_otherwise * n * n + 2 * nonzero
+
+
+def _replaced_in_pieces(monkeypatch, text: str, start: int, end: int, pieces) -> None:
+    """Check that _nulled_text replaces each spelling of the zero in
+    text[start:end] as one str.replace does, at each piece length."""
+    for piece in pieces:
+        monkeypatch.setattr(serialize, "_REPLACED", piece)
+        for z in (ZERO_TEXT, ZERO_COMPACT):
+            assert serialize._nulled_text(text, start, end, z) == text[start:end].replace(z, "null")
+
+
+@pytest.mark.parametrize("name", sorted(NULLED_CASES) + ["truncated"])
+def test_pieces_replace_the_zero_as_one_replace_does(monkeypatch, name):
+    text = _nulled_case_text(name)
+    pieces = [1, 37, 1000, serialize._REPLACED]
+    _replaced_in_pieces(monkeypatch, text, 0, len(text), pieces)
+    _replaced_in_pieces(monkeypatch, text, len(text) // 3, len(text) * 2 // 3, pieces)
+
+
+def test_pieces_are_cut_before_a_zero_at_every_offset_around_a_cut(monkeypatch):
+    # a piece starts at a zero and is cut before the first zero that starts
+    # 50 characters or more after it: the second zero starts at each offset
+    # around that point, whole or cut by the end of the text; a third lies
+    # one piece further, and after the last no zero is found
+    for z in (ZERO_TEXT, ZERO_COMPACT):
+        for offset in range(len(z), 50 + 2 * len(z)):
+            text = z + "," * (offset - len(z)) + z + "," * 50 + z + "," * 80
+            for end in range(offset, len(text) + 1, 7):
+                _replaced_in_pieces(monkeypatch, text, 0, end, [50])
+            _replaced_in_pieces(monkeypatch, text, 1, len(text), [50])
+
+
+@pytest.mark.parametrize("dumps", [{}, COMPACT], ids=["default", "compact"])
+def test_members_longer_than_a_piece_read_as_json_loads_them(tmp_path, monkeypatch, dumps):
+    # the planes of k[Z/32] are longer than _REPLACED characters, so each is
+    # replaced in several pieces; the document is longer than a window
+    path = tmp_path / "group32.json"
+    path.write_text(json.dumps(_dense_group_algebra_doc(32), **dumps))
+    assert path.stat().st_size > serialize.WINDOW
+    lengths = []
+    nulled_text = serialize._nulled_text
+
+    def spy(buf, start, end, z):
+        lengths.append(end - start)
+        return nulled_text(buf, start, end, z)
+
+    monkeypatch.setattr(serialize, "_nulled_text", spy)
+    assert _read_at_window(path, serialize.WINDOW) == _read_whole(path)
+    assert max(lengths) > serialize._REPLACED
