@@ -34,10 +34,28 @@ associativity in one of two regimes, chosen by dim:
 
 check= takes "auto" (the rule above), "modular" (the certificate at any
 dim) or "none" (no associativity check).  The algebra records which ran in
-`associativity`: "certificate", "sampled" or "unchecked".
+`associativity`: "certificate", "sampled" or "unchecked", and "exhaustive"
+at dim 0.  A block that central_eigensplit reads off a proven parent is
+built with check="none" and records "inherited": it is the ideal A idem of
+an associative A, and its table holds the coordinates of products taken
+in A.  The modes in PROVEN_MODES ("certificate", "exhaustive" and
+"inherited") count as proven (the property `proven`); "sampled" and
+"unchecked" do not.
 The D2.2 re-check of the twisted doubles (doubles.py) checks every triple
 up to dim 24, runs the certificate again up to dim 230 and, above it, a
 fixed sample of 2,000 triples.
+
+A proof is used again after construction, through the generating-set
+lemma behind Light's test (Clifford & Preston, The Algebraic Theory of
+Semigroups I, 1961, section 1.2): in an associative algebra, the elements
+with a property that holds at 1 and is closed under products form a
+unital subalgebra, so the property holds everywhere once it holds on a
+generating set S.  A certified algebra keeps its S in `light_generators`,
+and map_failure (multiplicativity) and is_central (commuting with z) check
+only S when the algebra is proven with an S; an algebra that is sampled,
+unchecked or without an S (an inherited block) takes the full check.
+map_failure falls back to the full scan whenever a generator pair fails,
+so the reported pair is always the full scan's first failure.
 
 An AlgebraElement holds its terms, a dict {basis index: nonzero scalar}, and
 every product goes through one sparse kernel, StructureAlgebra.mul_sparse,
@@ -84,6 +102,9 @@ GENERATION_PRIME_CEILING = 1 << 31
 DEFAULT_EXHAUSTIVE_LIMIT = 230
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 20240801
+
+# The associativity modes that are proofs.
+PROVEN_MODES = frozenset({"certificate", "exhaustive", "inherited"})
 
 
 # The one empty cell, shared by every empty product e_i e_j of every algebra;
@@ -199,7 +220,17 @@ class StructureAlgebra:
                 return (i, j, k)
         return None
 
-    def map_failure(self, images, product):
+    @property
+    def proven(self) -> bool:
+        """Whether associativity was proven (`associativity` in PROVEN_MODES)."""
+        return self.associativity in PROVEN_MODES
+
+    def _proven_generators(self):
+        """The certified generating set S when associativity is proven with
+        one, else None."""
+        return self.light_generators if self.proven else None
+
+    def map_failure(self, images, product, unit=None):
         """The first basis pair (i, j), in row-major order, at which the linear
         map e_t -> images[t] is not multiplicative, that is
         sum_t c_ij^t images[t] != product(i, j), or None.
@@ -210,10 +241,25 @@ class StructureAlgebra:
         images[j] as such a vector.  This is the one multiplicativity check:
         algebra maps and quotient projections (into a StructureAlgebra),
         module actions (into End(V), keyed (u, v)) and the comultiplication
-        and counit of a Hopf algebra (into H (x) H, and into k, keyed 0)."""
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if product(i, j) != lincomb(images, self.rows[i][j]):
+        and counit of a Hopf algebra (into H (x) H, and into k, keyed 0).
+
+        unit is the target's unit as such a vector, passed only when the
+        target is associative (a proven StructureAlgebra, End(V), H (x) H of
+        a proven H, or k).  When it is, this algebra is proven with a
+        generating set S and the map sends 1 to unit, only the pairs (s, j)
+        with s in S are compared: M = {x : phi(x y) = phi(x) phi(y) for
+        every basis y} holds 1 and is closed under products, since
+        phi((x x') y) = phi(x) phi(x' y) = phi(x) phi(x') phi(y), so M is
+        the whole algebra once it holds S.  If a generator pair fails, every
+        pair is compared, so the pair reported is the full scan's first."""
+        n, rows = self.dim, self.rows
+        gens = self._proven_generators()
+        if unit is not None and gens is not None and lincomb(images, self._unit_terms) == unit:
+            if all(product(s, j) == lincomb(images, rows[s][j]) for s in gens for j in range(n)):
+                return None
+        for i in range(n):
+            for j in range(n):
+                if product(i, j) != lincomb(images, rows[i][j]):
                     return (i, j)
         return None
 
@@ -452,11 +498,21 @@ class StructureAlgebra:
         return kernel(Matrix(gram, ncols=n))
 
     def subalgebra_generated(self, gens) -> Subspace:
-        """Smallest unital subalgebra containing gens (closure to a fixed point)."""
-        eb = EchelonBasis(self.dim)
+        """Smallest unital subalgebra containing gens: the closure of the
+        span of the unit under right multiplication by gens, to a fixed point.
+
+        The closure runs first modulo a prime (_generates_modulo_a_prime).
+        Rank cannot rise modulo a prime, so reaching rank dim there proves
+        that gens generate the whole algebra, and the whole space is
+        returned; when the modular rank falls short, the exact closure runs.
+        """
+        n = self.dim
+        gvecs = [self._terms(g) for g in gens]
+        if n and _generates_modulo_a_prime(self, gvecs):
+            return Subspace.whole(n)
+        eb = EchelonBasis(n)
         unit = self._unit_terms
         eb.add(unit)
-        gvecs = [self._terms(g) for g in gens]
         frontier = [unit]
         while frontier:
             new = []
@@ -496,7 +552,8 @@ class StructureAlgebra:
         original basis that is independent modulo the ideal.  The ideal is a
         fixed point under multiplication by the whole basis, so the projection
         is an algebra map by construction; for parents up to dim 32 that is
-        also checked on every basis pair (map_failure).
+        also checked (map_failure, on every basis pair, or on the pairs of a
+        proven parent's generating set).
         """
         n = self.dim
         ideal = self.ideal_generated(gens)
@@ -520,7 +577,11 @@ class StructureAlgebra:
         unit_q = lincomb(pcols, self._unit_terms)
         algebra = StructureAlgebra(q, rows, dense_of(unit_q, q), name=f"{self.name}/ideal")
         if n <= 32:
-            bad = self.map_failure(pcols, lambda i, j: algebra.mul_sparse(pcols[i], pcols[j]))
+            bad = self.map_failure(
+                pcols,
+                lambda i, j: algebra.mul_sparse(pcols[i], pcols[j]),
+                algebra._unit_terms if algebra.proven else None,
+            )
             if bad is not None:
                 raise InvariantError(f"quotient projection is not an algebra map at {bad}")
         return QuotientResult(algebra, proj, tuple(chosen), ideal)
@@ -534,10 +595,28 @@ class StructureAlgebra:
         return AlgebraElement(self, x)
 
     def is_central(self, a: "AlgebraElement") -> bool:
-        u = self._terms(a)
-        for i in range(self.dim):
-            e = self.basis_sparse(i)
-            if self.mul_sparse(u, e) != self.mul_sparse(e, u):
+        """Whether a commutes with every basis element e_j: e_j a is the
+        combination of row j's cells and a e_j that of column j's, with a's
+        coordinates as coefficients, so no product (by one) is formed.  When
+        the algebra is proven with a generating set S, only the e_s with s in
+        S are compared: the centralizer of a is a unital subalgebra of an
+        associative algebra, so it is everything once it holds S."""
+        order = self.order
+        # a's coordinates lifted once to the algebra's order where they live
+        # in it, so that each product with a cell's scalar is taken at one order
+        u = {i: x.lift(order) if order % x.order == 0 else x for i, x in self._terms(a).items()}
+        rows = self.rows
+        gens = self._proven_generators()
+        for j in range(self.dim) if gens is None else gens:
+            rowj = rows[j]
+            left: dict = {}
+            right: dict = {}
+            for i, x in u.items():
+                if cell := rowj[i]:
+                    _axpy(left, x, cell)
+                if cell := rows[i][j]:
+                    _axpy(right, x, cell)
+            if left != right:
                 return False
         return True
 
@@ -548,6 +627,13 @@ class StructureAlgebra:
         raises AlgebraError otherwise.  Cross-block products vanish because z
         is central and acts by distinct scalars; the direct-sum reassembly is
         compared against the original tensor explicitly for small dims.
+
+        On a proven parent each block's table is read at the pivot cells
+        (_pivot_table), and the block is built with check="none" and records
+        "inherited": it is the ideal A idem of an associative A.  Otherwise,
+        or when the pivot read's run-time checks fail, each cell is formed
+        from the product of two block basis vectors (_product_table) and
+        construction checks the block's associativity.
         """
         if not self.is_central(z):
             raise AlgebraError(f"{self.name}: element is not central")
@@ -568,29 +654,92 @@ class StructureAlgebra:
                     continue
                 factor = (lam - mu).inverse()
                 shifted = self.mul_sparse(idem, zs)
-                _axpy(shifted, -mu, idem)
+                if mu:  # _axpy takes a nonzero factor; a zero one would store zeros
+                    _axpy(shifted, -mu, idem)
                 idem = {t: w * factor for t, w in shifted.items()}
             unit_coords = space.coordinates(idem)
             if unit_coords is None:
                 raise InvariantError("idempotent escapes its eigenspace")
             d = space.dim
-            basis = space.basis
-            rows = []
-            for a in range(d):
-                arow = []
-                for b in range(d):
-                    coords = space.coordinates(self.mul_sparse(basis[a], basis[b]))
-                    if coords is None:
-                        raise InvariantError("block product escapes the block")
-                    arow.append(coords or EMPTY_CELL)
-                rows.append(arow)
+            rows = self._pivot_table(space, idem) if self.proven else None
+            inherited = rows is not None
             algebra = StructureAlgebra(
-                d, rows, dense_of(unit_coords, d), name=f"{self.name}[z={lam.pretty()}]"
+                d,
+                rows if inherited else self._product_table(space),
+                dense_of(unit_coords, d),
+                name=f"{self.name}[z={lam.pretty()}]",
+                check="none" if inherited else "auto",
             )
+            if inherited:
+                algebra.associativity = "inherited"
             blocks.append(CentralBlock(lam, algebra, space, self, idem))
         if self.dim <= 32:
             self._verify_reassembly(blocks)
         return blocks
+
+    def _product_table(self, space: Subspace) -> list[list]:
+        """The table of the block spanned by space: cell (a, b) holds the
+        coordinates of b_a b_b in the basis b of space."""
+        basis = space.basis
+        rows = []
+        for ba in basis:
+            arow = []
+            for bb in basis:
+                coords = space.coordinates(self.mul_sparse(ba, bb))
+                if coords is None:
+                    raise InvariantError("block product escapes the block")
+                arow.append(coords or EMPTY_CELL)
+            rows.append(arow)
+        return rows
+
+    def _pivot_table(self, space: Subspace, idem: dict):
+        """The table of the block A idem, read at the pivot cells, or None
+        when idem^2 != idem or the pivot matrix is not diagonal.
+
+        The caller knows this algebra associative and idem central, with
+        z idem = lambda idem, so that each idem e_m lies in the block, which
+        space spans with its reduced basis b_a (pivot j_a).  The pivot
+        matrix reads idem e_m at the pivot columns, and an element of the
+        block is fixed by those coordinates.  When the matrix is diagonal,
+        idem e_(j_a) = g_a b_a with g_a nonzero, so
+            b_a b_b = (g_a g_b)^(-1) idem e_(j_a) e_(j_b)
+                    = (g_a g_b)^(-1) sum_m c_(j_a j_b)^m idem e_m,
+        and cell (a, b) is that sum read at the pivots.  No block product
+        can escape the block, since each idem e_m lies in it.
+        """
+        if self.mul_sparse(idem, idem) != idem:
+            return None
+        rows = self.rows
+        pivots = space.pivots
+        at = {j: a for a, j in enumerate(pivots)}
+        reads: dict[int, dict] = {}  # m -> idem e_m at the pivots, keyed by a
+
+        def read(m: int) -> dict:
+            r = reads.get(m)
+            if r is None:
+                v = lincomb({i: rows[i][m] for i in idem}, idem)
+                r = reads[m] = {at[k]: x for k, x in v.items() if k in at}
+            return r
+
+        inverses = []
+        for a, j in enumerate(pivots):
+            r = read(j)
+            if len(r) != 1 or a not in r:
+                return None
+            inverses.append(r[a].inverse())
+        table = []
+        for a, ja in enumerate(pivots):
+            rowa = rows[ja]
+            arow = []
+            for b, jb in enumerate(pivots):
+                cell = rowa[jb]
+                for m in cell:
+                    read(m)
+                v = lincomb(reads, cell)
+                f = inverses[a] * inverses[b]
+                arow.append({k: x * f for k, x in v.items()} if v else EMPTY_CELL)
+            table.append(arow)
+        return table
 
     def _verify_reassembly(self, blocks):
         n = self.dim
@@ -999,39 +1148,7 @@ def _light_generators(alg: StructureAlgebra, den: int) -> list[int]:
     r = _root_mod(order, p)
     image = IntegerImage(order, r, p, den)
     unit_image = IntegerImage(order, r, p, unit_den)
-    # the span, fully reduced: pivot column -> the row's other entries (its
-    # entry at the pivot is 1, and it is 0 at every other pivot column)
-    pivots: dict[int, dict] = {}
-
-    def sub(row: dict, f: int, vec: dict) -> None:
-        """row -= f vec mod p in place, for f nonzero mod p; entries that
-        vanish are removed (the integer twin of linalg._axpy)."""
-        for k, y in vec.items():
-            s = (row.get(k, 0) - f * y) % p
-            if s:
-                row[k] = s
-            else:
-                del row[k]
-
-    def reduce(v: dict) -> dict:
-        for c in [c for c in v if c in pivots]:
-            sub(v, v.pop(c), pivots[c])
-        return v
-
-    def absorb(v: dict) -> bool:
-        """Add v to the span; False when it is already there."""
-        v = reduce(dict(v))
-        if not v:
-            return False
-        c = min(v)
-        inv = pow(v.pop(c), -1, p)
-        new = {k: y * inv % p for k, y in v.items()}
-        for row in pivots.values():
-            f = row.pop(c, 0)
-            if f:
-                sub(row, f, new)
-        pivots[c] = new
-        return True
+    span = _ModSpan(p)
 
     def left(gen_row: list, v: dict) -> dict:
         out: dict = {}
@@ -1041,13 +1158,13 @@ def _light_generators(alg: StructureAlgebra, den: int) -> list[int]:
         return {k: y for k, s in out.items() if (y := s % p)}
 
     unit = {j: x for j, u in enumerate(alg.unit) if (x := unit_image(u))}
-    words = [unit] if absorb(unit) else []
+    words = [unit] if span.absorb(unit) else []
     gens: list[int] = []
     gen_rows: list[list] = []
     for a in range(n):
-        if len(pivots) == n:
+        if len(span) == n:
             break
-        if not reduce({a: 1}):
+        if not span.reduce({a: 1}):
             continue
         gens.append(a)
         gen_row = [{k: image(v) for k, v in cell.items()} for cell in alg.rows[a]]
@@ -1056,14 +1173,134 @@ def _light_generators(alg: StructureAlgebra, den: int) -> list[int]:
         while work:
             g, v = work.pop()
             u = left(g, v)
-            if absorb(u):
+            if span.absorb(u):
                 words.append(u)
                 work.extend((h, u) for h in gen_rows)
-    if len(pivots) != n:
+    if len(span) != n:
         raise InvariantError(
-            f"{alg.name}: the closure of the unit has rank {len(pivots)} of {n} modulo {p}"
+            f"{alg.name}: the closure of the unit has rank {len(span)} of {n} modulo {p}"
         )
     return gens
+
+
+class _ModSpan:
+    """The span of sparse integer vectors modulo a prime p, fully reduced:
+    pivots maps each pivot column to its row's other entries (the row is 1
+    at its pivot and 0 at every other pivot column).  The modular span of
+    both generation closures, _light_generators and
+    _generates_modulo_a_prime."""
+
+    __slots__ = ("p", "pivots")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots: dict[int, dict] = {}
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def _sub(self, row: dict, f: int, vec: dict) -> None:
+        """row -= f vec mod p in place, for f nonzero mod p; entries that
+        vanish are removed (the integer twin of linalg._axpy)."""
+        p = self.p
+        for k, y in vec.items():
+            s = (row.get(k, 0) - f * y) % p
+            if s:
+                row[k] = s
+            else:
+                del row[k]
+
+    def reduce(self, v: dict) -> dict:
+        """v reduced against the span, in place."""
+        pivots = self.pivots
+        for c in [c for c in v if c in pivots]:
+            self._sub(v, v.pop(c), pivots[c])
+        return v
+
+    def absorb(self, v: dict) -> bool:
+        """Add v (left unchanged) to the span; False when it is already there."""
+        v = self.reduce(dict(v))
+        if not v:
+            return False
+        p = self.p
+        c = min(v)
+        inv = pow(v.pop(c), -1, p)
+        new = {k: y * inv % p for k, y in v.items()}
+        for row in self.pivots.values():
+            f = row.pop(c, 0)
+            if f:
+                self._sub(row, f, new)
+        self.pivots[c] = new
+        return True
+
+
+def _generates_modulo_a_prime(alg: StructureAlgebra, gvecs: list[dict]) -> bool:
+    """Whether the closure of the span of alg's unit under right
+    multiplication by the sparse vectors gvecs reaches rank alg.dim modulo
+    a prime p = 1 mod N (N the lcm of the orders of the constants and of
+    gvecs), with zeta_N sent to a primitive N-th root r mod p.
+
+    A value of order d, coordinates num and denominator den, maps to its
+    residue sum_s num_s r^(s N / d) / den mod p: a ring map from the values
+    whose den p does not divide.  So every vector the closure holds mod p
+    is the residue of a vector of the exact closure, and n residues that
+    are independent mod p come from n exact vectors whose determinant is
+    nonzero modulo a prime of Z[zeta_N] over p, so nonzero: the exact
+    closure has rank n too.  False when the rank falls short, or when p
+    divides a denominator it meets (the exact closure decides then).
+    """
+    n, rows = alg.dim, alg.rows
+    order = lcm(alg.order, *(v.order for g in gvecs for v in g.values()))
+    p = _generation_prime(order, 1)
+    root = _root_mod(order, p)
+    powers: dict[int, list[int]] = {}
+    memo: dict[tuple, int] = {}
+
+    def residue(v: Cyclotomic) -> int:
+        key = (v.order, v.num, v.den)
+        x = memo.get(key)
+        if x is None:
+            pw = powers.get(v.order)
+            if pw is None:
+                step = pow(root, order // v.order, p)
+                pw = powers[v.order] = [pow(step, s, p) for s in range(len(v.num))]
+            x = memo[key] = sum(c * w for c, w in zip(v.num, pw)) * pow(v.den, -1, p) % p
+        return x
+
+    def times(v: dict, g: dict, table: dict) -> dict:
+        """v g mod p for the residues g of a generator; table[i], e_i g mod
+        p, is made when first asked for."""
+        out: dict = {}
+        get = out.get
+        for i, x in v.items():
+            row = table.get(i)
+            if row is None:
+                acc: dict = {}
+                rowi = rows[i]
+                for j, y in g.items():
+                    for k, c in rowi[j].items():
+                        acc[k] = acc.get(k, 0) + y * residue(c)
+                row = table[i] = {k: s for k, a in acc.items() if (s := a % p)}
+            for k, y in row.items():
+                out[k] = get(k, 0) + x * y
+        return {k: s for k, a in out.items() if (s := a % p)}
+
+    span = _ModSpan(p)
+    try:
+        gens = [({j: x for j, v in g.items() if (x := residue(v))}, {}) for g in gvecs]
+        unit = {j: x for j, u in alg._unit_terms.items() if (x := residue(u))}
+        frontier = [unit] if span.absorb(unit) else []
+        while frontier and len(span) < n:
+            new = []
+            for v in frontier:
+                for g, table in gens:
+                    w = times(v, g, table)
+                    if span.absorb(w):
+                        new.append(w)
+            frontier = new
+    except ValueError:  # pow(den, -1, p) for a den that p divides
+        return False
+    return len(span) == n
 
 
 def _root_mod(order: int, p: int) -> int:

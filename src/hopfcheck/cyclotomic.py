@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, neg
 
 # The largest order cyc_from_json accepts.  A document names its own order,
 # and the cyclotomic polynomial and power tables take time superlinear in it
@@ -260,7 +261,7 @@ class Cyclotomic:
 
     def __neg__(self) -> Cyclotomic:
         # negation keeps num and den coprime
-        return _trusted(self.order, tuple(-c for c in self.num), self.den)
+        return _trusted(self.order, tuple(map(neg, self.num)), self.den)
 
     def __add__(self, other) -> Cyclotomic:
         if type(other) is Cyclotomic and other.order == self.order:
@@ -272,7 +273,7 @@ class Cyclotomic:
                 return NotImplemented
             a, b = self._common(other)
         if a.den == 1 and b.den == 1:
-            return _trusted(a.order, tuple(x + y for x, y in zip(a.num, b.num)))
+            return _trusted(a.order, tuple(map(add, a.num, b.num)))
         return Cyclotomic(
             a.order,
             tuple(x * b.den + y * a.den for x, y in zip(a.num, b.num)),

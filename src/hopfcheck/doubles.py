@@ -841,8 +841,10 @@ def check_module_action(
         return {(u, v): a for u, row in enumerate(mat.data) for v, a in row.items()}
 
     images = [entries(a) for a in action]
-    unit_ok = lincomb(images, sparse_of(algebra.unit)) == {(u, u): ONE for u in range(m)}
-    bad = algebra.map_failure(images, lambda i, j: entries(action[i] @ action[j]))
+    identity = {(u, u): ONE for u in range(m)}
+    unit_ok = lincomb(images, sparse_of(algebra.unit)) == identity
+    # End(V) is associative, so the identity is passed as the target's unit
+    bad = algebra.map_failure(images, lambda i, j: entries(action[i] @ action[j]), identity)
     witnesses = {"unit": {"holds": unit_ok}, "multiplicative": _axiom_witness(bad)}
     ok = unit_ok and bad is None
     return CheckReport(check_id, PASS if ok else FAIL, witnesses)

@@ -213,15 +213,18 @@ def check_hopf_axioms(h: HopfData, check_id: str = "hopf-axioms") -> CheckReport
         "counit": _axiom_witness(_first_failure(n, counital)),
     }
 
+    # H (x) H is associative when H is, and k always is; map_failure checks
+    # generator pairs only when H is proven
     unit_sparse = alg.unit_element().terms
+    unit2 = tensor_outer(n, unit_sparse, unit_sparse)
     bad = "unit"
-    if h.comult_of(unit_sparse) == tensor_outer(n, unit_sparse, unit_sparse):
-        bad = alg.map_failure(cols, lambda i, j: tensor_mult(alg, cols[i], cols[j]))
+    if h.comult_of(unit_sparse) == unit2:
+        bad = alg.map_failure(cols, lambda i, j: tensor_mult(alg, cols[i], cols[j]), unit2)
     witnesses["comult-algebra-map"] = _axiom_witness(bad)
 
     bad = "unit"
     if h.counit_of(unit_sparse) == ONE:
-        bad = alg.map_failure(eps, lambda i, j: tensor_outer(1, eps[i], eps[j]))
+        bad = alg.map_failure(eps, lambda i, j: tensor_outer(1, eps[i], eps[j]), {0: ONE})
     witnesses["counit-algebra-map"] = _axiom_witness(bad)
 
     witnesses["antipode"] = _axiom_witness(_first_failure(n, antipodal))
@@ -375,13 +378,18 @@ def check_algebra_map(
     """Verify that the matrix is a bijective unital algebra map on all basis
     pairs: src.map_failure compares, for each pair (i, j) in row-major
     order, sum_t c_ij^t M[:, t] with the product M[:, i] M[:, j] of the
-    sparse columns in dst, and the rank shows bijectivity."""
+    sparse columns in dst (only the pairs (s, j) of src's generating set
+    when both algebras are proven and M sends 1 to 1), and the rank shows
+    bijectivity."""
     if matrix.ncols != src.dim or matrix.nrows != dst.dim:
         raise ValueError("matrix shape does not match the algebras")
     cols = matrix.transpose().data
-    unit_ok = lincomb(cols, sparse_of(src.unit)) == sparse_of(dst.unit)
+    dst_unit = sparse_of(dst.unit)
+    unit_ok = lincomb(cols, sparse_of(src.unit)) == dst_unit
     witnesses: dict = {"unit": {"holds": unit_ok}}
-    bad = src.map_failure(cols, lambda i, j: dst.mul_sparse(cols[i], cols[j]))
+    bad = src.map_failure(
+        cols, lambda i, j: dst.mul_sparse(cols[i], cols[j]), dst_unit if dst.proven else None
+    )
     witnesses["multiplicative"] = _axiom_witness(bad)
     r = rank(matrix)
     bij = matrix.nrows == matrix.ncols and r == matrix.ncols

@@ -42,8 +42,9 @@ def _axpy(y: dict, f: Cyclotomic | None, x: dict) -> None:
     The one accumulate kernel of the exact sums: lincomb, matrix sums,
     EchelonBasis, StructureAlgebra.mul_sparse (so every product of the
     algebra layer, and the exact triple check), AlgebraElement addition and
-    the eigensplit call it.  Two hot loops keep their own accumulation,
-    since routing them here measured slower (in-process, on a 2-core VM):
+    the eigensplit call it, and so does StructureAlgebra.is_central.  Two
+    hot loops keep their own accumulation, since routing them here measured
+    slower (in-process, on a 2-core VM):
     hopf.tensor_map (taft(5), its dual, both self-dualities and taft(3)
     took 0.30 s instead of 0.16 s) and the double builders' pooled
     first-write path, doubles._accumulate with its id-keyed product memo
@@ -304,6 +305,15 @@ class Subspace:
     @classmethod
     def zero(cls, ambient: int) -> Subspace:
         return cls(EchelonBasis(ambient))
+
+    @classmethod
+    def whole(cls, ambient: int) -> Subspace:
+        """The whole coordinate space; its reduced basis is the unit vectors."""
+        eb = EchelonBasis(ambient)
+        eb.rows = [{i: ONE} for i in range(ambient)]
+        eb.pivots = list(range(ambient))
+        eb.by_pivot = dict(enumerate(eb.rows))
+        return cls(eb)
 
     @property
     def ambient(self) -> int:

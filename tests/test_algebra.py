@@ -23,8 +23,8 @@ from hopfcheck.algebra import (
 )
 from hopfcheck.cyclotomic import Cyclotomic, phi_degree, root_of_unity
 from hopfcheck.doubles import build_twisted_double, split_blocks, taft_double_generators
-from hopfcheck.hopf import taft
-from hopfcheck.linalg import InvariantError, Subspace, sparse_of
+from hopfcheck.hopf import check_algebra_map, taft
+from hopfcheck.linalg import EchelonBasis, InvariantError, Matrix, Subspace, lincomb, sparse_of
 
 
 def c(v):
@@ -439,6 +439,20 @@ def test_split_blocks_adopt_the_rows_the_split_built(monkeypatch):
         assert all(kept is row for kept, row in zip(blk.algebra.rows, rows))
 
 
+def test_a_pivot_matrix_that_is_not_diagonal_takes_the_product_path():
+    # k x k on e_0 = (1, 0) and e_1 = (1, 1) = 1, split by z = e_0: block 0
+    # is spanned by e_0 - e_1 (pivot 0), and its idempotent 1 - e_0 sends
+    # e_0 to 0, so its table is formed from products (b b = -b for
+    # b = e_0 - e_1); block 1, spanned by e_0, is read at its pivot
+    rows = [[{0: c(1)}, {0: c(1)}], [{0: c(1)}, {1: c(1)}]]
+    a = StructureAlgebra(2, rows, [c(0), c(1)])
+    assert a.proven
+    blocks = a.central_eigensplit(a.basis_element(0), [c(0), c(1)])
+    assert [blk.eigenvalue for blk in blocks] == [c(0), c(1)]
+    assert [blk.algebra.associativity for blk in blocks] == ["certificate", "inherited"]
+    assert [blk.algebra.rows for blk in blocks] == [[[{0: c(-1)}]], [[{0: c(1)}]]]
+
+
 def test_central_eigensplit_requires_central():
     m2 = matrix_algebra_2x2()
     e01 = m2.basis_element(1)
@@ -721,3 +735,129 @@ def test_algebra_map_failure_finds_the_first_broken_pair():
     b = group_algebra_plain(3)
     cols = [b.basis_sparse(0), {1: c(2)}, b.basis_sparse(2)]
     assert b.map_failure(cols, lambda i, j: b.mul_sparse(cols[i], cols[j])) == (1, 1)
+
+
+def counted(product, calls):
+    def spy(i, j):
+        calls.append((i, j))
+        return product(i, j)
+
+    return spy
+
+
+def test_map_failure_checks_the_generator_pairs_only_when_the_lemma_applies():
+    # k[Z/3] is proven with S = [1]: given an associative target's unit
+    # that the map sends 1 to, only the pairs (1, j) are compared
+    a = group_algebra_plain(3)
+    assert a.associativity == "certificate" and a.light_generators == [1]
+    cols = [a.basis_sparse(t) for t in range(3)]
+    calls = []
+    product = counted(lambda i, j: a.mul_sparse(cols[i], cols[j]), calls)
+    assert a.map_failure(cols, product, a._unit_terms) is None
+    assert calls == [(1, 0), (1, 1), (1, 2)]
+    for unit in (None, {0: c(2)}):  # no target unit, or one that 1 does not map to
+        calls.clear()
+        assert a.map_failure(cols, product, unit) is None
+        assert calls == list(itertools.product(range(3), repeat=2))
+    # an unchecked source has no proof to use
+    calls.clear()
+    assert group_algebra_plain(3, check="none").map_failure(cols, product, a._unit_terms) is None
+    assert len(calls) == 9
+
+
+def test_map_failure_reports_the_full_scans_pair_whatever_generating_set_is_kept():
+    # with Light's greedy S the first failing row is always a generator: a
+    # row before it lies in the subalgebra that the generators before it
+    # generate.  Kept with S = [2] (a^2 also generates k[Z/3]), phi(a) = 2 a
+    # first fails at (1, 1), and the generator pairs first fail at (2, 1);
+    # the full scan after that failure reports (1, 1)
+    a = group_algebra_plain(3)
+    a.light_generators = [2]
+    cols = [a.basis_sparse(0), {1: c(2)}, a.basis_sparse(2)]
+    calls = []
+    product = counted(lambda i, j: a.mul_sparse(cols[i], cols[j]), calls)
+    assert a.map_failure(cols, product, a._unit_terms) == (1, 1)
+    assert calls[:3] == [(2, 0), (2, 1), (0, 0)]
+
+
+def test_a_map_that_does_not_send_one_to_one_takes_the_full_scan():
+    # on k[t]/(t^2), S = [1] (t), phi(1) = 2 and phi(t) = 0 into k pass both
+    # generator pairs (t, 1) and (t, t), yet phi(1 1) = 2 != 4 = phi(1) phi(1)
+    a = dual_numbers()
+    assert a.light_generators == [1]
+    eps = [{0: c(2)}, {}]
+
+    def product(i, j):
+        return {0: x * y for x in eps[i].values() for y in eps[j].values()}
+
+    assert all(product(1, j) == lincomb(eps, a.rows[1][j]) for j in range(2))
+    assert a.map_failure(eps, product, {0: c(1)}) == (0, 0)
+
+
+@pytest.mark.parametrize("target", ["sampled", "unchecked", "proven"])
+def test_algebra_maps_into_an_unproven_target_take_the_full_scan(monkeypatch, target):
+    # the identity of k[Z/3] into a copy of it: a proven copy is compared on
+    # the generator pairs (1, j), a sampled or unchecked one on every pair
+    a = group_algebra_plain(3)
+    if target == "sampled":
+        monkeypatch.setattr(algebra_module, "DEFAULT_EXHAUSTIVE_LIMIT", 2)
+    b = group_algebra_plain(3, check="none" if target == "unchecked" else "auto")
+    assert b.associativity == {"sampled": "sampled", "unchecked": "unchecked"}.get(target, "certificate")
+    calls = []
+    mul_sparse = b.mul_sparse
+    b.mul_sparse = lambda u, v: calls.append(1) or mul_sparse(u, v)
+    report = check_algebra_map(a, b, Matrix.identity(3))
+    assert report.passed
+    assert len(calls) == (3 if target == "proven" else 9)
+
+
+def test_an_unchecked_nonassociative_target_reports_its_first_broken_pair():
+    # in b, e_2 e_2 = 2 e_1 instead of e_1: b is not associative, yet the
+    # generator pairs (1, j) of the identity map all hold; the full scan,
+    # which an unchecked target gets, finds (2, 2)
+    a = group_algebra_plain(3)
+    rows = [[{(i + j) % 3: c(1)} for j in range(3)] for i in range(3)]
+    rows[2][2] = {1: c(2)}
+    b = StructureAlgebra(3, rows, a.unit, check="none")
+    report = check_algebra_map(a, b, Matrix.identity(3))
+    assert report.witnesses["multiplicative"] == {"holds": False, "first_failure": (2, 2)}
+
+
+def test_is_central_compares_the_generators_not_their_complement():
+    # M_2 is proven with S = E00, E01, E10; E00 commutes with E11, the
+    # complement of S, but not with E01
+    m2 = matrix_algebra_2x2()
+    assert m2.light_generators == [0, 1, 2]
+    e00 = m2.basis_element(0)
+    assert e00 * m2.basis_element(3) == m2.basis_element(3) * e00
+    assert not m2.is_central(e00)
+    assert m2.is_central(m2.unit_element() * c(3))
+
+
+def exact_closure(alg, gens):
+    """The closure of the unit's span under right multiplication by gens,
+    computed exactly with EchelonBasis (the reference for
+    subalgebra_generated)."""
+    eb = EchelonBasis(alg.dim)
+    eb.add(alg.unit_element().terms)
+    frontier = [alg.unit_element().terms]
+    while frontier:
+        new = []
+        for v in frontier:
+            for g in gens:
+                w = alg.mul_sparse(v, g.terms)
+                if eb.add(w):
+                    new.append(w)
+        frontier = new
+    return Subspace(eb)
+
+
+def test_generation_modulo_a_prime_matches_the_exact_closure():
+    # x and g generate taft(3); g alone, and x alone, do not, and the
+    # subspace they generate is the exact closure's, not the whole space
+    h = taft(3).algebra
+    x, g = h.basis_element(1), h.basis_element(3)
+    for gens, dim in (([x, g], 9), ([g], 3), ([x], 3), ([x + g, g], 9), ([], 1)):
+        got = h.subalgebra_generated(gens)
+        assert got.dim == dim
+        assert got == exact_closure(h, gens)

@@ -14,6 +14,7 @@ import pytest
 import hopfcheck
 from hopfcheck.algebra import EMPTY_CELL, AlgebraError, StructureAlgebra, UnitLawError
 from hopfcheck.cyclotomic import Cyclotomic
+from hopfcheck import algebra as algebra_module
 from hopfcheck import doubles as doubles_module
 from hopfcheck.hopf import HopfData, check_algebra_map, dual_hopf, group_algebra, taft
 from hopfcheck.linalg import InvariantError, Matrix, _axpy, dense_of, minimal_polynomial
@@ -344,6 +345,41 @@ def test_block_split(d2, d3):
         assert rep.passed, rep.witnesses
         assert len(blocks) == p
         assert all(blk.algebra.dim == p**3 for blk in blocks)
+
+
+def cells(rows):
+    """A table's cells as (key, order, num, den) lists, so that equal tables
+    also agree on how each value is held."""
+    return [[sorted((k, v.order, v.num, v.den) for k, v in cell.items()) for cell in row]
+            for row in rows]
+
+
+def test_pivot_read_blocks_equal_the_product_path_cell_by_cell(d2, d3):
+    # a proven double's blocks are read at the pivot cells and inherit its
+    # proof; each table is the one the block products give
+    for d in (d2, d3):
+        assert d.algebra.proven
+        for blk in split_blocks(d, taft_double_generators(d)):
+            assert blk.algebra.associativity == "inherited"
+            assert blk.algebra.light_generators is None
+            assert cells(blk.algebra.rows) == cells(d.algebra._product_table(blk.space))
+
+
+def test_a_sampled_or_unchecked_parent_takes_the_product_path(monkeypatch, d2):
+    # the blocks of a parent whose associativity is not proven are formed
+    # from products, and their construction certifies them
+    gens = taft_double_generators(d2)
+    unchecked = StructureAlgebra(d2.algebra.dim, d2.algebra.rows, d2.algebra.unit, check="none")
+    monkeypatch.setattr(algebra_module, "DEFAULT_EXHAUSTIVE_LIMIT", 8)
+    sampled = build_twisted_double(taft(2))
+    assert sampled.algebra.associativity == "sampled"
+    assert unchecked.associativity == "unchecked"
+    want = [cells(blk.algebra.rows) for blk in split_blocks(d2, gens)]
+    for parent in (sampled.algebra, unchecked):
+        z = (gens["g"] * gens["g'"]).terms
+        blocks = parent.central_eigensplit(parent.from_dict(z), [c(1), c(-1)])
+        assert [blk.algebra.associativity for blk in blocks] == ["certificate", "certificate"]
+        assert [cells(blk.algebra.rows) for blk in blocks] == want
 
 
 def test_sigma_graded_action(d2, d3):

@@ -394,3 +394,26 @@ def test_algebra_map_first_failure_matches_dense(corrupt):
     assert want is not None
     got = check_algebra_map(dd.algebra, da.algebra, bad)
     assert got.witnesses["multiplicative"]["first_failure"] == want
+
+
+def test_a_corrupted_uhu_matrix_reports_the_full_scans_first_failure():
+    # both classical doubles of taft(3) are proven and the corrupted map
+    # still sends 1 to 1, so its generator pairs are compared first; one of
+    # them fails, and the full scan that follows reports the first pair (a
+    # row of Light's greedy S, as it always is when 1 maps to 1)
+    h = taft(3)
+    dd = build_classical_double(h, "drinfeld")
+    da = build_classical_double(h, "anti")
+    assert dd.algebra.proven and da.algebra.proven
+    matrix, rep = uhu_map(h, h.algebra.basis_element(3) ** 2, (dd, da))
+    assert rep.passed
+    data = [matrix.row(i) for i in range(matrix.nrows)]
+    for r in data:
+        r[40] = r[40] * 2
+    bad = Matrix(data)
+    cols = bad.transpose().data
+    assert algebra_module.lincomb(cols, sparse_of(dd.algebra.unit)) == sparse_of(da.algebra.unit)
+    want = algebra_map_first_failure(dd.algebra, da.algebra, bad)
+    assert want is not None and want[0] in dd.algebra.light_generators
+    got = check_algebra_map(dd.algebra, da.algebra, bad)
+    assert got.witnesses["multiplicative"] == {"holds": False, "first_failure": want}
