@@ -6,9 +6,13 @@ coordinates of the unit.  The constants are held once: every empty cell is
 the one read-only EMPTY_CELL, a cell handed to the constructor zero-free at
 the algebra's order is kept as it is, not copied, and so is a row list
 whose cells all are kept (or are EMPTY_CELL).  So no one may mutate a cell
-or a row list once it is handed over.  The double builders of doubles.py
-also share equal scalars, one object per distinct value within a build,
-and equal keys, one int object per basis index.
+or a row list once it is handed over.  The constructor reads each row
+once: a clean row (every cell EMPTY_CELL or zero-free, all its values at
+one order) gives its order and, when that is the algebra's order, is kept
+without a second look; only the other rows are read value by value for
+their orders and then owned cell by cell.  The double builders of
+doubles.py build clean rows, share equal scalars, one object per distinct
+value within a build, and equal keys, one int object per basis index.
 
 Construction verifies the unit laws exactly (unit_failure) and
 associativity in one of two regimes, chosen by dim:
@@ -42,8 +46,10 @@ in A.  The modes in PROVEN_MODES ("certificate", "exhaustive" and
 "inherited") count as proven (the property `proven`); "sampled" and
 "unchecked" do not.
 The D2.2 re-check of the twisted doubles (doubles.py) checks every triple
-up to dim 24, runs the certificate again up to dim 230 and, above it, a
-fixed sample of 2,000 triples.
+up to dim 24; above it, it reports the record: the certificate that
+construction ran up to dim 230 and, above it, the first 2,000 triples of
+construction's sample.  It runs a check itself only on a double built with
+check="none".
 
 A proof is used again after construction, through the generating-set
 lemma behind Light's test (Clifford & Preston, The Algebraic Theory of
@@ -60,8 +66,9 @@ so the reported pair is always the full scan's first failure.
 An AlgebraElement holds its terms, a dict {basis index: nonzero scalar}, and
 every product goes through one sparse kernel, StructureAlgebra.mul_sparse,
 which multiplies two such dicts, visits only the structure-constant cells
-their supports select and sums each cell in through linalg._axpy; the exact
-check of a triple is two such products.  All higher operations (center,
+their supports select and sums each cell in through linalg._axpy.  The
+exact check of a triple reads its two sides off the cells, as two lincomb
+sums of rows (no product by a basis vector).  All higher operations (center,
 radical, subalgebras, ideals, quotients, central splitting) hand the same
 dicts to the exact linear algebra of linalg.  Dense coordinates remain only
 at the edges: the unit tuple, element(coords), an element's coords view and
@@ -125,17 +132,23 @@ def _own_cell(cell, order: int):
     return kept or EMPTY_CELL
 
 
-def _own_row(row, dim: int, order: int):
-    """A row as the algebra keeps it: row itself when it has dim cells and
-    each is EMPTY_CELL or a cell _own_cell keeps as it is, else a new list
-    of dim owned cells (row is never changed)."""
-    if len(row) == dim:
-        for cell in row:
-            if cell is not EMPTY_CELL and (not cell or _own_cell(cell, order) is not cell):
-                break
-        else:
-            return row
-    return [_own_cell(cell, order) if (cell := row[j]) else EMPTY_CELL for j in range(dim)]
+def _clean_order(row) -> int:
+    """The order of row's values when row is clean: every cell EMPTY_CELL
+    or zero-free, and all values at one order.  0 when every cell is
+    EMPTY_CELL, -1 when row is not clean."""
+    o = 0
+    for cell in row:
+        if cell is not EMPTY_CELL:
+            if not cell:
+                return -1
+            for v in cell.values():
+                if v.order != o:
+                    if o:
+                        return -1
+                    o = v.order
+                if not any(v.num):
+                    return -1
+    return o
 
 
 class AlgebraError(ValueError):
@@ -159,15 +172,18 @@ class StructureAlgebra:
         """Take ownership of rows: rows[i][j] is the cell {k: c[i][j][k]}.
 
         A nonempty cell that holds no zero and only scalars at the algebra's
-        order (the lcm of all orders) is kept as it is, not copied; any other
-        nonempty cell is replaced by a copy without zeros and with its scalars
-        lifted, and every empty cell by EMPTY_CELL.  A row list rows[i] of dim
-        cells is kept as the algebra's row when every cell in it is kept or is
+        order (the lcm of the orders of the unit and of the nonzero
+        constants) is kept as it is, not copied; any other nonempty cell is
+        replaced by a copy without zeros and with its scalars lifted, and
+        every empty cell by EMPTY_CELL.  A row list rows[i] of dim cells is
+        kept as the algebra's row when every cell in it is kept or is
         EMPTY_CELL; only a row that needs a change is built anew, so the
-        caller's lists never change.  So a caller must not mutate its cells or
-        row lists once it has handed them over, and no one may mutate those
-        of a built algebra (copy a row or a cell to change it, as a new
-        algebra's input).
+        caller's lists never change.  The rows are read in one pass: a clean
+        row (_clean_order) gives its one order, and only a row that is not
+        clean has its values read for their orders and its cells owned.  So
+        a caller must not mutate its cells or row lists once it has handed
+        them over, and no one may mutate those of a built algebra (copy a
+        row or a cell to change it, as a new algebra's input).
         """
         if dim < 0:
             raise ValueError("dim must be nonnegative")
@@ -175,18 +191,34 @@ class StructureAlgebra:
             raise ValueError(f"unknown associativity check mode {check!r}")
         self.dim = dim
         self.name = name or f"algebra(dim {dim})"
-        # one pass over the values; only a value of an order not yet seen is
-        # tested for zero (a zero does not set the algebra's order)
+        # one pass over the rows: a clean row gives its one order, and a row
+        # that is not clean gives the orders of its nonzero values (a zero
+        # does not set the algebra's order); only a value of an order not yet
+        # seen is tested for zero there
         orders = {v.order for v in unit}
+        row_orders = []
         for row in rows:
-            for cell in row:
-                if cell:
-                    for v in cell.values():
-                        if v.order not in orders and any(v.num):
-                            orders.add(v.order)
+            o = _clean_order(row)
+            if o > 0:
+                orders.add(o)
+            elif o < 0:
+                for cell in row:
+                    if cell:
+                        for v in cell.values():
+                            if v.order not in orders and any(v.num):
+                                orders.add(v.order)
+            row_orders.append(o)
         order = lcm(*orders) if orders else 1
         self.order = order
-        self.rows = [_own_row(rows[i], dim, order) for i in range(dim)]
+        # a clean row of dim cells at the algebra's order (or all EMPTY_CELL)
+        # is kept as it is; any other row is a new list of its dim cells,
+        # each owned (the caller's list is never changed)
+        self.rows = []
+        for i in range(dim):
+            row, o = rows[i], row_orders[i]
+            if (o != order and o) or len(row) != dim:
+                row = [_own_cell(x, order) if (x := row[j]) else EMPTY_CELL for j in range(dim)]
+            self.rows.append(row)
         self.unit = tuple(v if v.order == order else v.lift(order) for v in unit)
         if len(self.unit) != dim:
             raise ValueError("unit vector length must equal dim")
@@ -281,9 +313,11 @@ class StructureAlgebra:
             raise AssociativityError(bad, f"{self.name}: associativity fails")
 
     def _assoc_triple_exact(self, i: int, j: int, k: int) -> bool:
-        """(e_i e_j) e_k == e_i (e_j e_k), both sides through mul_sparse."""
-        rows, basis = self.rows, self.basis_sparse
-        return self.mul_sparse(rows[i][j], basis(k)) == self.mul_sparse(basis(i), rows[j][k])
+        """(e_i e_j) e_k == e_i (e_j e_k), both sides read off the cells:
+        sum_m c_ij^m (e_m e_k) against sum_m c_jk^m (e_i e_m)."""
+        rows = self.rows
+        left = rows[i][j]
+        return lincomb({m: rows[m][k] for m in left}, left) == lincomb(rows[i], rows[j][k])
 
     def _assoc_modular(self):
         """The first basis triple (i, j, k), in row-major order, with

@@ -55,9 +55,10 @@ from .hopf import (
 from .report import FAIL, PASS, PRECONDITION_FAILED, CheckReport
 
 # D2.2 re-checks every basis triple of a double exactly up to dim
-# EXHAUSTIVE_RECHECK_LIMIT (its witness mode "exhaustive"), proves them with
-# the certificate up to algebra.DEFAULT_EXHAUSTIVE_LIMIT ("certificate") and
-# samples RECHECK_SAMPLES of them above it ("sampled", seeded by DEFAULT_SEED)
+# EXHAUSTIVE_RECHECK_LIMIT (its witness mode "exhaustive"); above it, it
+# reports the certificate ("certificate") up to algebra.DEFAULT_EXHAUSTIVE_LIMIT
+# and RECHECK_SAMPLES triples ("sampled", seeded by DEFAULT_SEED) beyond,
+# read from construction's record and run only on a double built unchecked
 EXHAUSTIVE_RECHECK_LIMIT = 24
 RECHECK_SAMPLES = 2000
 
@@ -307,15 +308,20 @@ def build_twisted_double(h: HopfData) -> TwistedDouble:
 def check_double_unital_associative(
     double: TwistedDouble, check_id: str = "double-assoc-unital"
 ) -> CheckReport:
-    """Re-verify the unit law on every basis element and associativity on
-    basis triples, whatever construction checked: every triple in exact
-    arithmetic up to dim EXHAUSTIVE_RECHECK_LIMIT (24), mode "exhaustive";
-    up to DEFAULT_EXHAUSTIVE_LIMIT (230), when the unit law holds, Light's
-    certificate (StructureAlgebra._assoc_modular), mode "certificate" with
-    its number of generators, which proves every triple; and otherwise the
+    """Re-verify the unit law on every basis element and report associativity
+    on basis triples: every triple in exact arithmetic up to dim
+    EXHAUSTIVE_RECHECK_LIMIT (24), mode "exhaustive"; Light's certificate
+    (StructureAlgebra._assoc_modular) up to DEFAULT_EXHAUSTIVE_LIMIT (230),
+    and at any dim construction certified, mode "certificate" with its
+    number of generators, which proves every triple; otherwise the
     RECHECK_SAMPLES (2,000) triples of sampled_triples(dim, RECHECK_SAMPLES,
-    DEFAULT_SEED) in exact arithmetic, mode "sampled".  first_failure is the
-    first failing triple in row-major order, or in the sample's order.
+    DEFAULT_SEED) in exact arithmetic, mode "sampled".  What construction
+    proved or sampled is read from the algebra's `associativity` record,
+    not run again: its certificate proves every triple, and its sample of
+    DEFAULT_SAMPLES triples drawn from the same seed begins with these
+    2,000.  So only a double built unchecked is certified (when the unit
+    law holds) or sampled here.  first_failure is the first failing triple
+    in row-major order, or in the sample's order.
     """
     alg = double.algebra
     nn = alg.dim
@@ -323,12 +329,13 @@ def check_double_unital_associative(
     if nn <= EXHAUSTIVE_RECHECK_LIMIT:
         bad = alg.associativity_failure(itertools.product(range(nn), repeat=3))
         associativity = {"mode": "exhaustive", "triples": nn**3}
-    elif unit_ok and nn <= DEFAULT_EXHAUSTIVE_LIMIT:
+    elif alg.associativity == "certificate" or (unit_ok and nn <= DEFAULT_EXHAUSTIVE_LIMIT):
         # Light's test needs the unit laws, which hold here
-        bad = alg._assoc_modular()
+        bad = None if alg.associativity == "certificate" else alg._assoc_modular()
         associativity = {"mode": "certificate", "generators": len(alg.light_generators)}
     else:
-        bad = alg.associativity_failure(sampled_triples(nn, RECHECK_SAMPLES, DEFAULT_SEED))
+        sample = sampled_triples(nn, RECHECK_SAMPLES, DEFAULT_SEED)
+        bad = None if alg.associativity == "sampled" else alg.associativity_failure(sample)
         associativity = {"mode": "sampled", "triples": RECHECK_SAMPLES}
     witnesses = {
         "dim": nn,
@@ -429,6 +436,8 @@ def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
     for c in range(n):
         # the sandwiches e_c3 e_v A(e_c1) of e_c, read by every b below
         legs = _sandwiches(h, c, alg.basis_sparse, twist_col)
+        # targets[v]: the flat indices (c, d) of e^v's nonzero convolutions
+        targets = [[flat(c, d) for d in cols] for cols in dual_cols]
         # straighten e^b . e_c once per (b, c); reuse across a and d
         for b in range(n):
             # list of (c2, v, weight) with e^b e_c = sum weight e_{c2} (x) e^v;
@@ -447,10 +456,10 @@ def build_classical_double(h: HopfData, flavor: str) -> ClassicalDouble:
                         (blocks[u], pool.scale(pool.mul(weight, cu), v, dual_cells[v]))
                         for u, cu in left.items()
                     ]
-                    for slot, d in enumerate(dual_cols[v]):
-                        cell = row[flat(c, d)]
+                    for slot, t in enumerate(targets[v]):
+                        cell = row[t]
                         if cell is EMPTY_CELL:
-                            cell = row[flat(c, d)] = {}
+                            cell = row[t] = {}
                         for ukeys, sd in scaled:
                             for kk, s in sd[slot]:
                                 key = ukeys[kk]

@@ -39,10 +39,11 @@ def _axpy(y: dict, f: Cyclotomic | None, x: dict) -> None:
     """y += f * x in place, for a nonzero f (None stands for 1); entries
     that cancel are removed at once.
 
-    The one accumulate kernel of the exact sums: lincomb, matrix sums,
+    The one accumulate kernel of the exact sums: lincomb (and so the exact
+    triple check, which sums rows of the table with it), matrix sums,
     EchelonBasis, StructureAlgebra.mul_sparse (so every product of the
-    algebra layer, and the exact triple check), AlgebraElement addition and
-    the eigensplit call it, and so does StructureAlgebra.is_central.  Two
+    algebra layer), AlgebraElement addition and the eigensplit call it, and
+    so does StructureAlgebra.is_central.  Two
     hot loops keep their own accumulation, since routing them here measured
     slower (in-process, on a 2-core VM):
     hopf.tensor_map (taft(5), its dual, both self-dualities and taft(3)

@@ -233,6 +233,8 @@ def _row(values, memo: _Reading, where: str) -> tuple:
         if (row := memo.packed(values)) is not None:
             return values.n, row
         values = values.unpacked()
+    if not isinstance(values, list):
+        raise IngestError(f"{where} must be a list, got {type(values).__name__}")
     values = _scalars(values, memo, where)
     return len(values), sparse_of(values)
 
@@ -269,33 +271,48 @@ def _read_algebra(obj: dict, memo: _Reading):
     return n, rows, unit
 
 
-def _read_matrix(obj: dict, memo: _Reading, where: str) -> Matrix:
-    """The Matrix of a Matrix.to_json form, its rows read before its integer
-    "rows" and "cols" are checked against them."""
-    rows = [_row(r, memo, f"{where}[{i}]") for i, r in enumerate(obj["entries"])]
+def _read_matrix(obj, memo: _Reading, where: str, shape: tuple) -> Matrix:
+    """The Matrix of the Matrix.to_json form at where, which must be a
+    shape[0] x shape[1] matrix; its rows are read before its integer "rows"
+    and "cols" are checked against them and against shape."""
+    expected = f"{where} must be a {shape[0]} x {shape[1]} matrix"
+    if not isinstance(obj, dict):
+        raise IngestError(f'{expected}, an object with "rows", "cols" and "entries"; '
+                          f"got {type(obj).__name__}")
+    missing = [key for key in ("rows", "cols", "entries") if key not in obj]
+    if missing:
+        raise IngestError(f'{expected}, an object with "rows", "cols" and "entries"; '
+                          f"{missing[0]!r} is missing")
+    entries = obj["entries"]
+    if not isinstance(entries, list):
+        raise IngestError(f"{where} entries must be a list of rows, got {type(entries).__name__}")
+    rows = [_row(r, memo, f"{where}[{i}]") for i, r in enumerate(entries)]
     nrows, ncols = obj["rows"], obj["cols"]
     for v in (nrows, ncols):
         if not isinstance(v, int) or isinstance(v, bool):
-            raise TypeError(f"matrix rows and cols must be integers, got {v!r}")
+            raise IngestError(f"{where} rows and cols must be integers, got {v!r}")
     width = rows[0][0] if rows else ncols
     if any(length != width for length, _ in rows):
-        raise ValueError("ragged rows")
-    if len(rows) != nrows:
-        raise ValueError("row count mismatch in matrix JSON")
-    if rows and width != ncols:
-        raise ValueError("column count mismatch in matrix JSON")
+        raise IngestError("bad hopf field: ragged rows")
+    if (len(rows), width) != shape:
+        raise IngestError(f"{expected}, got {len(rows)} x {width} entries")
+    if (nrows, ncols) != shape:
+        raise IngestError(f"{expected}, got rows {nrows} and cols {ncols}")
     return Matrix.sparse([row for _, row in rows], width)
 
 
 def _read_hopf(obj: dict, memo: _Reading):
-    """(dim, rows, unit, comult, counit, antipode) of a Hopf document."""
+    """(dim, rows, unit, comult, counit, antipode) of a Hopf document: comult
+    an n^2 x n matrix, counit a list of n scalars and antipode an n x n
+    matrix, n its dim."""
     n, rows, unit = _read_algebra(obj, memo)
-    try:
-        comult = _read_matrix(obj["comult"], memo, "comult")
-        counit = _scalars(obj["counit"], memo, "counit")
-        antipode = _read_matrix(obj["antipode"], memo, "antipode")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IngestError(f"bad hopf field: {exc}") from exc
+    for field in ("comult", "counit", "antipode"):
+        if field not in obj:
+            raise IngestError(f"missing hopf field: {field!r}")
+    comult = _read_matrix(obj["comult"], memo, "comult", (n * n, n))
+    _require_list(obj["counit"], n, "counit")
+    counit = _scalars(obj["counit"], memo, "counit")
+    antipode = _read_matrix(obj["antipode"], memo, "antipode", (n, n))
     return n, rows, unit, comult, counit, antipode
 
 

@@ -107,6 +107,133 @@ def test_construction_shares_one_empty_cell():
         alg.rows[1][1][0] = c(1)
 
 
+class _TableOnly(StructureAlgebra):
+    """A StructureAlgebra whose unit law is not checked, so that any table
+    can be handed to the constructor; built with check="none"."""
+
+    def unit_failure(self):
+        return None
+
+
+def _random_table(seed: int, kinds=("clean", "clean", "zero", "mixed", "braces",
+                                    "all-empty", "long", "short")):
+    """(dim, rows, unit) of a random table over one chain of orders, so that
+    the algebra's order is often a row's own.  Each row is clean at one
+    order, or has a zero, a value of another order, an empty cell spelled
+    {}, no nonempty cell, extra cells or too few cells, as kinds allows;
+    rows may also run past dim."""
+    rng = random.Random(seed)
+    chain = rng.choice([(1,), (1, 3), (1, 2, 4), (2, 6), (3, 6)])
+    dim = rng.randint(1, 5)
+
+    def value(order, zero=False):
+        num = [0] * phi_degree(order)
+        if not zero:
+            num = [rng.randint(-2, 2) for _ in num]
+            num[0] = num[0] or 1
+        return Cyclotomic(order, tuple(num), rng.randint(1, 3))
+
+    def cell(order):
+        return {k: value(order) for k in rng.sample(range(dim), rng.randint(1, dim))}
+
+    def row():
+        o = rng.choice(chain)
+        cells = [cell(o) if rng.random() < 0.5 else EMPTY_CELL for _ in range(dim)]
+        kind = rng.choice(kinds)
+        j, k = rng.randrange(dim), rng.randrange(dim)
+        if kind == "zero":
+            cells[j] = {**(cells[j] or {}), k: value(o, zero=True)}
+        elif kind == "mixed":
+            cells[j] = {**(cells[j] or {}), k: value(rng.choice(chain))}
+        elif kind == "braces":
+            cells[j] = {}
+        elif kind == "all-empty":
+            cells = [EMPTY_CELL] * dim
+        elif kind == "long":
+            cells += [cell(rng.choice(chain)) for _ in range(rng.randint(1, 2))]
+        elif kind == "short":
+            cells = cells[:j]
+        return cells
+
+    rows = [row() for _ in range(dim + rng.choice([0, 0, 1]))]
+    unit = [value(rng.choice(chain), zero=rng.random() < 0.5) for _ in range(dim)]
+    return dim, rows, unit
+
+
+def _two_pass(dim: int, rows, unit):
+    """(order, rows) as the two-pass rule owns a table: the order is the lcm
+    of the unit's orders and of the nonzero values' orders; then a row is
+    kept when it has dim cells, each EMPTY_CELL or zero-free at that order,
+    and is otherwise rebuilt cell by cell, keeping each such cell."""
+    orders = {v.order for v in unit}
+    orders |= {v.order for row in rows for cell in row for v in cell.values() if any(v.num)}
+    order = math.lcm(*orders) if orders else 1
+
+    def own_cell(cell):
+        if all(v.order == order and any(v.num) for v in cell.values()):
+            return cell
+        return {k: v.lift(order) for k, v in cell.items() if any(v.num)} or EMPTY_CELL
+
+    def own_row(row):
+        if len(row) == dim and all(x is EMPTY_CELL or (x and own_cell(x) is x) for x in row):
+            return row
+        return [own_cell(row[j]) if row[j] else EMPTY_CELL for j in range(dim)]
+
+    return order, [own_row(rows[i]) for i in range(dim)]
+
+
+def _assert_owned_as_the_two_pass_rule_does(dim, rows, unit):
+    given = [list(row) for row in rows]
+    try:
+        order, want = _two_pass(dim, rows, unit)
+    except IndexError:
+        with pytest.raises(IndexError):
+            _TableOnly(dim, rows, unit, check="none")
+        return
+    alg = _TableOnly(dim, rows, unit, check="none")
+    assert alg.order == order
+    assert all(map(list.__eq__, rows, given))
+    for i in range(dim):
+        assert (alg.rows[i] is rows[i]) == (want[i] is rows[i])
+        for j in range(dim):
+            got, cell = alg.rows[i][j], want[i][j]
+            assert (got is rows[i][j]) == (cell is rows[i][j])
+            assert (got is EMPTY_CELL) == (cell is EMPTY_CELL)
+            assert got == cell and all(v.order == order and any(v.num) for v in got.values())
+
+
+def test_construction_owns_a_table_as_the_two_pass_rule_does():
+    # the same order, the same cells and the same kept rows and cells, and
+    # the caller's row lists unchanged
+    for seed in range(300):
+        _assert_owned_as_the_two_pass_rule_does(*_random_table(seed))
+
+
+def _first_failure_by_products(alg, triples):
+    """The first triple of triples at which (e_i e_j) e_k != e_i (e_j e_k),
+    both sides multiplied out through mul_sparse."""
+    e, mul = alg.basis_sparse, alg.mul_sparse
+    for i, j, k in triples:
+        if mul(mul(e(i), e(j)), e(k)) != mul(e(i), mul(e(j), e(k))):
+            return (i, j, k)
+    return None
+
+
+def test_triple_check_reads_cells_as_the_products_do():
+    # on random tables of mixed orders, mostly not associative, the first
+    # failing triple of a shuffled list is the one the products give
+    failures = 0
+    for seed in range(60):
+        dim, rows, unit = _random_table(seed, kinds=("clean", "zero", "mixed", "braces"))
+        alg = _TableOnly(dim, rows[:dim], unit, check="none")
+        triples = list(itertools.product(range(dim), repeat=3))
+        random.Random(seed).shuffle(triples)
+        first = alg.associativity_failure(triples)
+        assert first == _first_failure_by_products(alg, triples)
+        failures += first is not None
+    assert failures > 30
+
+
 def test_a_variant_built_from_copied_cells_leaves_the_original_unchanged():
     # k[Z/3]; the variant shares every cell but (2, 2), which it copies
     # before the write, as with_corrupted_cell in test_doubles does

@@ -176,12 +176,12 @@ print(code, certified, sorted({m.split(".")[0] for m in sys.modules} & {"numpy",
 @pytest.mark.parametrize("command", ["run", "ingest"])
 def test_certified_verdicts_load_neither_numpy_nor_scipy(tmp_path, command):
     # the associativity certificate runs on every algebra that run --all
-    # --p 2,3 builds, the three 81-dim doubles of taft(3) among them, once
-    # more on the twisted one for D2.2's re-check, and on taft(7) (dim 49);
-    # the g g' blocks (8, 8 at p = 2 and 27, 27, 27 at p = 3) inherit their
-    # proof from the proven double and are not certified again
+    # --p 2,3 builds, the three 81-dim doubles of taft(3) among them, and on
+    # taft(7) (dim 49); D2.2 reads the twisted double's certificate from its
+    # record, and the g g' blocks (8, 8 at p = 2 and 27, 27, 27 at p = 3)
+    # inherit their proof from the proven double, so neither certifies again
     if command == "run":
-        dims = [1, 1, 2, 4, 3, 9, 4, 16, 9, 81, 81, 10, 4, 6, 1, 3, 5, 4, 9,
+        dims = [1, 1, 2, 4, 3, 9, 4, 16, 9, 81, 10, 4, 6, 1, 3, 5, 4, 9,
                 4, 4, 9, 9, 16, 16, 81, 81]
         args = ["run", "--all", "--p", "2,3"]
     else:
@@ -316,6 +316,44 @@ def test_ingest_corrupted_antipode(tmp_path, capsys):
     code, _, err = _ingest(path, capsys)
     assert code == 2
     assert "antipode" in err
+
+
+def _bare_list_comult(doc):
+    doc["comult"] = doc["comult"]["entries"]
+
+
+def _short_counit(doc):
+    del doc["counit"][-1]
+
+
+def _int_antipode(doc):
+    doc["antipode"] = 7
+
+
+def _short_antipode(doc):
+    del doc["antipode"]["entries"][-1]
+
+
+@pytest.mark.parametrize(
+    "put,error",
+    [
+        (_bare_list_comult, 'comult must be a 16 x 4 matrix, an object with "rows", "cols" '
+                            'and "entries"; got list'),
+        (_short_counit, "counit must have length dim"),
+        (_int_antipode, 'antipode must be a 4 x 4 matrix, an object with "rows", "cols" '
+                        'and "entries"; got int'),
+        (_short_antipode, "antipode must be a 4 x 4 matrix, got 3 x 4 entries"),
+    ],
+    ids=["comult", "counit", "antipode", "antipode-rows"],
+)
+def test_ingest_names_the_hopf_field_and_its_shape(tmp_path, capsys, put, error):
+    doc = hopf_to_json(taft(2))
+    put(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _ingest(path, capsys)
+    assert code == 2
+    assert error in err and "internal error" not in err
 
 
 # the zero ring has 1 = 0, so eps(1) = 1 cannot hold

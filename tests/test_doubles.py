@@ -679,6 +679,44 @@ def test_double_recheck_samples_when_the_unit_law_fails(d3):
     assert report.witnesses["associativity"]["mode"] == "sampled"
 
 
+def _refuse(*args):
+    raise AssertionError("D2.2 ran a check that construction already ran")
+
+
+def test_double_recheck_reads_the_certificate_from_the_record(d3, monkeypatch):
+    assert d3.algebra.associativity == "certificate"
+    monkeypatch.setattr(StructureAlgebra, "_assoc_modular", _refuse)
+    monkeypatch.setattr(StructureAlgebra, "associativity_failure", _refuse)
+    witnesses = check_double_unital_associative(d3).witnesses["associativity"]
+    assert witnesses == {"holds": True, "mode": "certificate", "generators": 15}
+
+
+def test_recheck_sample_is_the_head_of_the_construction_sample():
+    # D2.2 reads a sampled double's record because its 2,000 triples are the
+    # first of the DEFAULT_SAMPLES that construction checked
+    samples, recheck, seed = (
+        algebra_module.DEFAULT_SAMPLES, doubles_module.RECHECK_SAMPLES, algebra_module.DEFAULT_SEED
+    )
+    assert recheck <= samples
+    for n in (231, 625):
+        head = itertools.islice(algebra_module.sampled_triples(n, samples, seed), recheck)
+        assert list(algebra_module.sampled_triples(n, recheck, seed)) == list(head)
+
+
+def test_double_recheck_reads_the_sample_from_the_record(monkeypatch):
+    # with the certificate's limit below 81, construction samples the
+    # 81-dim double, and D2.2 reports that sample's first 2,000 triples
+    monkeypatch.setattr(algebra_module, "DEFAULT_EXHAUSTIVE_LIMIT", 80)
+    monkeypatch.setattr(doubles_module, "DEFAULT_EXHAUSTIVE_LIMIT", 80)
+    d = build_twisted_double(taft(3))
+    assert d.algebra.associativity == "sampled"
+    monkeypatch.setattr(StructureAlgebra, "_assoc_modular", _refuse)
+    monkeypatch.setattr(StructureAlgebra, "associativity_failure", _refuse)
+    report = check_double_unital_associative(d)
+    assert report.passed
+    assert report.witnesses["associativity"] == {"holds": True, "mode": "sampled", "triples": 2000}
+
+
 # -- straightening and cross relation on corrupted doubles ----------------
 
 
