@@ -24,10 +24,13 @@ associativity in one of two regimes, chosen by dim:
                       prime; the triples (i, a, k) with e_a in S are then
                       compared modulo Phi_N(w) for an integer w large
                       enough that a congruence is an exact equality, which
-                      proves associativity on every triple.  On a mismatch
-                      every pair (i, j) is compared the same way and the
-                      first failing triple re-checked exactly, so the
-                      witness is the one the exact loop would report.
+                      proves associativity on every triple.  The cells are
+                      read in place: each value object is mapped to its
+                      integer mod Phi_N(w) once, and no copy of the table
+                      is made.  On a mismatch every pair (i, j) is
+                      compared the same way and the first failing triple
+                      re-checked exactly, so the witness is the one the
+                      exact loop would report.
                       taft(p) (2 generators), the 81-dim doubles of
                       taft(3) (12 and 15) and the 125-dim blocks of the
                       taft(5) double are checked here.
@@ -63,6 +66,11 @@ unchecked or without an S (an inherited block) takes the full check.
 map_failure falls back to the full scan whenever a generator pair fails,
 so the reported pair is always the full scan's first failure.
 
+Both generation closures, Light's S and subalgebra_generated's first
+pass, run modulo a prime p on one span, _ModSpan, which holds the one
+residue map Q(zeta_N) -> Z/p, the one closure under tables and the one
+rank argument that makes rank n mod p a proof of generation.
+
 An AlgebraElement holds its terms, a dict {basis index: nonzero scalar}, and
 every product goes through one sparse kernel, StructureAlgebra.mul_sparse,
 which multiplies two such dicts, visits only the structure-constant cells
@@ -79,11 +87,13 @@ from __future__ import annotations
 
 import random
 import types
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 
-from .cyclotomic import ONE, ZERO, Cyclotomic, IntegerImage, cyclotomic_polynomial, phi_degree
+from .cyclotomic import ONE, ZERO, Cyclotomic, cyclotomic_polynomial, phi_degree
 from .linalg import (
     EchelonBasis,
     InvariantError,
@@ -358,12 +368,12 @@ class StructureAlgebra:
         w, modulus = _light_modulus(order, bound)
         if modulus <= bound ** phi_degree(order):
             raise InvariantError(f"{self.name}: the modulus {modulus} does not exceed the bound")
-        image = IntegerImage(order, w, modulus, den)
-        ints = {key: image(v) for key, v in values.items()}
-        irows = [
-            [{k: ints[id(v)] for k, v in cell.items()} if cell else EMPTY_CELL for cell in row]
-            for row in self.rows
-        ]
+        # each value object's image mod M, zeta -> w, scaled by den
+        powers = [pow(w, s, modulus) for s in range(phi_degree(order))]
+        ints = {
+            key: sum(map(mul, v.num, powers)) * (den // v.den) % modulus for key, v in values.items()
+        }
+        rows = self.rows
         # row_terms[m]: (k n + t, c_mk^t) over row m; col_terms[j]: (k n, m, c_jk^m)
         row_terms: dict[int, list] = {}
         col_terms: dict[int, list] = {}
@@ -372,23 +382,26 @@ class StructureAlgebra:
             """The k at which (e_i e_j) e_k and e_i (e_j e_k) differ mod M."""
             acc: dict[int, int] = {}
             get = acc.get
-            for m, x in irows[i][j].items():
+            for m, v in rows[i][j].items():
+                x = ints[id(v)]
                 terms = row_terms.get(m)
                 if terms is None:
                     terms = row_terms[m] = [
-                        (k * n + t, y) for k, cell in enumerate(irows[m]) for t, y in cell.items()
+                        (k * n + t, ints[id(y)])
+                        for k, cell in enumerate(rows[m])
+                        for t, y in cell.items()
                     ]
                 for key, y in terms:
                     acc[key] = get(key, 0) + x * y
             terms = col_terms.get(j)
             if terms is None:
                 terms = col_terms[j] = [
-                    (k * n, m, x) for k, cell in enumerate(irows[j]) for m, x in cell.items()
+                    (k * n, m, ints[id(x)]) for k, cell in enumerate(rows[j]) for m, x in cell.items()
                 ]
-            rowi = irows[i]
+            rowi = rows[i]
             for base, m, x in terms:
                 for t, y in rowi[m].items():
-                    acc[base + t] = get(base + t, 0) - x * y
+                    acc[base + t] = get(base + t, 0) - x * ints[id(y)]
             return [key // n for key, s in acc.items() if s % modulus]
 
         self.light_generators = _light_generators(self, den)
@@ -536,9 +549,9 @@ class StructureAlgebra:
         span of the unit under right multiplication by gens, to a fixed point.
 
         The closure runs first modulo a prime (_generates_modulo_a_prime).
-        Rank cannot rise modulo a prime, so reaching rank dim there proves
-        that gens generate the whole algebra, and the whole space is
-        returned; when the modular rank falls short, the exact closure runs.
+        Reaching rank dim there proves that gens generate the whole algebra
+        (_ModSpan's rank argument), and the whole space is returned; when
+        the modular rank falls short, the exact closure runs.
         """
         n = self.dim
         gvecs = [self._terms(g) for g in gens]
@@ -1168,48 +1181,23 @@ def _light_generators(alg: StructureAlgebra, den: int) -> list[int]:
     span of the unit under left multiplication by the e_a taken so far.
 
     The span is computed modulo a prime p = 1 mod N that divides neither
-    den (a common denominator of the constants) nor the unit's denominators,
-    with zeta sent to a primitive N-th root r mod p.  Every vector it holds
-    is the image of a word s_1 (s_2 (... (s_k 1))) in the scaled constants,
-    which lie in Z[zeta_N]; if n of them are independent mod p, their
-    determinant is nonzero modulo a prime of Z[zeta_N] over p, so nonzero,
-    and the words span the algebra.  The closure reaches full rank whenever
-    the unit laws hold (e_a 1 = e_a); otherwise InvariantError is raised.
+    den (a common denominator of the constants) nor the unit's denominators
+    (_ModSpan, whose rank argument makes rank n mod p a proof that the
+    e_a generate).  The closure reaches full rank whenever the unit laws
+    hold (e_a 1 = e_a); otherwise InvariantError is raised.
     """
     n, order = alg.dim, alg.order
-    unit_den = lcm(*(u.den for u in alg.unit))
-    p = _generation_prime(order, den * unit_den)
-    r = _root_mod(order, p)
-    image = IntegerImage(order, r, p, den)
-    unit_image = IntegerImage(order, r, p, unit_den)
-    span = _ModSpan(p)
-
-    def left(gen_row: list, v: dict) -> dict:
-        out: dict = {}
-        for j, x in v.items():
-            for k, y in gen_row[j].items():
-                out[k] = out.get(k, 0) + x * y
-        return {k: y for k, s in out.items() if (y := s % p)}
-
-    unit = {j: x for j, u in enumerate(alg.unit) if (x := unit_image(u))}
-    words = [unit] if span.absorb(unit) else []
+    p = _generation_prime(order, den * lcm(*(u.den for u in alg.unit)))
+    span = _ModSpan(order, p, n)
+    span.absorb(span.vector(alg._unit_terms))
     gens: list[int] = []
-    gen_rows: list[list] = []
     for a in range(n):
         if len(span) == n:
             break
-        if not span.reduce({a: 1}):
-            continue
-        gens.append(a)
-        gen_row = [{k: image(v) for k, v in cell.items()} for cell in alg.rows[a]]
-        gen_rows.append(gen_row)
-        work = [(gen_row, v) for v in words]
-        while work:
-            g, v = work.pop()
-            u = left(g, v)
-            if span.absorb(u):
-                words.append(u)
-                work.extend((h, u) for h in gen_rows)
+        if span.reduce({a: 1}):
+            gens.append(a)
+            # left multiplication by e_a: e_a e_j = sum_k c_aj^k e_k
+            span.close([[span.vector(cell) for cell in alg.rows[a]]])
     if len(span) != n:
         raise InvariantError(
             f"{alg.name}: the closure of the unit has rank {len(span)} of {n} modulo {p}"
@@ -1218,20 +1206,85 @@ def _light_generators(alg: StructureAlgebra, den: int) -> list[int]:
 
 
 class _ModSpan:
-    """The span of sparse integer vectors modulo a prime p, fully reduced:
-    pivots maps each pivot column to its row's other entries (the row is 1
-    at its pivot and 0 at every other pivot column).  The modular span of
-    both generation closures, _light_generators and
-    _generates_modulo_a_prime."""
+    """A span of sparse vectors in (Z/p)^n, p a prime = 1 mod N, closed
+    under tables, with the scalars of Q(zeta_N) read through one residue
+    map.  The modular span of both generation closures, _light_generators
+    and _generates_modulo_a_prime.
 
-    __slots__ = ("p", "pivots")
+    residue(v) sends a value of order d dividing N, coordinates num and
+    denominator den, to sum_s num_s r^(s N / d) / den mod p, r = root of
+    exact multiplicative order N mod p: zeta_N -> r is a ring map onto Z/p
+    from the values whose den p does not divide (pow(den, -1, p) raises
+    ValueError for the others).  Each distinct value is reduced once.
 
-    def __init__(self, p: int):
-        self.p = p
+    The span is kept fully reduced: pivots maps each pivot column to its
+    row's other entries (the row is 1 at its pivot and 0 at every other
+    pivot column).  words are the vectors absorbed, in order; close(t)
+    closes the span under v -> sum_i v_i t[i] mod p for t and every table
+    taken before.
+
+    The rank argument.  Each table is the residue of an exact table of
+    values, so each word is the residue of the exact word, the same tables
+    applied in the same order to the same exact vector.  The entries of the
+    exact words lie in the ring of values whose den p does not divide, and
+    the residue map is a ring map there, so the residue of the determinant
+    of n exact words is the determinant of their residues.  If n words are
+    independent mod p, that determinant is nonzero, so the exact one is:
+    the exact closure reaches rank n too.
+    """
+
+    __slots__ = ("p", "n", "order", "root", "pivots", "words", "tables", "_powers", "_memo")
+
+    def __init__(self, order: int, p: int, n: int):
+        self.p, self.n, self.order = p, n, order
+        self.root = _root_mod(order, p)
         self.pivots: dict[int, dict] = {}
+        self.words: list[dict] = []
+        self.tables: list[list] = []
+        self._powers: dict[int, list[int]] = {}
+        self._memo: dict[tuple, int] = {}
 
     def __len__(self) -> int:
         return len(self.pivots)
+
+    def residue(self, v: Cyclotomic) -> int:
+        """v mod p, zeta_N sent to root."""
+        key = (v.order, v.num, v.den)
+        x = self._memo.get(key)
+        if x is None:
+            p, pw = self.p, self._powers.get(v.order)
+            if pw is None:
+                step = pow(self.root, self.order // v.order, p)
+                pw = self._powers[v.order] = [pow(step, s, p) for s in range(len(v.num))]
+            x = self._memo[key] = sum(map(mul, v.num, pw)) * pow(v.den, -1, p) % p
+        return x
+
+    def vector(self, v: dict) -> dict:
+        """The residues of a sparse vector of values, zeros dropped."""
+        return {k: x for k, c in v.items() if (x := self.residue(c))}
+
+    def times(self, v: dict, t) -> dict:
+        """sum_i v_i t[i] mod p, t[i] a sparse vector mod p for each i in v."""
+        out: dict = {}
+        get = out.get
+        for i, x in v.items():
+            for k, y in t[i].items():
+                out[k] = get(k, 0) + x * y
+        p = self.p
+        return {k: s for k, a in out.items() if (s := a % p)}
+
+    def close(self, new: list) -> None:
+        """Close the span under the tables in new and every table taken
+        before: apply each table to each word, breadth first, until nothing
+        new is absorbed or the span is the whole space."""
+        tables = self.tables
+        tables += new
+        work = deque((t, v) for v in self.words for t in new)
+        while work and len(self.pivots) < self.n:
+            t, v = work.popleft()
+            u = self.times(v, t)
+            if self.absorb(u):
+                work.extend((s, u) for s in tables)
 
     def _sub(self, row: dict, f: int, vec: dict) -> None:
         """row -= f vec mod p in place, for f nonzero mod p; entries that
@@ -1252,110 +1305,52 @@ class _ModSpan:
         return v
 
     def absorb(self, v: dict) -> bool:
-        """Add v (left unchanged) to the span; False when it is already there."""
-        v = self.reduce(dict(v))
-        if not v:
+        """Add v (left unchanged) to the span and to words; False when it is
+        already in the span."""
+        r = self.reduce(dict(v))
+        if not r:
             return False
         p = self.p
-        c = min(v)
-        inv = pow(v.pop(c), -1, p)
-        new = {k: y * inv % p for k, y in v.items()}
+        c = min(r)
+        inv = pow(r.pop(c), -1, p)
+        new = {k: y * inv % p for k, y in r.items()}
         for row in self.pivots.values():
             f = row.pop(c, 0)
             if f:
                 self._sub(row, f, new)
         self.pivots[c] = new
+        self.words.append(v)
         return True
 
 
 def _generates_modulo_a_prime(alg: StructureAlgebra, gvecs: list[dict]) -> bool:
     """Whether the closure of the span of alg's unit under right
     multiplication by the sparse vectors gvecs reaches rank alg.dim modulo
-    a prime p = 1 mod N (N the lcm of the orders of the constants and of
-    gvecs), with zeta_N sent to a primitive N-th root r mod p.
-
-    A value of order d, coordinates num and denominator den, maps to its
-    residue sum_s num_s r^(s N / d) / den mod p: a ring map from the values
-    whose den p does not divide.  So every vector the closure holds mod p
-    is the residue of a vector of the exact closure, and n residues that
-    are independent mod p come from n exact vectors whose determinant is
-    nonzero modulo a prime of Z[zeta_N] over p, so nonzero: the exact
-    closure has rank n too.  False when the rank falls short, or when p
-    divides a denominator it meets (the exact closure decides then).
+    a prime p = 1 mod N, N the lcm of the orders of the constants and of
+    gvecs; by _ModSpan's rank argument the exact closure then has rank n
+    too.  False when the rank falls short, or when p divides a denominator
+    it meets (the exact closure decides then).
     """
-    n, rows = alg.dim, alg.rows
+    n = alg.dim
     order = lcm(alg.order, *(v.order for g in gvecs for v in g.values()))
-    p = _generation_prime(order, 1)
-    root = _root_mod(order, p)
-    powers: dict[int, list[int]] = {}
-    memo: dict[tuple, int] = {}
-
-    def residue(v: Cyclotomic) -> int:
-        key = (v.order, v.num, v.den)
-        x = memo.get(key)
-        if x is None:
-            pw = powers.get(v.order)
-            if pw is None:
-                step = pow(root, order // v.order, p)
-                pw = powers[v.order] = [pow(step, s, p) for s in range(len(v.num))]
-            x = memo[key] = sum(c * w for c, w in zip(v.num, pw)) * pow(v.den, -1, p) % p
-        return x
-
-    def times(v: dict, g: dict, table: dict) -> dict:
-        """v g mod p for the residues g of a generator; table[i], e_i g mod
-        p, is made when first asked for."""
-        out: dict = {}
-        get = out.get
-        for i, x in v.items():
-            row = table.get(i)
-            if row is None:
-                acc: dict = {}
-                rowi = rows[i]
-                for j, y in g.items():
-                    for k, c in rowi[j].items():
-                        acc[k] = acc.get(k, 0) + y * residue(c)
-                row = table[i] = {k: s for k, a in acc.items() if (s := a % p)}
-            for k, y in row.items():
-                out[k] = get(k, 0) + x * y
-        return {k: s for k, a in out.items() if (s := a % p)}
-
-    span = _ModSpan(p)
+    span = _ModSpan(order, _generation_prime(order, 1), n)
     try:
-        gens = [({j: x for j, v in g.items() if (x := residue(v))}, {}) for g in gvecs]
-        unit = {j: x for j, u in alg._unit_terms.items() if (x := residue(u))}
-        frontier = [unit] if span.absorb(unit) else []
-        while frontier and len(span) < n:
-            new = []
-            for v in frontier:
-                for g, table in gens:
-                    w = times(v, g, table)
-                    if span.absorb(w):
-                        new.append(w)
-            frontier = new
+        span.absorb(span.vector(alg._unit_terms))
+        # right multiplication by g: e_i g = sum_j g_j e_i e_j
+        gvecs = [span.vector(g) for g in gvecs]
+        span.close([[span.times(g, {j: span.vector(r[j]) for j in g}) for r in alg.rows] for g in gvecs])
     except ValueError:  # pow(den, -1, p) for a den that p divides
         return False
     return len(span) == n
 
 
 def _root_mod(order: int, p: int) -> int:
-    """An element of exact multiplicative order `order` mod prime p."""
-    if order == 1:
-        return 1
-    fac = []
-    n = order
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            fac.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        fac.append(n)
+    """An element of exact multiplicative order `order` mod prime p: the
+    first (p - 1)/order-th power of 2, 3, ... that no proper divisor of
+    order sends to 1."""
+    divisors = [d for d in range(1, order) if order % d == 0]
     for a in range(2, p):
         w = pow(a, (p - 1) // order, p)
-        if w == 1:
-            continue
-        if all(pow(w, order // q, p) != 1 for q in fac):
+        if all(pow(w, d, p) != 1 for d in divisors):
             return w
     raise RuntimeError("no root of unity found (is p = 1 mod order?)")

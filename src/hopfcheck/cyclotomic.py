@@ -108,34 +108,6 @@ def phi_degree(order: int) -> int:
     return len(cyclotomic_polynomial(order)) - 1
 
 
-class IntegerImage:
-    """Scalars of Q(zeta_order) reduced to integers modulo `modulus`.
-
-    The image of a value v is (scale * v) with zeta sent to `root`, that is
-    sum_s num_s root^s * (scale // den) mod modulus; every den it meets must
-    divide scale.  When modulus divides Phi_order(root), zeta -> root is a
-    ring map Z[zeta] -> Z/modulus, so sums and products of scaled values map
-    to the sums and products of their images.  Each distinct value (num,
-    den) is reduced once.
-    """
-
-    __slots__ = ("modulus", "scale", "_powers", "_memo")
-
-    def __init__(self, order: int, root: int, modulus: int, scale: int):
-        self.modulus = modulus
-        self.scale = scale
-        self._powers = [pow(root, s, modulus) for s in range(phi_degree(order))]
-        self._memo: dict[tuple, int] = {}
-
-    def __call__(self, v: Cyclotomic) -> int:
-        key = (v.num, v.den)
-        r = self._memo.get(key)
-        if r is None:
-            r = sum(c * w for c, w in zip(v.num, self._powers)) * (self.scale // v.den) % self.modulus
-            self._memo[key] = r
-        return r
-
-
 class Cyclotomic:
     """An element of Q(zeta_order), stored exactly."""
 

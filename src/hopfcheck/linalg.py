@@ -50,7 +50,9 @@ def _axpy(y: dict, f: Cyclotomic | None, x: dict) -> None:
     took 0.30 s instead of 0.16 s) and the double builders' pooled
     first-write path, doubles._accumulate with its id-keyed product memo
     (dropping only the memo slowed the three p = 5 builds from about
-    0.95 s to 1.35 s).  The certificate's integer sums mod M stay apart.
+    0.95 s to 1.35 s).  The integer sums of the certificate (mod M, in
+    StructureAlgebra._assoc_modular) and of the generation closures (mod p,
+    in algebra._ModSpan) are not over Q(zeta_N) and do not come here.
     """
     for c, xc in x.items():
         if f is not None:

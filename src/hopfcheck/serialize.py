@@ -292,8 +292,10 @@ def _read_matrix(obj, memo: _Reading, where: str, shape: tuple) -> Matrix:
         if not isinstance(v, int) or isinstance(v, bool):
             raise IngestError(f"{where} rows and cols must be integers, got {v!r}")
     width = rows[0][0] if rows else ncols
-    if any(length != width for length, _ in rows):
-        raise IngestError("bad hopf field: ragged rows")
+    for i, (length, _) in enumerate(rows):
+        if length != width:
+            raise IngestError(f"{expected}, got ragged rows: {where}[{i}] has {length} entries, "
+                              f"{where}[0] has {width}")
     if (len(rows), width) != shape:
         raise IngestError(f"{expected}, got {len(rows)} x {width} entries")
     if (nrows, ncols) != shape:

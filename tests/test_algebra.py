@@ -4,6 +4,7 @@ quotients, closures, presentations, central splitting."""
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,12 @@ from hopfcheck.algebra import (
     sampled_triples,
 )
 from hopfcheck.cyclotomic import Cyclotomic, phi_degree, root_of_unity
-from hopfcheck.doubles import build_twisted_double, split_blocks, taft_double_generators
+from hopfcheck.doubles import (
+    build_classical_double,
+    build_twisted_double,
+    split_blocks,
+    taft_double_generators,
+)
 from hopfcheck.hopf import check_algebra_map, taft
 from hopfcheck.linalg import EchelonBasis, InvariantError, Matrix, Subspace, lincomb, sparse_of
 
@@ -988,3 +994,98 @@ def test_generation_modulo_a_prime_matches_the_exact_closure():
         got = h.subalgebra_generated(gens)
         assert got.dim == dim
         assert got == exact_closure(h, gens)
+
+
+# values of orders 1, 2, 3, 4, 5 and 12 as (order, num, den), all read in
+# one residue map mod p = 1 mod 60
+_RESIDUE_VALUES = [
+    (1, (7,), 3),
+    (2, (-5,), 4),
+    (3, (2, -5), 7),
+    (3, (0, 1), 1),
+    (4, (1, 3), 4),
+    (5, (1, -2, 0, 3), 11),
+    (12, (3, 0, -1, 2), 5),
+    (12, (0, 1, 0, 0), 1),
+]
+
+
+def test_the_residue_map_agrees_with_a_plain_integer_reference():
+    # v of order d maps to sum_s num_s r^(s N/d) / den mod p, r the map's
+    # root of exact order N; the reference below uses only ints
+    order = 60
+    p = algebra_module._generation_prime(order, 1)
+    span = algebra_module._ModSpan(order, p, 1)
+    r = span.root
+    assert pow(r, order, p) == 1
+    assert all(pow(r, d, p) != 1 for d in range(1, order) if order % d == 0)
+    values = []
+    for d, num, den in _RESIDUE_VALUES:
+        v = Cyclotomic(d, num, den)
+        want = sum(x * pow(r, s * order // d, p) for s, x in enumerate(num)) * pow(den, -1, p) % p
+        assert span.residue(v) == want
+        values.append(v)
+    # a ring map: sums to sums and products to products, across orders
+    for a, b in itertools.product(values, repeat=2):
+        assert span.residue(a + b) == (span.residue(a) + span.residue(b)) % p
+        assert span.residue(a * b) == span.residue(a) * span.residue(b) % p
+    assert span.vector({0: values[2], 3: c(0), 5: Cyclotomic(3, (p, 0))}) == {0: span.residue(values[2])}
+
+
+def test_a_denominator_that_p_divides_sends_generation_to_the_exact_closure():
+    # 1/p e_1 has no residue mod p: the modular closure gives up (False) and
+    # subalgebra_generated takes the exact closure, which finds k[Z/3]
+    a = group_algebra_plain(3)
+    p = algebra_module._generation_prime(1, 1)
+    span = algebra_module._ModSpan(1, p, 3)
+    with pytest.raises(ValueError):
+        span.residue(Cyclotomic(1, (1,), p))
+    g = a.element([c(0), Cyclotomic(1, (1,), p), c(0)])
+    assert not algebra_module._generates_modulo_a_prime(a, [g.terms])
+    got = a.subalgebra_generated([g])
+    assert got.dim == 3 and got == exact_closure(a, [g])
+
+
+def test_light_generating_sets_are_pinned():
+    # the greedy S of each algebra is fixed by its table: e_a joins when it
+    # lies outside the closure of the unit under the e_a taken before, so a
+    # closure that skips the earlier words (or a generator) picks another S
+    h = taft(3)
+    one = c(1)
+    n = 101
+    rows = [[{(i + j) % n: one} for j in range(n)] for i in range(n)]
+    got = {
+        "taft(2)": taft(2).algebra.light_generators,
+        "taft(3)": h.algebra.light_generators,
+        "twisted": build_twisted_double(h).algebra.light_generators,
+        "drinfeld": build_classical_double(h, "drinfeld").algebra.light_generators,
+        "anti": build_classical_double(h, "anti").algebra.light_generators,
+        "k[Z/101]": StructureAlgebra(n, rows, [one] + [c(0)] * (n - 1)).light_generators,
+    }
+    doubles = [0, 1, 2, 3, 4, 5, 7, 9, 10, 12, 13, 15]
+    assert got == {
+        "taft(2)": [1, 2],
+        "taft(3)": [1, 3],
+        "twisted": [0, 1, 2, 3, 9, 18, 27, 28, 29, 30, 36, 45, 55, 57, 63],
+        "drinfeld": doubles,
+        "anti": doubles,
+        "k[Z/101]": [1],
+    }
+
+
+def test_the_certificate_reads_the_table_in_place():
+    # on the all-one k[Z/101] the certificate maps the one value object to
+    # its integer once and reads the cells through it: no integer copy of
+    # the 10,201 cells (which peaked at 3.2 MB)
+    one = c(1)
+    n = 101
+    rows = [[{(i + j) % n: one} for j in range(n)] for i in range(n)]
+    alg = StructureAlgebra(n, rows, [one] + [c(0)] * (n - 1), check="none")
+    tracemalloc.start()
+    try:
+        assert alg._assoc_modular() is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.light_generators == [1]
+    assert peak < 1.5e6

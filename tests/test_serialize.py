@@ -445,10 +445,17 @@ def test_packed_planes_report_what_their_lists_report(tmp_path, fault, error):
 
 
 def test_packed_rows_report_a_ragged_matrix(tmp_path):
-    doc = hopf_to_json(taft(2))
-    del doc["antipode"]["entries"][2][-1]
-    with pytest.raises(IngestError, match=r"^bad hopf field: ragged rows$"):
-        _ingest_written(tmp_path, doc)
+    # the error names the field, the shape it must have and the first row
+    # whose length differs from the first row's
+    for field, row, shape in (("antipode", 2, "4 x 4"), ("comult", 5, "16 x 4")):
+        doc = hopf_to_json(taft(2))
+        del doc[field]["entries"][row][-1]
+        error = (rf"^{field} must be a {shape} matrix, got ragged rows: {field}\[{row}\] has 3 entries, "
+                 rf"{field}\[0\] has 4$")
+        with pytest.raises(IngestError, match=error):
+            _ingest_written(tmp_path, doc)
+        with pytest.raises(IngestError, match=error):
+            hopf_from_json(json.loads(json.dumps(doc)))
 
 
 def _null_unit(doc):
