@@ -1211,7 +1211,7 @@ class _ModSpan:
     map.  The modular span of both generation closures, _light_generators
     and _generates_modulo_a_prime.
 
-    residue(v) sends a value of order d dividing N, coordinates num and
+    value(v) sends a value of order d dividing N, coordinates num and
     denominator den, to sum_s num_s r^(s N / d) / den mod p, r = root of
     exact multiplicative order N mod p: zeta_N -> r is a ring map onto Z/p
     from the values whose den p does not divide (pow(den, -1, p) raises
@@ -1219,9 +1219,9 @@ class _ModSpan:
 
     The span is kept fully reduced: pivots maps each pivot column to its
     row's other entries (the row is 1 at its pivot and 0 at every other
-    pivot column).  words are the vectors absorbed, in order; close(t)
-    closes the span under v -> sum_i v_i t[i] mod p for t and every table
-    taken before.
+    pivot column).  words are the vectors absorbed, in order;
+    close(tables) closes the span under v -> sum_i v_i t[i] mod p for each
+    table t given and each taken before.
 
     The rank argument.  Each table is the residue of an exact table of
     values, so each word is the residue of the exact word, the same tables
@@ -1247,7 +1247,7 @@ class _ModSpan:
     def __len__(self) -> int:
         return len(self.pivots)
 
-    def residue(self, v: Cyclotomic) -> int:
+    def value(self, v: Cyclotomic) -> int:
         """v mod p, zeta_N sent to root."""
         key = (v.order, v.num, v.den)
         x = self._memo.get(key)
@@ -1261,9 +1261,9 @@ class _ModSpan:
 
     def vector(self, v: dict) -> dict:
         """The residues of a sparse vector of values, zeros dropped."""
-        return {k: x for k, c in v.items() if (x := self.residue(c))}
+        return {k: x for k, c in v.items() if (x := self.value(c))}
 
-    def times(self, v: dict, t) -> dict:
+    def apply(self, t, v: dict) -> dict:
         """sum_i v_i t[i] mod p, t[i] a sparse vector mod p for each i in v."""
         out: dict = {}
         get = out.get
@@ -1282,7 +1282,7 @@ class _ModSpan:
         work = deque((t, v) for v in self.words for t in new)
         while work and len(self.pivots) < self.n:
             t, v = work.popleft()
-            u = self.times(v, t)
+            u = self.apply(t, v)
             if self.absorb(u):
                 work.extend((s, u) for s in tables)
 
@@ -1338,7 +1338,7 @@ def _generates_modulo_a_prime(alg: StructureAlgebra, gvecs: list[dict]) -> bool:
         span.absorb(span.vector(alg._unit_terms))
         # right multiplication by g: e_i g = sum_j g_j e_i e_j
         gvecs = [span.vector(g) for g in gvecs]
-        span.close([[span.times(g, {j: span.vector(r[j]) for j in g}) for r in alg.rows] for g in gvecs])
+        span.close([[span.apply({j: span.vector(r[j]) for j in g}, g) for r in alg.rows] for g in gvecs])
     except ValueError:  # pow(den, -1, p) for a den that p divides
         return False
     return len(span) == n
